@@ -13,11 +13,11 @@ x1^{p-1}x2 within a degree).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .kscalar import Field, KElement, KVector, Scalar, k_conj, k_mul
 
@@ -25,9 +25,9 @@ Exponent = Tuple[int, ...]
 
 __all__ = [
     "Exponent",
-    "MomentTable",
     "RealForm",
     "abs_inner_sq_form",
+    "dense_row",
     "evaluate",
     "form_inner",
     "frame_form",
@@ -101,9 +101,6 @@ class RealForm:
     def is_exact(self) -> bool:
         return all(isinstance(c, Fraction) for c in self.terms.values())
 
-    def canonical_items(self) -> list[tuple[Exponent, Scalar]]:
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=grlex_key)]
-
     def max_abs_coeff(self) -> float:
         """Largest absolute coefficient, as a float (0.0 for the zero form)."""
         if not self.terms:
@@ -174,6 +171,15 @@ def evaluate(form: RealForm, point: Sequence[Scalar]) -> Scalar:
     return total
 
 
+def dense_row(form: RealForm, columns: Mapping[Exponent, int]) -> List[Scalar]:
+    """The coefficients of a form as a dense row; columns[e] is the position
+    of monomial e."""
+    row: List[Scalar] = [Fraction(0)] * len(columns)
+    for expo, coeff in form.terms.items():
+        row[columns[expo]] = coeff
+    return row
+
+
 def _double_factorial(k: int) -> int:
     out = 1
     while k > 1:
@@ -182,58 +188,34 @@ def _double_factorial(k: int) -> int:
     return out
 
 
-class MomentTable:
-    """Cache of normalized sphere moments for one ambient dimension N.
-
-    moment(beta) = integral over S^{N-1} of x^beta against the uniform
-    probability measure: zero when any beta_i is odd, otherwise with beta = 2b
-    and a = sum(b),
-        prod_i (2 b_i - 1)!!  /  (N (N+2) ... (N+2a-2)).
-    Fills are idempotent, so concurrent readers race harmlessly; a lock keeps
-    the cache dict itself consistent.
-    """
-
-    def __init__(self, num_vars: int):
-        if num_vars < 1:
-            raise ValueError("sphere dimension must be >= 1")
-        self.num_vars = num_vars
-        self._cache: Dict[Exponent, Fraction] = {}
-        self._lock = threading.Lock()
-
-    def moment(self, beta: Exponent) -> Fraction:
-        if len(beta) != self.num_vars:
-            raise ValueError(f"exponent length {len(beta)} does not match N={self.num_vars}")
-        if any(b % 2 for b in beta):
-            return Fraction(0)
-        beta = tuple(beta)
-        cached = self._cache.get(beta)
-        if cached is not None:
-            return cached
-        num = 1
-        a = 0
-        for b in beta:
-            num *= _double_factorial(b - 1)
-            a += b // 2
-        den = 1
-        for j in range(a):
-            den *= self.num_vars + 2 * j
-        value = Fraction(num, den)
-        with self._lock:
-            self._cache[beta] = value
-        return value
-
-
-_tables: Dict[int, MomentTable] = {}
-_tables_lock = threading.Lock()
-
-
 def sphere_moment(beta: Sequence[int], num_vars: int) -> Fraction:
-    """Normalized moment of x^beta over the unit sphere S^{num_vars - 1}."""
-    table = _tables.get(num_vars)
-    if table is None:
-        with _tables_lock:
-            table = _tables.setdefault(num_vars, MomentTable(num_vars))
-    return table.moment(tuple(beta))
+    """Normalized moment of x^beta over the unit sphere S^{num_vars - 1}.
+
+    The integral of x^beta against the uniform probability measure: zero
+    when any beta_i is odd, otherwise with beta = 2b and a = sum(b),
+        prod_i (2 b_i - 1)!!  /  (N (N+2) ... (N+2a-2)).
+    """
+    if num_vars < 1:
+        raise ValueError("sphere dimension must be >= 1")
+    beta = tuple(beta)
+    if len(beta) != num_vars:
+        raise ValueError(f"exponent length {len(beta)} does not match N={num_vars}")
+    if any(b % 2 for b in beta):
+        return Fraction(0)
+    return _even_moment(beta)
+
+
+@lru_cache(maxsize=None)
+def _even_moment(beta: Exponent) -> Fraction:
+    num = 1
+    a = 0
+    for b in beta:
+        num *= _double_factorial(b - 1)
+        a += b // 2
+    den = 1
+    for j in range(a):
+        den *= len(beta) + 2 * j
+    return Fraction(num, den)
 
 
 def form_inner(f1: RealForm, f2: RealForm) -> Scalar:

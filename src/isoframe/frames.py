@@ -26,15 +26,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forms import (
     Exponent,
     RealForm,
+    dense_row,
     frame_form,
-    form_inner,
     monomials,
     norm_power_form,
 )
@@ -49,7 +49,7 @@ from .kscalar import (
     scalar_to_str,
 )
 from .linalg import RowReducer
-from .phi import SingularGramError, dim_phi, dual_basis
+from .phi import dim_phi
 
 __all__ = [
     "BudgetExhaustedError",
@@ -207,15 +207,10 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     if not frame.is_exact:
         raise FrameError("dependence detection requires exact rational entries")
     n_vars = frame.field.real_dimension * frame.m
-    basis = monomials(n_vars, frame.p)
-    index = {expo: j for j, expo in enumerate(basis)}
-    reducer = RowReducer(len(basis))
+    columns = {expo: j for j, expo in enumerate(monomials(n_vars, frame.p))}
+    reducer = RowReducer(len(columns))
     for k, (u, w) in enumerate(zip(frame.vectors, frame.weights)):
-        form = frame_form(u, frame.p).scale(w)
-        row = [Fraction(0)] * len(basis)
-        for expo, coeff in form.terms.items():
-            row[index[expo]] = coeff
-        combo = reducer.add_row(row)
+        combo = reducer.add_row(dense_row(frame_form(u, frame.p).scale(w), columns))
         if combo is not None:
             peak = max(combo)
             omega = [c / peak for c in combo] + [Fraction(0)] * (frame.n - k - 1)
@@ -323,10 +318,12 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
     """Expand the lambda-weighted norm power in the frame-form basis.
 
     Writes F_lambda = (sum_i lambda_i |xi_i|^2)^{p/2} as
-    sum_k a_k(lambda) |<u_k,x>|^p with the a_k read off against the dual
-    basis of the frame forms: a_k = <<F_lambda, theta_k>> per lambda-monomial.
-    The resulting identity is re-checked symbolically in all m + d*m
-    variables; frames whose span misses F_lambda are rejected.
+    sum_k a_k(lambda) |<u_k,x>|^p.  Grouping by lambda-monomial,
+    F_lambda = sum_nu lambda^nu C_nu(x); each slice C_nu is reduced against
+    the frame forms, and its dependence certificate gives the coefficients
+    of lambda^nu in the a_k.  The resulting identity is re-checked
+    symbolically in all m + d*m variables; frames whose span misses a slice
+    are rejected.
     """
     if not frame.is_exact:
         raise FrameError("scaling coefficients require exact rational entries")
@@ -334,29 +331,30 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
         raise UnverifiedFrameError(
             "scaling coefficients are defined for verified frames only")
     forms = frame.frame_forms()
-    try:
-        dual = dual_basis(forms)
-    except SingularGramError as exc:
-        raise DependentFormsError(
-            "frame forms are linearly dependent; run reduce_to_independent first"
-        ) from exc
     m, p = frame.m, frame.p
     n_x = frame.field.real_dimension * m
+    columns = {expo: j for j, expo in enumerate(monomials(n_x, p))}
+    reducer = RowReducer(len(columns))
+    for form in forms:
+        if reducer.add_row(dense_row(form, columns)) is not None:
+            raise DependentFormsError(
+                "frame forms are linearly dependent; run reduce_to_independent first")
     joint_target = _diagonal_target_joint(frame.field, m, p)
-    # Group the joint target by lambda-monomial: F_lambda = sum_nu lambda^nu C_nu(x).
     by_lambda: Dict[Exponent, Dict[Exponent, Fraction]] = {}
     for expo, coeff in joint_target.terms.items():
         nu, xe = expo[:m], expo[m:]
         by_lambda.setdefault(nu, {})[xe] = coeff
-    coefficients = []
-    for theta in dual.duals:
-        terms: Dict[Exponent, Fraction] = {}
-        for nu, x_terms in by_lambda.items():
-            c_nu = RealForm(n_x, p, x_terms)
-            val = form_inner(c_nu, theta)
-            if val:
-                terms[nu] = val
-        coefficients.append(RealForm(m, p // 2, terms))
+    terms: List[Dict[Exponent, Fraction]] = [{} for _ in forms]
+    for nu, x_terms in by_lambda.items():
+        combo = reducer.add_row(dense_row(RealForm(n_x, p, x_terms), columns))
+        if combo is None:
+            raise ScalingExpansionError(
+                "diagonal target is not in the span of the frame forms; "
+                "the expansion identity has no solution for this frame")
+        for k, c in enumerate(combo[:frame.n]):
+            if c:
+                terms[k][nu] = c
+    coefficients = [RealForm(m, p // 2, t) for t in terms]
     # Exactness check of the full expansion identity in (lambda, x).
     recombined = RealForm.zero(m + n_x, 3 * p // 2)
     for a, f in zip(coefficients, forms):
@@ -438,16 +436,21 @@ def scaling_reduce(
 
     nodes = _simplex_nodes(m, grid)
     values = {node: sf.a_hat(node) for node in nodes}
-    # Refine between neighboring nodes of opposite sign; one elementary step
-    # moves a unit of 1/S mass between two coordinates.
-    step = Fraction(2 * m, grid + 1)
-    for u, v in combinations(nodes, 2):
-        if (values[u] < 0) == (values[v] < 0):
+    # Refine between neighboring nodes of opposite sign: a neighbor moves one
+    # unit of 1/S mass from coordinate i to coordinate j.  Each such pair has
+    # exactly one negative node, so pairs are taken from the negative side.
+    unit = Fraction(m, grid + 1)
+    for u in nodes:
+        if values[u] >= 0:
             continue
-        if sum(abs(a - b) for a, b in zip(u, v)) != step:
-            continue
-        mid = tuple((a + b) / 2 for a, b in zip(u, v))
-        values[mid] = sf.a_hat(mid)
+        for i, j in permutations(range(m), 2):
+            v = list(u)
+            v[i] -= unit
+            v[j] += unit
+            v = tuple(v)
+            if v in values and values[v] >= 0:
+                mid = tuple((a + b) / 2 for a, b in zip(u, v))
+                values[mid] = sf.a_hat(mid)
     gamma = min(values, key=lambda node: (values[node], node))
     if values[gamma] >= 0:
         return None
@@ -599,13 +602,17 @@ def catalog(field: Field, m: int, p: int, kind: str) -> WeightedFrame:
 
 def _rational_root(value: Fraction, p: int) -> Optional[Fraction]:
     def iroot(x: int) -> Optional[int]:
-        if x == 0:
-            return 0
-        r = round(x ** (1.0 / p))
-        for candidate in (r - 1, r, r + 1):
-            if candidate >= 0 and candidate**p == x:
-                return candidate
-        return None
+        # Integer Newton iteration from 2^ceil(bits/p), which is above the
+        # root; it decreases strictly until it reaches floor(x^(1/p)).
+        if x < 2:
+            return x
+        r = 1 << -(-x.bit_length() // p)
+        while True:
+            s = ((p - 1) * r + x // r ** (p - 1)) // p
+            if s >= r:
+                break
+            r = s
+        return r if r**p == x else None
 
     rn = iroot(value.numerator)
     rd = iroot(value.denominator)
@@ -654,6 +661,13 @@ def serialize_frame(frame: WeightedFrame) -> str:
     return json.dumps(_frame_to_obj(frame), indent=2) + "\n"
 
 
+def _finite_scalar(text: str) -> Scalar:
+    value = scalar_from_str(text)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def parse_frame(text: str) -> WeightedFrame:
     """Parse the frame file format; inverse of serialize_frame, bit-exact."""
     try:
@@ -670,7 +684,7 @@ def parse_frame(text: str) -> WeightedFrame:
     except (ValueError, TypeError) as exc:
         raise FrameParseError(str(exc)) from None
     m, p = obj["m"], obj["p"]
-    if not isinstance(m, int) or not isinstance(p, int):
+    if type(m) is not int or type(p) is not int:
         raise FrameParseError("m and p must be integers")
     d = field.real_dimension
     raw_vectors = obj["vectors"]
@@ -687,14 +701,14 @@ def parse_frame(text: str) -> WeightedFrame:
                 raise FrameParseError(
                     f"vector {k} entry {i} must be an array of {d} component strings")
             try:
-                entries.append(KElement(field, tuple(scalar_from_str(c) for c in comps)))
+                entries.append(KElement(field, tuple(_finite_scalar(c) for c in comps)))
             except (ValueError, TypeError, AttributeError) as exc:
                 raise FrameParseError(f"vector {k} entry {i}: {exc}") from None
         vectors.append(KVector(field, tuple(entries)))
     weights = []
     for k, raw in enumerate(raw_weights):
         try:
-            weights.append(scalar_from_str(raw))
+            weights.append(_finite_scalar(raw))
         except (ValueError, TypeError, AttributeError) as exc:
             raise FrameParseError(f"weight {k}: {exc}") from None
     try:

@@ -1,6 +1,6 @@
 """Exact rational linear algebra: incremental row reduction with tracking of
-how each reduced row combines the original input rows, and Gauss-Jordan
-inversion.
+how each reduced row combines the original input rows, and the matrix inverse
+read off its dependence certificates.
 
 Everything here works on plain lists of Fractions.  Columns are whatever
 order the caller fixed; pivots are chosen left to right.
@@ -11,11 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-__all__ = ["RowReducer", "SingularMatrixError", "matrix_inverse", "solve"]
+__all__ = ["RowReducer", "SingularMatrixError", "matrix_inverse"]
 
 
 class SingularMatrixError(ValueError):
-    """Raised when an exact inverse or solve hits a singular matrix."""
+    """Raised when an exact inverse hits a singular matrix."""
 
 
 class RowReducer:
@@ -80,30 +80,23 @@ class RowReducer:
 
 
 def matrix_inverse(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Exact inverse of a square rational matrix via Gauss-Jordan."""
+    """Exact inverse of a square rational matrix.
+
+    The n rows are reduced first; each unit row e_i added after them is
+    dependent, and the first n entries of its certificate express e_i in the
+    matrix rows, which is row i of the inverse.
+    """
     n = len(matrix)
-    aug = []
+    reducer = RowReducer(n)
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise ValueError("matrix is not square")
-        ident = [Fraction(0)] * n
-        ident[i] = Fraction(1)
-        aug.append([Fraction(x) for x in row] + ident)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise SingularMatrixError(f"matrix is singular (no pivot in column {col})")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> List[Fraction]:
-    """Solve matrix @ x = rhs exactly; the matrix must be square invertible."""
-    inv = matrix_inverse(matrix)
-    return [sum((r * b for r, b in zip(row, rhs)), Fraction(0)) for row in inv]
+        if reducer.add_row(row) is not None:
+            raise SingularMatrixError(
+                f"matrix is singular (row {i} depends on the rows before it)")
+    inverse = []
+    for i in range(n):
+        unit = [Fraction(0)] * n
+        unit[i] = Fraction(1)
+        inverse.append(reducer.add_row(unit)[:n])
+    return inverse

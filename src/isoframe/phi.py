@@ -9,13 +9,12 @@ x and alpha, and the alpha-monomials integrate to rational sphere moments.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, List, Sequence, Tuple
 
-from .forms import Exponent, RealForm, form_inner, monomials, sphere_moment
+from .forms import Exponent, RealForm, dense_row, form_inner, monomials, sphere_moment
 from .kscalar import Field, basis_product
 from .linalg import RowReducer, SingularMatrixError, matrix_inverse
 
@@ -160,9 +159,6 @@ class PhiBasis:
     p: int
     basis: Tuple[RealForm, ...]
     labels: Tuple[Exponent, ...]
-    _gram_lock: threading.Lock = dc_field(
-        default_factory=threading.Lock, repr=False, compare=False)
-    _dual: Optional[DualBasis] = dc_field(default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -172,23 +168,21 @@ class PhiBasis:
     def num_vars(self) -> int:
         return self.field.real_dimension * self.m
 
-    def _dual_basis(self) -> DualBasis:
-        with self._gram_lock:
-            if self._dual is None:
-                self._dual = dual_basis(self.basis)
-            return self._dual
+    @cached_property
+    def _dual(self) -> DualBasis:
+        return dual_basis(self.basis)
 
     @property
     def gram(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        return self._dual_basis().gram
+        return self._dual.gram
 
     @property
     def gram_inverse(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        return self._dual_basis().gram_inverse
+        return self._dual.gram_inverse
 
     @property
     def duals(self) -> Tuple[RealForm, ...]:
-        return self._dual_basis().duals
+        return self._dual.duals
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +200,7 @@ def phi_basis(field: Field, m: int, p: int) -> PhiBasis:
     n_vars = field.real_dimension * m
     table = _substitution_table(field, m)
     all_monomials = monomials(n_vars, p)
-    index = {expo: j for j, expo in enumerate(all_monomials)}
+    columns = {expo: j for j, expo in enumerate(all_monomials)}
     reducer = RowReducer(len(all_monomials))
     basis: List[RealForm] = []
     labels: List[Exponent] = []
@@ -214,10 +208,7 @@ def phi_basis(field: Field, m: int, p: int) -> PhiBasis:
         averaged = _average_monomial(beta, field, m, table)
         if averaged.is_zero:
             continue
-        row = [Fraction(0)] * len(all_monomials)
-        for expo, coeff in averaged.terms.items():
-            row[index[expo]] = coeff
-        if reducer.add_row(row) is None:
+        if reducer.add_row(dense_row(averaged, columns)) is None:
             basis.append(averaged)
             labels.append(beta)
     return PhiBasis(field=field, m=m, p=p, basis=tuple(basis), labels=tuple(labels))

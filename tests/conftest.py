@@ -15,7 +15,7 @@ SYNTHETIC_WEIGHTS = (Fraction(1, 2), Fraction(1, 2), Fraction(5, 27),
 def build_synthetic_frame():
     """Five rational directions whose forms form a basis of the quartic
     invariants at m = 2 over R; the unique positive weights are frozen here
-    and re-derived by exact solve in test_scaling."""
+    and re-derived by exact elimination in test_scaling."""
     vectors = tuple(
         KVector.from_reals(Field.R, [Fraction(a), Fraction(b)])
         for a, b in SYNTHETIC_DIRECTIONS)

@@ -11,6 +11,7 @@ from isoframe.frames import (
     catalog,
     load_frame,
     save_frame,
+    serialize_frame,
     verify,
 )
 from isoframe.kscalar import Field
@@ -56,12 +57,17 @@ def test_verify_fail_reports_residual(capsys, tmp_path):
 
 
 def test_verify_malformed_input(capsys, tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{\"field\": \"R\",")
-    code, out, err = run(capsys, "verify", str(path))
-    assert code == EXIT_MALFORMED
-    assert out == ""
-    assert "error" in err
+    good = json.loads(serialize_frame(catalog(Field.R, 2, 4, "real2-rational-p4")))
+    nan_component = dict(good, vectors=[[["nan"], ["0"]]] + good["vectors"][1:])
+    inf_weight = dict(good, weights=["inf"] + good["weights"][1:])
+    for text in ("{\"field\": \"R\",", json.dumps(nan_component),
+                 json.dumps(inf_weight), json.dumps(dict(good, m=True))):
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == EXIT_MALFORMED
+        assert out == ""
+        assert "error" in err
 
 
 def test_verify_missing_file(capsys, tmp_path):

@@ -328,6 +328,18 @@ def test_to_unweighted_exact_pth_power_weights():
         to_unweighted(f, mode="exact")
 
 
+def test_to_unweighted_exact_roots_of_large_weights():
+    # p-th roots beyond binary64: 3^400/7^400 overflows a float and
+    # (10^20+1)^6 has a root that float rounding misses by far more than 1
+    big = WeightedFrame(Field.R, 2, 4, (rvec(1, 0),), (Fraction(3**400, 7**400),))
+    assert to_unweighted(big, mode="exact").vectors == (rvec(Fraction(3**100, 7**100), 0),)
+    sixth = WeightedFrame(Field.R, 2, 6, (rvec(0, 1),), (Fraction((10**20 + 1)**6),))
+    assert to_unweighted(sixth, mode="exact").vectors == (rvec(0, 10**20 + 1),)
+    near = WeightedFrame(Field.R, 2, 6, (rvec(0, 1),), (Fraction((10**20 + 1)**6 + 1),))
+    with pytest.raises(FrameError, match="p-th power"):
+        to_unweighted(near, mode="exact")
+
+
 def test_to_unweighted_mode_validation():
     f = catalog(Field.R, 2, 4, "real2-rational-p4")
     with pytest.raises(ValueError):
@@ -405,3 +417,14 @@ def test_parse_frame_diagnostics():
     wide_entry["vectors"][0][0] = ["1", "0"]
     with pytest.raises(FrameParseError):
         parse_frame(json.dumps(wide_entry))
+    for text in ("nan", "inf", "-inf", "1e400"):
+        component = json.loads(json.dumps(good))
+        component["vectors"][1][0] = [text]
+        with pytest.raises(FrameParseError, match="non-finite"):
+            parse_frame(json.dumps(component))
+        with pytest.raises(FrameParseError, match="non-finite"):
+            parse_frame(corrupt(weights=["1", "1", text, "1"]))
+    with pytest.raises(FrameParseError, match="integers"):
+        parse_frame(corrupt(m=True))
+    with pytest.raises(FrameParseError, match="integers"):
+        parse_frame(corrupt(p=True))

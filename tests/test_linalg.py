@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from isoframe.linalg import RowReducer, SingularMatrixError, matrix_inverse, solve
+from isoframe.linalg import RowReducer, SingularMatrixError, matrix_inverse
 
 
 def random_matrix(rows, cols, rng, span=5):
@@ -58,12 +58,22 @@ def test_zero_row_certificate_is_trivial():
 
 def test_matrix_inverse_round_trip():
     rng = random.Random(32)
+    matrices = []
     for _ in range(20):
         n = rng.randint(1, 5)
-        mat = random_matrix(n, n, rng)
+        matrices.append(random_matrix(n, n, rng))
+    # a permutation and a matrix whose first row starts with zero: neither
+    # has its pivots on the diagonal
+    permutation = [[Fraction(int(j == (i + 1) % 4)) for j in range(4)] for i in range(4)]
+    zero_lead = [[Fraction(0), Fraction(2), Fraction(1)],
+                 [Fraction(3), Fraction(1), Fraction(0)],
+                 [Fraction(1), Fraction(0), Fraction(-1, 2)]]
+    for mat in matrices + [permutation, zero_lead]:
+        n = len(mat)
         try:
             inv = matrix_inverse(mat)
         except SingularMatrixError:
+            assert mat not in (permutation, zero_lead)
             continue
         for i in range(n):
             for j in range(n):
@@ -75,10 +85,3 @@ def test_matrix_inverse_singular_raises():
     with pytest.raises(SingularMatrixError):
         matrix_inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
 
-
-def test_solve_exact():
-    mat = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    rhs = [Fraction(5), Fraction(10)]
-    x = solve(mat, rhs)
-    assert [sum(mat[i][k] * x[k] for k in range(2)) for i in range(2)] == rhs
-    assert x == [Fraction(1), Fraction(3)]

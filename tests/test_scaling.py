@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from isoframe.forms import RealForm, abs_inner_sq_form, frame_form
+from isoframe.forms import RealForm, abs_inner_sq_form, form_inner, frame_form
 from isoframe.frames import (
     BudgetExhaustedError,
     DependentFormsError,
@@ -18,9 +18,10 @@ from isoframe.frames import (
     scaling_reduce,
     verify,
 )
-from isoframe.kscalar import Field, KElement, KVector
-from isoframe.linalg import solve
+from isoframe.kscalar import Field, KElement, KVector, k_mul, rational_unit_scalars
+from isoframe.linalg import RowReducer
 from isoframe.forms import monomials
+from isoframe.phi import dual_basis
 
 from conftest import SYNTHETIC_WEIGHTS, build_synthetic_frame
 
@@ -39,14 +40,17 @@ def weighted_norm_form(m, p, lam):
 
 
 def test_synthetic_weights_solve_exactly(synthetic_frame):
-    # re-derive the frozen weights: expand (x^2+y^2)^2 in the five forms
+    # re-derive the frozen weights: expand (x^2+y^2)^2 in the five forms,
+    # read off the certificate of the target row after the five form rows
     mons = monomials(2, 4)
     forms = [frame_form(v, 4) for v in synthetic_frame.vectors]
-    matrix = [[forms[k].terms.get(expo, Fraction(0)) for k in range(5)]
-              for expo in mons]
     target = weighted_norm_form(2, 4, (Fraction(1), Fraction(1)))
-    rhs = [target.terms.get(expo, Fraction(0)) for expo in mons]
-    weights = solve(matrix, rhs)
+    reducer = RowReducer(len(mons))
+    for form in forms:
+        assert reducer.add_row([form.terms.get(e, Fraction(0)) for e in mons]) is None
+    combo = reducer.add_row([target.terms.get(e, Fraction(0)) for e in mons])
+    assert combo[-1] == -1
+    weights = combo[:5]
     assert tuple(weights) == SYNTHETIC_WEIGHTS
     assert all(w > 0 for w in weights)
     assert verify(synthetic_frame).passed
@@ -63,6 +67,46 @@ def test_scaling_coefficients_catalog_closed_form():
     assert sf.coefficients[1] == lam2 * lam2 - cross.scale(Fraction(1, 3))
     assert sf.coefficients[2] == cross.scale(Fraction(1, 6))
     assert sf.coefficients[3] == cross.scale(Fraction(1, 6))
+
+
+def phase_twisted_orthonormal(field, m, seed):
+    """The orthonormal p = 2 frame with each basis vector times a unit scalar."""
+    base = catalog(field, m, 2, "orthonormal-p2")
+    alphas = rational_unit_scalars(field, m, seed=seed)
+    vectors = tuple(KVector(field, tuple(k_mul(e, a) for e in u.entries))
+                    for u, a in zip(base.vectors, alphas))
+    return WeightedFrame(field, m, 2, vectors, base.weights)
+
+
+def dual_route_coefficients(frame):
+    """a_k(lambda) = sum_nu lambda^nu <<C_nu, theta_k>> with theta_k the dual
+    basis of the frame forms under the sphere pairing, and
+    C_nu = multinomial(p/2; nu) prod_i |xi_i|^(2 nu_i) the slices of
+    (sum_i lambda_i |xi_i|^2)^(p/2)."""
+    m, half = frame.m, frame.p // 2
+    duals = dual_basis(frame.frame_forms()).duals
+    norms = [abs_inner_sq_form(KVector.canonical(frame.field, m, i)) for i in range(m)]
+    slices = {}
+    for nu in monomials(m, half):
+        c_nu = norms[0] ** nu[0]
+        for norm, e in zip(norms[1:], nu[1:]):
+            c_nu = c_nu * norm ** e
+        weight = math.factorial(half)
+        for e in nu:
+            weight //= math.factorial(e)
+        slices[nu] = c_nu.scale(weight)
+    return tuple(RealForm(m, half, {nu: form_inner(c_nu, theta)
+                                    for nu, c_nu in slices.items()})
+                 for theta in duals)
+
+
+def test_scaling_coefficients_match_dual_basis_route(synthetic_frame):
+    for frame in (synthetic_frame,
+                  catalog(Field.R, 2, 4, "real2-rational-p4"),
+                  phase_twisted_orthonormal(Field.C, 3, seed=1),
+                  phase_twisted_orthonormal(Field.H, 2, seed=2)):
+        assert verify(frame).passed
+        assert scaling_coefficients(frame).coefficients == dual_route_coefficients(frame)
 
 
 def test_scaling_coefficients_at_ones_give_weights(synthetic_frame):
@@ -164,6 +208,7 @@ def test_scaling_reduce_reduced_weights(synthetic_frame):
 def test_scaling_reduce_none_when_nonnegative():
     assert scaling_reduce(catalog(Field.R, 2, 2, "orthonormal-p2")) is None
     assert scaling_reduce(catalog(Field.C, 3, 2, "orthonormal-p2")) is None
+    assert scaling_reduce(catalog(Field.R, 3, 2, "orthonormal-p2"), grid=40) is None
 
 
 def test_scaling_reduce_grid2_hits_exact_zeros(synthetic_frame):
