@@ -44,7 +44,6 @@ class RunConfig:
 
     mode: str = "exact"
     tolerance: float = 1e-9
-    seed: int = 0
     grid: Optional[int] = None
     output: str = "text"
     out: Optional[str] = None
@@ -60,7 +59,7 @@ class RunConfig:
 
 def _emit(report: dict, config: RunConfig) -> None:
     if config.output == "json":
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, allow_nan=False))
         return
     for key, value in report.items():
         if key == "steps":
@@ -178,7 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--mode", choices=("exact", "float"), default="exact")
     common.add_argument("--tolerance", type=float, default=1e-9)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--grid", type=int, default=None)
     common.add_argument("--output", choices=("text", "json"), default="text")
     common.add_argument("--out", default=None, help="path for the emitted frame file")
@@ -224,8 +222,8 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_MALFORMED
     try:
-        config = RunConfig(mode=args.mode, tolerance=args.tolerance, seed=args.seed,
-                           grid=args.grid, output=args.output, out=args.out)
+        config = RunConfig(mode=args.mode, tolerance=args.tolerance, grid=args.grid,
+                           output=args.output, out=args.out)
         if args.command == "verify":
             return cmd_verify(args.path, config)
         if args.command == "dim":

@@ -13,6 +13,7 @@ x1^{p-1}x2 within a degree).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
@@ -32,9 +33,11 @@ __all__ = [
     "form_inner",
     "frame_form",
     "grlex_key",
+    "linear_combination",
     "monomials",
     "norm_power_form",
     "sphere_moment",
+    "split_leading",
 ]
 
 
@@ -108,22 +111,16 @@ class RealForm:
         return max(abs(float(c)) for c in self.terms.values())
 
     def __add__(self, other: "RealForm") -> "RealForm":
-        self._check_compatible(other, same_degree=True)
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            out[expo] = out.get(expo, Fraction(0)) + coeff
-        return RealForm(self.num_vars, self.degree, out)
+        return linear_combination((1, 1), (self, other))
 
     def __sub__(self, other: "RealForm") -> "RealForm":
-        return self + other.scale(-1)
+        return linear_combination((1, -1), (self, other))
 
     def __neg__(self) -> "RealForm":
         return self.scale(-1)
 
     def scale(self, r) -> "RealForm":
-        if r == 0:
-            return RealForm.zero(self.num_vars, self.degree)
-        return RealForm(self.num_vars, self.degree, {e: c * r for e, c in self.terms.items()})
+        return linear_combination((r,), (self,))
 
     def __mul__(self, other) -> "RealForm":
         if not isinstance(other, RealForm):
@@ -132,7 +129,7 @@ class RealForm:
         out: Dict[Exponent, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(operator.add, e1, e2))
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
         return RealForm(self.num_vars, self.degree + other.degree, out)
 
@@ -143,6 +140,8 @@ class RealForm:
             raise ValueError("negative powers are not defined for forms")
         if exponent == 0:
             return RealForm.monomial(self.num_vars, (0,) * self.num_vars)
+        if exponent == 1:
+            return self
         half = self ** (exponent // 2)
         sq = half * half
         return sq * self if exponent % 2 else sq
@@ -169,6 +168,44 @@ def evaluate(form: RealForm, point: Sequence[Scalar]) -> Scalar:
                 term = term * x**e
         total = total + term
     return total
+
+
+def linear_combination(coeffs: Sequence[Scalar], forms: Sequence[RealForm]) -> RealForm:
+    """sum_k coeffs[k] * forms[k], built in one pass over the terms.
+
+    The forms must share their variable count and degree, and there must be
+    at least one.  Each coefficient of the result starts from Fraction(0)
+    and adds (term coefficient) * coeffs[k] in the order of `forms`, so
+    exact inputs stay Fractions and float sums round exactly as a left fold
+    of `+` would.  Terms that cancel are dropped as they cancel.
+    """
+    first = forms[0]
+    out: Dict[Exponent, Scalar] = {}
+    for c, form in zip(coeffs, forms):
+        first._check_compatible(form, same_degree=True)
+        if c == 0:
+            continue
+        for expo, coeff in form.terms.items():
+            value = out.get(expo, Fraction(0)) + coeff * c
+            if value:
+                out[expo] = value
+            else:
+                out.pop(expo, None)
+    return RealForm(first.num_vars, first.degree, out)
+
+
+def split_leading(form: RealForm, k: int) -> Dict[Exponent, RealForm]:
+    """Group a form by the exponents of its first k variables.
+
+    Maps each leading exponent nu to the form in the remaining variables
+    whose terms multiply x^nu, so form = sum_nu x^nu * result[nu].
+    """
+    groups: Dict[Exponent, Dict[Exponent, Scalar]] = {}
+    for expo, coeff in form.terms.items():
+        groups.setdefault(expo[:k], {})[expo[k:]] = coeff
+    rest = form.num_vars - k
+    return {nu: RealForm(rest, form.degree - sum(nu), terms)
+            for nu, terms in groups.items()}
 
 
 def dense_row(form: RealForm, columns: Mapping[Exponent, int]) -> List[Scalar]:
@@ -251,16 +288,10 @@ def abs_inner_sq_form(u: KVector) -> RealForm:
             prod = k_mul(ubar, KElement.unit(fld, c))
             expo = [0] * n_vars
             expo[i * d + c] = 1
-            key = tuple(expo)
             for t in range(d):
-                coeff = prod.components[t]
-                if coeff != 0:
-                    linear[t][key] = linear[t].get(key, Fraction(0)) + coeff
-    result = RealForm.zero(n_vars, 2)
-    for t in range(d):
-        lin = RealForm(n_vars, 1, linear[t])
-        result = result + lin * lin
-    return result
+                linear[t][tuple(expo)] = prod.components[t]
+    squares = [lin * lin for lin in (RealForm(n_vars, 1, terms) for terms in linear)]
+    return linear_combination((1,) * d, squares)
 
 
 def frame_form(u: KVector, p: int) -> RealForm:

@@ -35,8 +35,10 @@ from .forms import (
     RealForm,
     dense_row,
     frame_form,
+    linear_combination,
     monomials,
     norm_power_form,
+    split_leading,
 )
 from .kscalar import (
     Field,
@@ -173,17 +175,19 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     With tolerance None the test is exact (the residual must be the zero
     form); otherwise the largest absolute residual coefficient is compared
     against the tolerance, which is the only meaningful test for frames with
-    floating-point entries.
+    floating-point entries.  A float residual coefficient that overflowed to
+    inf or nan compares with no tolerance and raises FrameError.
     """
-    residual = RealForm.zero(frame.field.real_dimension * frame.m, frame.p)
-    for u, w in zip(frame.vectors, frame.weights):
-        residual = residual + frame_form(u, frame.p).scale(w)
-    residual = residual - norm_power_form(frame.field, frame.m, frame.p)
+    norm = norm_power_form(frame.field, frame.m, frame.p)
+    residual = linear_combination(frame.weights + (-1,), frame.frame_forms() + [norm])
     if tolerance is None:
         passed = residual.is_zero
     else:
         if tolerance < 0:
             raise ValueError("tolerance must be nonnegative")
+        if not all(math.isfinite(c) for c in residual.terms.values() if isinstance(c, float)):
+            raise FrameError("the residual overflows binary64: a frame entry is too large "
+                             "for a floating-point check at this p")
         passed = residual.max_abs_coeff() <= tolerance
     return VerifyResult(passed=passed, residual=residual)
 
@@ -231,10 +235,9 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
             f"certificate has {len(cert.omega)} entries for a frame of size {frame.n}")
     if max(cert.omega) != 1:
         raise CertificateError("certificate must be normalized to max omega = 1")
-    combo = RealForm.zero(frame.field.real_dimension * frame.m, frame.p)
-    for u, w, om in zip(frame.vectors, frame.weights, cert.omega):
-        if om:
-            combo = combo + frame_form(u, frame.p).scale(w * om)
+    used = [k for k, om in enumerate(cert.omega) if om]
+    combo = linear_combination([frame.weights[k] * cert.omega[k] for k in used],
+                               [frame_form(frame.vectors[k], frame.p) for k in used])
     if not combo.is_zero:
         raise CertificateError("certificate residual identity fails for this frame")
     vectors = []
@@ -247,12 +250,12 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     return WeightedFrame(frame.field, frame.m, frame.p, tuple(vectors), tuple(weights))
 
 
-def reduce_to_independent(frame: WeightedFrame, assert_dim_bound: bool = True) -> WeightedFrame:
+def reduce_to_independent(frame: WeightedFrame) -> WeightedFrame:
     """Iterate dependence/reduce_once until the frame forms are independent.
 
     Terminates in at most n steps since each reduction is strictly smaller.
-    With assert_dim_bound the postcondition n <= dim Phi_K(m,p) is checked at
-    runtime and an unexpected violation raises.
+    The postcondition n <= dim Phi_K(m,p) is checked at runtime and an
+    unexpected violation raises.
     """
     current = frame
     while True:
@@ -260,12 +263,11 @@ def reduce_to_independent(frame: WeightedFrame, assert_dim_bound: bool = True) -
         if cert is None:
             break
         current = reduce_once(current, cert)
-    if assert_dim_bound:
-        dim = dim_phi(current.field, current.m, current.p)
-        if current.n > dim:
-            raise RuntimeError(
-                f"independent frame of size {current.n} exceeds dim Phi = {dim}; "
-                "this contradicts the rank bound and indicates a defect")
+    dim = dim_phi(current.field, current.m, current.p)
+    if current.n > dim:
+        raise RuntimeError(
+            f"independent frame of size {current.n} exceeds dim Phi = {dim}; "
+            "this contradicts the rank bound and indicates a defect")
     return current
 
 
@@ -304,16 +306,6 @@ def _diagonal_target_joint(field: Field, m: int, p: int) -> RealForm:
     return RealForm(total, 3, base) ** (p // 2)
 
 
-def _lift_lambda(a: RealForm, m: int, n_x: int) -> RealForm:
-    return RealForm(m + n_x, a.degree,
-                    {expo + (0,) * n_x: c for expo, c in a.terms.items()})
-
-
-def _lift_x(f: RealForm, m: int) -> RealForm:
-    return RealForm(m + f.num_vars, f.degree,
-                    {(0,) * m + expo: c for expo, c in f.terms.items()})
-
-
 def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
     """Expand the lambda-weighted norm power in the frame-form basis.
 
@@ -322,8 +314,9 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
     F_lambda = sum_nu lambda^nu C_nu(x); each slice C_nu is reduced against
     the frame forms, and its dependence certificate gives the coefficients
     of lambda^nu in the a_k.  The resulting identity is re-checked
-    symbolically in all m + d*m variables; frames whose span misses a slice
-    are rejected.
+    symbolically slice by slice, sum_k a_{k,nu} f_k = C_nu, which holds for
+    every nu exactly when it holds in (lambda, x); frames whose span misses a
+    slice are rejected.
     """
     if not frame.is_exact:
         raise FrameError("scaling coefficients require exact rational entries")
@@ -339,15 +332,10 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
         if reducer.add_row(dense_row(form, columns)) is not None:
             raise DependentFormsError(
                 "frame forms are linearly dependent; run reduce_to_independent first")
-    joint_target = _diagonal_target_joint(frame.field, m, p)
-    by_lambda: Dict[Exponent, Dict[Exponent, Fraction]] = {}
-    for expo, coeff in joint_target.terms.items():
-        nu, xe = expo[:m], expo[m:]
-        by_lambda.setdefault(nu, {})[xe] = coeff
     terms: List[Dict[Exponent, Fraction]] = [{} for _ in forms]
-    for nu, x_terms in by_lambda.items():
-        combo = reducer.add_row(dense_row(RealForm(n_x, p, x_terms), columns))
-        if combo is None:
+    for nu, c_nu in split_leading(_diagonal_target_joint(frame.field, m, p), m).items():
+        combo = reducer.add_row(dense_row(c_nu, columns))
+        if combo is None or linear_combination(combo[:frame.n], forms) != c_nu:
             raise ScalingExpansionError(
                 "diagonal target is not in the span of the frame forms; "
                 "the expansion identity has no solution for this frame")
@@ -355,14 +343,6 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
             if c:
                 terms[k][nu] = c
     coefficients = [RealForm(m, p // 2, t) for t in terms]
-    # Exactness check of the full expansion identity in (lambda, x).
-    recombined = RealForm.zero(m + n_x, 3 * p // 2)
-    for a, f in zip(coefficients, forms):
-        recombined = recombined + _lift_lambda(a, m, n_x) * _lift_x(f, m)
-    if recombined != joint_target:
-        raise ScalingExpansionError(
-            "diagonal target is not in the span of the frame forms; "
-            "the expansion identity has no solution for this frame")
     return ScalingForms(m=m, p=p, coefficients=tuple(coefficients))
 
 

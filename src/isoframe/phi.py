@@ -9,12 +9,22 @@ x and alpha, and the alpha-monomials integrate to rational sphere moments.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Dict, List, Sequence, Tuple
 
-from .forms import Exponent, RealForm, dense_row, form_inner, monomials, sphere_moment
+from .forms import (
+    Exponent,
+    RealForm,
+    dense_row,
+    form_inner,
+    linear_combination,
+    monomials,
+    sphere_moment,
+    split_leading,
+)
 from .kscalar import Field, basis_product
 from .linalg import RowReducer, SingularMatrixError, matrix_inverse
 
@@ -38,46 +48,31 @@ class SingularGramError(ValueError):
     """
 
 
-def _substitution_table(field: Field, m: int) -> List[List[Tuple[int, int, int]]]:
-    # Under x -> x alpha the real coordinate x_{i,t} becomes a bilinear form:
-    # sum over basis units c, s with e_c e_s = +-e_t of sign * x_{i,c} * alpha_s.
-    # Entry v = i*d + t of the table lists those (x_index, alpha_index, sign).
+def _substitution_table(field: Field, m: int) -> List[RealForm]:
+    # Under x -> x alpha the real coordinate x_{i,t} becomes a bilinear form in
+    # the joint variables (alpha_1..alpha_d, x_1..x_{d*m}): the sum over basis
+    # units c, s with e_c e_s = +-e_t of sign * alpha_s * x_{i,c}.  The signs
+    # stay ints, so products of these forms run in integer arithmetic.
     d = field.real_dimension
-    table: List[List[Tuple[int, int, int]]] = [[] for _ in range(d * m)]
+    n_joint = d + d * m
+    table: List[Dict[Exponent, int]] = [{} for _ in range(d * m)]
     for i in range(m):
         for c in range(d):
             for s in range(d):
                 t, sign = basis_product(field, c, s)
-                table[i * d + t].append((i * d + c, s, sign))
-    return table
+                expo = [0] * n_joint
+                expo[s] = 1
+                expo[d + i * d + c] = 1
+                table[i * d + t][tuple(expo)] = sign
+    return [RealForm(n_joint, 2, terms) for terms in table]
 
 
-def _average_monomial(beta: Exponent, field: Field, m: int,
-                      table: List[List[Tuple[int, int, int]]]) -> RealForm:
-    d = field.real_dimension
-    n_vars = d * m
-    # Joint terms keyed by (x exponent, alpha exponent).
-    joint: Dict[Tuple[Exponent, Exponent], Fraction] = {
-        ((0,) * n_vars, (0,) * d): Fraction(1)
-    }
-    for v in range(n_vars):
-        for _ in range(beta[v]):
-            grown: Dict[Tuple[Exponent, Exponent], Fraction] = {}
-            for (xe, ae), coeff in joint.items():
-                for xv, av, sign in table[v]:
-                    xe2 = list(xe)
-                    xe2[xv] += 1
-                    ae2 = list(ae)
-                    ae2[av] += 1
-                    key = (tuple(xe2), tuple(ae2))
-                    grown[key] = grown.get(key, Fraction(0)) + sign * coeff
-            joint = grown
-    out: Dict[Exponent, Fraction] = {}
-    for (xe, ae), coeff in joint.items():
-        mom = sphere_moment(ae, d)
-        if mom:
-            out[xe] = out.get(xe, Fraction(0)) + coeff * mom
-    return RealForm(n_vars, sum(beta), out)
+def _average_monomial(beta: Exponent, table: List[RealForm], d: int) -> RealForm:
+    # x^beta becomes the product of the substituted coordinates; integrating
+    # alpha over the unit sphere turns each alpha monomial into its moment.
+    joint = reduce(operator.mul, (table[v] ** b for v, b in enumerate(beta) if b))
+    slices = split_leading(joint, d)
+    return linear_combination([sphere_moment(a, d) for a in slices], list(slices.values()))
 
 
 def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
@@ -91,11 +86,11 @@ def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
     if phi.num_vars != d * m:
         raise ValueError(
             f"form has {phi.num_vars} variables, expected {d * m} for {field.name}^{m}")
+    if phi.is_zero or phi.degree == 0:
+        return phi
     table = _substitution_table(field, m)
-    result = RealForm.zero(phi.num_vars, phi.degree)
-    for beta, coeff in phi.terms.items():
-        result = result + _average_monomial(beta, field, m, table).scale(coeff)
-    return result
+    averages = [_average_monomial(beta, table, d) for beta in phi.terms]
+    return linear_combination(list(phi.terms.values()), averages)
 
 
 @dataclass
@@ -130,16 +125,9 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
         raise SingularGramError(
             "Gram matrix is singular: the forms are linearly dependent; "
             "run dependence detection instead") from exc
-    duals = []
-    for row in inv:
-        theta = RealForm.zero(n_vars, degree)
-        for coeff, b in zip(row, forms):
-            if coeff:
-                theta = theta + b.scale(coeff)
-        duals.append(theta)
     return DualBasis(
         forms=forms,
-        duals=tuple(duals),
+        duals=tuple(linear_combination(row, forms) for row in inv),
         gram=tuple(tuple(row) for row in gram),
         gram_inverse=tuple(tuple(row) for row in inv),
     )
@@ -197,15 +185,15 @@ def phi_basis(field: Field, m: int, p: int) -> PhiBasis:
         raise ValueError(f"m must be >= 1, got {m}")
     if p < 2 or p % 2:
         raise ValueError(f"p must be a positive even integer, got {p}")
-    n_vars = field.real_dimension * m
+    d = field.real_dimension
     table = _substitution_table(field, m)
-    all_monomials = monomials(n_vars, p)
+    all_monomials = monomials(d * m, p)
     columns = {expo: j for j, expo in enumerate(all_monomials)}
     reducer = RowReducer(len(all_monomials))
     basis: List[RealForm] = []
     labels: List[Exponent] = []
     for beta in all_monomials:
-        averaged = _average_monomial(beta, field, m, table)
+        averaged = _average_monomial(beta, table, d)
         if averaged.is_zero:
             continue
         if reducer.add_row(dense_row(averaged, columns)) is None:

@@ -70,6 +70,20 @@ def test_verify_malformed_input(capsys, tmp_path):
         assert "error" in err
 
 
+def test_verify_overflowing_float_entry(capsys, tmp_path):
+    # (1e300)^4 overflows binary64, so the residual has an infinite
+    # coefficient; that must be an error, not an `Infinity` token.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"field": "R", "m": 2, "p": 4,
+                                "vectors": [[["1e300"], ["0"]], [["0"], ["1"]]],
+                                "weights": ["1", "1"]}))
+    for mode in ((), ("--mode", "float")):
+        code, out, err = run(capsys, "verify", str(path), "--output", "json", *mode)
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "nowhere.json"))
     assert code == EXIT_MALFORMED
@@ -203,6 +217,48 @@ def test_flag_validation(capsys, catalog_path):
     assert run(capsys, "verify", catalog_path, "--tolerance", "-2")[0] == EXIT_MALFORMED
     assert run(capsys, "scale-reduce", catalog_path, "--grid", "0")[0] == EXIT_MALFORMED
     assert run(capsys, "verify", catalog_path, "--output", "xml")[0] == EXIT_MALFORMED
+    assert run(capsys, "verify", catalog_path, "--seed", "3")[0] == EXIT_MALFORMED
     assert run(capsys, "frobnicate")[0] == EXIT_MALFORMED
     assert run(capsys, "dim", "R", "2")[0] == EXIT_MALFORMED
     assert run(capsys)[0] == EXIT_MALFORMED
+
+
+# The last digits of these float reports depend on the order in which the
+# residual's float terms are added; the expected bytes pin that order.
+FROZEN_FLOAT_VERIFY = {
+    4: (3, 5, 4, "6.661338147750939e-16", 4),
+    6: (4, 7, 6, "5.551115123125783e-16", 2),
+    8: (5, 9, 8, "1.7763568394002505e-15", 5),
+}
+
+
+@pytest.mark.parametrize("p", sorted(FROZEN_FLOAT_VERIFY))
+def test_float_verify_output_frozen(capsys, tmp_path, p):
+    n, dim, bound, residual, terms = FROZEN_FLOAT_VERIFY[p]
+    path = tmp_path / "equi.json"
+    save_frame(catalog(Field.R, 2, p, "real2-equiangular"), path)
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "float", "--output", "json")
+    assert code == EXIT_PASS
+    assert out == (
+        "{\n"
+        '  "verdict": "pass",\n'
+        '  "mode": "float",\n'
+        f'  "n": {n},\n'
+        f'  "dim": {dim},\n'
+        f'  "bound": {bound},\n'
+        f'  "residual_max": {residual},\n'
+        f'  "residual_terms": {terms}\n'
+        "}\n")
+
+
+def test_float_scale_reduce_output_frozen(capsys, synthetic_path):
+    code, out, _ = run(capsys, "scale-reduce", synthetic_path, "--output", "json")
+    assert code == EXIT_PASS
+    assert out == (
+        "{\n"
+        '  "result": "reduced",\n'
+        '  "n_initial": 5,\n'
+        '  "n_final": 4,\n'
+        '  "exact": false,\n'
+        '  "residual_max": 2.054388437144894e-09\n'
+        "}\n")

@@ -13,11 +13,14 @@ from isoframe.forms import (
     form_inner,
     frame_form,
     grlex_key,
+    linear_combination,
     monomials,
     norm_power_form,
     sphere_moment,
+    split_leading,
 )
 from isoframe.kscalar import Field, KElement, KVector, inner_product, k_norm_sq
+from isoframe.phi import unit_group_average
 
 
 def gamma_half_int(twice: int):
@@ -103,6 +106,79 @@ def test_pow_matches_repeated_multiplication():
             continue
         assert f ** 3 == f * f * f
         assert f ** 1 == f
+    g = random_form(2, 3, rng).scale(0.1)
+    assert g ** 1 == g and g ** 2 == g * g
+
+
+def fold_reference(coeffs, forms):
+    """The left fold acc + c * f written out on term dicts: each entry
+    starts from Fraction(0) and cancelled entries drop after every step."""
+    acc = {}
+    for c, f in zip(coeffs, forms):
+        if c == 0:
+            continue
+        for expo, coeff in f.terms.items():
+            acc[expo] = acc.get(expo, Fraction(0)) + coeff * c
+        acc = {expo: v for expo, v in acc.items() if v != 0}
+    return acc
+
+
+def test_linear_combination_matches_fold_exact():
+    rng = random.Random(27)
+    for _ in range(10):
+        forms = [random_form(3, 3, rng) for _ in range(5)]
+        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in forms]
+        combo = linear_combination(coeffs, forms)
+        assert combo.terms == fold_reference(coeffs, forms)
+        assert combo.is_exact
+
+
+def test_linear_combination_float_bits_match_fold():
+    rng = random.Random(28)
+    for _ in range(10):
+        forms = [RealForm(2, 4, {e: rng.uniform(-1e3, 1e3) for e in monomials(2, 4)})
+                 for _ in range(6)]
+        coeffs = [rng.uniform(0.0, 1.0) for _ in forms[:-1]] + [-1]
+        combo = linear_combination(coeffs, forms)
+        reference = fold_reference(coeffs, forms)
+        assert list(combo.terms) == list(reference)
+        for expo, value in reference.items():
+            assert combo.terms[expo].hex() == value.hex()
+
+
+def test_linear_combination_drops_cancelled_terms():
+    x = RealForm.variable(2, 0)
+    y = RealForm.variable(2, 1)
+    f = x * x + x * y
+    g = x * y + y * y
+    combo = linear_combination((1, -1), (f, g))
+    assert combo.terms == {(2, 0): 1, (0, 2): -1}
+    assert linear_combination((Fraction(1, 3), Fraction(-1, 3)), (f, f)).is_zero
+    assert linear_combination((0, 0), (f, g)) == RealForm.zero(2, 2)
+    with pytest.raises(ValueError):
+        linear_combination((1, 1), (f, x))
+
+
+def test_split_leading_reassembles():
+    rng = random.Random(29)
+    for num_vars, degree, k in ((3, 4, 1), (4, 3, 2), (3, 2, 3), (2, 4, 0)):
+        f = random_form(num_vars, degree, rng)
+        parts = split_leading(f, k)
+        terms = {}
+        for nu, g in parts.items():
+            assert len(nu) == k and g.num_vars == num_vars - k
+            assert g.degree == degree - sum(nu) and not g.is_zero
+            for expo, coeff in g.terms.items():
+                terms[nu + expo] = coeff
+        assert terms == f.terms
+
+
+def test_average_fixes_zero_and_constant_forms():
+    for field, m, p in ((Field.R, 2, 4), (Field.C, 2, 2), (Field.H, 1, 4)):
+        n = field.real_dimension * m
+        assert unit_group_average(RealForm.zero(n, p), field, m) == RealForm.zero(n, p)
+        constant = RealForm.monomial(n, (0,) * n, Fraction(3, 2))
+        assert unit_group_average(constant, field, m) == constant
 
 
 def test_form_ring_identities():

@@ -118,6 +118,17 @@ def test_equiangular_float_residual():
         assert result.max_residual <= 1e-12
 
 
+def test_verify_rejects_overflowing_float_residual():
+    # p = 4 powers of 1e300 overflow binary64: the first frame leaves an
+    # infinite residual coefficient, the second inf - inf = nan.
+    for rows in (((1e300, 0.0), (0.0, 1.0)), ((1e300, 1e300), (1e300, -1e300))):
+        f = WeightedFrame(Field.R, 2, 4, tuple(KVector.from_reals(Field.R, r) for r in rows),
+                          (Fraction(1), Fraction(1)))
+        with pytest.raises(FrameError, match="overflow"):
+            verify(f, tolerance=1e-9)
+        assert not verify(f).passed
+
+
 def test_verify_tolerance_validation():
     f = catalog(Field.R, 2, 4, "real2-rational-p4")
     with pytest.raises(ValueError):
