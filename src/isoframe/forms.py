@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .kscalar import Field, KElement, KVector, Scalar, k_conj, k_mul
 
@@ -28,7 +28,6 @@ __all__ = [
     "Exponent",
     "RealForm",
     "abs_inner_sq_form",
-    "dense_row",
     "evaluate",
     "form_inner",
     "frame_form",
@@ -105,10 +104,12 @@ class RealForm:
         return all(isinstance(c, Fraction) for c in self.terms.values())
 
     def max_abs_coeff(self) -> float:
-        """Largest absolute coefficient, as a float (0.0 for the zero form)."""
-        if not self.terms:
-            return 0.0
-        return max(abs(float(c)) for c in self.terms.values())
+        """Largest absolute coefficient, as a float (0.0 for the zero form).
+
+        The maximum is taken exactly and converted once, so an exact
+        coefficient beyond binary64 raises OverflowError.
+        """
+        return float(max((abs(c) for c in self.terms.values()), default=0))
 
     def __add__(self, other: "RealForm") -> "RealForm":
         return linear_combination((1, 1), (self, other))
@@ -206,15 +207,6 @@ def split_leading(form: RealForm, k: int) -> Dict[Exponent, RealForm]:
     rest = form.num_vars - k
     return {nu: RealForm(rest, form.degree - sum(nu), terms)
             for nu, terms in groups.items()}
-
-
-def dense_row(form: RealForm, columns: Mapping[Exponent, int]) -> List[Scalar]:
-    """The coefficients of a form as a dense row; columns[e] is the position
-    of monomial e."""
-    row: List[Scalar] = [Fraction(0)] * len(columns)
-    for expo, coeff in form.terms.items():
-        row[columns[expo]] = coeff
-    return row
 
 
 def _double_factorial(k: int) -> int:

@@ -33,10 +33,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .forms import (
     Exponent,
     RealForm,
-    dense_row,
     frame_form,
     linear_combination,
-    monomials,
     norm_power_form,
     split_leading,
 )
@@ -166,7 +164,23 @@ class VerifyResult:
 
     @property
     def max_residual(self) -> float:
-        return self.residual.max_abs_coeff()
+        """Largest absolute residual coefficient as a float; FrameError when
+        it has no finite binary64 value."""
+        return _residual_max(self.residual)
+
+
+def _residual_max(residual: RealForm) -> float:
+    # A float coefficient that overflowed to inf or nan, or an exact one too
+    # large to convert, leaves no binary64 maximum to report or compare.
+    try:
+        peak = residual.max_abs_coeff()
+    except OverflowError:
+        peak = math.inf
+    floats = [c for c in residual.terms.values() if isinstance(c, float)]
+    if math.isfinite(peak) and all(math.isfinite(c) for c in floats):
+        return peak
+    raise FrameError("the residual overflows binary64: a frame entry is too large "
+                     "for a floating-point check at this p")
 
 
 def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyResult:
@@ -175,8 +189,9 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     With tolerance None the test is exact (the residual must be the zero
     form); otherwise the largest absolute residual coefficient is compared
     against the tolerance, which is the only meaningful test for frames with
-    floating-point entries.  A float residual coefficient that overflowed to
-    inf or nan compares with no tolerance and raises FrameError.
+    floating-point entries.  A residual coefficient beyond binary64 (a float
+    that overflowed to inf or nan, or an exact one too large to convert)
+    compares with no tolerance and raises FrameError.
     """
     norm = norm_power_form(frame.field, frame.m, frame.p)
     residual = linear_combination(frame.weights + (-1,), frame.frame_forms() + [norm])
@@ -185,10 +200,7 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     else:
         if tolerance < 0:
             raise ValueError("tolerance must be nonnegative")
-        if not all(math.isfinite(c) for c in residual.terms.values() if isinstance(c, float)):
-            raise FrameError("the residual overflows binary64: a frame entry is too large "
-                             "for a floating-point check at this p")
-        passed = residual.max_abs_coeff() <= tolerance
+        passed = _residual_max(residual) <= tolerance
     return VerifyResult(passed=passed, residual=residual)
 
 
@@ -203,18 +215,16 @@ class DependenceCertificate:
 def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     """First linear dependence among the weighted frame forms, or None.
 
-    Rows w_k |<u_k,x>|^p are assembled in frame order over the graded-lex
-    monomial basis and reduced exactly; the first dependent row yields the
+    The forms w_k |<u_k,x>|^p, as rows keyed by monomial, are reduced
+    exactly in frame order; the first dependent row yields the
     certificate, normalized so that max_k omega_k = 1 (indices after the
     dependent row get omega = 0).
     """
     if not frame.is_exact:
         raise FrameError("dependence detection requires exact rational entries")
-    n_vars = frame.field.real_dimension * frame.m
-    columns = {expo: j for j, expo in enumerate(monomials(n_vars, frame.p))}
-    reducer = RowReducer(len(columns))
+    reducer = RowReducer()
     for k, (u, w) in enumerate(zip(frame.vectors, frame.weights)):
-        combo = reducer.add_row(dense_row(frame_form(u, frame.p).scale(w), columns))
+        combo = reducer.add_row(frame_form(u, frame.p).scale(w).terms)
         if combo is not None:
             peak = max(combo)
             omega = [c / peak for c in combo] + [Fraction(0)] * (frame.n - k - 1)
@@ -325,16 +335,14 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
             "scaling coefficients are defined for verified frames only")
     forms = frame.frame_forms()
     m, p = frame.m, frame.p
-    n_x = frame.field.real_dimension * m
-    columns = {expo: j for j, expo in enumerate(monomials(n_x, p))}
-    reducer = RowReducer(len(columns))
+    reducer = RowReducer()
     for form in forms:
-        if reducer.add_row(dense_row(form, columns)) is not None:
+        if reducer.add_row(form.terms) is not None:
             raise DependentFormsError(
                 "frame forms are linearly dependent; run reduce_to_independent first")
     terms: List[Dict[Exponent, Fraction]] = [{} for _ in forms]
     for nu, c_nu in split_leading(_diagonal_target_joint(frame.field, m, p), m).items():
-        combo = reducer.add_row(dense_row(c_nu, columns))
+        combo = reducer.add_row(c_nu.terms)
         if combo is None or linear_combination(combo[:frame.n], forms) != c_nu:
             raise ScalingExpansionError(
                 "diagonal target is not in the span of the frame forms; "
@@ -370,16 +378,6 @@ def _simplex_nodes(m: int, per_axis: int) -> List[Tuple[Fraction, ...]]:
         parts = [bounds[i + 1] - bounds[i] for i in range(m)]
         nodes.append(tuple(Fraction(m * c, s) for c in parts))
     return nodes
-
-
-def _is_rational_square(value: Fraction) -> Optional[Fraction]:
-    num, den = value.numerator, value.denominator
-    if num < 0:
-        return None
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 def scaling_reduce(
@@ -459,7 +457,7 @@ def scaling_reduce(
     keep = [k for k, a in enumerate(coeffs) if a > tol]
     if not keep:
         raise FrameError("all scaling coefficients vanished; frame is degenerate")
-    roots = [_is_rational_square(v) for v in mu]
+    roots = [_rational_root(v, 2) for v in mu]
     if all(r is not None for r in roots):
         inv = [Fraction(1) / r for r in roots]
     else:
@@ -585,7 +583,7 @@ def _rational_root(value: Fraction, p: int) -> Optional[Fraction]:
         # Integer Newton iteration from 2^ceil(bits/p), which is above the
         # root; it decreases strictly until it reaches floor(x^(1/p)).
         if x < 2:
-            return x
+            return x if x >= 0 else None
         r = 1 << -(-x.bit_length() // p)
         while True:
             s = ((p - 1) * r + x // r ** (p - 1)) // p

@@ -2,16 +2,20 @@
 how each reduced row combines the original input rows, and the matrix inverse
 read off its dependence certificates.
 
-Everything here works on plain lists of Fractions.  Columns are whatever
-order the caller fixed; pivots are chosen left to right.
+A row is a sparse mapping from column key to coefficient; absent keys are
+zero.  A form's `terms` dict is a row as it stands, keyed by monomial, and
+`matrix_inverse` keys its rows by column index.  Each pivot sits at the
+first key of its reduced row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["RowReducer", "SingularMatrixError", "matrix_inverse"]
+
+Row = Mapping[Hashable, Fraction]
 
 
 class SingularMatrixError(ValueError):
@@ -29,53 +33,55 @@ class RowReducer:
     The combination bookkeeping carries through every elimination step, so
     the returned certificate is exact: row_k = sum_j coeff_j * row_j with
     coeff_k = -1 folded out (see below).
+
+    Pivot rows are always linearly independent input rows, so each
+    certificate, each set of independent rows and each inverse is unique,
+    whichever nonzero column a pivot uses.
     """
 
-    def __init__(self, width: int):
-        self.width = width
-        self._pivot_rows: List[List[Fraction]] = []
-        self._pivot_cols: List[int] = []
-        # _combos[i][j] = coefficient of original row j in pivot row i
-        self._combos: List[List[Fraction]] = []
+    def __init__(self):
+        # (pivot column, pivot row scaled to 1 there, the combination of
+        # original rows giving it: {row index: coefficient})
+        self._pivots: List[Tuple[Hashable, Dict[Hashable, Fraction], Dict[int, Fraction]]] = []
         self._num_added = 0
 
     @property
     def rank(self) -> int:
-        return len(self._pivot_rows)
+        return len(self._pivots)
 
     @property
     def num_added(self) -> int:
         return self._num_added
 
-    def add_row(self, row: Sequence[Fraction]) -> Optional[List[Fraction]]:
+    def add_row(self, row: Row) -> Optional[List[Fraction]]:
         """Add a row; return None if independent, else the dependency.
 
         The dependency is a list c of length num_added (including the new
         row) with c[new] = Fraction(-1) and sum_j c[j] * row_j = 0, i.e. the
-        new row equals sum over earlier rows of c[j] * row_j.
+        new row equals sum over earlier rows of c[j] * row_j.  The row
+        mapping itself is not modified.
         """
-        if len(row) != self.width:
-            raise ValueError(f"row has {len(row)} entries, expected {self.width}")
-        work = [Fraction(x) for x in row]
-        combo = [Fraction(0)] * self._num_added + [Fraction(1)]
-        for prow, pcombo, pcol in zip(self._pivot_rows, self._combos, self._pivot_cols):
-            factor = work[pcol]
+        work = {key: Fraction(x) for key, x in row.items() if x}
+        combo = {self._num_added: Fraction(1)}
+        for col, prow, pcombo in self._pivots:
+            factor = work.get(col)
             if factor:
-                for j in range(self.width):
-                    if prow[j]:
-                        work[j] -= factor * prow[j]
-                for j, c in enumerate(pcombo):
-                    if c:
-                        combo[j] -= factor * c
+                for key, x in prow.items():
+                    value = work.get(key, 0) - factor * x
+                    if value:
+                        work[key] = value
+                    else:
+                        del work[key]
+                for j, c in pcombo.items():
+                    combo[j] = combo.get(j, 0) - factor * c
         self._num_added += 1
-        lead = next((j for j in range(self.width) if work[j]), None)
-        if lead is None:
+        if not work:
             # work == 0, so new_row = -sum_{j<new} combo[j] * row_j.
-            return [-c for c in combo[:-1]] + [Fraction(-1)]
-        inv = Fraction(1) / work[lead]
-        self._pivot_rows.append([x * inv for x in work])
-        self._pivot_cols.append(lead)
-        self._combos.append([c * inv for c in combo])
+            return [-combo.get(j, Fraction(0)) for j in range(self._num_added - 1)] + [Fraction(-1)]
+        lead = next(iter(work))
+        inv = 1 / work[lead]
+        self._pivots.append((lead, {key: x * inv for key, x in work.items()},
+                             {j: c * inv for j, c in combo.items() if c}))
         return None
 
 
@@ -87,16 +93,11 @@ def matrix_inverse(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]
     matrix rows, which is row i of the inverse.
     """
     n = len(matrix)
-    reducer = RowReducer(n)
+    reducer = RowReducer()
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise ValueError("matrix is not square")
-        if reducer.add_row(row) is not None:
+        if reducer.add_row(dict(enumerate(row))) is not None:
             raise SingularMatrixError(
                 f"matrix is singular (row {i} depends on the rows before it)")
-    inverse = []
-    for i in range(n):
-        unit = [Fraction(0)] * n
-        unit[i] = Fraction(1)
-        inverse.append(reducer.add_row(unit)[:n])
-    return inverse
+    return [reducer.add_row({i: Fraction(1)})[:n] for i in range(n)]

@@ -18,7 +18,6 @@ from typing import Dict, List, Sequence, Tuple
 from .forms import (
     Exponent,
     RealForm,
-    dense_row,
     form_inner,
     linear_combination,
     monomials,
@@ -187,16 +186,14 @@ def phi_basis(field: Field, m: int, p: int) -> PhiBasis:
         raise ValueError(f"p must be a positive even integer, got {p}")
     d = field.real_dimension
     table = _substitution_table(field, m)
-    all_monomials = monomials(d * m, p)
-    columns = {expo: j for j, expo in enumerate(all_monomials)}
-    reducer = RowReducer(len(all_monomials))
+    reducer = RowReducer()
     basis: List[RealForm] = []
     labels: List[Exponent] = []
-    for beta in all_monomials:
+    for beta in monomials(d * m, p):
         averaged = _average_monomial(beta, table, d)
         if averaged.is_zero:
             continue
-        if reducer.add_row(dense_row(averaged, columns)) is None:
+        if reducer.add_row(averaged.terms) is None:
             basis.append(averaged)
             labels.append(beta)
     return PhiBasis(field=field, m=m, p=p, basis=tuple(basis), labels=tuple(labels))

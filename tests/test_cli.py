@@ -84,6 +84,20 @@ def test_verify_overflowing_float_entry(capsys, tmp_path):
         assert err.startswith("error:")
 
 
+def test_verify_overflowing_exact_entry(capsys, tmp_path):
+    # 10^100 is exact, but at p = 4 the residual holds 10^400, which has no
+    # binary64 value to report as residual_max.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"field": "R", "m": 2, "p": 4,
+                                "vectors": [[[str(10**100)], ["0"]], [["0"], ["1"]]],
+                                "weights": ["1", "1"]}))
+    for mode in ((), ("--mode", "float")):
+        code, out, err = run(capsys, "verify", str(path), "--output", "json", *mode)
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "nowhere.json"))
     assert code == EXIT_MALFORMED

@@ -129,6 +129,23 @@ def test_verify_rejects_overflowing_float_residual():
         assert not verify(f).passed
 
 
+def test_verify_exact_residual_beyond_binary64():
+    # the residual coefficient 10^400 is exact but has no float value
+    f = WeightedFrame(Field.R, 2, 4, (rvec(10**100, 0), rvec(0, 1)),
+                      (Fraction(1), Fraction(1)))
+    result = verify(f)
+    assert not result.passed
+    assert max(abs(c) for c in result.residual.terms.values()) == 10**400 - 1
+    with pytest.raises(FrameError, match="overflow"):
+        result.max_residual
+    with pytest.raises(FrameError, match="overflow"):
+        verify(f, tolerance=1e-9)
+    # below the overflow threshold the float maximum is the exact one rounded
+    small = verify(WeightedFrame(Field.R, 2, 4, (rvec(10**70, 0), rvec(0, 1)),
+                                 (Fraction(1), Fraction(1))))
+    assert small.max_residual == float(10**280 - 1)
+
+
 def test_verify_tolerance_validation():
     f = catalog(Field.R, 2, 4, "real2-rational-p4")
     with pytest.raises(ValueError):

@@ -13,10 +13,14 @@ def random_matrix(rows, cols, rng, span=5):
              for _ in range(cols)] for _ in range(rows)]
 
 
+def as_row(values):
+    return dict(enumerate(values))
+
+
 def test_row_reducer_reports_rank():
-    red = RowReducer(3)
-    assert red.add_row([Fraction(1), Fraction(0), Fraction(2)]) is None
-    assert red.add_row([Fraction(0), Fraction(1), Fraction(-1)]) is None
+    red = RowReducer()
+    assert red.add_row(as_row([Fraction(1), Fraction(0), Fraction(2)])) is None
+    assert red.add_row(as_row([Fraction(0), Fraction(1), Fraction(-1)])) is None
     assert red.rank == 2 and red.num_added == 2
 
 
@@ -25,34 +29,41 @@ def test_row_reducer_certificate_combines_to_zero():
     for _ in range(30):
         cols = rng.randint(2, 5)
         rows = random_matrix(rng.randint(2, 6), cols, rng)
-        red = RowReducer(cols)
-        seen = []
-        for row in rows:
-            combo = red.add_row(row)
-            seen.append(row)
-            if combo is None:
-                continue
-            assert len(combo) == len(seen)
-            assert combo[-1] == Fraction(-1)
-            residual = [Fraction(0)] * cols
-            for c, r in zip(combo, seen):
+        # the same rows keyed by labels instead of positions and inserted in
+        # reverse column order: the certificates must not move
+        labels = [f"x{rng.randrange(10**6)}-{j}" for j in range(cols)]
+        relabelled = [{labels[j]: row[j] for j in reversed(range(cols))} for row in rows]
+        certificates = []
+        for mappings in ([as_row(row) for row in rows], relabelled):
+            red = RowReducer()
+            combos = []
+            for k, row in enumerate(mappings):
+                before = dict(row)
+                combo = red.add_row(row)
+                assert row == before
+                combos.append(combo)
+                if combo is None:
+                    continue
+                assert len(combo) == k + 1
+                assert combo[-1] == Fraction(-1)
                 for j in range(cols):
-                    residual[j] += c * r[j]
-            assert all(v == 0 for v in residual)
+                    assert sum(c * r[j] for c, r in zip(combo, rows)) == 0
+            certificates.append(combos)
+        assert certificates[0] == certificates[1]
 
 
 def test_row_reducer_detects_duplicate_row():
-    red = RowReducer(2)
-    row = [Fraction(2), Fraction(3)]
+    red = RowReducer()
+    row = as_row([Fraction(2), Fraction(3)])
     assert red.add_row(row) is None
     combo = red.add_row(row)
     assert combo == [Fraction(1), Fraction(-1)]
 
 
 def test_zero_row_certificate_is_trivial():
-    red = RowReducer(2)
-    red.add_row([Fraction(1), Fraction(1)])
-    combo = red.add_row([Fraction(0), Fraction(0)])
+    red = RowReducer()
+    red.add_row(as_row([Fraction(1), Fraction(1)]))
+    combo = red.add_row(as_row([Fraction(0), Fraction(0)]))
     assert combo == [Fraction(0), Fraction(-1)]
 
 

@@ -123,6 +123,43 @@ def test_phi_basis_contents():
     assert any(form_inner(norm_sq, f) != 0 for f in basis.basis)
 
 
+# phi_basis labels recorded with the earlier dense-row elimination, each
+# exponent vector written as its digits.  The independent averages are the
+# same whatever pivot columns an exact elimination picks, so the labels are
+# too.
+RECORDED_LABELS = {
+    (Field.R, 1, 2): "2",
+    (Field.R, 1, 4): "4",
+    (Field.R, 1, 6): "6",
+    (Field.R, 2, 2): "20 11 02",
+    (Field.R, 2, 4): "40 31 22 13 04",
+    (Field.R, 2, 6): "60 51 42 33 24 15 06",
+    (Field.R, 3, 2): "200 110 101 020 011 002",
+    (Field.R, 3, 4): "400 310 301 220 211 202 130 121 112 103 040 031 022 013 004",
+    (Field.R, 3, 6): "600 510 501 420 411 402 330 321 312 303 240 231 222 213 204 150 141 "
+                     "132 123 114 105 060 051 042 033 024 015 006",
+    (Field.C, 1, 2): "20",
+    (Field.C, 1, 4): "40",
+    (Field.C, 2, 2): "2000 1010 1001 0020",
+    (Field.C, 2, 4): "4000 3010 3001 2020 2011 2002 1030 1021 0040",
+    (Field.C, 3, 2): "200000 101000 100100 100010 100001 002000 001010 001001 000020",
+    (Field.C, 3, 4): "400000 301000 300100 300010 300001 202000 201100 201010 201001 200200 "
+                     "200110 200101 200020 200011 200002 103000 102100 102010 102001 101110 "
+                     "101101 101020 101011 101002 100120 100030 100021 004000 003010 003001 "
+                     "002020 002011 002002 001030 001021 000040",
+    (Field.H, 2, 2): "20000000 10001000 10000100 10000010 10000001 00002000",
+    (Field.H, 2, 4): "40000000 30001000 30000100 30000010 30000001 20002000 20001100 "
+                     "20001010 20001001 20000200 20000110 20000101 20000020 20000011 "
+                     "20000002 10003000 10002100 10002010 10002001 00004000",
+}
+
+
+@pytest.mark.parametrize("field,m,p", list(RECORDED_LABELS))
+def test_phi_basis_labels_recorded(field, m, p):
+    labels = phi_basis(field, m, p).labels
+    assert " ".join("".join(map(str, label)) for label in labels) == RECORDED_LABELS[field, m, p]
+
+
 def test_phi_basis_invariance_witnesses():
     basis = phi_basis(Field.C, 2, 2)
     scalars = rational_unit_scalars(Field.C, 20, seed=43)

@@ -42,13 +42,12 @@ def weighted_norm_form(m, p, lam):
 def test_synthetic_weights_solve_exactly(synthetic_frame):
     # re-derive the frozen weights: expand (x^2+y^2)^2 in the five forms,
     # read off the certificate of the target row after the five form rows
-    mons = monomials(2, 4)
     forms = [frame_form(v, 4) for v in synthetic_frame.vectors]
     target = weighted_norm_form(2, 4, (Fraction(1), Fraction(1)))
-    reducer = RowReducer(len(mons))
+    reducer = RowReducer()
     for form in forms:
-        assert reducer.add_row([form.terms.get(e, Fraction(0)) for e in mons]) is None
-    combo = reducer.add_row([target.terms.get(e, Fraction(0)) for e in mons])
+        assert reducer.add_row(form.terms) is None
+    combo = reducer.add_row(target.terms)
     assert combo[-1] == -1
     weights = combo[:5]
     assert tuple(weights) == SYNTHETIC_WEIGHTS
