@@ -11,6 +11,9 @@ of x, so verification is an exact polynomial zero test.  The weighted
 representation keeps everything rational: folding a weight into its vector
 needs a p-th root, which is a separate lossy export (`to_unweighted`).
 
+The unweighted forms |<u_k,x>|^p are expanded once per frame
+(`WeightedFrame.forms`) and shared with the frames reduce_once returns.
+
 Reductions:
   * dependence/reduce_once drops vectors along an exact linear dependence of
     the weighted frame forms, rescaling the surviving weights by 1 - omega_k.
@@ -26,6 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -150,9 +154,10 @@ class WeightedFrame:
         return all(u.is_exact for u in self.vectors) and all(
             isinstance(w, Fraction) for w in self.weights)
 
-    def frame_forms(self) -> List[RealForm]:
-        """The unweighted forms |<u_k, x>|^p."""
-        return [frame_form(u, self.p) for u in self.vectors]
+    @cached_property
+    def forms(self) -> Tuple[RealForm, ...]:
+        """The unweighted forms |<u_k, x>|^p, expanded on first use."""
+        return tuple(frame_form(u, self.p) for u in self.vectors)
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,7 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     compares with no tolerance and raises FrameError.
     """
     norm = norm_power_form(frame.field, frame.m, frame.p)
-    residual = linear_combination(frame.weights + (-1,), frame.frame_forms() + [norm])
+    residual = linear_combination(frame.weights + (-1,), frame.forms + (norm,))
     if tolerance is None:
         passed = residual.is_zero
     else:
@@ -215,17 +220,19 @@ class DependenceCertificate:
 def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     """First linear dependence among the weighted frame forms, or None.
 
-    The forms w_k |<u_k,x>|^p, as rows keyed by monomial, are reduced
-    exactly in frame order; the first dependent row yields the
-    certificate, normalized so that max_k omega_k = 1 (indices after the
-    dependent row get omega = 0).
+    The unweighted forms `frame.forms`, as rows keyed by monomial, are reduced
+    exactly in frame order.  Positive weights move neither the first
+    dependent row nor its dependency c, unique up to scale, so the
+    certificate is omega_k = c_k / w_k normalized to max_k omega_k = 1
+    (indices after the dependent row get omega = 0).
     """
     if not frame.is_exact:
         raise FrameError("dependence detection requires exact rational entries")
     reducer = RowReducer()
-    for k, (u, w) in enumerate(zip(frame.vectors, frame.weights)):
-        combo = reducer.add_row(frame_form(u, frame.p).scale(w).terms)
+    for k, form in enumerate(frame.forms):
+        combo = reducer.add_row(form.terms)
         if combo is not None:
+            combo = [c / w for c, w in zip(combo, frame.weights)]
             peak = max(combo)
             omega = [c / peak for c in combo] + [Fraction(0)] * (frame.n - k - 1)
             pivot = omega.index(Fraction(1))
@@ -245,19 +252,17 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
             f"certificate has {len(cert.omega)} entries for a frame of size {frame.n}")
     if max(cert.omega) != 1:
         raise CertificateError("certificate must be normalized to max omega = 1")
-    used = [k for k, om in enumerate(cert.omega) if om]
-    combo = linear_combination([frame.weights[k] * cert.omega[k] for k in used],
-                               [frame_form(frame.vectors[k], frame.p) for k in used])
+    combo = linear_combination([w * om for w, om in zip(frame.weights, cert.omega)],
+                               frame.forms)
     if not combo.is_zero:
         raise CertificateError("certificate residual identity fails for this frame")
-    vectors = []
-    weights = []
-    for u, w, om in zip(frame.vectors, frame.weights, cert.omega):
-        if om == 1:
-            continue
-        vectors.append(u)
-        weights.append(w * (1 - om))
-    return WeightedFrame(frame.field, frame.m, frame.p, tuple(vectors), tuple(weights))
+    keep = [k for k, om in enumerate(cert.omega) if om != 1]
+    reduced = WeightedFrame(frame.field, frame.m, frame.p,
+                            tuple(frame.vectors[k] for k in keep),
+                            tuple(frame.weights[k] * (1 - cert.omega[k]) for k in keep))
+    # The kept vectors are the same objects, so their forms are too.
+    object.__setattr__(reduced, "forms", tuple(frame.forms[k] for k in keep))
+    return reduced
 
 
 def reduce_to_independent(frame: WeightedFrame) -> WeightedFrame:
@@ -333,17 +338,16 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
     if not verify(frame).passed:
         raise UnverifiedFrameError(
             "scaling coefficients are defined for verified frames only")
-    forms = frame.frame_forms()
     m, p = frame.m, frame.p
     reducer = RowReducer()
-    for form in forms:
+    for form in frame.forms:
         if reducer.add_row(form.terms) is not None:
             raise DependentFormsError(
                 "frame forms are linearly dependent; run reduce_to_independent first")
-    terms: List[Dict[Exponent, Fraction]] = [{} for _ in forms]
+    terms: List[Dict[Exponent, Fraction]] = [{} for _ in range(frame.n)]
     for nu, c_nu in split_leading(_diagonal_target_joint(frame.field, m, p), m).items():
         combo = reducer.add_row(c_nu.terms)
-        if combo is None or linear_combination(combo[:frame.n], forms) != c_nu:
+        if combo is None or linear_combination(combo[:frame.n], frame.forms) != c_nu:
             raise ScalingExpansionError(
                 "diagonal target is not in the span of the frame forms; "
                 "the expansion identity has no solution for this frame")
@@ -366,6 +370,9 @@ class ScalingSearchState:
     a_hat: Fraction
     lo: Tuple[Fraction, ...]
     hi: Tuple[Fraction, ...]
+
+
+MAX_GRID_NODES = 100_000  # cap on comb(grid, m - 1), the simplex nodes scaling_reduce evaluates
 
 
 def _simplex_nodes(m: int, per_axis: int) -> List[Tuple[Fraction, ...]]:
@@ -408,9 +415,11 @@ def scaling_reduce(
     sf = scaling_coefficients(frame)
     m = frame.m
     if grid is None:
-        grid = 33 if m == 2 else 9 if m == 3 else 5
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
+        grid = 33 if m == 2 else 9 if m == 3 else max(5, m - 1)
+    if grid < max(1, m - 1):
+        raise ValueError(f"grid must be >= {max(1, m - 1)} for m = {m}, got {grid}")
+    if comb(grid, m - 1) > MAX_GRID_NODES:
+        raise ValueError(f"grid {grid} gives more than {MAX_GRID_NODES} nodes for m = {m}")
 
     nodes = _simplex_nodes(m, grid)
     values = {node: sf.a_hat(node) for node in nodes}
@@ -487,6 +496,8 @@ def scaling_reduce(
             dropped = KVector(frame.field, tuple(
                 entry.scale(float(inv[i])) for i, entry in enumerate(u.entries)))
             bound += float(a) * frame_form(dropped, frame.p).max_abs_coeff()
+        if not math.isfinite(bound):
+            raise FrameError("the bound for the dropped vectors is not finite in binary64")
         if not verify(reduced, tolerance=bound).passed:
             raise RuntimeError("scaling reduction failed floating-point re-verification; "
                                "this indicates a defect")

@@ -16,6 +16,8 @@ from isoframe.frames import (
 )
 from isoframe.kscalar import Field
 
+from conftest import build_rescaled_synthetic_frame
+
 
 @pytest.fixture
 def synthetic_path(tmp_path, synthetic_frame):
@@ -181,11 +183,25 @@ def test_scale_reduce_full_run(capsys, synthetic_path, tmp_path):
 
 
 def test_scale_reduce_none(capsys, tmp_path):
-    path = tmp_path / "ortho.json"
-    save_frame(catalog(Field.R, 2, 2, "orthonormal-p2"), path)
-    code, out, _ = run(capsys, "scale-reduce", str(path))
-    assert code == EXIT_PASS
-    assert "result: none" in out
+    for m in (2, 7):
+        path = tmp_path / f"ortho{m}.json"
+        save_frame(catalog(Field.R, m, 2, "orthonormal-p2"), path)
+        code, out, _ = run(capsys, "scale-reduce", str(path))
+        assert code == EXIT_PASS
+        assert "result: none" in out
+    # m = 7 needs at least m - 1 = 6 grid points per axis
+    code, out, err = run(capsys, "scale-reduce", str(path), "--grid", "5")
+    assert code == EXIT_MALFORMED
+    assert out == "" and err.startswith("error:")
+
+
+def test_scale_reduce_nonfinite_bound_exit(capsys, tmp_path):
+    path = tmp_path / "rescaled.json"
+    save_frame(build_rescaled_synthetic_frame(), path)
+    code, out, err = run(capsys, "scale-reduce", str(path))
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_scale_reduce_budget_exit(capsys, synthetic_path):

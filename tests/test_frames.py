@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import isoframe.frames
+from isoframe.forms import frame_form
 from isoframe.frames import (
     CertificateError,
     DependenceCertificate,
@@ -32,6 +34,7 @@ from isoframe.kscalar import (
     inner_product,
     rational_unit_scalars,
 )
+from isoframe.linalg import RowReducer
 from isoframe.phi import dim_phi
 
 
@@ -80,7 +83,7 @@ def test_frame_basic_properties():
     f = catalog(Field.R, 2, 4, "real2-rational-p4")
     assert f.n == 4
     assert f.is_exact
-    forms = f.frame_forms()
+    forms = f.forms
     assert len(forms) == 4 and all(g.degree == 4 for g in forms)
 
 
@@ -191,7 +194,7 @@ def test_dependence_finds_parallel_vector():
     cert = dependence(g)
     assert cert is not None
     omega_w = [o * w for o, w in zip(cert.omega, g.weights)]
-    forms = g.frame_forms()
+    forms = g.forms
     acc = forms[0].scale(omega_w[0])
     for o, form in zip(omega_w[1:], forms[1:]):
         acc = acc + form.scale(o)
@@ -224,6 +227,76 @@ def test_reduce_once_drops_pivot_and_reweights():
     assert out.n == 4
     assert verify(out).passed
     assert sum(out.weights) < sum(red.weights) or sum(out.weights) == sum(red.weights)
+    assert len(out.forms) == out.n
+    for form, u in zip(out.forms, out.vectors):
+        assert form == frame_form(u, out.p)
+
+
+def test_forms_expanded_once_across_reductions(monkeypatch):
+    # verify, the dependence/reduce_once loop and the final verify share one
+    # expansion per input vector: reduced frames inherit the kept forms.
+    calls = []
+
+    def counting_frame_form(u, p):
+        calls.append(u)
+        return frame_form(u, p)
+
+    monkeypatch.setattr(isoframe.frames, "frame_form", counting_frame_form)
+    base = catalog(Field.R, 2, 4, "real2-rational-p4")
+    frame = union(split_vector(split_vector(base, 1, Fraction(1, 3)), 2, Fraction(3, 4)), base)
+    assert verify(frame).passed
+    current = frame
+    while (cert := dependence(current)) is not None:
+        current = reduce_once(current, cert)
+    assert current.n < frame.n
+    assert verify(current).passed
+    assert len(calls) == frame.n
+
+
+def weighted_row_dependence(frame):
+    """Reference route: reduce the weighted forms w_k |<u_k,x>|^p and
+    normalize the first dependency to max omega = 1."""
+    reducer = RowReducer()
+    for k, (u, w) in enumerate(zip(frame.vectors, frame.weights)):
+        combo = reducer.add_row(frame_form(u, frame.p).scale(w).terms)
+        if combo is not None:
+            peak = max(combo)
+            omega = [c / peak for c in combo] + [Fraction(0)] * (frame.n - k - 1)
+            return DependenceCertificate(tuple(omega), omega.index(1))
+    return None
+
+
+def test_dependence_matches_weighted_rows():
+    # more vectors than dim Phi, plus a rescaled copy, force dependences;
+    # each step of the chain must give the weighted-row certificate
+    rng = random.Random(81)
+
+    def random_vector(field, m):
+        while True:
+            u = KVector(field, tuple(
+                KElement(field, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                      for _ in range(field.real_dimension)))
+                for _ in range(m)))
+            if not u.is_zero:
+                return u
+
+    for field, m, p in ((Field.R, 2, 4), (Field.C, 2, 2), (Field.H, 2, 2), (Field.R, 3, 2)):
+        for _ in range(2):
+            vectors = [random_vector(field, m) for _ in range(dim_phi(field, m, p) + 2)]
+            copy = vectors[rng.randrange(len(vectors))].scale_real(Fraction(rng.randint(1, 5), 3))
+            vectors.insert(rng.randrange(len(vectors) + 1), copy)
+            weights = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in vectors)
+            current = WeightedFrame(field, m, p, tuple(vectors), weights)
+            steps = 0
+            while True:
+                cert = dependence(current)
+                assert cert == weighted_row_dependence(current)
+                if cert is None:
+                    break
+                assert all(isinstance(om, Fraction) for om in cert.omega)
+                current = reduce_once(current, cert)
+                steps += 1
+            assert steps >= 3
 
 
 def test_reduce_to_independent_randomized():

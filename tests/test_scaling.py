@@ -23,7 +23,7 @@ from isoframe.linalg import RowReducer
 from isoframe.forms import monomials
 from isoframe.phi import dual_basis
 
-from conftest import SYNTHETIC_WEIGHTS, build_synthetic_frame
+from conftest import SYNTHETIC_WEIGHTS, build_rescaled_synthetic_frame, build_synthetic_frame
 
 
 def rvec(*coords):
@@ -83,7 +83,7 @@ def dual_route_coefficients(frame):
     C_nu = multinomial(p/2; nu) prod_i |xi_i|^(2 nu_i) the slices of
     (sum_i lambda_i |xi_i|^2)^(p/2)."""
     m, half = frame.m, frame.p // 2
-    duals = dual_basis(frame.frame_forms()).duals
+    duals = dual_basis(frame.forms).duals
     norms = [abs_inner_sq_form(KVector.canonical(frame.field, m, i)) for i in range(m)]
     slices = {}
     for nu in monomials(m, half):
@@ -208,6 +208,9 @@ def test_scaling_reduce_none_when_nonnegative():
     assert scaling_reduce(catalog(Field.R, 2, 2, "orthonormal-p2")) is None
     assert scaling_reduce(catalog(Field.C, 3, 2, "orthonormal-p2")) is None
     assert scaling_reduce(catalog(Field.R, 3, 2, "orthonormal-p2"), grid=40) is None
+    # the default grid keeps an interior node for every m
+    for m in (6, 7, 8):
+        assert scaling_reduce(catalog(Field.R, m, 2, "orthonormal-p2")) is None
 
 
 def test_scaling_reduce_grid2_hits_exact_zeros(synthetic_frame):
@@ -245,6 +248,20 @@ def test_scaling_reduce_parameter_validation(synthetic_frame):
         scaling_reduce(synthetic_frame, budget=0)
     with pytest.raises(ValueError):
         scaling_reduce(synthetic_frame, grid=0)
+    # the grid needs m - 1 cuts, and at most MAX_GRID_NODES nodes
+    with pytest.raises(ValueError, match="grid"):
+        scaling_reduce(catalog(Field.R, 7, 2, "orthonormal-p2"), grid=5)
+    with pytest.raises(ValueError, match="nodes"):
+        scaling_reduce(synthetic_frame, grid=100_001)
+
+
+def test_scaling_reduce_nonfinite_bound():
+    # the dropped vector's rescaled form overflows binary64, so the float
+    # re-verification bound is 0 * inf = nan: a typed error, not a defect
+    frame = build_rescaled_synthetic_frame()
+    assert verify(frame).passed
+    with pytest.raises(FrameError, match="not finite"):
+        scaling_reduce(frame)
 
 
 def test_scaling_reduce_deterministic(synthetic_frame):
