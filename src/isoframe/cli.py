@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .frames import (
@@ -35,30 +34,11 @@ EXIT_FAIL = 1
 EXIT_MALFORMED = 2
 EXIT_BUDGET = 3
 
-__all__ = ["RunConfig", "entry", "main"]
+__all__ = ["entry", "main"]
 
 
-@dataclass
-class RunConfig:
-    """Options shared by all commands; defaults keep runs reproducible."""
-
-    mode: str = "exact"
-    tolerance: float = 1e-9
-    grid: Optional[int] = None
-    output: str = "text"
-    out: Optional[str] = None
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"mode must be exact or float, got {self.mode!r}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.output not in ("text", "json"):
-            raise ValueError(f"output must be text or json, got {self.output!r}")
-
-
-def _emit(report: dict, config: RunConfig) -> None:
-    if config.output == "json":
+def _emit(report: dict, args: argparse.Namespace) -> None:
+    if args.output == "json":
         print(json.dumps(report, indent=2, allow_nan=False))
         return
     for key, value in report.items():
@@ -76,10 +56,10 @@ def _bound_entry(field: Field, m: int, p: int):
     return upper_bound(field, m, p)
 
 
-def cmd_verify(path: str, config: RunConfig) -> int:
-    frame = load_frame(path)
-    exact = config.mode == "exact" and frame.is_exact
-    result = verify(frame, tolerance=None if exact else config.tolerance)
+def cmd_verify(args: argparse.Namespace) -> int:
+    frame = load_frame(args.path)
+    exact = args.mode == "exact" and frame.is_exact
+    result = verify(frame, tolerance=None if exact else args.tolerance)
     bound = _bound_entry(frame.field, frame.m, frame.p)
     report = {
         "verdict": "pass" if result.passed else "fail",
@@ -90,11 +70,12 @@ def cmd_verify(path: str, config: RunConfig) -> int:
         "residual_max": result.max_residual,
         "residual_terms": len(result.residual.terms),
     }
-    _emit(report, config)
+    _emit(report, args)
     return EXIT_PASS if result.passed else EXIT_FAIL
 
 
-def cmd_dim(field: Field, m: int, p: int, config: RunConfig) -> int:
+def cmd_dim(args: argparse.Namespace) -> int:
+    field, m, p = Field.from_tag(args.field), args.m, args.p
     bound = _bound_entry(field, m, p)
     report = {
         "field": field.name,
@@ -103,12 +84,12 @@ def cmd_dim(field: Field, m: int, p: int, config: RunConfig) -> int:
         "dim": dim_phi(field, m, p),
         "bound": bound if bound is not None else "refused (m=1)",
     }
-    _emit(report, config)
+    _emit(report, args)
     return EXIT_PASS
 
 
-def cmd_reduce(path: str, config: RunConfig) -> int:
-    frame = load_frame(path)
+def cmd_reduce(args: argparse.Namespace) -> int:
+    frame = load_frame(args.path)
     if not frame.is_exact:
         print("reduce requires exact rational entries", file=sys.stderr)
         return EXIT_FAIL
@@ -127,20 +108,20 @@ def cmd_reduce(path: str, config: RunConfig) -> int:
     report = {"n_initial": frame.n, "steps": steps, "n_final": current.n}
     if not steps:
         report["note"] = "no dependence"
-    if config.out:
-        save_frame(current, config.out)
-        report["out"] = config.out
-    _emit(report, config)
+    if args.out:
+        save_frame(current, args.out)
+        report["out"] = args.out
+    _emit(report, args)
     return EXIT_PASS
 
 
-def cmd_scale_reduce(path: str, config: RunConfig) -> int:
-    frame = load_frame(path)
-    reduced = scaling_reduce(frame, grid=config.grid, tolerance=config.tolerance)
+def cmd_scale_reduce(args: argparse.Namespace) -> int:
+    frame = load_frame(args.path)
+    reduced = scaling_reduce(frame, grid=args.grid, tolerance=args.tolerance)
     if reduced is None:
-        _emit({"result": "none", "n_initial": frame.n}, config)
+        _emit({"result": "none", "n_initial": frame.n}, args)
         return EXIT_PASS
-    check = verify(reduced, tolerance=None if reduced.is_exact else config.tolerance)
+    check = verify(reduced, tolerance=None if reduced.is_exact else args.tolerance)
     report = {
         "result": "reduced",
         "n_initial": frame.n,
@@ -148,26 +129,27 @@ def cmd_scale_reduce(path: str, config: RunConfig) -> int:
         "exact": reduced.is_exact,
         "residual_max": check.max_residual,
     }
-    if config.out:
-        save_frame(reduced, config.out)
-        report["out"] = config.out
-    _emit(report, config)
+    if args.out:
+        save_frame(reduced, args.out)
+        report["out"] = args.out
+    _emit(report, args)
     return EXIT_PASS
 
 
-def cmd_catalog(field: Field, m: int, p: int, kind: str, config: RunConfig) -> int:
-    frame = catalog(field, m, p, kind)
+def cmd_catalog(args: argparse.Namespace) -> int:
+    field, m, p = Field.from_tag(args.field), args.m, args.p
+    frame = catalog(field, m, p, args.kind)
     report = {
-        "kind": kind,
+        "kind": args.kind,
         "field": field.name,
         "m": m,
         "p": p,
         "n": frame.n,
     }
-    if config.out:
-        save_frame(frame, config.out)
-        report["out"] = config.out
-        _emit(report, config)
+    if args.out:
+        save_frame(frame, args.out)
+        report["out"] = args.out
+        _emit(report, args)
     else:
         print(serialize_frame(frame), end="")
     return EXIT_PASS
@@ -189,24 +171,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="check the frame identity of a frame file")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("path")
 
     p_dim = sub.add_parser("dim", parents=[common],
                            help="dimension of Phi_K(m,p) and the frame-size bound")
+    p_dim.set_defaults(run=cmd_dim)
     p_dim.add_argument("field", choices=("R", "C", "H"))
     p_dim.add_argument("m", type=int)
     p_dim.add_argument("p", type=int)
 
     p_reduce = sub.add_parser("reduce", parents=[common],
                               help="remove linear dependences among the frame forms")
+    p_reduce.set_defaults(run=cmd_reduce)
     p_reduce.add_argument("path")
 
     p_scale = sub.add_parser("scale-reduce", parents=[common],
                              help="diagonal-scaling reduction via the cone search")
+    p_scale.set_defaults(run=cmd_scale_reduce)
     p_scale.add_argument("path")
 
     p_catalog = sub.add_parser("catalog", parents=[common],
                                help="emit a known frame")
+    p_catalog.set_defaults(run=cmd_catalog)
     p_catalog.add_argument("field", choices=("R", "C", "H"))
     p_catalog.add_argument("m", type=int)
     p_catalog.add_argument("p", type=int)
@@ -222,20 +209,9 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_MALFORMED
     try:
-        config = RunConfig(mode=args.mode, tolerance=args.tolerance, grid=args.grid,
-                           output=args.output, out=args.out)
-        if args.command == "verify":
-            return cmd_verify(args.path, config)
-        if args.command == "dim":
-            return cmd_dim(Field.from_tag(args.field), args.m, args.p, config)
-        if args.command == "reduce":
-            return cmd_reduce(args.path, config)
-        if args.command == "scale-reduce":
-            return cmd_scale_reduce(args.path, config)
-        if args.command == "catalog":
-            return cmd_catalog(Field.from_tag(args.field), args.m, args.p,
-                               args.kind, config)
-        raise AssertionError(f"unhandled command {args.command}")
+        if not args.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {args.tolerance}")
+        return args.run(args)
     except FrameParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

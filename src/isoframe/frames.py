@@ -230,9 +230,10 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
         raise FrameError("dependence detection requires exact rational entries")
     reducer = RowReducer()
     for k, form in enumerate(frame.forms):
-        combo = reducer.add_row(form.terms)
-        if combo is not None:
-            combo = [c / w for c, w in zip(combo, frame.weights)]
+        cert = reducer.add_row(form.terms)
+        if cert is not None:
+            combo = [cert.get(j, 0) / frame.weights[j] for j in range(k)]
+            combo.append(-1 / frame.weights[k])
             peak = max(combo)
             omega = [c / peak for c in combo] + [Fraction(0)] * (frame.n - k - 1)
             pivot = omega.index(Fraction(1))
@@ -346,14 +347,14 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
                 "frame forms are linearly dependent; run reduce_to_independent first")
     terms: List[Dict[Exponent, Fraction]] = [{} for _ in range(frame.n)]
     for nu, c_nu in split_leading(_diagonal_target_joint(frame.field, m, p), m).items():
-        combo = reducer.add_row(c_nu.terms)
-        if combo is None or linear_combination(combo[:frame.n], frame.forms) != c_nu:
+        cert = reducer.add_row(c_nu.terms)
+        if cert is None or linear_combination(
+                [cert.get(k, 0) for k in range(frame.n)], frame.forms) != c_nu:
             raise ScalingExpansionError(
                 "diagonal target is not in the span of the frame forms; "
                 "the expansion identity has no solution for this frame")
-        for k, c in enumerate(combo[:frame.n]):
-            if c:
-                terms[k][nu] = c
+        for k, c in cert.items():
+            terms[k][nu] = c
     coefficients = [RealForm(m, p // 2, t) for t in terms]
     return ScalingForms(m=m, p=p, coefficients=tuple(coefficients))
 
@@ -487,15 +488,19 @@ def scaling_reduce(
     else:
         # Dropped coefficients bound the residual: the identity is exact
         # before dropping, so the leftover is sum of a_k * max coeff of the
-        # dropped rescaled forms, plus binary64 noise.
+        # dropped rescaled forms, plus binary64 noise.  An entry beyond
+        # binary64 overflows on the way: the same as a non-finite bound.
         bound = 1e-8
-        for k, a in enumerate(coeffs):
-            if k in keep:
-                continue
-            u = frame.vectors[k]
-            dropped = KVector(frame.field, tuple(
-                entry.scale(float(inv[i])) for i, entry in enumerate(u.entries)))
-            bound += float(a) * frame_form(dropped, frame.p).max_abs_coeff()
+        try:
+            for k, a in enumerate(coeffs):
+                if k in keep:
+                    continue
+                u = frame.vectors[k]
+                dropped = KVector(frame.field, tuple(
+                    entry.scale(float(inv[i])) for i, entry in enumerate(u.entries)))
+                bound += float(a) * frame_form(dropped, frame.p).max_abs_coeff()
+        except OverflowError:
+            bound = math.inf
         if not math.isfinite(bound):
             raise FrameError("the bound for the dropped vectors is not finite in binary64")
         if not verify(reduced, tolerance=bound).passed:

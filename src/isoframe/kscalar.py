@@ -307,6 +307,8 @@ def scalar_to_str(value: Scalar) -> str:
 def scalar_from_str(text: str) -> Scalar:
     """Inverse of scalar_to_str; bit-exact for both modes."""
     stripped = text.strip()
+    if "_" in stripped:
+        raise ValueError(f"digit-group underscore in scalar {text!r}")
     if any(marker in stripped for marker in (".", "e", "E", "inf", "nan")):
         return float(stripped)
     try:

@@ -5,7 +5,8 @@ read off its dependence certificates.
 A row is a sparse mapping from column key to coefficient; absent keys are
 zero.  A form's `terms` dict is a row as it stands, keyed by monomial, and
 `matrix_inverse` keys its rows by column index.  Each pivot sits at the
-first key of its reduced row.
+first key of its reduced row.  A dependence certificate has the same sparse
+shape, keyed by the index of an earlier row.
 """
 
 from __future__ import annotations
@@ -27,16 +28,16 @@ class RowReducer:
 
     Rows are added one at a time.  Each is reduced against the pivot rows
     collected so far; if a nonzero residue remains it becomes a new pivot row,
-    otherwise the row is dependent and `add_row` returns the coefficients
-    expressing it as a combination of the previously added rows.
+    otherwise the row is dependent and `add_row` returns its certificate: the
+    mapping {j: c_j} over earlier row indices, nonzero c_j only, with
+    row = sum_j c_j * row_j.
 
     The combination bookkeeping carries through every elimination step, so
-    the returned certificate is exact: row_k = sum_j coeff_j * row_j with
-    coeff_k = -1 folded out (see below).
-
-    Pivot rows are always linearly independent input rows, so each
-    certificate, each set of independent rows and each inverse is unique,
-    whichever nonzero column a pivot uses.
+    the certificate is exact.  Pivot rows are always linearly independent
+    input rows, so each certificate, each set of independent rows and each
+    inverse is unique, whichever nonzero column a pivot uses.  A dependent
+    row never becomes a pivot, so its index is never a key of a later
+    certificate.
     """
 
     def __init__(self):
@@ -53,16 +54,17 @@ class RowReducer:
     def num_added(self) -> int:
         return self._num_added
 
-    def add_row(self, row: Row) -> Optional[List[Fraction]]:
-        """Add a row; return None if independent, else the dependency.
+    def add_row(self, row: Row) -> Optional[Dict[int, Fraction]]:
+        """Add a row; return None if independent, else its certificate.
 
-        The dependency is a list c of length num_added (including the new
-        row) with c[new] = Fraction(-1) and sum_j c[j] * row_j = 0, i.e. the
-        new row equals sum over earlier rows of c[j] * row_j.  The row
-        mapping itself is not modified.
+        The certificate maps the index of each earlier row j to c_j != 0 such
+        that row = sum_j c_j * row_j; a zero row gives {}, which is falsy, so
+        test the result with `is None`.  The row mapping itself is not
+        modified.
         """
         work = {key: Fraction(x) for key, x in row.items() if x}
-        combo = {self._num_added: Fraction(1)}
+        new = self._num_added
+        combo = {new: Fraction(1)}
         for col, prow, pcombo in self._pivots:
             factor = work.get(col)
             if factor:
@@ -76,8 +78,8 @@ class RowReducer:
                     combo[j] = combo.get(j, 0) - factor * c
         self._num_added += 1
         if not work:
-            # work == 0, so new_row = -sum_{j<new} combo[j] * row_j.
-            return [-combo.get(j, Fraction(0)) for j in range(self._num_added - 1)] + [Fraction(-1)]
+            # work == 0 = row_new + sum_{j<new} combo[j] * row_j.
+            return {j: -c for j, c in combo.items() if c and j != new}
         lead = next(iter(work))
         inv = 1 / work[lead]
         self._pivots.append((lead, {key: x * inv for key, x in work.items()},
@@ -89,8 +91,9 @@ def matrix_inverse(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]
     """Exact inverse of a square rational matrix.
 
     The n rows are reduced first; each unit row e_i added after them is
-    dependent, and the first n entries of its certificate express e_i in the
-    matrix rows, which is row i of the inverse.
+    dependent, and its certificate expresses e_i in the matrix rows, which is
+    row i of the inverse.  The unit rows never become pivots, so no
+    certificate has a key n or above.
     """
     n = len(matrix)
     reducer = RowReducer()
@@ -100,4 +103,5 @@ def matrix_inverse(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]
         if reducer.add_row(dict(enumerate(row))) is not None:
             raise SingularMatrixError(
                 f"matrix is singular (row {i} depends on the rows before it)")
-    return [reducer.add_row({i: Fraction(1)})[:n] for i in range(n)]
+    certs = [reducer.add_row({i: Fraction(1)}) for i in range(n)]
+    return [[cert.get(j, Fraction(0)) for j in range(n)] for cert in certs]

@@ -22,11 +22,12 @@ def build_synthetic_frame():
     return WeightedFrame(Field.R, 2, 4, vectors, SYNTHETIC_WEIGHTS)
 
 
-def build_rescaled_synthetic_frame():
-    """The synthetic frame with vector 0 times 10^100 and its weight divided
-    by 10^400: every weighted form is unchanged, so it verifies exactly."""
+def build_rescaled_synthetic_frame(exponent=100):
+    """The synthetic frame with vector 0 times 10^exponent and its weight
+    divided by 10^(4 exponent): every weighted form is unchanged, so it
+    verifies exactly."""
     f = build_synthetic_frame()
-    big = Fraction(10**100)
+    big = Fraction(10**exponent)
     return WeightedFrame(Field.R, 2, 4, (f.vectors[0].scale_real(big),) + f.vectors[1:],
                          (f.weights[0] / big**4,) + f.weights[1:])
 

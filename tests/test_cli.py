@@ -196,12 +196,13 @@ def test_scale_reduce_none(capsys, tmp_path):
 
 
 def test_scale_reduce_nonfinite_bound_exit(capsys, tmp_path):
-    path = tmp_path / "rescaled.json"
-    save_frame(build_rescaled_synthetic_frame(), path)
-    code, out, err = run(capsys, "scale-reduce", str(path))
-    assert code == EXIT_FAIL
-    assert out == ""
-    assert err.startswith("error:")
+    for exponent in (100, 400):
+        path = tmp_path / f"rescaled-{exponent}.json"
+        save_frame(build_rescaled_synthetic_frame(exponent), path)
+        code, out, err = run(capsys, "scale-reduce", str(path))
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_scale_reduce_budget_exit(capsys, synthetic_path):

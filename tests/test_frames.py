@@ -258,8 +258,9 @@ def weighted_row_dependence(frame):
     normalize the first dependency to max omega = 1."""
     reducer = RowReducer()
     for k, (u, w) in enumerate(zip(frame.vectors, frame.weights)):
-        combo = reducer.add_row(frame_form(u, frame.p).scale(w).terms)
-        if combo is not None:
+        cert = reducer.add_row(frame_form(u, frame.p).scale(w).terms)
+        if cert is not None:
+            combo = [cert.get(j, Fraction(0)) for j in range(k)] + [Fraction(-1)]
             peak = max(combo)
             omega = [c / peak for c in combo] + [Fraction(0)] * (frame.n - k - 1)
             return DependenceCertificate(tuple(omega), omega.index(1))

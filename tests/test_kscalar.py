@@ -196,6 +196,6 @@ def test_scalar_string_round_trip_float():
 
 
 def test_scalar_from_str_rejects_garbage():
-    for text in ("", "1/0", "two", "1/2/3", "nan?"):
+    for text in ("", "1/0", "two", "1/2/3", "nan?", "1_0", "1/2_0", "1_0.5"):
         with pytest.raises(ValueError):
             scalar_from_str(text)

@@ -44,10 +44,9 @@ def test_row_reducer_certificate_combines_to_zero():
                 combos.append(combo)
                 if combo is None:
                     continue
-                assert len(combo) == k + 1
-                assert combo[-1] == Fraction(-1)
-                for j in range(cols):
-                    assert sum(c * r[j] for c, r in zip(combo, rows)) == 0
+                assert all(0 <= j < k and c != 0 for j, c in combo.items())
+                for col in range(cols):
+                    assert rows[k][col] == sum(c * rows[j][col] for j, c in combo.items())
             certificates.append(combos)
         assert certificates[0] == certificates[1]
 
@@ -57,14 +56,22 @@ def test_row_reducer_detects_duplicate_row():
     row = as_row([Fraction(2), Fraction(3)])
     assert red.add_row(row) is None
     combo = red.add_row(row)
-    assert combo == [Fraction(1), Fraction(-1)]
+    assert combo == {0: 1}
+    # a dependent row never becomes a pivot, so a later certificate has no
+    # key for it: the copy of r1 is r1 alone, not r1 plus 0 * (copy of r0)
+    r0 = as_row([Fraction(1), Fraction(2), Fraction(0)])
+    r1 = as_row([Fraction(0), Fraction(1), Fraction(3)])
+    red = RowReducer()
+    assert red.add_row(r0) is None and red.add_row(r1) is None
+    assert red.add_row(dict(r0)) == {0: 1}
+    assert red.add_row(dict(r1)) == {1: 1}
 
 
 def test_zero_row_certificate_is_trivial():
     red = RowReducer()
     red.add_row(as_row([Fraction(1), Fraction(1)]))
     combo = red.add_row(as_row([Fraction(0), Fraction(0)]))
-    assert combo == [Fraction(0), Fraction(-1)]
+    assert combo is not None and combo == {}
 
 
 def test_matrix_inverse_round_trip():

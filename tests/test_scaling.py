@@ -47,9 +47,8 @@ def test_synthetic_weights_solve_exactly(synthetic_frame):
     reducer = RowReducer()
     for form in forms:
         assert reducer.add_row(form.terms) is None
-    combo = reducer.add_row(target.terms)
-    assert combo[-1] == -1
-    weights = combo[:5]
+    cert = reducer.add_row(target.terms)
+    weights = [cert[k] for k in range(5)]
     assert tuple(weights) == SYNTHETIC_WEIGHTS
     assert all(w > 0 for w in weights)
     assert verify(synthetic_frame).passed
@@ -257,11 +256,13 @@ def test_scaling_reduce_parameter_validation(synthetic_frame):
 
 def test_scaling_reduce_nonfinite_bound():
     # the dropped vector's rescaled form overflows binary64, so the float
-    # re-verification bound is 0 * inf = nan: a typed error, not a defect
-    frame = build_rescaled_synthetic_frame()
-    assert verify(frame).passed
-    with pytest.raises(FrameError, match="not finite"):
-        scaling_reduce(frame)
+    # re-verification bound is 0 * inf = nan at 10^100, and at 10^400 the
+    # entries themselves have no binary64 value: a typed error, not a defect
+    for exponent in (100, 400):
+        frame = build_rescaled_synthetic_frame(exponent)
+        assert verify(frame).passed
+        with pytest.raises(FrameError, match="not finite"):
+            scaling_reduce(frame)
 
 
 def test_scaling_reduce_deterministic(synthetic_frame):
