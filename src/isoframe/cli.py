@@ -52,7 +52,7 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 
 def _bound_entry(field: Field, m: int, p: int):
     if m < 2:
-        return None
+        return "refused (m=1)"
     return upper_bound(field, m, p)
 
 
@@ -60,13 +60,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     frame = load_frame(args.path)
     exact = args.mode == "exact" and frame.is_exact
     result = verify(frame, tolerance=None if exact else args.tolerance)
-    bound = _bound_entry(frame.field, frame.m, frame.p)
     report = {
         "verdict": "pass" if result.passed else "fail",
         "mode": "exact" if exact else "float",
         "n": frame.n,
         "dim": dim_phi(frame.field, frame.m, frame.p),
-        "bound": bound if bound is not None else "refused (m=1)",
+        "bound": _bound_entry(frame.field, frame.m, frame.p),
         "residual_max": result.max_residual,
         "residual_terms": len(result.residual.terms),
     }
@@ -76,13 +75,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_dim(args: argparse.Namespace) -> int:
     field, m, p = Field.from_tag(args.field), args.m, args.p
-    bound = _bound_entry(field, m, p)
     report = {
         "field": field.name,
         "m": m,
         "p": p,
         "dim": dim_phi(field, m, p),
-        "bound": bound if bound is not None else "refused (m=1)",
+        "bound": _bound_entry(field, m, p),
     }
     _emit(report, args)
     return EXIT_PASS
@@ -155,45 +153,54 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=("exact", "float"), default="exact")
-    common.add_argument("--tolerance", type=float, default=1e-9)
-    common.add_argument("--grid", type=int, default=None)
-    common.add_argument("--output", choices=("text", "json"), default="text")
-    common.add_argument("--out", default=None, help="path for the emitted frame file")
+# Every flag a command may take; each command takes only those it reads.
+_FLAGS = {
+    "--mode": dict(choices=("exact", "float"), default="exact"),
+    "--tolerance": dict(type=float, default=1e-9),
+    "--grid": dict(type=int, default=None),
+    "--output": dict(choices=("text", "json"), default="text"),
+    "--out": dict(default=None, help="path for the emitted frame file"),
+}
 
+
+def _add_command(sub, name: str, run, summary: str, flags: Sequence[str]):
+    command = sub.add_parser(name, help=summary)
+    for flag in flags:
+        command.add_argument(flag, **_FLAGS[flag])
+    command.set_defaults(run=run)
+    return command
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isoframe",
         description="Verify, analyze and reduce weighted frames of isometric "
                     "embeddings into l_p spaces over R, C or H.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="check the frame identity of a frame file")
-    p_verify.set_defaults(run=cmd_verify)
+    p_verify = _add_command(sub, "verify", cmd_verify,
+                            "check the frame identity of a frame file",
+                            ("--mode", "--tolerance", "--output"))
     p_verify.add_argument("path")
 
-    p_dim = sub.add_parser("dim", parents=[common],
-                           help="dimension of Phi_K(m,p) and the frame-size bound")
-    p_dim.set_defaults(run=cmd_dim)
+    p_dim = _add_command(sub, "dim", cmd_dim,
+                         "dimension of Phi_K(m,p) and the frame-size bound", ("--output",))
     p_dim.add_argument("field", choices=("R", "C", "H"))
     p_dim.add_argument("m", type=int)
     p_dim.add_argument("p", type=int)
 
-    p_reduce = sub.add_parser("reduce", parents=[common],
-                              help="remove linear dependences among the frame forms")
-    p_reduce.set_defaults(run=cmd_reduce)
+    p_reduce = _add_command(sub, "reduce", cmd_reduce,
+                            "remove linear dependences among the frame forms",
+                            ("--output", "--out"))
     p_reduce.add_argument("path")
 
-    p_scale = sub.add_parser("scale-reduce", parents=[common],
-                             help="diagonal-scaling reduction via the cone search")
-    p_scale.set_defaults(run=cmd_scale_reduce)
+    p_scale = _add_command(sub, "scale-reduce", cmd_scale_reduce,
+                           "diagonal-scaling reduction via the cone search",
+                           ("--tolerance", "--grid", "--output", "--out"))
     p_scale.add_argument("path")
 
-    p_catalog = sub.add_parser("catalog", parents=[common],
-                               help="emit a known frame")
-    p_catalog.set_defaults(run=cmd_catalog)
+    p_catalog = _add_command(sub, "catalog", cmd_catalog, "emit a known frame",
+                             ("--output", "--out"))
     p_catalog.add_argument("field", choices=("R", "C", "H"))
     p_catalog.add_argument("m", type=int)
     p_catalog.add_argument("p", type=int)
@@ -209,7 +216,7 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_MALFORMED
     try:
-        if not args.tolerance > 0:
+        if "tolerance" in args and not args.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {args.tolerance}")
         return args.run(args)
     except FrameParseError as exc:

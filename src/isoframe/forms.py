@@ -36,7 +36,6 @@ __all__ = [
     "monomials",
     "norm_power_form",
     "sphere_moment",
-    "split_leading",
 ]
 
 
@@ -193,20 +192,6 @@ def linear_combination(coeffs: Sequence[Scalar], forms: Sequence[RealForm]) -> R
             else:
                 out.pop(expo, None)
     return RealForm(first.num_vars, first.degree, out)
-
-
-def split_leading(form: RealForm, k: int) -> Dict[Exponent, RealForm]:
-    """Group a form by the exponents of its first k variables.
-
-    Maps each leading exponent nu to the form in the remaining variables
-    whose terms multiply x^nu, so form = sum_nu x^nu * result[nu].
-    """
-    groups: Dict[Exponent, Dict[Exponent, Scalar]] = {}
-    for expo, coeff in form.terms.items():
-        groups.setdefault(expo[:k], {})[expo[k:]] = coeff
-    rest = form.num_vars - k
-    return {nu: RealForm(rest, form.degree - sum(nu), terms)
-            for nu, terms in groups.items()}
 
 
 def _double_factorial(k: int) -> int:

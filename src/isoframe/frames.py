@@ -37,10 +37,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .forms import (
     Exponent,
     RealForm,
+    abs_inner_sq_form,
     frame_form,
     linear_combination,
+    monomials,
     norm_power_form,
-    split_leading,
 )
 from .kscalar import (
     Field,
@@ -64,7 +65,6 @@ __all__ = [
     "FrameParseError",
     "ScalingExpansionError",
     "ScalingForms",
-    "ScalingSearchState",
     "UnverifiedFrameError",
     "VerifyResult",
     "WeightedFrame",
@@ -307,32 +307,17 @@ class ScalingForms:
         return min(self.evaluate(lam))
 
 
-def _diagonal_target_joint(field: Field, m: int, p: int) -> RealForm:
-    # (sum_i lambda_i |xi_i|^2)^{p/2} in the joint ring with variables
-    # (lambda_1..lambda_m, x_{1,1}..x_{m,d}); joint degree 3p/2.
-    d = field.real_dimension
-    total = m + d * m
-    base: Dict[Exponent, Fraction] = {}
-    for i in range(m):
-        for t in range(d):
-            expo = [0] * total
-            expo[i] = 1
-            expo[m + i * d + t] = 2
-            base[tuple(expo)] = Fraction(1)
-    return RealForm(total, 3, base) ** (p // 2)
-
-
 def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
     """Expand the lambda-weighted norm power in the frame-form basis.
 
     Writes F_lambda = (sum_i lambda_i |xi_i|^2)^{p/2} as
-    sum_k a_k(lambda) |<u_k,x>|^p.  Grouping by lambda-monomial,
-    F_lambda = sum_nu lambda^nu C_nu(x); each slice C_nu is reduced against
-    the frame forms, and its dependence certificate gives the coefficients
-    of lambda^nu in the a_k.  The resulting identity is re-checked
-    symbolically slice by slice, sum_k a_{k,nu} f_k = C_nu, which holds for
-    every nu exactly when it holds in (lambda, x); frames whose span misses a
-    slice are rejected.
+    sum_k a_k(lambda) |<u_k,x>|^p.  By the multinomial theorem,
+    F_lambda = sum_nu lambda^nu C_nu(x) with C_nu = (p/2; nu) prod_i
+    |xi_i|^{2 nu_i}; each slice C_nu is reduced against the frame forms, and
+    its dependence certificate gives the coefficients of lambda^nu in the
+    a_k.  The resulting identity is re-checked symbolically slice by slice,
+    sum_k a_{k,nu} f_k = C_nu, which holds for every nu exactly when it
+    holds in (lambda, x); frames whose span misses a slice are rejected.
     """
     if not frame.is_exact:
         raise FrameError("scaling coefficients require exact rational entries")
@@ -345,8 +330,12 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
         if reducer.add_row(form.terms) is not None:
             raise DependentFormsError(
                 "frame forms are linearly dependent; run reduce_to_independent first")
+    half = p // 2
+    squares = [abs_inner_sq_form(KVector.canonical(frame.field, m, i)) for i in range(m)]
     terms: List[Dict[Exponent, Fraction]] = [{} for _ in range(frame.n)]
-    for nu, c_nu in split_leading(_diagonal_target_joint(frame.field, m, p), m).items():
+    for nu in monomials(m, half):
+        weight = math.factorial(half) // math.prod(math.factorial(e) for e in nu)
+        c_nu = math.prod((q ** e for q, e in zip(squares, nu) if e), start=weight)
         cert = reducer.add_row(c_nu.terms)
         if cert is None or linear_combination(
                 [cert.get(k, 0) for k in range(frame.n)], frame.forms) != c_nu:
@@ -355,22 +344,8 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
                 "the expansion identity has no solution for this frame")
         for k, c in cert.items():
             terms[k][nu] = c
-    coefficients = [RealForm(m, p // 2, t) for t in terms]
+    coefficients = [RealForm(m, half, t) for t in terms]
     return ScalingForms(m=m, p=p, coefficients=tuple(coefficients))
-
-
-@dataclass
-class ScalingSearchState:
-    """Bisection state on the segment from (1,...,1) to gamma.
-
-    lo and hi are points of the closed coordinate cone with a_hat(lo) >= 0
-    and a_hat(hi) < 0; lam is the current candidate and a_hat its value.
-    """
-
-    lam: Tuple[Fraction, ...]
-    a_hat: Fraction
-    lo: Tuple[Fraction, ...]
-    hi: Tuple[Fraction, ...]
 
 
 MAX_GRID_NODES = 100_000  # cap on comb(grid, m - 1), the simplex nodes scaling_reduce evaluates
@@ -443,25 +418,26 @@ def scaling_reduce(
     if values[gamma] >= 0:
         return None
 
-    ones = (Fraction(1),) * m
-    state = ScalingSearchState(lam=ones, a_hat=sf.a_hat(ones), lo=ones, hi=gamma)
-    if state.a_hat < 0:
+    # Bisect on the segment from (1,...,1) to gamma, keeping
+    # value = a_hat(mu) >= 0 > a_hat(hi).
+    mu, hi = (Fraction(1),) * m, gamma
+    value = sf.a_hat(mu)
+    if value < 0:
         raise RuntimeError("a_hat(1,...,1) = min_k w_k came out negative for a "
                            "verified frame; this indicates a defect")
     spent = 0
-    while state.a_hat > tol:
+    while value > tol:
         if spent >= budget:
             raise BudgetExhaustedError(
-                f"bisection budget {budget} exhausted at a_hat = {float(state.a_hat):.3e} "
+                f"bisection budget {budget} exhausted at a_hat = {float(value):.3e} "
                 f"(tolerance {float(tol):.3e})")
-        mid = tuple((a + b) / 2 for a, b in zip(state.lo, state.hi))
-        value = sf.a_hat(mid)
-        if value >= 0:
-            state.lo, state.lam, state.a_hat = mid, mid, value
+        mid = tuple((a + b) / 2 for a, b in zip(mu, hi))
+        mid_value = sf.a_hat(mid)
+        if mid_value >= 0:
+            mu, value = mid, mid_value
         else:
-            state.hi = mid
+            hi = mid
         spent += 1
-    mu = state.lam
 
     coeffs = sf.evaluate(mu)
     keep = [k for k, a in enumerate(coeffs) if a > tol]
@@ -565,6 +541,8 @@ def catalog(field: Field, m: int, p: int, kind: str) -> WeightedFrame:
         floating-point entries.
     real2-rational-p4: the exact rational 4-vector frame over R^2 at p = 4.
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if kind == "orthonormal-p2":
         if p != 2:
             raise ValueError(f"orthonormal-p2 requires p = 2, got p = {p}")

@@ -130,11 +130,6 @@ class KElement:
     def __neg__(self) -> "KElement":
         return KElement(self.field, tuple(-a for a in self.components))
 
-    def __mul__(self, other) -> "KElement":
-        if isinstance(other, KElement):
-            return k_mul(self, other)
-        return self.scale(other)
-
     def scale(self, r) -> "KElement":
         """Multiply every component by a real scalar."""
         return KElement(self.field, tuple(c * r for c in self.components))
@@ -298,10 +293,7 @@ def scalar_to_str(value: Scalar) -> str:
     """
     if isinstance(value, Fraction):
         return str(value)
-    text = repr(float(value))
-    if "." not in text and "e" not in text and "inf" not in text and "nan" not in text:
-        text += ".0"
-    return text
+    return repr(float(value))
 
 
 def scalar_from_str(text: str) -> Scalar:

@@ -22,7 +22,6 @@ from .forms import (
     linear_combination,
     monomials,
     sphere_moment,
-    split_leading,
 )
 from .kscalar import Field, basis_product
 from .linalg import RowReducer, SingularMatrixError, matrix_inverse
@@ -70,8 +69,12 @@ def _average_monomial(beta: Exponent, table: List[RealForm], d: int) -> RealForm
     # x^beta becomes the product of the substituted coordinates; integrating
     # alpha over the unit sphere turns each alpha monomial into its moment.
     joint = reduce(operator.mul, (table[v] ** b for v, b in enumerate(beta) if b))
-    slices = split_leading(joint, d)
-    return linear_combination([sphere_moment(a, d) for a in slices], list(slices.values()))
+    out: Dict[Exponent, Fraction] = {}
+    for expo, coeff in joint.terms.items():
+        moment = sphere_moment(expo[:d], d)
+        if moment:
+            out[expo[d:]] = out.get(expo[d:], 0) + coeff * moment
+    return RealForm(joint.num_vars - d, sum(beta), out)
 
 
 def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
@@ -150,10 +153,6 @@ class PhiBasis:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    @property
-    def num_vars(self) -> int:
-        return self.field.real_dimension * self.m
 
     @cached_property
     def _dual(self) -> DualBasis:

@@ -1,7 +1,11 @@
 """Command-line driver: exit codes, reports, determinism, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +237,9 @@ def test_catalog_bad_kind(capsys):
     code, _, err = run(capsys, "catalog", "R", "2", "4", "no-such-kind")
     assert code == EXIT_MALFORMED
     assert "error" in err
+    code, out, err = run(capsys, "catalog", "R", "0", "2", "orthonormal-p2")
+    assert code == EXIT_MALFORMED
+    assert out == "" and err == "error: m must be >= 1, got 0\n"
 
 
 def test_byte_determinism(capsys, synthetic_path):
@@ -252,6 +259,33 @@ def test_flag_validation(capsys, catalog_path):
     assert run(capsys, "frobnicate")[0] == EXIT_MALFORMED
     assert run(capsys, "dim", "R", "2")[0] == EXIT_MALFORMED
     assert run(capsys)[0] == EXIT_MALFORMED
+    # each command takes only the flags it reads
+    assert run(capsys, "dim", "R", "2", "4", "--grid", "3")[0] == EXIT_MALFORMED
+    assert run(capsys, "verify", catalog_path, "--out", "x")[0] == EXIT_MALFORMED
+    assert run(capsys, "reduce", catalog_path, "--mode", "float")[0] == EXIT_MALFORMED
+    assert run(capsys, "scale-reduce", catalog_path, "--mode", "exact")[0] == EXIT_MALFORMED
+    assert run(capsys, "catalog", "R", "2", "4", "real2-rational-p4",
+               "--tolerance", "1e-3")[0] == EXIT_MALFORMED
+
+
+def test_reduce_refuses_float_frame(capsys, tmp_path):
+    path = tmp_path / "equi.json"
+    save_frame(catalog(Field.R, 2, 4, "real2-equiangular"), path)
+    code, out, err = run(capsys, "reduce", str(path))
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == "reduce requires exact rational entries\n"
+
+
+def test_module_main_runs_in_subprocess():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isoframe.cli", "dim", "C", "2", "4", "--output", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_PASS
+    assert json.loads(proc.stdout)["dim"] == 9
 
 
 # The last digits of these float reports depend on the order in which the

@@ -17,7 +17,6 @@ from isoframe.forms import (
     monomials,
     norm_power_form,
     sphere_moment,
-    split_leading,
 )
 from isoframe.kscalar import Field, KElement, KVector, inner_product, k_norm_sq
 from isoframe.phi import unit_group_average
@@ -157,20 +156,6 @@ def test_linear_combination_drops_cancelled_terms():
     assert linear_combination((0, 0), (f, g)) == RealForm.zero(2, 2)
     with pytest.raises(ValueError):
         linear_combination((1, 1), (f, x))
-
-
-def test_split_leading_reassembles():
-    rng = random.Random(29)
-    for num_vars, degree, k in ((3, 4, 1), (4, 3, 2), (3, 2, 3), (2, 4, 0)):
-        f = random_form(num_vars, degree, rng)
-        parts = split_leading(f, k)
-        terms = {}
-        for nu, g in parts.items():
-            assert len(nu) == k and g.num_vars == num_vars - k
-            assert g.degree == degree - sum(nu) and not g.is_zero
-            for expo, coeff in g.terms.items():
-                terms[nu + expo] = coeff
-        assert terms == f.terms
 
 
 def test_average_fixes_zero_and_constant_forms():
