@@ -1,116 +1,17 @@
 """Exact arithmetic for weighted frames of isometric embeddings of the
 Euclidean space over R, C or H into l_p, including the invariant polynomial
 space Phi_K(m,p), dependence-based reduction and diagonal-scaling reduction.
+
+The package root re-exports the public names (`__all__`) of `forms`,
+`frames`, `kscalar` and `phi`.
 """
 
-from .forms import (
-    RealForm,
-    abs_inner_sq_form,
-    evaluate,
-    form_inner,
-    frame_form,
-    monomials,
-    norm_power_form,
-    sphere_moment,
-)
-from .frames import (
-    BudgetExhaustedError,
-    CertificateError,
-    DependenceCertificate,
-    DependentFormsError,
-    FrameError,
-    FrameParseError,
-    ScalingExpansionError,
-    ScalingForms,
-    UnverifiedFrameError,
-    VerifyResult,
-    WeightedFrame,
-    catalog,
-    dependence,
-    generic_rotation,
-    load_frame,
-    parse_frame,
-    reduce_once,
-    reduce_to_independent,
-    save_frame,
-    scaling_coefficients,
-    scaling_reduce,
-    serialize_frame,
-    to_unweighted,
-    verify,
-)
-from .kscalar import (
-    Field,
-    KElement,
-    KVector,
-    cayley_point,
-    inner_product,
-    k_conj,
-    k_mul,
-    k_norm_sq,
-    rational_unit_scalars,
-)
-from .phi import (
-    DualBasis,
-    PhiBasis,
-    SingularGramError,
-    dim_phi,
-    dual_basis,
-    phi_basis,
-    unit_group_average,
-    upper_bound,
-)
+from . import forms, frames, kscalar, phi
+from .forms import *  # noqa: F401,F403
+from .frames import *  # noqa: F401,F403
+from .kscalar import *  # noqa: F401,F403
+from .phi import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExhaustedError",
-    "CertificateError",
-    "DependenceCertificate",
-    "DependentFormsError",
-    "DualBasis",
-    "Field",
-    "FrameError",
-    "FrameParseError",
-    "KElement",
-    "KVector",
-    "PhiBasis",
-    "RealForm",
-    "ScalingExpansionError",
-    "ScalingForms",
-    "SingularGramError",
-    "UnverifiedFrameError",
-    "VerifyResult",
-    "WeightedFrame",
-    "abs_inner_sq_form",
-    "catalog",
-    "cayley_point",
-    "dependence",
-    "dim_phi",
-    "dual_basis",
-    "evaluate",
-    "form_inner",
-    "frame_form",
-    "generic_rotation",
-    "inner_product",
-    "k_conj",
-    "k_mul",
-    "k_norm_sq",
-    "load_frame",
-    "monomials",
-    "norm_power_form",
-    "parse_frame",
-    "phi_basis",
-    "rational_unit_scalars",
-    "reduce_once",
-    "reduce_to_independent",
-    "save_frame",
-    "scaling_coefficients",
-    "scaling_reduce",
-    "serialize_frame",
-    "sphere_moment",
-    "to_unweighted",
-    "unit_group_average",
-    "upper_bound",
-    "verify",
-]
+__all__ = sorted({*forms.__all__, *frames.__all__, *kscalar.__all__, *phi.__all__})

@@ -164,7 +164,8 @@ _FLAGS = {
 
 
 def _add_command(sub, name: str, run, summary: str, flags: Sequence[str]):
-    command = sub.add_parser(name, help=summary)
+    # Flags match by full name only, so an abbreviation is a usage error.
+    command = sub.add_parser(name, help=summary, allow_abbrev=False)
     for flag in flags:
         command.add_argument(flag, **_FLAGS[flag])
     command.set_defaults(run=run)

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Dict, Sequence, Tuple
 
-from .kscalar import Field, KElement, KVector, Scalar, k_conj, k_mul
+from .kscalar import Field, KVector, Scalar, basis_product
 
 Exponent = Tuple[int, ...]
 
@@ -257,16 +257,17 @@ def abs_inner_sq_form(u: KVector) -> RealForm:
     d = fld.real_dimension
     n_vars = d * u.m
     # Component t of <u,x> is a linear form: sum over entries i and basis
-    # units c of [conj(u_i) e_c]_t * x_{i,c}.
+    # units c of [conj(u_i) e_c]_t * x_{i,c}.  With e_s e_c = sign * e_t,
+    # component t of conj(u_i) e_c is sign * conj(u_i)_s.
     linear: list[Dict[Exponent, Scalar]] = [dict() for _ in range(d)]
     for i, entry in enumerate(u.entries):
-        ubar = k_conj(entry)
+        ubar = (entry.components[0],) + tuple(-a for a in entry.components[1:])
         for c in range(d):
-            prod = k_mul(ubar, KElement.unit(fld, c))
             expo = [0] * n_vars
             expo[i * d + c] = 1
-            for t in range(d):
-                linear[t][tuple(expo)] = prod.components[t]
+            for s in range(d):
+                t, sign = basis_product(fld, s, c)
+                linear[t][tuple(expo)] = sign * ubar[s]
     squares = [lin * lin for lin in (RealForm(n_vars, 1, terms) for terms in linear)]
     return linear_combination((1,) * d, squares)
 

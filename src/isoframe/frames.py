@@ -295,8 +295,6 @@ class ScalingForms:
     identically, so a_k(1,...,1) = w_k.
     """
 
-    m: int
-    p: int
     coefficients: Tuple[RealForm, ...]
 
     def evaluate(self, lam: Sequence[Scalar]) -> List[Scalar]:
@@ -345,10 +343,11 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
         for k, c in cert.items():
             terms[k][nu] = c
     coefficients = [RealForm(m, half, t) for t in terms]
-    return ScalingForms(m=m, p=p, coefficients=tuple(coefficients))
+    return ScalingForms(coefficients=tuple(coefficients))
 
 
 MAX_GRID_NODES = 100_000  # cap on comb(grid, m - 1), the simplex nodes scaling_reduce evaluates
+BISECTION_BUDGET = 200  # cap on the bisection steps of scaling_reduce
 
 
 def _simplex_nodes(m: int, per_axis: int) -> List[Tuple[Fraction, ...]]:
@@ -367,7 +366,6 @@ def scaling_reduce(
     frame: WeightedFrame,
     grid: Optional[int] = None,
     tolerance: float = 1e-9,
-    budget: int = 200,
 ) -> Optional[WeightedFrame]:
     """Diagonal-scaling reduction: drop a vector where the smallest a_k vanishes.
 
@@ -375,18 +373,17 @@ def scaling_reduce(
     open cone are determined on the simplex) for gamma with
     a_hat(gamma) = min_k a_k(gamma) < 0, refining between nodes of opposite
     sign.  If found, bisects from (1,...,1) toward gamma until
-    0 <= a_hat(mu) <= tolerance, every step exact over Q; `budget` caps the
-    bisection iterations, exhaustion raises BudgetExhaustedError.  Returns the
-    frame with vectors diag(mu_i^{1/2})^{-1} u_k and weights a_k(mu), dropping
-    every k with a_k(mu) <= tolerance; the result is rebuilt exactly when all
-    mu_i are squares of rationals and in floating point otherwise, and
-    re-verified either way.  Returns None when the sampled cone shows no
-    negative a_hat: no reduction found (which certifies nothing).
+    0 <= a_hat(mu) <= tolerance, every step exact over Q; BISECTION_BUDGET
+    caps the bisection steps, and exhaustion raises BudgetExhaustedError.
+    Returns the frame with vectors diag(mu_i^{1/2})^{-1} u_k and weights
+    a_k(mu), dropping every k with a_k(mu) <= tolerance; the result is rebuilt
+    exactly when all mu_i are squares of rationals and in floating point
+    otherwise, and re-verified either way.  Returns None when the sampled
+    cone shows no negative a_hat: no reduction found (which certifies
+    nothing).
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     tol = Fraction(tolerance)
     sf = scaling_coefficients(frame)
     m = frame.m
@@ -427,9 +424,9 @@ def scaling_reduce(
                            "verified frame; this indicates a defect")
     spent = 0
     while value > tol:
-        if spent >= budget:
+        if spent >= BISECTION_BUDGET:
             raise BudgetExhaustedError(
-                f"bisection budget {budget} exhausted at a_hat = {float(value):.3e} "
+                f"bisection budget {BISECTION_BUDGET} exhausted at a_hat = {float(value):.3e} "
                 f"(tolerance {float(tol):.3e})")
         mid = tuple((a + b) / 2 for a, b in zip(mu, hi))
         mid_value = sf.a_hat(mid)

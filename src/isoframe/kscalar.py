@@ -104,13 +104,6 @@ class KElement:
     def one(cls, field: Field) -> "KElement":
         return cls.from_real(field, 1)
 
-    @classmethod
-    def unit(cls, field: Field, c: int) -> "KElement":
-        """The basis unit e_c (e_0 = 1, e_1 = i, ...)."""
-        comps = [Fraction(0)] * field.real_dimension
-        comps[c] = Fraction(1)
-        return cls(field, tuple(comps))
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.components)

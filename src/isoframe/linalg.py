@@ -50,10 +50,6 @@ class RowReducer:
     def rank(self) -> int:
         return len(self._pivots)
 
-    @property
-    def num_added(self) -> int:
-        return self._num_added
-
     def add_row(self, row: Row) -> Optional[Dict[int, Fraction]]:
         """Add a row; return None if independent, else its certificate.
 

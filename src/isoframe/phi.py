@@ -141,7 +141,7 @@ class PhiBasis:
 
     `labels[i]` is the exponent vector of the monomial whose average is
     `basis[i]`; monomials are scanned in graded-lex order, so the basis choice
-    is deterministic.  Gram data is computed on first use and cached.
+    is deterministic.  The duals are computed on first use and cached.
     """
 
     field: Field
@@ -155,20 +155,8 @@ class PhiBasis:
         return len(self.basis)
 
     @cached_property
-    def _dual(self) -> DualBasis:
-        return dual_basis(self.basis)
-
-    @property
-    def gram(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        return self._dual.gram
-
-    @property
-    def gram_inverse(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        return self._dual.gram_inverse
-
-    @property
     def duals(self) -> Tuple[RealForm, ...]:
-        return self._dual.duals
+        return dual_basis(self.basis).duals
 
 
 @lru_cache(maxsize=None)

@@ -138,6 +138,17 @@ def test_dim_command(capsys):
     assert "dim: 1" in out and "refused" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("R", "0", "4"), "m must be >= 1, got 0"),
+    (("R", "2", "3"), "p must be a positive even integer, got 3"),
+    (("C", "2", "-2"), "p must be a positive even integer, got -2"),
+])
+def test_dim_bad_arguments(capsys, argv, message):
+    code, out, err = run(capsys, "dim", *argv)
+    assert code == EXIT_MALFORMED
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_reduce_writes_steps_and_file(capsys, tmp_path, synthetic_frame):
     doubled = WeightedFrame(
         Field.R, 2, 4,
@@ -266,6 +277,12 @@ def test_flag_validation(capsys, catalog_path):
     assert run(capsys, "scale-reduce", catalog_path, "--mode", "exact")[0] == EXIT_MALFORMED
     assert run(capsys, "catalog", "R", "2", "4", "real2-rational-p4",
                "--tolerance", "1e-3")[0] == EXIT_MALFORMED
+    # flags match by full name only: an abbreviation is a usage error
+    assert run(capsys, "dim", "R", "2", "4", "--out", "json")[0] == EXIT_MALFORMED
+    assert run(capsys, "verify", catalog_path, "--out", "text")[0] == EXIT_MALFORMED
+    assert run(capsys, "verify", catalog_path, "--tol", "1e-3")[0] == EXIT_MALFORMED
+    assert run(capsys, "scale-reduce", catalog_path, "--gr", "3")[0] == EXIT_MALFORMED
+    assert run(capsys, "verify", catalog_path, "--tolerance=1e-3")[0] == EXIT_PASS
 
 
 def test_reduce_refuses_float_frame(capsys, tmp_path):

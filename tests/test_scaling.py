@@ -57,7 +57,6 @@ def test_synthetic_weights_solve_exactly(synthetic_frame):
 def test_scaling_coefficients_catalog_closed_form():
     f = catalog(Field.R, 2, 4, "real2-rational-p4")
     sf = scaling_coefficients(f)
-    assert sf.m == 2 and sf.p == 4
     lam1 = RealForm.variable(2, 0)
     lam2 = RealForm.variable(2, 1)
     cross = lam1 * lam2
@@ -225,8 +224,6 @@ def test_scaling_reduce_budget_exhaustion(synthetic_frame):
     # grid=3 sees a_hat = -1/8 at (1/2, 3/2); tolerance far below reach
     with pytest.raises(BudgetExhaustedError):
         scaling_reduce(synthetic_frame, grid=3, tolerance=1e-300)
-    with pytest.raises(BudgetExhaustedError):
-        scaling_reduce(synthetic_frame, budget=1)
 
 
 def test_scaling_reduce_loose_tolerance_drops_small_weights(synthetic_frame):
@@ -243,8 +240,6 @@ def test_scaling_reduce_parameter_validation(synthetic_frame):
         scaling_reduce(synthetic_frame, tolerance=0.0)
     with pytest.raises(ValueError):
         scaling_reduce(synthetic_frame, tolerance=-1e-9)
-    with pytest.raises(ValueError):
-        scaling_reduce(synthetic_frame, budget=0)
     with pytest.raises(ValueError):
         scaling_reduce(synthetic_frame, grid=0)
     # the grid needs m - 1 cuts, and at most MAX_GRID_NODES nodes
