@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -48,8 +47,7 @@ from .kscalar import (
     KElement,
     KVector,
     Scalar,
-    cayley_point,
-    inner_product,
+    _coerce,
     scalar_from_str,
     scalar_to_str,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "WeightedFrame",
     "catalog",
     "dependence",
-    "generic_rotation",
     "load_frame",
     "parse_frame",
     "reduce_once",
@@ -124,7 +121,7 @@ class WeightedFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", tuple(self.vectors))
-        object.__setattr__(self, "weights", tuple(self.weights))
+        object.__setattr__(self, "weights", tuple(_coerce(w) for w in self.weights))
         if self.m < 1:
             raise FrameError(f"m must be >= 1, got {self.m}")
         if self.p < 2 or self.p % 2:
@@ -480,53 +477,6 @@ def scaling_reduce(
             raise RuntimeError("scaling reduction failed floating-point re-verification; "
                                "this indicates a defect")
     return reduced
-
-
-def generic_rotation(frame: WeightedFrame, seed: int = 0) -> Tuple[WeightedFrame, KVector]:
-    """Rotate so every vector has nonzero first inner-product coordinate.
-
-    Finds a rational unit vector e with <u_k, e> != 0 for all k; each failure
-    lies on one of n hyperplanes, so random samples succeed generically.  The
-    frame is mapped through the reflection H exchanging e_1 and e (H is
-    K-unitary and self-inverse; e is built with a real first component so H
-    stays rational).  Returns (H u_k with original weights, e).
-    """
-    d = frame.field.real_dimension
-    n_real = d * frame.m
-
-    def clears(e: KVector) -> bool:
-        return all(not inner_product(u, e).is_zero for u in frame.vectors)
-
-    e1 = KVector.canonical(frame.field, frame.m, 0)
-    if clears(e1):
-        return frame, e1
-
-    rng = random.Random(seed)
-    bound = 4
-    e = None
-    for _ in range(64):
-        # Cayley parameters: first d-1 zeros keep the first component of e
-        # real, which makes the reflection below exact.
-        params = [Fraction(0)] * (d - 1) + [
-            Fraction(rng.randint(-bound, bound)) for _ in range(n_real - d)]
-        coords = cayley_point(params)
-        candidate = KVector(frame.field, tuple(
-            KElement(frame.field, coords[i * d:(i + 1) * d]) for i in range(frame.m)))
-        if clears(candidate):
-            e = candidate
-            break
-        bound *= 2
-    if e is None:
-        raise RuntimeError("no generic direction found; the frame is degenerate")
-
-    # H x = x - v (2 <v,x> / <v,v>) with v = e_1 - e; H e_1 = e because the
-    # first component of e is real.
-    v = e1 - e
-    scale = 2 / v.norm_sq()
-    vectors = [u - v.scale_right(inner_product(v, u).scale(scale))
-               for u in frame.vectors]
-    rotated = WeightedFrame(frame.field, frame.m, frame.p, tuple(vectors), frame.weights)
-    return rotated, e
 
 
 def catalog(field: Field, m: int, p: int, kind: str) -> WeightedFrame:

@@ -84,7 +84,7 @@ class KElement:
     components: tuple[Scalar, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "components", tuple(_coerce(c) for c in self.components))
         if len(self.components) != self.field.real_dimension:
             raise ValueError(
                 f"{self.field.name} element needs {self.field.real_dimension} "
@@ -93,8 +93,7 @@ class KElement:
 
     @classmethod
     def from_real(cls, field: Field, value) -> "KElement":
-        comps = [_coerce(value)] + [Fraction(0)] * (field.real_dimension - 1)
-        return cls(field, tuple(comps))
+        return cls(field, (value,) + (0,) * (field.real_dimension - 1))
 
     @classmethod
     def zero(cls, field: Field) -> "KElement":
@@ -129,7 +128,9 @@ class KElement:
 
 
 def _coerce(value) -> Scalar:
-    if isinstance(value, float):
+    # Fractions and floats pass unchanged; anything else (an int, a string)
+    # becomes a Fraction, so an int input counts as exact.
+    if isinstance(value, (Fraction, float)):
         return value
     return Fraction(value)
 

@@ -95,7 +95,7 @@ def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
     return linear_combination(list(phi.terms.values()), averages)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualBasis:
     """Forms theta_k with <<b_j, theta_k>> = delta_{jk} exactly."""
 
@@ -135,7 +135,7 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhiBasis:
     """Basis of Phi_K(m,p): independent unit-group averages of monomials.
 

@@ -226,6 +226,11 @@ def test_scale_reduce_budget_exit(capsys, synthetic_path):
     assert code == EXIT_BUDGET
     assert out == ""
     assert "budget" in err
+    # at the other end, a tolerance at or above every weight keeps no vector
+    code, out, err = run(capsys, "scale-reduce", synthetic_path, "--tolerance", "1")
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == "error: all scaling coefficients vanished; frame is degenerate\n"
 
 
 def test_catalog_stdout_round_trip(capsys):

@@ -88,6 +88,10 @@ def test_form_constructors_and_zero():
 def test_form_rejects_inhomogeneous_terms():
     with pytest.raises(ValueError):
         RealForm(2, 3, {(1, 1): Fraction(1)})
+    with pytest.raises(ValueError, match="entries"):
+        RealForm(2, 2, {(1, 1, 0): Fraction(1)})
+    with pytest.raises(ValueError, match="negative"):
+        RealForm.variable(2, 0) ** -1
 
 
 def test_form_mixed_arity_rejected():
@@ -95,6 +99,14 @@ def test_form_mixed_arity_rejected():
     x3 = RealForm.variable(3, 0)
     with pytest.raises(ValueError):
         x2 + x3
+    with pytest.raises(ValueError, match="variable count"):
+        form_inner(x2, x3)
+    with pytest.raises(ValueError, match="coordinates"):
+        x2.evaluate((Fraction(1),) * 3)
+    with pytest.raises(ValueError, match="does not match"):
+        sphere_moment((2, 0), 3)
+    with pytest.raises(ValueError, match="sphere dimension"):
+        sphere_moment((), 0)
 
 
 def test_pow_matches_repeated_multiplication():
@@ -272,6 +284,12 @@ def test_abs_inner_sq_form_rejects_zero_vector():
     zero = KVector.from_reals(Field.R, [Fraction(0), Fraction(0)])
     with pytest.raises(ValueError):
         abs_inner_sq_form(zero)
+    u = KVector.from_reals(Field.R, [Fraction(1), Fraction(0)])
+    for p in (3, 0):
+        with pytest.raises(ValueError, match="even"):
+            frame_form(u, p)
+        with pytest.raises(ValueError, match="even"):
+            norm_power_form(Field.R, 2, p)
 
 
 def test_frame_form_power():

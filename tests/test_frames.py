@@ -17,7 +17,6 @@ from isoframe.frames import (
     WeightedFrame,
     catalog,
     dependence,
-    generic_rotation,
     load_frame,
     parse_frame,
     reduce_once,
@@ -31,7 +30,6 @@ from isoframe.kscalar import (
     Field,
     KElement,
     KVector,
-    inner_product,
     rational_unit_scalars,
 )
 from isoframe.linalg import RowReducer
@@ -77,6 +75,8 @@ def test_frame_validation_errors():
         WeightedFrame(Field.R, 3, 4, (v,), (Fraction(1),))
     with pytest.raises(FrameError):
         WeightedFrame(Field.C, 2, 4, (v,), (Fraction(1),))
+    with pytest.raises(FrameError, match="m must be"):
+        WeightedFrame(Field.R, 0, 4, (v,), (Fraction(1),))
 
 
 def test_frame_basic_properties():
@@ -85,6 +85,18 @@ def test_frame_basic_properties():
     assert f.is_exact
     forms = f.forms
     assert len(forms) == 4 and all(g.degree == 4 for g in forms)
+    # int entries and weights are stored as Fractions: the frame is exact
+    ints = WeightedFrame(Field.R, 2, 2, (KVector.from_reals(Field.R, [1, 0]),
+                                         KVector.from_reals(Field.R, [0, 1])), (1, 1))
+    assert verify(ints).passed
+    assert ints.is_exact
+    assert all(type(w) is Fraction for w in ints.weights)
+    assert dependence(ints) is None
+    assert to_unweighted(ints, mode="exact") == ints
+    text = serialize_frame(ints)
+    assert json.loads(text)["weights"] == ["1", "1"]
+    back = parse_frame(text)
+    assert back == ints and back.is_exact
 
 
 # verification
@@ -362,38 +374,6 @@ def test_catalog_rejects_bad_parameters():
         catalog(Field.R, 2, 4, "no-such-kind")
 
 
-# generic rotation
-
-def test_generic_rotation_short_circuits():
-    f = WeightedFrame(Field.R, 2, 2, (rvec(1, 1), rvec(1, -1)),
-                      (Fraction(1, 2), Fraction(1, 2)))
-    assert verify(f).passed
-    rot, e = generic_rotation(f)
-    assert rot == f
-    assert e == KVector.canonical(Field.R, 2, 0)
-
-
-@pytest.mark.parametrize("field", (Field.R, Field.C, Field.H))
-def test_generic_rotation_properties(field):
-    f = catalog(field, 2, 2, "orthonormal-p2")
-    rot, e = generic_rotation(f, seed=9)
-    assert e.norm_sq() == 1
-    assert rot.is_exact
-    assert verify(rot).passed
-    assert all(not v.entries[0].is_zero for v in rot.vectors)
-    for i in range(f.n):
-        for j in range(f.n):
-            assert inner_product(rot.vectors[i], rot.vectors[j]) == \
-                inner_product(f.vectors[i], f.vectors[j])
-
-
-def test_generic_rotation_deterministic_in_seed():
-    f = catalog(Field.R, 2, 4, "real2-rational-p4")
-    rot1, e1 = generic_rotation(f, seed=4)
-    rot2, e2 = generic_rotation(f, seed=4)
-    assert rot1 == rot2 and e1 == e2
-
-
 # unweighted form
 
 def test_to_unweighted_float():
@@ -408,6 +388,10 @@ def test_to_unweighted_exact_requires_pth_powers():
     f = catalog(Field.R, 2, 4, "real2-rational-p4")
     with pytest.raises(FrameError, match="float"):
         to_unweighted(f, mode="exact")
+    # a float weight has no exact root, even when it is a perfect power
+    g = WeightedFrame(Field.R, 2, 4, f.vectors, (1.0,) + f.weights[1:])
+    with pytest.raises(FrameError, match="not rational"):
+        to_unweighted(g, mode="exact")
 
 
 def test_to_unweighted_exact_on_unit_weights():

@@ -57,6 +57,9 @@ def test_basis_product_hamilton_table():
     for c in range(1, 4):
         assert basis_product(Field.H, c, c) == (0, -1)
     assert basis_product(Field.C, 1, 1) == (0, -1)
+    for c, s in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            basis_product(Field.C, c, s)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -106,11 +109,32 @@ def test_element_arithmetic_and_scale():
     assert a.scale(Fraction(1, 2)) == KElement(Field.C, (Fraction(1, 2), Fraction(1)))
     with pytest.raises(ValueError):
         a + KElement.one(Field.R)
+    # int components are stored as Fractions, so the element is exact;
+    # float components stay floats
+    c = KElement(Field.C, (1, 0))
+    assert c.is_exact and all(type(x) is Fraction for x in c.components)
+    assert c == KElement.one(Field.C)
+    assert KElement(Field.C, (0.5, 0)).components == (0.5, Fraction(0))
+    x = KVector.from_reals(Field.C, [Fraction(1), Fraction(2)])
+    with pytest.raises(ValueError, match="field mismatch"):
+        inner_product(x, KVector.from_reals(Field.R, [Fraction(1), Fraction(2)]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        inner_product(x, KVector.from_reals(Field.C, [Fraction(1)]))
 
 
 def test_element_component_count_enforced():
     with pytest.raises(ValueError):
         KElement(Field.H, (Fraction(1), Fraction(0)))
+    with pytest.raises(ValueError, match="at least one entry"):
+        KVector(Field.R, ())
+    with pytest.raises(ValueError, match="does not match"):
+        KVector(Field.C, (KElement.one(Field.C), KElement.one(Field.R)))
+    v2 = KVector.canonical(Field.C, 2, 0)
+    for other in (KVector.canonical(Field.C, 3, 0), KVector.canonical(Field.R, 2, 0)):
+        with pytest.raises(ValueError, match="mismatch"):
+            v2 + other
+        with pytest.raises(ValueError, match="mismatch"):
+            v2 - other
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -178,6 +202,8 @@ def test_rational_unit_scalars(field):
     # deterministic in the seed
     assert rational_unit_scalars(field, 30, seed=5) == scalars
     assert rational_unit_scalars(field, 30, seed=6) != scalars
+    with pytest.raises(ValueError, match="count"):
+        rational_unit_scalars(field, 0)
 
 
 def test_scalar_string_round_trip_exact():

@@ -102,4 +102,7 @@ def test_matrix_inverse_round_trip():
 def test_matrix_inverse_singular_raises():
     with pytest.raises(SingularMatrixError):
         matrix_inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+    for matrix in ([[Fraction(1), Fraction(2)]], [[Fraction(1)], [Fraction(2)]]):
+        with pytest.raises(ValueError, match="not square"):
+            matrix_inverse(matrix)
 

@@ -1,5 +1,6 @@
 """Unit-group averaging, invariant dimensions, and dual bases."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -83,6 +84,9 @@ def test_average_complex_square():
     avg = unit_group_average(f, Field.C, 1)
     expected = (RealForm.monomial(2, (2, 0)) + RealForm.monomial(2, (0, 2))).scale(Fraction(1, 2))
     assert avg == expected
+    # the form must live in the 2m real coordinates of C^m
+    with pytest.raises(ValueError, match="variables"):
+        unit_group_average(f, Field.C, 2)
 
 
 def test_average_linear():
@@ -121,6 +125,13 @@ def test_phi_basis_contents():
     # the invariant space over R at m=2, p=4 is every quartic
     assert dim_phi(Field.R, 2, 4) == len(monomials(2, 4))
     assert any(form_inner(norm_sq, f) != 0 for f in basis.basis)
+    # phi_basis is cached and shared by every caller, so it cannot be edited
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.basis = basis.basis[:2]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dual_basis(basis.basis).duals = ()
+    assert dim_phi(Field.R, 2, 4) == 5
+    assert upper_bound(Field.R, 2, 4) == 4
 
 
 # phi_basis labels recorded with the earlier dense-row elimination, each
@@ -209,6 +220,12 @@ def test_dual_basis_rejects_dependent_forms():
     f = RealForm.monomial(2, (4, 0))
     with pytest.raises(SingularGramError):
         dual_basis([f, f])
+    with pytest.raises(ValueError, match="empty"):
+        dual_basis([])
+    with pytest.raises(ValueError, match="equal degree"):
+        dual_basis([f, RealForm.monomial(2, (2, 0))])
+    with pytest.raises(ValueError, match="equal degree"):
+        dual_basis([f, RealForm.monomial(3, (4, 0, 0))])
 
 
 def test_dual_basis_free_functions():

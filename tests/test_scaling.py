@@ -247,6 +247,9 @@ def test_scaling_reduce_parameter_validation(synthetic_frame):
         scaling_reduce(catalog(Field.R, 7, 2, "orthonormal-p2"), grid=5)
     with pytest.raises(ValueError, match="nodes"):
         scaling_reduce(synthetic_frame, grid=100_001)
+    # a tolerance at or above every weight drops every vector at once
+    with pytest.raises(FrameError, match="vanished"):
+        scaling_reduce(synthetic_frame, tolerance=1)
 
 
 def test_scaling_reduce_nonfinite_bound():
