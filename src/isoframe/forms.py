@@ -18,7 +18,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Dict, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .kscalar import Field, KVector, Scalar, basis_product
 
@@ -59,12 +60,13 @@ def monomials(num_vars: int, degree: int) -> list[Exponent]:
 class RealForm:
     """Homogeneous polynomial in N real variables with rational coefficients.
 
-    Instances are treated as immutable; no method mutates `terms`.
+    `terms` is a read-only view of a private copy, so a form shared by
+    frames and caches cannot be changed through it.
     """
 
     num_vars: int
     degree: int
-    terms: Dict[Exponent, Scalar] = dc_field(default_factory=dict)
+    terms: Mapping[Exponent, Scalar] = dc_field(default_factory=dict)
 
     def __post_init__(self):
         clean = {}
@@ -76,7 +78,7 @@ class RealForm:
                 raise ValueError(f"exponent {expo} has degree {sum(expo)}, expected {self.degree}")
             if coeff != 0:
                 clean[expo] = coeff
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     @classmethod
     def zero(cls, num_vars: int, degree: int) -> "RealForm":

@@ -3,7 +3,7 @@ how each reduced row combines the original input rows, and the matrix inverse
 read off its dependence certificates.
 
 A row is a sparse mapping from column key to coefficient; absent keys are
-zero.  A form's `terms` dict is a row as it stands, keyed by monomial, and
+zero.  A form's `terms` mapping is a row as it stands, keyed by monomial, and
 `matrix_inverse` keys its rows by column index.  Each pivot sits at the
 first key of its reduced row.  A dependence certificate has the same sparse
 shape, keyed by the index of an earlier row.

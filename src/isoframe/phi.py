@@ -9,6 +9,7 @@ x and alpha, and the alpha-monomials integrate to rational sphere moments.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,18 +160,23 @@ class PhiBasis:
         return dual_basis(self.basis).duals
 
 
+def _check_arguments(m: int, p: int) -> None:
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if p < 2 or p % 2:
+        raise ValueError(f"p must be a positive even integer, got {p}")
+
+
 @lru_cache(maxsize=None)
 def phi_basis(field: Field, m: int, p: int) -> PhiBasis:
     """Compute a deterministic basis of Phi_K(m,p).
 
     Every degree-p monomial in the N real coordinates is averaged; a maximal
     independent subset of the averages is extracted by exact elimination,
-    keeping the earliest generating monomials in graded-lex order.
+    keeping the earliest generating monomials in graded-lex order.  A rank
+    other than `dim_phi` raises RuntimeError.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if p < 2 or p % 2:
-        raise ValueError(f"p must be a positive even integer, got {p}")
+    _check_arguments(m, p)
     d = field.real_dimension
     table = _substitution_table(field, m)
     reducer = RowReducer()
@@ -183,12 +189,32 @@ def phi_basis(field: Field, m: int, p: int) -> PhiBasis:
         if reducer.add_row(averaged.terms) is None:
             basis.append(averaged)
             labels.append(beta)
+    dim = dim_phi(field, m, p)
+    if len(basis) != dim:
+        raise RuntimeError(
+            f"averaged monomials have rank {len(basis)} but dim Phi = {dim}; "
+            "this contradicts the closed form and indicates a defect")
     return PhiBasis(field=field, m=m, p=p, basis=tuple(basis), labels=tuple(labels))
 
 
 def dim_phi(field: Field, m: int, p: int) -> int:
-    """dim Phi_K(m,p), by exact rank of the averaged monomial family."""
-    return phi_basis(field, m, p).dimension
+    """dim Phi_K(m,p) in closed form; no basis is built.
+
+    With k = p/2 the invariants are counted by the first fundamental theorem
+    for the unit group (Weyl, The Classical Groups):
+        R: C(m+p-1, p), every degree-p form;
+        C: C(m+k-1, k)^2, the forms of bidegree (k, k) in z and conj(z);
+        H: C(2m+k-1, k) C(2m+k-2, k) / (k+1), the hook-content count of
+           the GL(2m) representation of shape (k, k) that the degree-p
+           invariants of Sp(1) = SU(2) on 2m copies of C^2 form.
+    """
+    _check_arguments(m, p)
+    k = p // 2
+    if field is Field.R:
+        return math.comb(m + p - 1, p)
+    if field is Field.C:
+        return math.comb(m + k - 1, k) ** 2
+    return math.comb(2 * m + k - 1, k) * math.comb(2 * m + k - 2, k) // (k + 1)
 
 
 def upper_bound(field: Field, m: int, p: int) -> int:

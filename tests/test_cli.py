@@ -299,15 +299,26 @@ def test_reduce_refuses_float_frame(capsys, tmp_path):
     assert err == "reduce requires exact rational entries\n"
 
 
-def test_module_main_runs_in_subprocess():
+def run_module(*argv, timeout):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "isoframe.cli", "dim", "C", "2", "4", "--output", "json"],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "isoframe.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_module_main_runs_in_subprocess():
+    proc = run_module("dim", "C", "2", "4", "--output", "json", timeout=120)
     assert proc.returncode == EXIT_PASS
     assert json.loads(proc.stdout)["dim"] == 9
+
+
+def test_dim_never_hangs():
+    # 80 real variables at degree 40: far beyond any basis, but counted at once
+    proc = run_module("dim", "H", "40", "40", "--output", "json", timeout=20)
+    assert proc.returncode == EXIT_PASS
+    payload = json.loads(proc.stdout)
+    assert payload["dim"] > 0 and payload["bound"] == payload["dim"] - 1
 
 
 # The last digits of these float reports depend on the order in which the

@@ -33,7 +33,7 @@ from isoframe.kscalar import (
     rational_unit_scalars,
 )
 from isoframe.linalg import RowReducer
-from isoframe.phi import dim_phi
+from isoframe.phi import dim_phi, phi_basis
 
 
 def rvec(*coords):
@@ -106,6 +106,23 @@ def test_catalog_p4_verifies_exactly():
     assert result.passed
     assert result.residual.is_zero
     assert result.max_residual == 0.0
+
+
+def test_shared_forms_are_read_only():
+    # a frame's forms and the cached phi basis are shared by every reader,
+    # so none of them may change a verdict or a basis after the fact
+    frame = catalog(Field.R, 2, 4, "real2-rational-p4")
+    basis_form = phi_basis(Field.R, 2, 4).basis[0]
+    basis_terms = dict(basis_form.terms)
+    for form in (frame.forms[0], basis_form):
+        before = dict(form.terms)
+        with pytest.raises(AttributeError):
+            form.terms.clear()
+        with pytest.raises(TypeError):
+            form.terms[next(iter(before))] = Fraction(0)
+        assert form.terms == before
+    assert verify(frame).passed
+    assert phi_basis(Field.R, 2, 4).basis[0].terms == basis_terms
 
 
 def test_orthonormal_verifies_for_all_fields():

@@ -1,13 +1,17 @@
 """Unit-group averaging, invariant dimensions, and dual bases."""
 
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from isoframe import phi
+from isoframe.cli import EXIT_PASS, entry
 from isoframe.forms import RealForm, form_inner, monomials, norm_power_form
+from isoframe.frames import WeightedFrame, save_frame
 from isoframe.kscalar import Field, KElement, KVector, rational_unit_scalars
 from isoframe.phi import (
     SingularGramError,
@@ -22,16 +26,26 @@ FIELDS = (Field.R, Field.C, Field.H)
 
 
 def dim_oracle(field, m, p):
-    """Closed forms: all real forms for R (p even); bidegree (p/2, p/2)
-    count for C; m = 1 collapses to the norm power for every K."""
+    """Independent counts: all real forms for R (p even); bidegree
+    (p/2, p/2) count for C; for H the hook-content formula for the GL(2m)
+    representation of shape (p/2, p/2); m = 1 collapses to the norm power
+    for every K."""
     if m == 1:
         return 1
     n = m * field.real_dimension
     if field is Field.R:
         return math.comb(n + p - 1, p)
+    k = p // 2
     if field is Field.C:
-        return math.comb(m + p // 2 - 1, p // 2) ** 2
-    raise NotImplementedError
+        return math.comb(m + k - 1, k) ** 2
+    # cell (row, col) of the two-row shape has content col - row and hook
+    # length (k - col) + (1 - row)
+    count = Fraction(1)
+    for row in (0, 1):
+        for col in range(k):
+            count *= Fraction(2 * m + col - row, k - col + 1 - row)
+    assert count.denominator == 1
+    return int(count)
 
 
 def gauge_coords(x, s):
@@ -102,9 +116,20 @@ def test_average_linear():
     (Field.C, 2, 2), (Field.C, 2, 4), (Field.C, 3, 2),
     (Field.R, 1, 2), (Field.R, 1, 4), (Field.R, 1, 6),
     (Field.C, 1, 2), (Field.C, 1, 4), (Field.C, 1, 6),
+    (Field.H, 1, 2), (Field.H, 1, 4), (Field.H, 2, 2), (Field.H, 2, 4),
+    (Field.H, 3, 2), (Field.H, 4, 2),
 ])
 def test_dim_matches_closed_form(field, m, p):
-    assert dim_phi(field, m, p) == dim_oracle(field, m, p)
+    # the closed form and the computed basis both answer the oracle
+    expected = dim_oracle(field, m, p)
+    assert dim_phi(field, m, p) == expected
+    assert phi_basis(field, m, p).dimension == expected
+
+
+def test_phi_basis_rank_guard(monkeypatch):
+    monkeypatch.setattr(phi, "dim_phi", lambda field, m, p: 4)
+    with pytest.raises(RuntimeError, match="indicates a defect"):
+        phi_basis.__wrapped__(Field.R, 2, 2)
 
 
 def test_dim_quaternionic_quadratics():
@@ -234,3 +259,43 @@ def test_dual_basis_free_functions():
     db = dual_basis([f, g])
     assert form_inner(f, db.duals[0]) == 1
     assert form_inner(f, db.duals[1]) == 0
+
+
+def design_h2_p4():
+    """(1,0), (0,1), (1,+-1), (1,+-i), (1,+-j), (1,+-k) over H^2 with
+    weights 1/3, 1/3, 1/12 x 8; a projective 2-design."""
+    def quaternion(*comps):
+        return KElement(Field.H, comps + (0,) * (4 - len(comps)))
+
+    vectors = [KVector(Field.H, (quaternion(1), quaternion(0))),
+               KVector(Field.H, (quaternion(0), quaternion(1)))]
+    for unit in range(4):
+        for sign in (1, -1):
+            comps = [0, 0, 0, 0]
+            comps[unit] = sign
+            vectors.append(KVector(Field.H, (quaternion(1), quaternion(*comps))))
+    return WeightedFrame(Field.H, 2, 4, tuple(vectors),
+                         (Fraction(1, 3),) * 2 + (Fraction(1, 12),) * 8)
+
+
+def test_counting_builds_no_basis(capsys, tmp_path):
+    # dim_phi and upper_bound are closed forms, so neither they nor the
+    # `dim` and `verify` commands ever fill the phi_basis cache
+    phi_basis.cache_clear()
+    assert dim_phi(Field.H, 2, 2) == 6
+    assert upper_bound(Field.C, 2, 4) == 8
+    assert phi_basis.cache_info().currsize == 0
+    assert dim_phi(Field.H, 2, 6) == 50
+    assert dim_phi(Field.H, 3, 6) == 490
+    assert upper_bound(Field.H, 3, 4) == 104
+
+    assert entry(["dim", "H", "3", "6", "--output", "json"]) == EXIT_PASS
+    out = capsys.readouterr().out
+    assert '"dim": 490' in out and '"bound": 489' in out
+
+    path = tmp_path / "h2-design-p4.json"
+    save_frame(design_h2_p4(), path)
+    assert entry(["verify", str(path), "--output", "json"]) == EXIT_PASS
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "pass" and payload["dim"] == 20
+    assert phi_basis.cache_info().currsize == 0
