@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -41,13 +42,26 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     if args.output == "json":
         print(json.dumps(report, indent=2, allow_nan=False))
         return
+    lines = []
     for key, value in report.items():
         if key == "steps":
-            for i, step in enumerate(value, start=1):
-                omega = ",".join(step["omega"])
-                print(f"step {i}: pivot={step['pivot']} omega={omega}")
-            continue
-        print(f"{key}: {value}")
+            lines += [f"step {i}: pivot={step['pivot']} omega={','.join(step['omega'])}"
+                      for i, step in enumerate(value, start=1)]
+        else:
+            lines.append(f"{key}: {value}")
+    print("\n".join(lines))
+
+
+def _log10_dim(field: Field, m: int, p: int) -> float:
+    """log10 of dim_phi(field, m, p), summed over the smaller side of each binomial."""
+    def lcomb(a: int, b: int) -> float:
+        b = min(b, a - b)
+        if b > 14_300:  # C(a, b) >= 2^b > 10^4300
+            return math.inf
+        return sum(math.log10(a - i) - math.log10(i + 1) for i in range(b))
+    k = p // 2
+    return {Field.R: lcomb(m + p - 1, p), Field.C: 2 * lcomb(m + k - 1, k),
+            Field.H: lcomb(2 * m + k - 1, k) + lcomb(2 * m + k - 2, k) - math.log10(k + 1)}[field]
 
 
 def _bound_entry(field: Field, m: int, p: int):
@@ -75,6 +89,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_dim(args: argparse.Namespace) -> int:
     field, m, p = Field.from_tag(args.field), args.m, args.p
+    if m >= 1 and p >= 2 and not p % 2 and _log10_dim(field, m, p) >= 4300:
+        raise ValueError(f"dim Phi_{field.name}(m={m}, p={p}) has more digits than Python prints")
     report = {
         "field": field.name,
         "m": m,

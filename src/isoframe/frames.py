@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -48,6 +49,7 @@ from .kscalar import (
     KVector,
     Scalar,
     _coerce,
+    basis_product,
     scalar_from_str,
     scalar_to_str,
 )
@@ -79,6 +81,8 @@ __all__ = [
     "to_unweighted",
     "verify",
 ]
+
+_PROOF_PRIME = (1 << 62) - 57  # the modulus of the proof pass in `dependence`
 
 
 class FrameError(ValueError):
@@ -214,17 +218,57 @@ class DependenceCertificate:
     pivot: int
 
 
+def _proof_points(count: int, num_vars: int) -> List[Tuple[int, ...]]:
+    rng = random.Random(0)
+    return [tuple(rng.randint(-999, 999) for _ in range(num_vars)) for _ in range(count)]
+
+
+def _proof_row(u: KVector, p: int, points) -> List[int]:
+    """|<s u, x>|^p mod _PROOF_PRIME at each point, s the lcm of u's denominators."""
+    d = u.field.real_dimension
+    s = math.lcm(*(c.denominator for e in u.entries for c in e.components))
+    if s % _PROOF_PRIME == 0:
+        return [0] * len(points)  # a zero row proves nothing
+    linear = [[0] * (d * u.m) for _ in range(d)]
+    for i, entry in enumerate(u.entries):
+        for a, comp in enumerate(entry.components):
+            bar = comp.numerator * (s // comp.denominator) * (-1 if a else 1)
+            for c in range(d):
+                t, sign = basis_product(u.field, a, c)
+                linear[t][i * d + c] += sign * bar
+    return [pow(sum(sum(coef * x for coef, x in zip(lin, pt)) ** 2 for lin in linear),
+                p // 2, _PROOF_PRIME) for pt in points]
+
+
 def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     """First linear dependence among the weighted frame forms, or None.
 
-    The unweighted forms `frame.forms`, as rows keyed by monomial, are reduced
-    exactly in frame order.  Positive weights move neither the first
-    dependent row nor its dependency c, unique up to scale, so the
-    certificate is omega_k = c_k / w_k normalized to max_k omega_k = 1
+    A proof pass comes first: if the integers |<s_k u_k, x_j>|^p (s_k the lcm
+    of u_k's denominators, x_j fixed integer points) keep a pivot in every row
+    mod a prime, a minor is nonzero mod the prime, hence over Z: the forms are
+    independent, None.  Otherwise the unweighted `frame.forms`, rows keyed by
+    monomial, are reduced exactly in frame order.  Positive weights move
+    neither the first dependent row nor its dependency c, unique up to scale,
+    so the certificate is omega_k = c_k / w_k normalized to max_k omega_k = 1
     (indices after the dependent row get omega = 0).
     """
     if not frame.is_exact:
         raise FrameError("dependence detection requires exact rational entries")
+    dim = dim_phi(frame.field, frame.m, frame.p)
+    points = _proof_points(min(frame.n, dim) + 4, frame.field.real_dimension * frame.m)
+    pivots: List[Tuple[int, List[int]]] = []
+    for u in frame.vectors:
+        row = _proof_row(u, frame.p, points)
+        for col, prow in pivots:
+            if f := row[col] * pow(prow[col], -1, _PROOF_PRIME) % _PROOF_PRIME:
+                row = [(a - f * b) % _PROOF_PRIME for a, b in zip(row, prow)]
+        if not any(row):
+            break
+        pivots.append((next(j for j, v in enumerate(row) if v), row))
+    else:
+        if len(pivots) > dim:
+            raise RuntimeError(f"{len(pivots)} independent forms exceed dim Phi = {dim}: a defect")
+        return None
     reducer = RowReducer()
     for k, form in enumerate(frame.forms):
         cert = reducer.add_row(form.terms)

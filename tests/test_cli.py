@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, reports, determinism, file round trips."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from isoframe import cli
 from isoframe.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_MALFORMED, EXIT_PASS, entry
 from isoframe.frames import (
     WeightedFrame,
@@ -319,6 +321,35 @@ def test_dim_never_hangs():
     assert proc.returncode == EXIT_PASS
     payload = json.loads(proc.stdout)
     assert payload["dim"] > 0 and payload["bound"] == payload["dim"] - 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("R", "300000", "300000", "--output", "json"),
+    ("R", "2000000", "2000000"),
+    # this one used to print its field, m and p lines before failing
+    ("R", "100000", "100000"),
+])
+def test_dim_too_long_to_print_exits_at_once(argv):
+    proc = run_module("dim", *argv, timeout=20)
+    assert proc.returncode == EXIT_MALFORMED
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: dim Phi_R(m={argv[1]}, p={argv[2]}) "
+                           "has more digits than Python prints\n")
+
+
+def test_dim_just_short_of_the_digit_limit(capsys):
+    # dim Phi_R(2, p) = p + 1; with p = 10^4299 - 2 it has 4299 digits
+    p = str(10**4299 - 2)
+    code, out, _ = run(capsys, "dim", "R", "2", p)
+    assert code == EXIT_PASS
+    assert f"dim: {10**4299 - 1}\n" in out
+
+
+def test_text_report_is_written_whole(capsys):
+    # a value that cannot be printed fails the report before any line of it
+    with pytest.raises(ValueError):
+        cli._emit({"field": "R", "dim": 10**5000}, argparse.Namespace(output="text"))
+    assert capsys.readouterr().out == ""
 
 
 # The last digits of these float reports depend on the order in which the

@@ -1,9 +1,11 @@
 """Weighted frames: verification, dependence reduction, catalog, I/O."""
 
+import importlib.util
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,15 @@ from isoframe.kscalar import (
 )
 from isoframe.linalg import RowReducer
 from isoframe.phi import dim_phi, phi_basis
+
+ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
+
+
+def load_oracles():
+    spec = importlib.util.spec_from_file_location("bench_oracles", ORACLES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rvec(*coords):
@@ -296,23 +307,32 @@ def weighted_row_dependence(frame):
     return None
 
 
-def test_dependence_matches_weighted_rows():
+def random_rational_vector(rng, field, m):
+    """A nonzero vector with components num/den, num in [-3, 3], den in [1, 3]."""
+    while True:
+        u = KVector(field, tuple(
+            KElement(field, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                  for _ in range(field.real_dimension)))
+            for _ in range(m)))
+        if not u.is_zero:
+            return u
+
+
+def random_rational_frame(field, m, p, n, seed=0):
+    """n random rational vectors with unit weights, zero vectors skipped."""
+    rng = random.Random(seed)
+    vectors = tuple(random_rational_vector(rng, field, m) for _ in range(n))
+    return WeightedFrame(field, m, p, vectors, (Fraction(1),) * n)
+
+
+def assert_chains_match_weighted_rows():
     # more vectors than dim Phi, plus a rescaled copy, force dependences;
     # each step of the chain must give the weighted-row certificate
     rng = random.Random(81)
-
-    def random_vector(field, m):
-        while True:
-            u = KVector(field, tuple(
-                KElement(field, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                                      for _ in range(field.real_dimension)))
-                for _ in range(m)))
-            if not u.is_zero:
-                return u
-
     for field, m, p in ((Field.R, 2, 4), (Field.C, 2, 2), (Field.H, 2, 2), (Field.R, 3, 2)):
         for _ in range(2):
-            vectors = [random_vector(field, m) for _ in range(dim_phi(field, m, p) + 2)]
+            vectors = [random_rational_vector(rng, field, m)
+                       for _ in range(dim_phi(field, m, p) + 2)]
             copy = vectors[rng.randrange(len(vectors))].scale_real(Fraction(rng.randint(1, 5), 3))
             vectors.insert(rng.randrange(len(vectors) + 1), copy)
             weights = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in vectors)
@@ -327,6 +347,122 @@ def test_dependence_matches_weighted_rows():
                 current = reduce_once(current, cert)
                 steps += 1
             assert steps >= 3
+
+
+def test_dependence_matches_weighted_rows():
+    assert_chains_match_weighted_rows()
+
+
+class NoElimination:
+    """Stands in for RowReducer where exact elimination must not run."""
+
+    def add_row(self, row):
+        raise AssertionError("exact elimination ran on a full-rank frame")
+
+
+class CountingReducer(RowReducer):
+    rows = 0
+
+    def add_row(self, row):
+        CountingReducer.rows += 1
+        return super().add_row(row)
+
+
+@pytest.mark.parametrize("field, m, p, n", [
+    (Field.R, 4, 8, 25), (Field.H, 2, 4, 12),
+    # the baseline frame of ROADMAP.md, which took 38 s of exact elimination
+    (Field.C, 3, 6, 100),
+])
+def test_full_rank_frame_runs_no_exact_elimination(monkeypatch, field, m, p, n):
+    monkeypatch.setattr(isoframe.frames, "RowReducer", NoElimination)
+    frame = random_rational_frame(field, m, p, n)
+    assert dependence(frame) is None
+    assert "forms" not in vars(frame)
+
+
+def test_degenerate_proof_points_fall_back_to_exact_loop(monkeypatch):
+    # one point repeated gives value rows of rank <= 1, which prove nothing:
+    # every answer then comes from the exact loop, and is the same
+    monkeypatch.setattr(isoframe.frames, "_proof_points",
+                        lambda count, num_vars: [tuple(range(1, num_vars + 1))] * count)
+    monkeypatch.setattr(isoframe.frames, "RowReducer", CountingReducer)
+    assert_chains_match_weighted_rows()
+    frame = random_rational_frame(Field.R, 4, 8, 25)
+    CountingReducer.rows = 0
+    assert dependence(frame) is None
+    assert CountingReducer.rows == frame.n
+
+
+def test_denominator_divisible_by_proof_prime_falls_back(monkeypatch):
+    q = isoframe.frames._PROOF_PRIME
+    monkeypatch.setattr(isoframe.frames, "RowReducer", CountingReducer)
+    CountingReducer.rows = 0
+    independent = WeightedFrame(Field.R, 2, 4, (rvec(1, 0), rvec(0, 1), rvec(1, Fraction(1, q))),
+                                (Fraction(1),) * 3)
+    assert dependence(independent) is None
+    assert CountingReducer.rows == 3
+    dependent = WeightedFrame(Field.R, 2, 4, (rvec(0, 1), rvec(1, 0), rvec(Fraction(2, q), 0)),
+                              (Fraction(1, 2), Fraction(1, 3), Fraction(5, 7)))
+    cert = dependence(dependent)
+    assert cert == weighted_row_dependence(dependent)
+    assert cert.pivot == 1 and cert.omega[0] == 0
+
+
+def test_proof_row_is_scaled_form_value():
+    q = isoframe.frames._PROOF_PRIME
+    rng = random.Random(7)
+    for field, m, p in ((Field.R, 3, 4), (Field.C, 2, 6), (Field.H, 2, 4)):
+        frame = WeightedFrame(field, m, p, tuple(
+            random_rational_vector(rng, field, m) for _ in range(4)), (Fraction(1),) * 4)
+        points = isoframe.frames._proof_points(5, field.real_dimension * m)
+        for u, form in zip(frame.vectors, frame.forms):
+            s = math.lcm(*(c.denominator for e in u.entries for c in e.components))
+            expected = [int(s**p * form.evaluate(x)) % q for x in points]
+            assert isoframe.frames._proof_row(u, p, points) == expected
+
+
+def test_proof_pass_guards_the_rank_bound(monkeypatch, synthetic_frame):
+    # five independent forms against a claimed dimension of three
+    monkeypatch.setattr(isoframe.frames, "dim_phi", lambda field, m, p: 3)
+    with pytest.raises(RuntimeError, match="exceed dim Phi = 3"):
+        dependence(synthetic_frame)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin: bases 2..37 decide every n < 3.3e24."""
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_proof_prime_is_prime_and_not_the_oracles():
+    q = isoframe.frames._PROOF_PRIME
+    assert q < 3.3e24 and is_prime(q)
+    # the largest prime below 2^62
+    assert not any(is_prime(n) for n in range(q + 1, 1 << 62))
+    assert [n for n in range(60) if is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(3215031751)
+    assert q != load_oracles().PRIME
 
 
 def test_reduce_to_independent_randomized():
