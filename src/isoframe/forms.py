@@ -13,13 +13,14 @@ x1^{p-1}x2 within a degree).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from types import MappingProxyType
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .kscalar import Field, KVector, Scalar, basis_product
 
@@ -102,7 +103,7 @@ class RealForm:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.terms.values())
+        return not any(isinstance(c, float) for c in self.terms.values())
 
     def max_abs_coeff(self) -> float:
         """Largest absolute coefficient, as a float (0.0 for the zero form).
@@ -132,7 +133,7 @@ class RealForm:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(map(operator.add, e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return RealForm(self.num_vars, self.degree + other.degree, out)
 
     __rmul__ = __mul__
@@ -176,10 +177,10 @@ def linear_combination(coeffs: Sequence[Scalar], forms: Sequence[RealForm]) -> R
     """sum_k coeffs[k] * forms[k], built in one pass over the terms.
 
     The forms must share their variable count and degree, and there must be
-    at least one.  Each coefficient of the result starts from Fraction(0)
-    and adds (term coefficient) * coeffs[k] in the order of `forms`, so
-    exact inputs stay Fractions and float sums round exactly as a left fold
-    of `+` would.  Terms that cancel are dropped as they cancel.
+    at least one.  Each coefficient of the result starts from int 0 and adds
+    (term coefficient) * coeffs[k] in the order of `forms`, so ints stay ints,
+    Fractions stay Fractions, and float sums round as a left fold of `+` does
+    (0 + x and Fraction(0) + x are the same float).  Cancelled terms are dropped.
     """
     first = forms[0]
     out: Dict[Exponent, Scalar] = {}
@@ -188,7 +189,7 @@ def linear_combination(coeffs: Sequence[Scalar], forms: Sequence[RealForm]) -> R
         if c == 0:
             continue
         for expo, coeff in form.terms.items():
-            value = out.get(expo, Fraction(0)) + coeff * c
+            value = out.get(expo, 0) + coeff * c
             if value:
                 out[expo] = value
             else:
@@ -247,48 +248,57 @@ def form_inner(f1: RealForm, f2: RealForm) -> Scalar:
     return total
 
 
-def abs_inner_sq_form(u: KVector) -> RealForm:
-    """|<u, x>|^2 as a degree-2 form in the d*m real coordinates of x.
-
-    Rejects u = 0 (a zero vector contributes nothing to a frame and never
-    appears in one).
+def _scaled_linear_forms(u: KVector) -> Tuple[int, List[List[Scalar]]]:
+    """s and the d components of <s u, x> as coefficient rows over x's d*m
+    real coordinates: s the lcm of exact u's denominators and int rows, or
+    s = 1 and u's floats.  Row t, column (i, c) is [conj(u_i) e_c]_t, which
+    is sign * conj(u_i)_a for e_a e_c = sign * e_t.
     """
-    if u.is_zero:
-        raise ValueError("zero vector has no frame form")
-    fld = u.field
-    d = fld.real_dimension
-    n_vars = d * u.m
-    # Component t of <u,x> is a linear form: sum over entries i and basis
-    # units c of [conj(u_i) e_c]_t * x_{i,c}.  With e_s e_c = sign * e_t,
-    # component t of conj(u_i) e_c is sign * conj(u_i)_s.
-    linear: list[Dict[Exponent, Scalar]] = [dict() for _ in range(d)]
+    d = u.field.real_dimension
+    exact = u.is_exact
+    s = math.lcm(*(c.denominator for e in u.entries for c in e.components)) if exact else 1
+    linear = [[0] * (d * u.m) for _ in range(d)]
     for i, entry in enumerate(u.entries):
-        ubar = (entry.components[0],) + tuple(-a for a in entry.components[1:])
-        for c in range(d):
-            expo = [0] * n_vars
-            expo[i * d + c] = 1
-            for s in range(d):
-                t, sign = basis_product(fld, s, c)
-                linear[t][tuple(expo)] = sign * ubar[s]
-    squares = [lin * lin for lin in (RealForm(n_vars, 1, terms) for terms in linear)]
-    return linear_combination((1,) * d, squares)
+        for a, comp in enumerate(entry.components):
+            bar = comp.numerator * (s // comp.denominator) if exact else comp
+            for c in range(d):
+                t, sign = basis_product(u.field, a, c)
+                linear[t][i * d + c] += sign * (-bar if a else bar)
+    return s, linear
+
+
+def abs_inner_sq_form(u: KVector) -> RealForm:
+    """|<u, x>|^2 as a degree-2 form in the d*m real coordinates of x, expanded
+    over the integers and divided by s^2 once for exact u, as in frame_form."""
+    return frame_form(u, 2)
 
 
 def frame_form(u: KVector, p: int) -> RealForm:
-    """|<u, x>|^p as a degree-p form; p must be a positive even integer."""
+    """|<u, x>|^p as a degree-p form; p must be a positive even integer.
+
+    An exact u is expanded over the integers as |<s u, x>|^p, s the lcm of
+    its denominators, and each coefficient is divided by s^p once.  Rejects
+    u = 0, which contributes nothing to a frame and never appears in one.
+    """
     if p < 2 or p % 2:
         raise ValueError(f"exponent p must be a positive even integer, got {p}")
-    return abs_inner_sq_form(u) ** (p // 2)
+    if u.is_zero:
+        raise ValueError("zero vector has no frame form")
+    s, linear = _scaled_linear_forms(u)
+    n = len(linear[0])
+    squares = [lin * lin for lin in (RealForm(n, 1, {
+        (0,) * j + (1,) + (0,) * (n - j - 1): c for j, c in enumerate(row)}) for row in linear)]
+    power = linear_combination((1,) * len(linear), squares) ** (p // 2)
+    if not u.is_exact:
+        return power
+    scale = s**p
+    return RealForm(n, p, {e: Fraction(c, scale) for e, c in power.terms.items()})
 
 
 def norm_power_form(fld: Field, m: int, p: int) -> RealForm:
     """<x, x>^{p/2} = (sum of all d*m squared real coordinates)^{p/2}."""
     if p < 2 or p % 2:
         raise ValueError(f"exponent p must be a positive even integer, got {p}")
-    n_vars = fld.real_dimension * m
-    sq = {}
-    for j in range(n_vars):
-        expo = [0] * n_vars
-        expo[j] = 2
-        sq[tuple(expo)] = Fraction(1)
-    return RealForm(n_vars, 2, sq) ** (p // 2)
+    n = fld.real_dimension * m
+    sq = {(0,) * j + (2,) + (0,) * (n - j - 1): Fraction(1) for j in range(n)}
+    return RealForm(n, 2, sq) ** (p // 2)

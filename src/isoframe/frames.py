@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .forms import (
     Exponent,
     RealForm,
+    _scaled_linear_forms,
     abs_inner_sq_form,
     frame_form,
     linear_combination,
@@ -49,7 +50,6 @@ from .kscalar import (
     KVector,
     Scalar,
     _coerce,
-    basis_product,
     scalar_from_str,
     scalar_to_str,
 )
@@ -225,17 +225,9 @@ def _proof_points(count: int, num_vars: int) -> List[Tuple[int, ...]]:
 
 def _proof_row(u: KVector, p: int, points) -> List[int]:
     """|<s u, x>|^p mod _PROOF_PRIME at each point, s the lcm of u's denominators."""
-    d = u.field.real_dimension
-    s = math.lcm(*(c.denominator for e in u.entries for c in e.components))
+    s, linear = _scaled_linear_forms(u)
     if s % _PROOF_PRIME == 0:
         return [0] * len(points)  # a zero row proves nothing
-    linear = [[0] * (d * u.m) for _ in range(d)]
-    for i, entry in enumerate(u.entries):
-        for a, comp in enumerate(entry.components):
-            bar = comp.numerator * (s // comp.denominator) * (-1 if a else 1)
-            for c in range(d):
-                t, sign = basis_product(u.field, a, c)
-                linear[t][i * d + c] += sign * bar
     return [pow(sum(sum(coef * x for coef, x in zip(lin, pt)) ** 2 for lin in linear),
                 p // 2, _PROOF_PRIME) for pt in points]
 
@@ -315,10 +307,7 @@ def reduce_to_independent(frame: WeightedFrame) -> WeightedFrame:
     unexpected violation raises.
     """
     current = frame
-    while True:
-        cert = dependence(current)
-        if cert is None:
-            break
+    while (cert := dependence(current)) is not None:
         current = reduce_once(current, cert)
     dim = dim_phi(current.field, current.m, current.p)
     if current.n > dim:

@@ -19,7 +19,7 @@ from isoframe.forms import (
     sphere_moment,
 )
 from isoframe.kscalar import Field, KElement, KVector, inner_product, k_norm_sq
-from isoframe.phi import unit_group_average
+from isoframe.phi import _substitution_table, unit_group_average
 
 
 def gamma_half_int(twice: int):
@@ -299,6 +299,60 @@ def test_frame_form_power():
     assert f4.degree == 4
     # (x - 2y)^4 top coefficient
     assert f4.terms[(0, 4)] == 16
+
+
+def test_exact_frame_form_matches_pointwise_oracle():
+    # Mixed denominators make s = lcm(2, 3, 5, ...) > 1, so the integer
+    # expansion and its one division by s^p are both exercised.
+    rng = random.Random(29)
+    values = [Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5), Fraction(0), Fraction(-7, 4)]
+    for field in (Field.R, Field.C, Field.H):
+        d = field.real_dimension
+        head = KElement(field, (Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5), Fraction(1))[:d])
+        u = KVector(field, (head, KElement(field, tuple(rng.choice(values) for _ in range(d)))))
+        floats = KVector(field, tuple(
+            KElement(field, tuple(float(c) for c in e.components)) for e in u.entries))
+        for p in (4, 6):
+            f = frame_form(u, p)
+            assert f.is_exact and all(type(c) is Fraction for c in f.terms.values())
+            for _ in range(4):
+                x = KVector(field, tuple(KElement(field, tuple(
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(d)))
+                    for _ in range(2)))
+                assert f.evaluate(x.real_coords()) == k_norm_sq(inner_product(u, x)) ** (p // 2)
+            g = frame_form(floats, p)
+            reference = abs_inner_sq_form(floats) ** (p // 2)
+            assert list(g.terms) == list(reference.terms)
+            assert [c.hex() for c in g.terms.values()] == [c.hex() for c in reference.terms.values()]
+
+
+def test_float_frame_form_of_dyadic_vector_is_exact_form():
+    # Dyadic entries keep every float product exact, so the float expansion
+    # must agree with the exact one coefficient for coefficient.
+    for field in (Field.R, Field.C, Field.H):
+        d = field.real_dimension
+        comps = [(Fraction(1, 2), Fraction(-5, 4), Fraction(3), Fraction(-1, 8))[(i + j) % 4]
+                 for i in range(2) for j in range(d)]
+        u = KVector(field, tuple(KElement(field, tuple(comps[i * d:(i + 1) * d]))
+                                 for i in range(2)))
+        floats = KVector(field, tuple(KElement(field, tuple(float(c) for c in e.components))
+                                      for e in u.entries))
+        for p in (4, 6):
+            exact, approx = frame_form(u, p), frame_form(floats, p)
+            assert not approx.is_exact
+            assert list(approx.terms) == list(exact.terms)
+            assert all(Fraction(approx.terms[e]) == c for e, c in exact.terms.items())
+
+
+def test_int_forms_stay_int():
+    f = RealForm(2, 1, {(1, 0): 2, (0, 1): -3})
+    g = RealForm(2, 1, {(1, 0): 1, (0, 1): 5})
+    assert (f * g).terms == {(2, 0): 2, (1, 1): 7, (0, 2): -15}
+    for form in (f * g, f ** 3, linear_combination((2, -1), (f, g)), f - g, 3 * f):
+        assert form.terms and all(type(c) is int for c in form.terms.values())
+        assert form.is_exact
+    square = _substitution_table(Field.H, 2)[0] ** 2
+    assert square.terms and all(type(c) is int for c in square.terms.values())
 
 
 def test_norm_power_form_multinomial():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import isoframe.frames
-from isoframe.forms import frame_form
+from isoframe.forms import RealForm, _scaled_linear_forms, frame_form, linear_combination
 from isoframe.frames import (
     CertificateError,
     DependenceCertificate,
@@ -419,6 +419,26 @@ def test_proof_row_is_scaled_form_value():
             s = math.lcm(*(c.denominator for e in u.entries for c in e.components))
             expected = [int(s**p * form.evaluate(x)) % q for x in points]
             assert isoframe.frames._proof_row(u, p, points) == expected
+
+
+def test_proof_row_and_frame_form_read_one_integer_expansion():
+    q = isoframe.frames._PROOF_PRIME
+    rng = random.Random(8)
+    for field, m, p in ((Field.R, 3, 4), (Field.C, 2, 6), (Field.H, 2, 4)):
+        n = field.real_dimension * m
+        for _ in range(4):
+            u = random_rational_vector(rng, field, m)
+            s, rows = _scaled_linear_forms(u)
+            assert s == math.lcm(*(c.denominator for e in u.entries for c in e.components))
+            assert all(type(c) is int for row in rows for c in row)
+            linear = [RealForm(n, 1, {tuple(int(k == j) for k in range(n)): c
+                                      for j, c in enumerate(row)}) for row in rows]
+            integer_form = linear_combination(
+                (1,) * len(linear), [lin * lin for lin in linear]) ** (p // 2)
+            assert all(type(c) is int for c in integer_form.terms.values())
+            assert integer_form.scale(Fraction(1, s**p)) == frame_form(u, p)
+            x = tuple(rng.randint(-999, 999) for _ in range(n))
+            assert isoframe.frames._proof_row(u, p, [x]) == [integer_form.evaluate(x) % q]
 
 
 def test_proof_pass_guards_the_rank_bound(monkeypatch, synthetic_frame):
