@@ -110,12 +110,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if not verify(frame).passed:
         print("input frame does not verify; refusing to reduce", file=sys.stderr)
         return EXIT_FAIL
-    steps = []
-    current = frame
-    while True:
-        cert = dependence(current)
-        if cert is None:
-            break
+    steps, current = [], frame
+    while (cert := dependence(current)) is not None:
         steps.append({"pivot": cert.pivot,
                       "omega": [scalar_to_str(om) for om in cert.omega]})
         current = reduce_once(current, cert)

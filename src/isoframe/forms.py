@@ -33,17 +33,11 @@ __all__ = [
     "evaluate",
     "form_inner",
     "frame_form",
-    "grlex_key",
     "linear_combination",
     "monomials",
     "norm_power_form",
     "sphere_moment",
 ]
-
-
-def grlex_key(expo: Exponent):
-    """Sort key for the canonical graded-lex order."""
-    return (sum(expo), tuple(-e for e in expo))
 
 
 def monomials(num_vars: int, degree: int) -> list[Exponent]:
@@ -236,15 +230,16 @@ def _even_moment(beta: Exponent) -> Fraction:
 
 
 def form_inner(f1: RealForm, f2: RealForm) -> Scalar:
-    """<<f1, f2>>: exact integral of f1*f2 over the unit sphere."""
+    """<<f1, f2>>: exact sphere integral of f1*f2; only equal-parity term pairs count."""
     if f1.num_vars != f2.num_vars:
         raise ValueError(f"variable count mismatch: {f1.num_vars} vs {f2.num_vars}")
+    buckets: Dict[Exponent, List[Tuple[Exponent, Scalar]]] = {}
+    for e2, c2 in f2.terms.items():
+        buckets.setdefault(tuple([e & 1 for e in e2]), []).append((e2, c2))
     total = Fraction(0)
     for e1, c1 in f1.terms.items():
-        for e2, c2 in f2.terms.items():
-            m = sphere_moment(tuple(a + b for a, b in zip(e1, e2)), f1.num_vars)
-            if m:
-                total = total + c1 * c2 * m
+        for e2, c2 in buckets.get(tuple([e & 1 for e in e1]), ()):
+            total = total + c1 * c2 * _even_moment(tuple(map(operator.add, e1, e2)))
     return total
 
 

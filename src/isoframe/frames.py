@@ -11,12 +11,10 @@ of x, so verification is an exact polynomial zero test.  The weighted
 representation keeps everything rational: folding a weight into its vector
 needs a p-th root, which is a separate lossy export (`to_unweighted`).
 
-The unweighted forms |<u_k,x>|^p are expanded once per frame
-(`WeightedFrame.forms`) and shared with the frames reduce_once returns.
-
 Reductions:
   * dependence/reduce_once drops vectors along an exact linear dependence of
-    the weighted frame forms, rescaling the surviving weights by 1 - omega_k.
+    the weighted frame forms, read from their values at a point set unisolvent
+    for Phi_K(m,p), rescaling the surviving weights by 1 - omega_k.
   * scaling_reduce searches the coordinate cone for a parameter point mu where
     the smallest expansion coefficient a_k(mu) vanishes, then rescales the
     coordinates by diag(mu_i^{1/2}) and drops the vanishing vector.
@@ -29,8 +27,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, permutations
+from functools import cached_property, lru_cache
+from itertools import combinations, permutations, takewhile
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -160,6 +158,12 @@ class WeightedFrame:
         """The unweighted forms |<u_k, x>|^p, expanded on first use."""
         return tuple(frame_form(u, self.p) for u in self.vectors)
 
+    @cached_property
+    def _values(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+        """`_scaled_values` of each exact u_k at the points of `_point_set`."""
+        points = _point_set(self.field, self.m, self.p)
+        return tuple(_scaled_values(u, self.p, points) for u in self.vectors)
+
 
 @dataclass(frozen=True)
 class VerifyResult:
@@ -223,55 +227,100 @@ def _proof_points(count: int, num_vars: int) -> List[Tuple[int, ...]]:
     return [tuple(rng.randint(-999, 999) for _ in range(num_vars)) for _ in range(count)]
 
 
+def _scaled_values(u: KVector, p: int, points) -> Tuple[int, Tuple[int, ...]]:
+    """s, the lcm of u's denominators, and the integers |<s u, x>|^p at the points."""
+    s, linear = _scaled_linear_forms(u)
+    return s, tuple(sum(sum(coef * x for coef, x in zip(lin, pt)) ** 2 for lin in linear)
+                    ** (p // 2) for pt in points)
+
+
 def _proof_row(u: KVector, p: int, points) -> List[int]:
     """|<s u, x>|^p mod _PROOF_PRIME at each point, s the lcm of u's denominators."""
-    s, linear = _scaled_linear_forms(u)
-    if s % _PROOF_PRIME == 0:
-        return [0] * len(points)  # a zero row proves nothing
-    return [pow(sum(sum(coef * x for coef, x in zip(lin, pt)) ** 2 for lin in linear),
-                p // 2, _PROOF_PRIME) for pt in points]
+    return [v % _PROOF_PRIME for v in _scaled_values(u, p, points)[1]]
+
+
+def _pivots_mod_q(rows):
+    """Reduce rows mod _PROOF_PRIME in turn, yielding each pivot column or None."""
+    reduced: List[Tuple[int, int, List[int]]] = []  # (column, inverse of the pivot, row)
+    for row in rows:
+        for col, inv, prow in reduced:
+            if f := row[col] * inv % _PROOF_PRIME:
+                row = [(a - f * b) % _PROOF_PRIME for a, b in zip(row, prow)]
+        col = next((j for j, v in enumerate(row) if v), None)
+        if col is not None:
+            reduced.append((col, pow(row[col], -1, _PROOF_PRIME), row))
+        yield col
+
+
+@lru_cache(maxsize=None)
+def _point_set(field: Field, m: int, p: int) -> Tuple[Tuple[int, ...], ...]:
+    """Integer points on which evaluation is injective on Phi_K(m,p): over R,
+    the dim Phi lattice points (alpha, 1), |alpha| <= p; over C and H, the
+    pivot points of dim Phi + 8 forms |<v, x>|^p of Phi at dim Phi + 4 points
+    in [-3, 3] if their rank mod _PROOF_PRIME is dim Phi (a minor nonzero over
+    Z), else the lattice in all d*m coordinates (unisolvent for any form)."""
+    d = field.real_dimension
+    if field is not Field.R:
+        dim = dim_phi(field, m, p)
+        drawn = [tuple(x % 7 - 3 for x in pt) for pt in _proof_points(2 * dim + 12, d * m)]
+        points, generators = drawn[:dim + 4], drawn[dim + 4:]
+        rows = (_proof_row(KVector(field, tuple(KElement(field, v[i:i + d])
+                                                for i in range(0, d * m, d))), p, points)
+                for v in generators)
+        cols = [col for col in _pivots_mod_q(rows) if col is not None]
+        if len(cols) == dim:
+            return tuple(points[col] for col in sorted(cols))
+    return tuple(e[1:] + (1,) for e in monomials(d * m, p))
+
+
+def _vanishes(coeffs: Sequence[Scalar], rows: Sequence[Sequence[int]]) -> bool:
+    """Whether sum_k coeffs[k] * rows[k] = 0, summed in ints over one denominator."""
+    scale = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    pairs = [(int(Fraction(c) * scale), row) for c, row in zip(coeffs, rows) if c]
+    return not any(sum(c * row[i] for c, row in pairs) for i in range(len(rows[0])))
 
 
 def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     """First linear dependence among the weighted frame forms, or None.
 
-    A proof pass comes first: if the integers |<s_k u_k, x_j>|^p (s_k the lcm
-    of u_k's denominators, x_j fixed integer points) keep a pivot in every row
-    mod a prime, a minor is nonzero mod the prime, hence over Z: the forms are
-    independent, None.  Otherwise the unweighted `frame.forms`, rows keyed by
-    monomial, are reduced exactly in frame order.  Positive weights move
-    neither the first dependent row nor its dependency c, unique up to scale,
-    so the certificate is omega_k = c_k / w_k normalized to max_k omega_k = 1
-    (indices after the dependent row get omega = 0).
+    Reads no form, only V_k = |<s_k u_k, x>|^p (s_k the lcm of u_k's
+    denominators).  For n <= dim Phi, V_k at n + 4 fixed points that keep a
+    pivot in every row mod a prime give a minor nonzero over Z: None.  Else
+    the V_k on the unisolvent set X are reduced mod the prime; at the first
+    zero row k, the pivot columns of rows 0..k-1 give c, checked exactly as
+    sum_j c_j V_j = V_k on X, or, if that fails, exact elimination of the
+    full rows on X.  The dependency, unique up to scale, gives
+    omega_j = c_j s_j^p / (s_k^p w_j), omega_k = -1 / w_k, scaled to max 1.
     """
     if not frame.is_exact:
         raise FrameError("dependence detection requires exact rational entries")
     dim = dim_phi(frame.field, frame.m, frame.p)
-    points = _proof_points(min(frame.n, dim) + 4, frame.field.real_dimension * frame.m)
-    pivots: List[Tuple[int, List[int]]] = []
-    for u in frame.vectors:
-        row = _proof_row(u, frame.p, points)
-        for col, prow in pivots:
-            if f := row[col] * pow(prow[col], -1, _PROOF_PRIME) % _PROOF_PRIME:
-                row = [(a - f * b) % _PROOF_PRIME for a, b in zip(row, prow)]
-        if not any(row):
-            break
-        pivots.append((next(j for j, v in enumerate(row) if v), row))
-    else:
-        if len(pivots) > dim:
-            raise RuntimeError(f"{len(pivots)} independent forms exceed dim Phi = {dim}: a defect")
+    if frame.n <= dim:
+        points = _proof_points(frame.n + 4, frame.field.real_dimension * frame.m)
+        if None not in _pivots_mod_q(_proof_row(u, frame.p, points) for u in frame.vectors):
+            return None
+    scales, rows = zip(*frame._values)
+    cols = list(takewhile(lambda col: col is not None, _pivots_mod_q(
+        [v % _PROOF_PRIME for v in values] for values in rows)))
+    if len(cols) == frame.n:
+        if frame.n > dim:
+            raise RuntimeError(f"{frame.n} independent forms exceed dim Phi = {dim}: a defect")
         return None
-    reducer = RowReducer()
-    for k, form in enumerate(frame.forms):
-        cert = reducer.add_row(form.terms)
-        if cert is not None:
-            combo = [cert.get(j, 0) / frame.weights[j] for j in range(k)]
-            combo.append(-1 / frame.weights[k])
-            peak = max(combo)
-            omega = [c / peak for c in combo] + [Fraction(0)] * (frame.n - k - 1)
-            pivot = omega.index(Fraction(1))
-            return DependenceCertificate(omega=tuple(omega), pivot=pivot)
-    return None
+    for columns in (cols, range(len(rows[0]))):
+        reducer = RowReducer()
+        for k, row in enumerate(rows):
+            if (cert := reducer.add_row({col: row[col] for col in columns})) is not None:
+                break
+        else:
+            return None
+        if _vanishes([cert.get(j, 0) for j in range(k)] + [-1], rows[:k + 1]):
+            break
+    combo = [cert.get(j, 0) * Fraction(scales[j], scales[k]) ** frame.p / frame.weights[j]
+             for j in range(k)]
+    combo.append(-1 / frame.weights[k])
+    peak = max(combo)
+    omega = [c / peak for c in combo] + [Fraction(0)] * (frame.n - k - 1)
+    return DependenceCertificate(omega=tuple(omega), pivot=omega.index(Fraction(1)))
 
 
 def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFrame:
@@ -279,23 +328,27 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
 
     This is the weighted, fully rational form of replacing u_k with
     u_k (1-omega_k)^{1/p}: the output verifies exactly when the input does,
-    and is strictly smaller.
+    and is strictly smaller.  Checked on values: sum_k w_k omega_k V_k / s_k^p = 0.
     """
     if len(cert.omega) != frame.n:
         raise CertificateError(
             f"certificate has {len(cert.omega)} entries for a frame of size {frame.n}")
     if max(cert.omega) != 1:
         raise CertificateError("certificate must be normalized to max omega = 1")
-    combo = linear_combination([w * om for w, om in zip(frame.weights, cert.omega)],
-                               frame.forms)
-    if not combo.is_zero:
+    if not frame.is_exact:
+        raise FrameError("reduce_once requires exact rational entries")
+    values = frame._values
+    if not _vanishes([w * om / s**frame.p for (s, _), w, om in
+                      zip(values, frame.weights, cert.omega)], [v for _, v in values]):
         raise CertificateError("certificate residual identity fails for this frame")
     keep = [k for k, om in enumerate(cert.omega) if om != 1]
     reduced = WeightedFrame(frame.field, frame.m, frame.p,
                             tuple(frame.vectors[k] for k in keep),
                             tuple(frame.weights[k] * (1 - cert.omega[k]) for k in keep))
-    # The kept vectors are the same objects, so their forms are too.
-    object.__setattr__(reduced, "forms", tuple(frame.forms[k] for k in keep))
+    # The kept vectors are the same objects, so their values and forms are too.
+    object.__setattr__(reduced, "_values", tuple(values[k] for k in keep))
+    if "forms" in vars(frame):
+        object.__setattr__(reduced, "forms", tuple(frame.forms[k] for k in keep))
     return reduced
 
 

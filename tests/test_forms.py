@@ -12,7 +12,6 @@ from isoframe.forms import (
     abs_inner_sq_form,
     form_inner,
     frame_form,
-    grlex_key,
     linear_combination,
     monomials,
     norm_power_form,
@@ -48,6 +47,12 @@ def moment_oracle(beta, num_vars):
     sqrt_pi -= s + num_vars
     assert sqrt_pi == 0, "sqrt(pi) powers must cancel"
     return num / den
+
+
+def grlex_key(expo):
+    """Sort key for the canonical graded-lex order that `monomials` and the
+    `phi_basis` labels follow: degree first, then descending lex."""
+    return (sum(expo), tuple(-e for e in expo))
 
 
 def test_monomials_count_and_order():

@@ -325,32 +325,78 @@ def random_rational_frame(field, m, p, n, seed=0):
     return WeightedFrame(field, m, p, vectors, (Fraction(1),) * n)
 
 
-def assert_chains_match_weighted_rows():
+def dependent_frame(rng, field, m, p, n):
+    """n random vectors, a rescaled copy of one inserted among them, random
+    weights: the copy makes the forms dependent whatever n is."""
+    vectors = [random_rational_vector(rng, field, m) for _ in range(n)]
+    copy = vectors[rng.randrange(len(vectors))].scale_real(Fraction(rng.randint(1, 5), 3))
+    vectors.insert(rng.randrange(len(vectors) + 1), copy)
+    weights = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in vectors)
+    return WeightedFrame(field, m, p, tuple(vectors), weights)
+
+
+def assert_chain_matches_weighted_rows(frame):
+    """Each step of the dependence/reduce_once chain gives the weighted-row
+    certificate; returns the number of steps."""
+    current, steps = frame, 0
+    while True:
+        cert = dependence(current)
+        assert cert == weighted_row_dependence(current)
+        if cert is None:
+            return steps
+        assert all(isinstance(om, Fraction) for om in cert.omega)
+        current = reduce_once(current, cert)
+        steps += 1
+
+
+def assert_chains_match_weighted_rows(keys=((Field.R, 2, 4), (Field.C, 2, 2),
+                                            (Field.H, 2, 2), (Field.R, 3, 2))):
     # more vectors than dim Phi, plus a rescaled copy, force dependences;
     # each step of the chain must give the weighted-row certificate
     rng = random.Random(81)
-    for field, m, p in ((Field.R, 2, 4), (Field.C, 2, 2), (Field.H, 2, 2), (Field.R, 3, 2)):
+    for field, m, p in keys:
         for _ in range(2):
-            vectors = [random_rational_vector(rng, field, m)
-                       for _ in range(dim_phi(field, m, p) + 2)]
-            copy = vectors[rng.randrange(len(vectors))].scale_real(Fraction(rng.randint(1, 5), 3))
-            vectors.insert(rng.randrange(len(vectors) + 1), copy)
-            weights = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in vectors)
-            current = WeightedFrame(field, m, p, tuple(vectors), weights)
-            steps = 0
-            while True:
-                cert = dependence(current)
-                assert cert == weighted_row_dependence(current)
-                if cert is None:
-                    break
-                assert all(isinstance(om, Fraction) for om in cert.omega)
-                current = reduce_once(current, cert)
-                steps += 1
-            assert steps >= 3
+            frame = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 2)
+            assert assert_chain_matches_weighted_rows(frame) >= 3
 
 
 def test_dependence_matches_weighted_rows():
     assert_chains_match_weighted_rows()
+
+
+@pytest.mark.parametrize("field, m, p", [
+    (Field.R, 3, 4), (Field.C, 2, 4), (Field.H, 2, 4),
+    (Field.R, 2, 6), (Field.C, 2, 6), (Field.H, 2, 6),
+])
+def test_value_chains_match_weighted_rows(field, m, p):
+    # certificates read from values at the unisolvent points are the
+    # term-row ones, on frames longer than dim Phi (except H^2 at p = 6, whose
+    # reference elimination is slow) and on short frames with a rescaled copy
+    rng = random.Random(82)
+    dim = dim_phi(field, m, p)
+    if dim < 30:
+        assert assert_chain_matches_weighted_rows(dependent_frame(rng, field, m, p, dim + 2)) >= 3
+    for n in (1, 3, 5):
+        frame = dependent_frame(rng, field, m, p, n)
+        assert frame.n <= dim
+        assert assert_chain_matches_weighted_rows(frame) >= 1
+
+
+@pytest.mark.parametrize("field, m, p", [
+    (Field.R, 2, 4), (Field.R, 3, 4), (Field.C, 2, 4), (Field.C, 3, 2),
+    (Field.H, 2, 2), (Field.H, 2, 4), (Field.C, 2, 6),
+])
+def test_point_set_is_unisolvent_for_phi_basis(field, m, p):
+    # independent oracle: the unit-group averaged basis of Phi, evaluated at
+    # the point set, has full rank dim Phi
+    points = isoframe.frames._point_set(field, m, p)
+    dim = dim_phi(field, m, p)
+    assert len(points) == len(set(points)) == dim
+    assert all(type(x) is int for pt in points for x in pt)
+    reducer = RowReducer()
+    for form in phi_basis(field, m, p).basis:
+        assert reducer.add_row(dict(enumerate(form.evaluate(pt) for pt in points))) is None
+    assert reducer.rank == dim
 
 
 class NoElimination:
@@ -361,11 +407,21 @@ class NoElimination:
 
 
 class CountingReducer(RowReducer):
-    rows = 0
+    """Records the width of every row that exact elimination receives."""
+
+    widths = []
 
     def add_row(self, row):
-        CountingReducer.rows += 1
+        CountingReducer.widths.append(len(row))
         return super().add_row(row)
+
+
+@pytest.fixture
+def fresh_point_sets():
+    """Point sets built under a monkeypatch must not outlive the test."""
+    isoframe.frames._point_set.cache_clear()
+    yield
+    isoframe.frames._point_set.cache_clear()
 
 
 @pytest.mark.parametrize("field, m, p, n", [
@@ -380,32 +436,86 @@ def test_full_rank_frame_runs_no_exact_elimination(monkeypatch, field, m, p, n):
     assert "forms" not in vars(frame)
 
 
-def test_degenerate_proof_points_fall_back_to_exact_loop(monkeypatch):
+def test_degenerate_proof_points_fall_back_to_exact_loop(monkeypatch, fresh_point_sets):
     # one point repeated gives value rows of rank <= 1, which prove nothing:
-    # every answer then comes from the exact loop, and is the same
+    # every answer then comes from the values at the unisolvent points, and
+    # is the same
     monkeypatch.setattr(isoframe.frames, "_proof_points",
                         lambda count, num_vars: [tuple(range(1, num_vars + 1))] * count)
     monkeypatch.setattr(isoframe.frames, "RowReducer", CountingReducer)
     assert_chains_match_weighted_rows()
     frame = random_rational_frame(Field.R, 4, 8, 25)
-    CountingReducer.rows = 0
+    CountingReducer.widths = []
     assert dependence(frame) is None
-    assert CountingReducer.rows == frame.n
+    # the value rows keep a pivot each modulo the prime: no exact elimination
+    assert "_values" in vars(frame) and CountingReducer.widths == []
 
 
 def test_denominator_divisible_by_proof_prime_falls_back(monkeypatch):
     q = isoframe.frames._PROOF_PRIME
     monkeypatch.setattr(isoframe.frames, "RowReducer", CountingReducer)
-    CountingReducer.rows = 0
+    CountingReducer.widths = []
     independent = WeightedFrame(Field.R, 2, 4, (rvec(1, 0), rvec(0, 1), rvec(1, Fraction(1, q))),
                                 (Fraction(1),) * 3)
     assert dependence(independent) is None
-    assert CountingReducer.rows == 3
+    # (q x_1 + x_2)^4 = x_2^4 mod q at the 5 points: the candidate on the two
+    # pivot columns fails its exact check, and the full value rows run
+    assert CountingReducer.widths == [2, 2, 2, 5, 5, 5]
     dependent = WeightedFrame(Field.R, 2, 4, (rvec(0, 1), rvec(1, 0), rvec(Fraction(2, q), 0)),
                               (Fraction(1, 2), Fraction(1, 3), Fraction(5, 7)))
     cert = dependence(dependent)
     assert cert == weighted_row_dependence(dependent)
     assert cert.pivot == 1 and cert.omega[0] == 0
+
+
+def test_short_certification_falls_back_to_lattice(monkeypatch, fresh_point_sets):
+    # one repeated candidate point leaves the certified rank at 1: the
+    # lattice in all d*m coordinates stands in, with the same certificates
+    monkeypatch.setattr(isoframe.frames, "_proof_points",
+                        lambda count, num_vars: [tuple(range(1, num_vars + 1))] * count)
+    for field, m, p in ((Field.C, 2, 4), (Field.H, 2, 2)):
+        num_vars = field.real_dimension * m
+        points = isoframe.frames._point_set(field, m, p)
+        assert len(points) == math.comb(num_vars + p - 1, p) > dim_phi(field, m, p)
+    assert_chains_match_weighted_rows(((Field.C, 2, 4), (Field.H, 2, 2)))
+
+
+def test_mod_q_only_dependence_falls_back_to_value_rows(monkeypatch, fresh_point_sets):
+    # modulo 5 most value rows look dependent; each candidate that fails its
+    # exact check sends dependence to the full value rows, with the same
+    # certificates
+    checks = []
+    exact_check = isoframe.frames._vanishes
+
+    def recording_vanishes(coeffs, rows):
+        checks.append(exact_check(coeffs, rows))
+        return checks[-1]
+
+    monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", 5)
+    monkeypatch.setattr(isoframe.frames, "_vanishes", recording_vanishes)
+    assert_chains_match_weighted_rows(((Field.R, 2, 4), (Field.C, 2, 4), (Field.H, 2, 2)))
+    rng = random.Random(83)
+    for n in (3, 6):
+        assert_chain_matches_weighted_rows(dependent_frame(rng, Field.R, 3, 4, n))
+    assert False in checks and True in checks
+
+
+def test_dependence_chain_expands_no_form():
+    rng = random.Random(84)
+    for field, m, p in ((Field.R, 2, 4), (Field.C, 2, 4), (Field.H, 2, 2)):
+        current = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 2)
+        chain = [current]
+        while (cert := dependence(current)) is not None:
+            current = reduce_once(current, cert)
+            chain.append(current)
+        assert len(chain) >= 3
+        assert all("forms" not in vars(frame) for frame in chain)
+
+
+def test_reduce_once_requires_exact_frames():
+    f = catalog(Field.R, 2, 4, "real2-equiangular")
+    with pytest.raises(FrameError, match="exact"):
+        reduce_once(f, DependenceCertificate((1, 0, 0), 0))
 
 
 def test_proof_row_is_scaled_form_value():
