@@ -216,23 +216,68 @@ def sphere_moment(beta: Sequence[int], num_vars: int) -> Fraction:
     return _even_moment(beta)
 
 
+# The moment of an even x^beta splits into an int numerator prod_i
+# (beta_i - 1)!! and a denominator N (N+2) ... (N+|beta|-2) that depends only
+# on N and |beta|, so a sum of moments of one degree is summed in ints and
+# divided once.
+
+
+@lru_cache(maxsize=None)
+def _moment_numerator(beta: Exponent) -> int:
+    """prod_i (beta_i - 1)!!, or 0 when some beta_i is odd (a zero moment)."""
+    num = 1
+    for b in beta:
+        if b % 2:
+            return 0
+        num *= _double_factorial(b - 1)
+    return num
+
+
+@lru_cache(maxsize=None)
+def _moment_denominator(num_vars: int, degree: int) -> int:
+    return math.prod(range(num_vars, num_vars + degree, 2))
+
+
 @lru_cache(maxsize=None)
 def _even_moment(beta: Exponent) -> Fraction:
-    num = 1
-    a = 0
-    for b in beta:
-        num *= _double_factorial(b - 1)
-        a += b // 2
-    den = 1
-    for j in range(a):
-        den *= len(beta) + 2 * j
-    return Fraction(num, den)
+    return Fraction(_moment_numerator(beta), _moment_denominator(len(beta), sum(beta)))
+
+
+def _parity_buckets(form: RealForm) -> Tuple[int, Dict[Exponent, List[Tuple[Exponent, int]]]]:
+    """s, the lcm of an exact form's denominators, and the integer terms of
+    s * form bucketed by the parity class of their exponents."""
+    s = math.lcm(*(c.denominator for c in form.terms.values()))
+    buckets: Dict[Exponent, List[Tuple[Exponent, int]]] = {}
+    for e, c in form.terms.items():
+        buckets.setdefault(tuple([x & 1 for x in e]), []).append(
+            (e, c.numerator * (s // c.denominator)))
+    return s, buckets
+
+
+def _bucket_inner(b1, b2) -> int:
+    """sum of c1 c2 prod (e1 + e2 - 1)!! over the equal-parity term pairs."""
+    total = 0
+    for parity, terms1 in b1.items():
+        terms2 = b2.get(parity)
+        if terms2:
+            for e1, c1 in terms1:
+                for e2, c2 in terms2:
+                    total += c1 * c2 * _moment_numerator(tuple(map(operator.add, e1, e2)))
+    return total
 
 
 def form_inner(f1: RealForm, f2: RealForm) -> Scalar:
-    """<<f1, f2>>: exact sphere integral of f1*f2; only equal-parity term pairs count."""
+    """<<f1, f2>>: exact sphere integral of f1*f2; only equal-parity term pairs
+    count.  Exact forms are paired in ints over s1 s2 times the moment
+    denominator; a float form sums float terms."""
     if f1.num_vars != f2.num_vars:
         raise ValueError(f"variable count mismatch: {f1.num_vars} vs {f2.num_vars}")
+    if f1.is_exact and f2.is_exact:
+        if f1.is_zero or f2.is_zero:
+            return Fraction(0)
+        (s1, b1), (s2, b2) = _parity_buckets(f1), _parity_buckets(f2)
+        den = _moment_denominator(f1.num_vars, f1.degree + f2.degree)
+        return Fraction(_bucket_inner(b1, b2), s1 * s2 * den)
     buckets: Dict[Exponent, List[Tuple[Exponent, Scalar]]] = {}
     for e2, c2 in f2.terms.items():
         buckets.setdefault(tuple([e & 1 for e in e2]), []).append((e2, c2))

@@ -204,7 +204,10 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     compares with no tolerance and raises FrameError.
     """
     norm = norm_power_form(frame.field, frame.m, frame.p)
-    residual = linear_combination(frame.weights + (-1,), frame.forms + (norm,))
+    if frame.is_exact:
+        residual = _exact_residual(frame.weights + (Fraction(-1),), frame.forms + (norm,))
+    else:
+        residual = linear_combination(frame.weights + (-1,), frame.forms + (norm,))
     if tolerance is None:
         passed = residual.is_zero
     else:
@@ -212,6 +215,27 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
             raise ValueError("tolerance must be nonnegative")
         passed = _residual_max(residual) <= tolerance
     return VerifyResult(passed=passed, residual=residual)
+
+
+def _exact_residual(weights: Sequence[Fraction], forms: Sequence[RealForm]) -> RealForm:
+    """sum_k weights[k] * forms[k] for exact forms, summed in ints over one
+    common denominator L and divided once per term.  Form k's coefficient c
+    reads as the int c.numerator * (s_k // c.denominator), s_k the lcm of its
+    denominators; terms are kept and dropped in the order linear_combination
+    keeps them, so the two results are equal term for term."""
+    scales = [math.lcm(*(c.denominator for c in f.terms.values())) for f in forms]
+    common = math.lcm(*(w.denominator * s for w, s in zip(weights, scales)))
+    out: Dict[Exponent, int] = {}
+    for w, s, form in zip(weights, scales, forms):
+        factor = w.numerator * (common // (w.denominator * s))
+        for expo, c in form.terms.items():
+            value = out.get(expo, 0) + factor * (c.numerator * (s // c.denominator))
+            if value:
+                out[expo] = value
+            else:
+                out.pop(expo, None)
+    return RealForm(forms[0].num_vars, forms[0].degree,
+                    {expo: Fraction(v, common) for expo, v in out.items()})
 
 
 @dataclass(frozen=True)
@@ -285,7 +309,9 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
 
     Reads no form, only V_k = |<s_k u_k, x>|^p (s_k the lcm of u_k's
     denominators).  For n <= dim Phi, V_k at n + 4 fixed points that keep a
-    pivot in every row mod a prime give a minor nonzero over Z: None.  Else
+    pivot in every row mod a prime give a minor nonzero over Z: None.  A
+    frame that already carries its values on X, as `reduce_once` hands them
+    on along a chain, skips this proof pass.  Else
     the V_k on the unisolvent set X are reduced mod the prime; at the first
     zero row k, the pivot columns of rows 0..k-1 give c, checked exactly as
     sum_j c_j V_j = V_k on X, or, if that fails, exact elimination of the
@@ -295,7 +321,7 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     if not frame.is_exact:
         raise FrameError("dependence detection requires exact rational entries")
     dim = dim_phi(frame.field, frame.m, frame.p)
-    if frame.n <= dim:
+    if frame.n <= dim and "_values" not in vars(frame):
         points = _proof_points(frame.n + 4, frame.field.real_dimension * frame.m)
         if None not in _pivots_mod_q(_proof_row(u, frame.p, points) for u in frame.vectors):
             return None

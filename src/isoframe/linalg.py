@@ -2,15 +2,18 @@
 how each reduced row combines the original input rows, and the matrix inverse
 read off its dependence certificates.
 
-A row is a sparse mapping from column key to coefficient; absent keys are
-zero.  A form's `terms` mapping is a row as it stands, keyed by monomial, and
-`matrix_inverse` keys its rows by column index.  Each pivot sits at the
-first key of its reduced row.  A dependence certificate has the same sparse
-shape, keyed by the index of an earlier row.
+A row is a sparse mapping from column key to a rational coefficient (int,
+Fraction or float, read exactly); absent keys are zero.  A form's `terms`
+mapping is a row as it stands, keyed by monomial, and `matrix_inverse` keys
+its rows by column index.  Elimination runs fraction-free over the integers;
+only certificates are built as Fractions.  Each pivot sits at the first key
+of its reduced row.  A dependence certificate has the same sparse shape,
+keyed by the index of an earlier row.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
@@ -24,7 +27,8 @@ class SingularMatrixError(ValueError):
 
 
 class RowReducer:
-    """Incremental exact Gaussian elimination over the rationals.
+    """Incremental exact Gaussian elimination over the rationals, run
+    fraction-free in integers.
 
     Rows are added one at a time.  Each is reduced against the pivot rows
     collected so far; if a nonzero residue remains it becomes a new pivot row,
@@ -32,19 +36,25 @@ class RowReducer:
     mapping {j: c_j} over earlier row indices, nonzero c_j only, with
     row = sum_j c_j * row_j.
 
-    The combination bookkeeping carries through every elimination step, so
-    the certificate is exact.  Pivot rows are always linearly independent
-    input rows, so each certificate, each set of independent rows and each
-    inverse is unique, whichever nonzero column a pivot uses.  A dependent
-    row never becomes a pivot, so its index is never a key of a later
-    certificate.
+    Input row j is scaled once by sigma_j, the lcm of its denominators, to
+    integer entries.  A pivot is kept as a primitive integer row together with
+    the integer combination of the scaled input rows that gives it; a step
+    cross-multiplies by the two leading entries and then removes the joint gcd
+    of row and combination.  From 0 = sum_j combo_j sigma_j row_j a dependent
+    row reads c_j = -combo_j sigma_j / (combo_new sigma_new), one Fraction per
+    entry.
+
+    Pivot rows are always linearly independent input rows, so each
+    certificate, each set of independent rows and each inverse is unique,
+    whichever nonzero column a pivot uses.  A dependent row never becomes a
+    pivot, so its index is never a key of a later certificate.
     """
 
     def __init__(self):
-        # (pivot column, pivot row scaled to 1 there, the combination of
-        # original rows giving it: {row index: coefficient})
-        self._pivots: List[Tuple[Hashable, Dict[Hashable, Fraction], Dict[int, Fraction]]] = []
-        self._num_added = 0
+        # (pivot column, primitive pivot row with a positive entry there, the
+        # combination of scaled original rows giving it: {row index: int})
+        self._pivots: List[Tuple[Hashable, Dict[Hashable, int], Dict[int, int]]] = []
+        self._scales: List[int] = []  # sigma_j of each input row
 
     @property
     def rank(self) -> int:
@@ -58,28 +68,45 @@ class RowReducer:
         test the result with `is None`.  The row mapping itself is not
         modified.
         """
-        work = {key: Fraction(x) for key, x in row.items() if x}
-        new = self._num_added
-        combo = {new: Fraction(1)}
+        exact = {key: x if isinstance(x, (int, Fraction)) else Fraction(x)
+                 for key, x in row.items() if x}
+        scale = math.lcm(*(x.denominator for x in exact.values()))
+        work = {key: x.numerator * (scale // x.denominator) for key, x in exact.items()}
+        new = len(self._scales)
+        self._scales.append(scale)
+        combo = {new: 1}
         for col, prow, pcombo in self._pivots:
             factor = work.get(col)
-            if factor:
-                for key, x in prow.items():
-                    value = work.get(key, 0) - factor * x
-                    if value:
-                        work[key] = value
-                    else:
-                        del work[key]
-                for j, c in pcombo.items():
-                    combo[j] = combo.get(j, 0) - factor * c
-        self._num_added += 1
+            if not factor:
+                continue
+            lead = prow[col]
+            g = math.gcd(lead, factor)
+            lead //= g
+            factor //= g
+            if lead != 1:
+                work = {key: lead * x for key, x in work.items()}
+                combo = {j: lead * c for j, c in combo.items()}
+            for key, x in prow.items():
+                value = work.get(key, 0) - factor * x
+                if value:
+                    work[key] = value
+                else:
+                    del work[key]
+            for j, c in pcombo.items():
+                combo[j] = combo.get(j, 0) - factor * c
+            g = math.gcd(*work.values(), *combo.values())
+            if g != 1:
+                work = {key: x // g for key, x in work.items()}
+                combo = {j: c // g for j, c in combo.items()}
         if not work:
-            # work == 0 = row_new + sum_{j<new} combo[j] * row_j.
-            return {j: -c for j, c in combo.items() if c and j != new}
+            # 0 = sum_j combo[j] * sigma_j * row_j, with combo[new] != 0.
+            den = combo[new] * scale
+            return {j: Fraction(-c * self._scales[j], den)
+                    for j, c in combo.items() if c and j != new}
         lead = next(iter(work))
-        inv = 1 / work[lead]
-        self._pivots.append((lead, {key: x * inv for key, x in work.items()},
-                             {j: c * inv for j, c in combo.items() if c}))
+        sign = -1 if work[lead] < 0 else 1
+        self._pivots.append((lead, {key: sign * x for key, x in work.items()},
+                             {j: sign * c for j, c in combo.items() if c}))
         return None
 
 
@@ -99,5 +126,5 @@ def matrix_inverse(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]
         if reducer.add_row(dict(enumerate(row))) is not None:
             raise SingularMatrixError(
                 f"matrix is singular (row {i} depends on the rows before it)")
-    certs = [reducer.add_row({i: Fraction(1)}) for i in range(n)]
+    certs = [reducer.add_row({i: 1}) for i in range(n)]
     return [[cert.get(j, Fraction(0)) for j in range(n)] for cert in certs]

@@ -19,10 +19,13 @@ from typing import Dict, List, Sequence, Tuple
 from .forms import (
     Exponent,
     RealForm,
+    _bucket_inner,
+    _moment_denominator,
+    _moment_numerator,
+    _parity_buckets,
     form_inner,
     linear_combination,
     monomials,
-    sphere_moment,
 )
 from .kscalar import Field, basis_product
 from .linalg import RowReducer, SingularMatrixError, matrix_inverse
@@ -69,13 +72,17 @@ def _substitution_table(field: Field, m: int) -> List[RealForm]:
 def _average_monomial(beta: Exponent, table: List[RealForm], d: int) -> RealForm:
     # x^beta becomes the product of the substituted coordinates; integrating
     # alpha over the unit sphere turns each alpha monomial into its moment.
+    # Every alpha monomial has degree |beta|, so the moments share one
+    # denominator: the int numerators are summed and divided once per term.
     joint = reduce(operator.mul, (table[v] ** b for v, b in enumerate(beta) if b))
-    out: Dict[Exponent, Fraction] = {}
+    sums: Dict[Exponent, int] = {}
     for expo, coeff in joint.terms.items():
-        moment = sphere_moment(expo[:d], d)
-        if moment:
-            out[expo[d:]] = out.get(expo[d:], 0) + coeff * moment
-    return RealForm(joint.num_vars - d, sum(beta), out)
+        num = _moment_numerator(expo[:d])
+        if num:
+            sums[expo[d:]] = sums.get(expo[d:], 0) + coeff * num
+    den = _moment_denominator(d, sum(beta))
+    return RealForm(joint.num_vars - d, sum(beta),
+                    {expo: Fraction(total, den) for expo, total in sums.items() if total})
 
 
 def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
@@ -111,7 +118,10 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
 
     The forms must be linearly independent and of equal degree; a singular
     Gram matrix is reported as SingularGramError since it certifies
-    dependence.
+    dependence.  Exact forms are scaled once each to integer terms bucketed
+    by exponent parity; each entry of the upper triangle of the symmetric
+    Gram is then summed in ints and divided once.  Float forms are paired by
+    `form_inner`.
     """
     forms = tuple(forms)
     if not forms:
@@ -121,7 +131,16 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
     for f in forms[1:]:
         if f.degree != degree or f.num_vars != n_vars:
             raise ValueError("dual basis requires forms of equal degree and variable count")
-    gram = [[form_inner(fi, fj) for fj in forms] for fi in forms]
+    if all(f.is_exact for f in forms):
+        scaled = [_parity_buckets(f) for f in forms]
+        den = _moment_denominator(n_vars, 2 * degree)
+        gram = [[Fraction(0)] * len(forms) for _ in forms]
+        for i, (si, bi) in enumerate(scaled):
+            for j in range(i, len(forms)):
+                sj, bj = scaled[j]
+                gram[i][j] = gram[j][i] = Fraction(_bucket_inner(bi, bj), si * sj * den)
+    else:
+        gram = [[form_inner(fi, fj) for fj in forms] for fi in forms]
     try:
         inv = matrix_inverse(gram)
     except SingularMatrixError as exc:

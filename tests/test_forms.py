@@ -17,6 +17,7 @@ from isoframe.forms import (
     norm_power_form,
     sphere_moment,
 )
+from isoframe.frames import catalog
 from isoframe.kscalar import Field, KElement, KVector, inner_product, k_norm_sq
 from isoframe.phi import _substitution_table, unit_group_average
 
@@ -367,3 +368,34 @@ def test_norm_power_form_multinomial():
         assert g.num_vars == n and g.degree == p
         pt = [Fraction(1) for _ in range(n)]
         assert g.evaluate(pt) == Fraction(n) ** (p // 2)
+
+
+def test_float_form_inner_bits_unchanged():
+    # float forms keep the float sum of the parity-paired terms; the values
+    # below were recorded before exact forms moved to integer pairing
+    eq = catalog(Field.R, 2, 6, "real2-equiangular").forms
+    rng = random.Random(7)
+    rand = RealForm(3, 4, {e: rng.uniform(-2, 2) for e in monomials(3, 4)})
+    exact = norm_power_form(Field.R, 2, 6)
+    pairs = [(eq[0], eq[1]), (eq[1], eq[2]), (eq[3], eq[3]), (eq[2], exact), (exact, eq[2]),
+             (rand, rand), (rand, norm_power_form(Field.R, 3, 4))]
+    assert [form_inner(a, b).hex() for a, b in pairs] == [
+        "0x1.4800000000002p-4", "0x1.4800000000000p-4", "0x1.cdffffffffffep-3",
+        "0x1.4000000000000p-2", "0x1.4000000000000p-2", "0x1.33b63429f3a98p+0",
+        "-0x1.e974d168998afp-1"]
+
+
+def test_exact_form_inner_matches_term_pairs():
+    # exact forms pair in ints over one denominator; the result is the
+    # Fraction sum over every term pair, also for int coefficients
+    rng = random.Random(25)
+    for num_vars, degree in ((2, 4), (3, 2), (4, 3)):
+        for _ in range(5):
+            f, g = random_form(num_vars, degree, rng), random_form(num_vars, degree, rng)
+            g = RealForm(num_vars, degree, {e: int(c * 6) for e, c in g.terms.items()})
+            expected = sum((c1 * c2 * sphere_moment(tuple(map(sum, zip(e1, e2))), num_vars)
+                            for e1, c1 in f.terms.items() for e2, c2 in g.terms.items()),
+                           Fraction(0))
+            value = form_inner(f, g)
+            assert value == expected and type(value) is Fraction
+    assert form_inner(RealForm.zero(2, 2), RealForm.monomial(2, (2, 0))) == 0

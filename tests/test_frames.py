@@ -10,7 +10,13 @@ from pathlib import Path
 import pytest
 
 import isoframe.frames
-from isoframe.forms import RealForm, _scaled_linear_forms, frame_form, linear_combination
+from isoframe.forms import (
+    RealForm,
+    _scaled_linear_forms,
+    frame_form,
+    linear_combination,
+    norm_power_form,
+)
 from isoframe.frames import (
     CertificateError,
     DependenceCertificate,
@@ -36,6 +42,8 @@ from isoframe.kscalar import (
 )
 from isoframe.linalg import RowReducer
 from isoframe.phi import dim_phi, phi_basis
+
+from conftest import build_rescaled_synthetic_frame, build_synthetic_frame
 
 ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
 
@@ -797,3 +805,44 @@ def test_parse_frame_diagnostics():
         parse_frame(corrupt(m=True))
     with pytest.raises(FrameParseError, match="integers"):
         parse_frame(corrupt(p=True))
+
+
+def test_exact_verify_residual_is_the_linear_combination():
+    # the residual summed in ints over one denominator equals the Fraction
+    # sum term for term, in the same term order, on passing and failing frames
+    rng = random.Random(85)
+    frames = [catalog(Field.R, 2, 4, "real2-rational-p4"), build_synthetic_frame(),
+              build_rescaled_synthetic_frame(30)]
+    frames += [catalog(field, 3, 2, "orthonormal-p2") for field in (Field.R, Field.C, Field.H)]
+    frames += [dependent_frame(rng, field, m, p, 4) for field, m, p in
+               ((Field.R, 3, 4), (Field.C, 2, 4), (Field.H, 2, 2), (Field.C, 2, 6))]
+    frames.append(WeightedFrame(Field.R, 2, 4, (rvec(1, 0), rvec(0, 1)), (1, 1)))
+    # the xy terms of the first two forms cancel and the third adds one back
+    frames.append(WeightedFrame(Field.R, 2, 2, (rvec(1, 1), rvec(1, -1), rvec(1, 2)), (1, 1, 1)))
+    passed = []
+    for frame in frames:
+        assert frame.is_exact
+        norm = norm_power_form(frame.field, frame.m, frame.p)
+        expected = linear_combination(frame.weights + (-1,), frame.forms + (norm,))
+        result = verify(frame)
+        assert result.residual == expected
+        assert list(result.residual.terms.items()) == list(expected.terms.items())
+        assert all(type(c) is Fraction for c in result.residual.terms.values())
+        assert result.passed == expected.is_zero
+        passed.append(result.passed)
+    assert True in passed and False in passed
+
+
+def test_chain_frames_skip_the_proof_pass(monkeypatch):
+    # a frame handed on by reduce_once carries its values on the unisolvent
+    # points, so dependence goes straight to them, with the same certificates
+    rng = random.Random(86)
+    for field, m, p in ((Field.R, 3, 4), (Field.C, 2, 4), (Field.H, 2, 2)):
+        frame = dependent_frame(rng, field, m, p, 4)
+        assert frame.n <= dim_phi(field, m, p)
+        cert = dependence(frame)
+        assert cert is not None
+        current = reduce_once(frame, cert)
+        with monkeypatch.context() as patch:
+            patch.setattr(isoframe.frames, "_proof_row", None)
+            assert assert_chain_matches_weighted_rows(current) >= 0

@@ -106,3 +106,87 @@ def test_matrix_inverse_singular_raises():
         with pytest.raises(ValueError, match="not square"):
             matrix_inverse(matrix)
 
+
+
+def reference_certificates(rows):
+    """Plain Fraction elimination with pivots scaled to 1, as a reference:
+    (the certificate or None for each row, the rank)."""
+    pivots, out = [], []
+    for new, row in enumerate(rows):
+        work = {key: Fraction(x) for key, x in row.items() if x}
+        combo = {new: Fraction(1)}
+        for col, prow, pcombo in pivots:
+            factor = work.get(col)
+            if factor:
+                for key, x in prow.items():
+                    work[key] = work.get(key, 0) - factor * x
+                work = {key: x for key, x in work.items() if x}
+                for j, c in pcombo.items():
+                    combo[j] = combo.get(j, 0) - factor * c
+        if work:
+            lead = next(iter(work))
+            inv = 1 / work[lead]
+            pivots.append((lead, {key: x * inv for key, x in work.items()},
+                           {j: c * inv for j, c in combo.items()}))
+            out.append(None)
+        else:
+            out.append({j: -c for j, c in combo.items() if c and j != new})
+    return out, len(pivots)
+
+
+def sparse_rows(rng, count, cols):
+    """Sparse rows with int, rational and dyadic-float entries, with zero,
+    repeated and rescaled earlier rows mixed in."""
+    rows = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.2 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif kind < 0.3 and len(rows) > 1:
+            a, b = rng.sample(rows, 2)
+            s, t = Fraction(rng.randint(-4, 4), rng.randint(1, 5)), rng.randint(-3, 3)
+            rows.append({key: s * a.get(key, 0) + t * b.get(key, 0) for key in set(a) | set(b)})
+        else:
+            row = {}
+            for key in rng.sample(range(cols), rng.randint(1, min(cols, 4))):
+                row[f"c{key}"] = rng.choice((
+                    rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                    rng.randint(-64, 64) / 2 ** rng.randint(0, 6)))
+            rows.append(row)
+    return rows
+
+
+def test_row_reducer_matches_fraction_reference():
+    rng = random.Random(33)
+    for _ in range(60):
+        rows = sparse_rows(rng, rng.randint(1, 14), rng.randint(1, 8))
+        red = RowReducer()
+        certificates = [red.add_row(row) for row in rows]
+        expected, rank = reference_certificates(rows)
+        assert certificates == expected
+        assert red.rank == rank
+        for cert in certificates:
+            assert cert is None or all(type(c) is Fraction for c in cert.values())
+
+
+def test_matrix_inverse_block_diagonal_round_trip():
+    rng = random.Random(34)
+    for _ in range(10):
+        blocks = [random_matrix(k, k, rng, span=9) for k in (rng.randint(1, 4) for _ in range(3))]
+        n = sum(len(b) for b in blocks)
+        mat = [[Fraction(0)] * n for _ in range(n)]
+        at = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                mat[at + i][at:at + len(block)] = row
+            at += len(block)
+        try:
+            inv = matrix_inverse(mat)
+        except SingularMatrixError:
+            continue
+        for i in range(n):
+            for j in range(n):
+                assert sum(mat[i][k] * inv[k][j] for k in range(n)) == (i == j)
+        assert matrix_inverse(inv) == mat

@@ -10,7 +10,7 @@ import pytest
 
 from isoframe import phi
 from isoframe.cli import EXIT_PASS, entry
-from isoframe.forms import RealForm, form_inner, monomials, norm_power_form
+from isoframe.forms import RealForm, form_inner, monomials, norm_power_form, sphere_moment
 from isoframe.frames import WeightedFrame, save_frame
 from isoframe.kscalar import Field, KElement, KVector, rational_unit_scalars
 from isoframe.phi import (
@@ -299,3 +299,45 @@ def test_counting_builds_no_basis(capsys, tmp_path):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "pass" and payload["dim"] == 20
     assert phi_basis.cache_info().currsize == 0
+
+
+DUAL_KEYS = [(Field.R, 4, 6), (Field.C, 2, 8), (Field.C, 3, 4), (Field.R, 3, 6),
+             (Field.H, 3, 2), (Field.C, 5, 2), (Field.R, 3, 4), (Field.C, 3, 2),
+             (Field.R, 2, 8), (Field.R, 2, 4), (Field.C, 2, 2), (Field.H, 2, 2)]
+
+
+def reference_inner(f1, f2):
+    """The sphere pairing term pair by term pair, in Fractions."""
+    return sum((c1 * c2 * sphere_moment(tuple(a + b for a, b in zip(e1, e2)), f1.num_vars)
+                for e1, c1 in f1.terms.items() for e2, c2 in f2.terms.items()), Fraction(0))
+
+
+@pytest.mark.parametrize("field, m, p", DUAL_KEYS)
+def test_dual_basis_gram_is_pairwise_form_inner(field, m, p):
+    basis = phi_basis(field, m, p).basis
+    gram = dual_basis(basis).gram
+    assert gram == tuple(tuple(form_inner(fi, fj) for fj in basis) for fi in basis)
+    assert all(type(g) is Fraction for row in gram for g in row)
+    if len(basis) <= 10:
+        assert gram == tuple(tuple(reference_inner(fi, fj) for fj in basis) for fi in basis)
+
+
+def reference_average(beta, table, d):
+    """Average of x^beta with a Fraction sphere moment per joint term."""
+    joint = math.prod((table[v] ** b for v, b in enumerate(beta) if b),
+                      start=RealForm.monomial(table[0].num_vars, (0,) * table[0].num_vars))
+    out = {}
+    for expo, coeff in joint.terms.items():
+        out[expo[d:]] = out.get(expo[d:], 0) + coeff * sphere_moment(expo[:d], d)
+    return RealForm(joint.num_vars - d, sum(beta), out)
+
+
+@pytest.mark.parametrize("field, m, p", [(Field.R, 3, 4), (Field.C, 2, 4), (Field.C, 3, 2),
+                                         (Field.H, 2, 2), (Field.H, 1, 4)])
+def test_average_monomial_matches_sphere_moment_reference(field, m, p):
+    d = field.real_dimension
+    table = phi._substitution_table(field, m)
+    for beta in monomials(d * m, p):
+        averaged = phi._average_monomial(beta, table, d)
+        assert averaged == reference_average(beta, table, d)
+        assert all(type(c) is Fraction for c in averaged.terms.values())
