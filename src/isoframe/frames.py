@@ -402,16 +402,62 @@ class ScalingForms:
 
     They satisfy sum_k a_k(lambda) |<u_k,x>|^p = (sum_i lambda_i |xi_i|^2)^{p/2}
     identically, so a_k(1,...,1) = w_k.
+
+    An exact lambda = n / D (D the lcm of its denominators) is evaluated in
+    ints: with S the lcm of every coefficient's denominator, each
+    N_k = sum_nu S a_{k,nu} n^nu is an integer and a_k(lambda) =
+    N_k / (S D^{p/2}), so all a_k share one positive denominator and a_hat
+    is one Fraction.  A float lambda is evaluated form by form.
     """
 
     coefficients: Tuple[RealForm, ...]
 
+    @cached_property
+    def _integer_rows(self) -> Optional[Tuple[int, Tuple[Exponent, ...], Tuple[tuple, ...]]]:
+        """S, the exponents nu that occur, and per form the pairs (index of
+        nu, S a_{k,nu}) in ints; None unless the forms are exact and share
+        one variable count and degree."""
+        if len({(a.num_vars, a.degree) for a in self.coefficients}) != 1 or not all(
+                a.is_exact for a in self.coefficients):
+            return None
+        scale = math.lcm(*(c.denominator for a in self.coefficients for c in a.terms.values()))
+        index: Dict[Exponent, int] = {}
+        rows = tuple(tuple((index.setdefault(nu, len(index)), c.numerator * (scale // c.denominator))
+                           for nu, c in a.terms.items()) for a in self.coefficients)
+        return scale, tuple(index), rows
+
+    def _numerators(self, lam: Sequence[Scalar]) -> Optional[Tuple[List[int], int]]:
+        """The N_k and their common denominator S D^{p/2} at an exact lambda,
+        or None when a float in lambda, or forms with no integer table, leave
+        the evaluation to the forms one by one."""
+        table = self._integer_rows
+        if table is None:
+            return None
+        first = self.coefficients[0]
+        if len(lam) != first.num_vars:
+            raise ValueError(f"point has {len(lam)} coordinates, expected {first.num_vars}")
+        if not all(isinstance(x, (int, Fraction)) for x in lam):
+            return None
+        scale, nus, rows = table
+        den = math.lcm(*(x.denominator for x in lam))
+        n = [x.numerator * (den // x.denominator) for x in lam]
+        values = [math.prod(map(pow, n, nu)) for nu in nus]
+        return [sum(c * values[j] for j, c in row) for row in rows], scale * den**first.degree
+
     def evaluate(self, lam: Sequence[Scalar]) -> List[Scalar]:
-        return [a.evaluate(lam) for a in self.coefficients]
+        exact = self._numerators(lam)
+        if exact is None:
+            return [a.evaluate(lam) for a in self.coefficients]
+        nums, den = exact
+        return [Fraction(v, den) for v in nums]
 
     def a_hat(self, lam: Sequence[Scalar]) -> Scalar:
         """min_k a_k(lambda), the quantity whose zero crossing drives the reduction."""
-        return min(self.evaluate(lam))
+        exact = self._numerators(lam)
+        if exact is None:
+            return min(self.evaluate(lam))
+        nums, den = exact
+        return Fraction(min(nums), den)
 
 
 def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
@@ -423,8 +469,9 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
     |xi_i|^{2 nu_i}; each slice C_nu is reduced against the frame forms, and
     its dependence certificate gives the coefficients of lambda^nu in the
     a_k.  The resulting identity is re-checked symbolically slice by slice,
-    sum_k a_{k,nu} f_k = C_nu, which holds for every nu exactly when it
-    holds in (lambda, x); frames whose span misses a slice are rejected.
+    sum_k a_{k,nu} f_k = C_nu summed in ints over one common denominator,
+    which holds for every nu exactly when it holds in (lambda, x); frames
+    whose span misses a slice are rejected.
     """
     if not frame.is_exact:
         raise FrameError("scaling coefficients require exact rational entries")
@@ -444,8 +491,8 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
         weight = math.factorial(half) // math.prod(math.factorial(e) for e in nu)
         c_nu = math.prod((q ** e for q, e in zip(squares, nu) if e), start=weight)
         cert = reducer.add_row(c_nu.terms)
-        if cert is None or linear_combination(
-                [cert.get(k, 0) for k in range(frame.n)], frame.forms) != c_nu:
+        if cert is None or not _exact_residual(
+                [cert.get(k, 0) for k in range(frame.n)] + [-1], frame.forms + (c_nu,)).is_zero:
             raise ScalingExpansionError(
                 "diagonal target is not in the span of the frame forms; "
                 "the expansion identity has no solution for this frame")

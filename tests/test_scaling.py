@@ -1,16 +1,19 @@
 """Scaling coefficients and the diagonal-pushforward reduction."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from isoframe.forms import RealForm, abs_inner_sq_form, form_inner, frame_form
+import isoframe.frames
+from isoframe.forms import RealForm, abs_inner_sq_form, evaluate, form_inner, frame_form
 from isoframe.frames import (
     BudgetExhaustedError,
     DependentFormsError,
     FrameError,
     ScalingExpansionError,
+    ScalingForms,
     UnverifiedFrameError,
     WeightedFrame,
     catalog,
@@ -267,3 +270,96 @@ def test_scaling_reduce_deterministic(synthetic_frame):
     a = scaling_reduce(synthetic_frame)
     b = scaling_reduce(build_synthetic_frame())
     assert a == b
+
+
+def test_scaling_reduce_exact_branch(monkeypatch):
+    # a_1 = lambda_1 - lambda_2 / 49, a_2 = a_3 = lambda_2 / 98: with grid 2049
+    # the bisection lands on mu = ((1/5)^2, (7/5)^2), where a_1 = 0 exactly,
+    # so the rebuild is exact and re-verified with no tolerance
+    vectors = tuple(rvec(a, b) for a, b in ((1, 0), (1, 7), (1, -7)))
+    frame = WeightedFrame(Field.R, 2, 2, vectors,
+                          (Fraction(48, 49), Fraction(1, 98), Fraction(1, 98)))
+    assert verify(frame).passed
+    calls = []
+    exact_verify = isoframe.frames.verify
+
+    def spy(f, tolerance=None):
+        calls.append((f, tolerance))
+        return exact_verify(f, tolerance)
+
+    monkeypatch.setattr(isoframe.frames, "verify", spy)
+    reduced = scaling_reduce(frame, grid=2049)
+    assert reduced == WeightedFrame(Field.R, 2, 2, (rvec(5, 5), rvec(5, -5)),
+                                    (Fraction(1, 50), Fraction(1, 50)))
+    assert reduced.is_exact
+    assert calls[-1] == (reduced, None)
+    monkeypatch.undo()
+    assert scaling_reduce(frame) is None
+
+
+def mub_c2_p4():
+    """The three mutually unbiased bases of C^2, a projective 2-design."""
+    def cvec(*entries):
+        return KVector(Field.C, tuple(KElement(Field.C, (Fraction(a), Fraction(b)))
+                                      for a, b in entries))
+    vectors = (cvec((1, 0), (0, 0)), cvec((0, 0), (1, 0)), cvec((1, 0), (1, 0)),
+               cvec((1, 0), (-1, 0)), cvec((1, 0), (0, 1)), cvec((1, 0), (0, -1)))
+    return WeightedFrame(Field.C, 2, 4, vectors,
+                         (Fraction(1, 2), Fraction(1, 2)) + (Fraction(1, 8),) * 4)
+
+
+def kernel_cases():
+    """Scaling forms of the synthetic frame, the C^2 MUB design and the H^2
+    orthonormal frame, each with an identically zero coefficient form
+    appended, and seeded exact lambda of every kind the search evaluates:
+    simplex nodes, refinement midpoints, bisection points over 2^40, int
+    entries and zero entries."""
+    rng = random.Random(5)
+    for frame in (build_synthetic_frame(), mub_c2_p4(), catalog(Field.H, 2, 2, "orthonormal-p2")):
+        sf = scaling_coefficients(frame)
+        m, half = frame.m, frame.p // 2
+        forms = ScalingForms(sf.coefficients + (RealForm.zero(m, half),))
+        nodes = isoframe.frames._simplex_nodes(m, 9)
+        lams = list(nodes)
+        lams += [tuple((a + b) / 2 for a, b in zip(u, v)) for u, v in zip(nodes, nodes[1:])]
+        for _ in range(5):
+            t = Fraction(rng.randrange(1, 2**40), 2**40)
+            gamma = rng.choice(nodes)
+            lams.append(tuple(1 + t * (g - 1) for g in gamma))
+        lams += [tuple(rng.randint(-5, 9) for _ in range(m)) for _ in range(3)]
+        lams += [(0,) * m, (Fraction(0),) + tuple(Fraction(rng.randint(1, 9), 7) for _ in range(m - 1))]
+        yield forms, lams
+
+
+def test_scaling_kernel_matches_form_evaluation():
+    for forms, lams in kernel_cases():
+        for lam in lams:
+            expected = [evaluate(a, lam) for a in forms.coefficients]
+            got = forms.evaluate(lam)
+            assert got == expected and all(type(v) is Fraction for v in got)
+            assert got[-1] == 0
+            a_hat = forms.a_hat(lam)
+            assert a_hat == min(expected) and type(a_hat) is Fraction
+
+
+def test_scaling_kernel_float_lambda_matches_loop():
+    def bits(v):
+        return v.hex() if isinstance(v, float) else (type(v), v)
+
+    for forms, lams in kernel_cases():
+        for lam in lams[::3]:
+            # all floats, and one float beside exact entries
+            for point in (tuple(map(float, lam)), (float(lam[0]) + 0.1,) + lam[1:]):
+                expected = [bits(evaluate(a, point)) for a in forms.coefficients]
+                assert [bits(v) for v in forms.evaluate(point)] == expected
+                assert bits(forms.a_hat(point)) == bits(
+                    min(evaluate(a, point) for a in forms.coefficients))
+
+
+def test_scaling_kernel_rejects_wrong_length(synthetic_frame):
+    sf = scaling_coefficients(synthetic_frame)
+    for lam in ((Fraction(1),), (1, 2, 3), (1.0,), (0.5, 1.0, 2.0)):
+        with pytest.raises(ValueError, match="coordinates"):
+            sf.evaluate(lam)
+        with pytest.raises(ValueError, match="coordinates"):
+            sf.a_hat(lam)
