@@ -76,6 +76,15 @@ class RealForm:
         self.terms = MappingProxyType(clean)
 
     @classmethod
+    def _build(cls, num_vars: int, degree: int, terms: Dict[Exponent, Scalar]) -> "RealForm":
+        """A form over a term dict that a kernel here has just built: exponent
+        tuples of the right length and degree, no zero coefficient.  The dict
+        is taken as it is, with no re-validation and no copy."""
+        form = object.__new__(cls)
+        form.num_vars, form.degree, form.terms = num_vars, degree, MappingProxyType(terms)
+        return form
+
+    @classmethod
     def zero(cls, num_vars: int, degree: int) -> "RealForm":
         return cls(num_vars, degree, {})
 
@@ -128,20 +137,35 @@ class RealForm:
             for e2, c2 in other.terms.items():
                 key = tuple(map(operator.add, e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return RealForm(self.num_vars, self.degree + other.degree, out)
+        return RealForm._build(self.num_vars, self.degree + other.degree, _nonzero(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "RealForm":
+        """self ** exponent by the tree half * half, then times self for an
+        odd exponent, run on exponent vectors packed into one int each.
+
+        Each exponent is one digit of (degree * exponent).bit_length() bits
+        (one bit for a constant), wide enough for any exponent of the power,
+        so adding two packed keys adds their exponent vectors with no carry.
+        Terms are summed and dropped in the order `__mul__` sums and drops
+        them, so float coefficients are the same bit for bit.
+        """
         if exponent < 0:
             raise ValueError("negative powers are not defined for forms")
         if exponent == 0:
             return RealForm.monomial(self.num_vars, (0,) * self.num_vars)
         if exponent == 1:
             return self
-        half = self ** (exponent // 2)
-        sq = half * half
-        return sq * self if exponent % 2 else sq
+        degree = self.degree * exponent
+        width = degree.bit_length() or 1
+        shifts = range(0, width * self.num_vars, width)
+        units = [1 << s for s in shifts]
+        base = {sum(map(operator.mul, expo, units)): c for expo, c in self.terms.items()}
+        mask = (1 << width) - 1
+        return RealForm._build(self.num_vars, degree, {
+            tuple([key >> s & mask for s in shifts]): c
+            for key, c in _packed_power(base, exponent).items()})
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         return evaluate(self, point)
@@ -151,6 +175,31 @@ class RealForm:
             raise ValueError(f"variable count mismatch: {self.num_vars} vs {other.num_vars}")
         if same_degree and self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+
+
+def _nonzero(terms: dict) -> dict:
+    """terms without its zero coefficients, in order; terms itself when none
+    cancelled, which is the common case."""
+    return terms if all(terms.values()) else {k: c for k, c in terms.items() if c != 0}
+
+
+def _packed_product(a: Dict[int, Scalar], b: Dict[int, Scalar]) -> Dict[int, Scalar]:
+    out: Dict[int, Scalar] = {}
+    get = out.get
+    pairs = list(b.items())
+    for k1, c1 in a.items():
+        for k2, c2 in pairs:
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+    return _nonzero(out)
+
+
+def _packed_power(base: Dict[int, Scalar], exponent: int) -> Dict[int, Scalar]:
+    if exponent == 1:
+        return base
+    half = _packed_power(base, exponent // 2)
+    sq = _packed_product(half, half)
+    return _packed_product(sq, base) if exponent % 2 else sq
 
 
 def evaluate(form: RealForm, point: Sequence[Scalar]) -> Scalar:
@@ -188,7 +237,7 @@ def linear_combination(coeffs: Sequence[Scalar], forms: Sequence[RealForm]) -> R
                 out[expo] = value
             else:
                 out.pop(expo, None)
-    return RealForm(first.num_vars, first.degree, out)
+    return RealForm._build(first.num_vars, first.degree, out)
 
 
 def _double_factorial(k: int) -> int:
@@ -313,13 +362,10 @@ def abs_inner_sq_form(u: KVector) -> RealForm:
     return frame_form(u, 2)
 
 
-def frame_form(u: KVector, p: int) -> RealForm:
-    """|<u, x>|^p as a degree-p form; p must be a positive even integer.
-
-    An exact u is expanded over the integers as |<s u, x>|^p, s the lcm of
-    its denominators, and each coefficient is divided by s^p once.  Rejects
-    u = 0, which contributes nothing to a frame and never appears in one.
-    """
+def _integer_frame_form(u: KVector, p: int) -> Tuple[int, RealForm]:
+    """s and |<s u, x>|^p expanded: s the lcm of an exact u's denominators and
+    int coefficients, or s = 1 and float coefficients for a float u.  Checks
+    p and u as frame_form documents."""
     if p < 2 or p % 2:
         raise ValueError(f"exponent p must be a positive even integer, got {p}")
     if u.is_zero:
@@ -328,17 +374,39 @@ def frame_form(u: KVector, p: int) -> RealForm:
     n = len(linear[0])
     squares = [lin * lin for lin in (RealForm(n, 1, {
         (0,) * j + (1,) + (0,) * (n - j - 1): c for j, c in enumerate(row)}) for row in linear)]
-    power = linear_combination((1,) * len(linear), squares) ** (p // 2)
+    return s, linear_combination((1,) * len(linear), squares) ** (p // 2)
+
+
+def _divided_frame_form(u: KVector, s: int, power: RealForm) -> RealForm:
+    """|<u, x>|^p from _integer_frame_form's s and power: each coefficient
+    divided by s^p once for an exact u, the float power as it is."""
     if not u.is_exact:
         return power
-    scale = s**p
-    return RealForm(n, p, {e: Fraction(c, scale) for e, c in power.terms.items()})
+    scale = s**power.degree
+    return RealForm._build(power.num_vars, power.degree,
+                           {e: Fraction(c, scale) for e, c in power.terms.items()})
+
+
+def frame_form(u: KVector, p: int) -> RealForm:
+    """|<u, x>|^p as a degree-p form; p must be a positive even integer.
+
+    An exact u is expanded over the integers as |<s u, x>|^p, s the lcm of
+    its denominators, and each coefficient is divided by s^p once.  Rejects
+    u = 0, which contributes nothing to a frame and never appears in one.
+    """
+    return _divided_frame_form(u, *_integer_frame_form(u, p))
+
+
+@lru_cache(maxsize=None)
+def _integer_norm_power(num_vars: int, p: int) -> RealForm:
+    """(sum of the num_vars squared coordinates)^{p/2} with int coefficients."""
+    sq = {(0,) * j + (2,) + (0,) * (num_vars - j - 1): 1 for j in range(num_vars)}
+    return RealForm._build(num_vars, 2, sq) ** (p // 2)
 
 
 def norm_power_form(fld: Field, m: int, p: int) -> RealForm:
     """<x, x>^{p/2} = (sum of all d*m squared real coordinates)^{p/2}."""
     if p < 2 or p % 2:
         raise ValueError(f"exponent p must be a positive even integer, got {p}")
-    n = fld.real_dimension * m
-    sq = {(0,) * j + (2,) + (0,) * (n - j - 1): Fraction(1) for j in range(n)}
-    return RealForm(n, 2, sq) ** (p // 2)
+    power = _integer_norm_power(fld.real_dimension * m, p)
+    return RealForm._build(power.num_vars, p, {e: Fraction(c) for e, c in power.terms.items()})

@@ -35,8 +35,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .forms import (
     Exponent,
     RealForm,
+    _divided_frame_form,
+    _integer_frame_form,
+    _integer_norm_power,
     _scaled_linear_forms,
-    abs_inner_sq_form,
     frame_form,
     linear_combination,
     monomials,
@@ -154,9 +156,16 @@ class WeightedFrame:
             isinstance(w, Fraction) for w in self.weights)
 
     @cached_property
+    def _expansions(self) -> Tuple[Tuple[int, RealForm], ...]:
+        """`_integer_frame_form` of each u_k: s_k and |<s_k u_k, x>|^p,
+        expanded on first use."""
+        return tuple(_integer_frame_form(u, self.p) for u in self.vectors)
+
+    @cached_property
     def forms(self) -> Tuple[RealForm, ...]:
-        """The unweighted forms |<u_k, x>|^p, expanded on first use."""
-        return tuple(frame_form(u, self.p) for u in self.vectors)
+        """The unweighted forms |<u_k, x>|^p, read off `_expansions`."""
+        return tuple(_divided_frame_form(u, s, power)
+                     for u, (s, power) in zip(self.vectors, self._expansions))
 
     @cached_property
     def _values(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
@@ -203,10 +212,13 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     that overflowed to inf or nan, or an exact one too large to convert)
     compares with no tolerance and raises FrameError.
     """
-    norm = norm_power_form(frame.field, frame.m, frame.p)
+    p = frame.p
     if frame.is_exact:
-        residual = _exact_residual(frame.weights + (Fraction(-1),), frame.forms + (norm,))
+        norm = _integer_norm_power(frame.field.real_dimension * frame.m, p)
+        residual = _exact_residual([(w / s**p, power) for w, (s, power) in
+                                    zip(frame.weights, frame._expansions)] + [(-1, norm)])
     else:
+        norm = norm_power_form(frame.field, frame.m, p)
         residual = linear_combination(frame.weights + (-1,), frame.forms + (norm,))
     if tolerance is None:
         passed = residual.is_zero
@@ -217,25 +229,28 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     return VerifyResult(passed=passed, residual=residual)
 
 
-def _exact_residual(weights: Sequence[Fraction], forms: Sequence[RealForm]) -> RealForm:
-    """sum_k weights[k] * forms[k] for exact forms, summed in ints over one
-    common denominator L and divided once per term.  Form k's coefficient c
-    reads as the int c.numerator * (s_k // c.denominator), s_k the lcm of its
-    denominators; terms are kept and dropped in the order linear_combination
-    keeps them, so the two results are equal term for term."""
-    scales = [math.lcm(*(c.denominator for c in f.terms.values())) for f in forms]
-    common = math.lcm(*(w.denominator * s for w, s in zip(weights, scales)))
+def _exact_residual(pairs: Sequence[Tuple[Scalar, RealForm]]) -> RealForm:
+    """sum_k c_k * P_k over pairs (c_k, P_k) of a rational c_k and a form P_k
+    with int coefficients, of one variable count and degree.  The sum runs
+    in ints over L, the lcm of the c_k's denominators, and each surviving
+    term is divided by L once.  Terms are kept and dropped in the order
+    linear_combination keeps them, so the two results are equal term for
+    term."""
+    common = math.lcm(*(c.denominator for c, _ in pairs))
     out: Dict[Exponent, int] = {}
-    for w, s, form in zip(weights, scales, forms):
-        factor = w.numerator * (common // (w.denominator * s))
-        for expo, c in form.terms.items():
-            value = out.get(expo, 0) + factor * (c.numerator * (s // c.denominator))
-            if value:
+    get, pop = out.get, out.pop
+    for c, power in pairs:
+        if not c:
+            continue
+        factor = c.numerator * (common // c.denominator)
+        for expo, v in power.terms.items():
+            if value := get(expo, 0) + factor * v:
                 out[expo] = value
             else:
-                out.pop(expo, None)
-    return RealForm(forms[0].num_vars, forms[0].degree,
-                    {expo: Fraction(v, common) for expo, v in out.items()})
+                pop(expo, None)
+    first = pairs[0][1]
+    return RealForm._build(first.num_vars, first.degree,
+                           {expo: Fraction(v, common) for expo, v in out.items()})
 
 
 @dataclass(frozen=True)
@@ -373,8 +388,9 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
                             tuple(frame.weights[k] * (1 - cert.omega[k]) for k in keep))
     # The kept vectors are the same objects, so their values and forms are too.
     object.__setattr__(reduced, "_values", tuple(values[k] for k in keep))
-    if "forms" in vars(frame):
-        object.__setattr__(reduced, "forms", tuple(frame.forms[k] for k in keep))
+    for name in ("_expansions", "forms"):
+        if name in vars(frame):
+            object.__setattr__(reduced, name, tuple(getattr(frame, name)[k] for k in keep))
     return reduced
 
 
@@ -485,14 +501,17 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
             raise DependentFormsError(
                 "frame forms are linearly dependent; run reduce_to_independent first")
     half = p // 2
-    squares = [abs_inner_sq_form(KVector.canonical(frame.field, m, i)) for i in range(m)]
+    # |xi_i|^2 = |<e_i, x>|^2, which has int coefficients (s = 1)
+    squares = [_integer_frame_form(KVector.canonical(frame.field, m, i), 2)[1] for i in range(m)]
+    scaled = [(Fraction(1, s**p), power) for s, power in frame._expansions]
     terms: List[Dict[Exponent, Fraction]] = [{} for _ in range(frame.n)]
     for nu in monomials(m, half):
         weight = math.factorial(half) // math.prod(math.factorial(e) for e in nu)
         c_nu = math.prod((q ** e for q, e in zip(squares, nu) if e), start=weight)
         cert = reducer.add_row(c_nu.terms)
         if cert is None or not _exact_residual(
-                [cert.get(k, 0) for k in range(frame.n)] + [-1], frame.forms + (c_nu,)).is_zero:
+                [(cert.get(k, 0) * c, power) for k, (c, power) in enumerate(scaled)]
+                + [(-1, c_nu)]).is_zero:
             raise ScalingExpansionError(
                 "diagonal target is not in the span of the frame forms; "
                 "the expansion identity has no solution for this frame")
@@ -567,8 +586,8 @@ def scaling_reduce(
             if v in values and values[v] >= 0:
                 mid = tuple((a + b) / 2 for a, b in zip(u, v))
                 values[mid] = sf.a_hat(mid)
-    gamma = min(values, key=lambda node: (values[node], node))
-    if values[gamma] >= 0:
+    gamma, lowest = min(values.items(), key=lambda kv: (kv[1], kv[0]))
+    if lowest >= 0:
         return None
 
     # Bisect on the segment from (1,...,1) to gamma, keeping

@@ -127,6 +127,50 @@ def test_pow_matches_repeated_multiplication():
     assert g ** 1 == g and g ** 2 == g * g
 
 
+def tree_power(f, k):
+    """f ** k by repeated tuple-keyed products in the tree that `**` keeps:
+    half * half, then times f for an odd k."""
+    if k == 0:
+        return RealForm.monomial(f.num_vars, (0,) * f.num_vars)
+    if k == 1:
+        return f
+    half = tree_power(f, k // 2)
+    sq = half * half
+    return sq * f if k % 2 else sq
+
+
+def test_packed_pow_matches_tuple_keyed_products():
+    rng = random.Random(22)
+    bases = [
+        random_form(3, 2, rng),
+        RealForm(3, 2, {e: rng.uniform(-2, 2) for e in monomials(3, 2)}),
+        RealForm(4, 1, {e: rng.uniform(-1, 1) for e in monomials(4, 1)}),
+        # pure cubes reach x^15 at k = 5, the largest digit of 4 bits
+        RealForm(2, 3, {(3, 0): 1.5, (1, 2): 0.5, (0, 3): -0.25}),
+        RealForm(2, 3, {(3, 0): Fraction(3, 2), (2, 1): -2, (0, 3): Fraction(-1, 7)}),
+        # the x^2 y^2 term of the square cancels to zero and is dropped
+        RealForm(2, 2, {(2, 0): 1, (1, 1): 2, (0, 2): -2}),
+        RealForm(2, 2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): -2.0}),
+        RealForm(3, 0, {(0, 0, 0): Fraction(-3, 2)}),
+        RealForm(2, 0, {(0, 0): 0.7}),
+    ]
+    for f in bases:
+        for k in range(6):
+            power, reference = f ** k, tree_power(f, k)
+            assert (power.num_vars, power.degree) == (reference.num_vars, reference.degree)
+            assert list(power.terms) == list(reference.terms)
+            assert [c.hex() if isinstance(c, float) else c for c in power.terms.values()] == [
+                c.hex() if isinstance(c, float) else c for c in reference.terms.values()]
+            assert all(c != 0 for c in power.terms.values())
+    assert (2, 2) not in (bases[5] ** 2).terms
+    # products, powers and combinations skip re-validation; the public
+    # constructor still validates its input
+    with pytest.raises(ValueError, match="entries"):
+        RealForm(2, 2, {(1, 1, 0): Fraction(1)})
+    with pytest.raises(ValueError, match="degree"):
+        RealForm(2, 2, {(1, 2): 1.5})
+
+
 def fold_reference(coeffs, forms):
     """The left fold acc + c * f written out on term dicts: each entry
     starts from Fraction(0) and cancelled entries drop after every step."""

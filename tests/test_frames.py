@@ -38,6 +38,7 @@ from isoframe.kscalar import (
     Field,
     KElement,
     KVector,
+    inner_product,
     rational_unit_scalars,
 )
 from isoframe.linalg import RowReducer
@@ -282,14 +283,15 @@ def test_reduce_once_drops_pivot_and_reweights():
 
 def test_forms_expanded_once_across_reductions(monkeypatch):
     # verify, the dependence/reduce_once loop and the final verify share one
-    # expansion per input vector: reduced frames inherit the kept forms.
+    # integer expansion per input vector: reduced frames inherit the kept ones.
     calls = []
+    expand = isoframe.frames._integer_frame_form
 
-    def counting_frame_form(u, p):
+    def counting_expansion(u, p):
         calls.append(u)
-        return frame_form(u, p)
+        return expand(u, p)
 
-    monkeypatch.setattr(isoframe.frames, "frame_form", counting_frame_form)
+    monkeypatch.setattr(isoframe.frames, "_integer_frame_form", counting_expansion)
     base = catalog(Field.R, 2, 4, "real2-rational-p4")
     frame = union(split_vector(split_vector(base, 1, Fraction(1, 3)), 2, Fraction(3, 4)), base)
     assert verify(frame).passed
@@ -831,6 +833,62 @@ def test_exact_verify_residual_is_the_linear_combination():
         assert result.passed == expected.is_zero
         passed.append(result.passed)
     assert True in passed and False in passed
+
+
+def axis_design(field, p):
+    """e_1, e_2 and (1, eps) in K^2 for the 2d units eps = +-1, +-e_a of K,
+    with weights w_0 for the axes and w_0 / 2^{p/2} for the rest, where
+    w_0 (1 + 2d / 2^{p/2}) = 1: a projective 3-design, so it verifies for
+    p = 2, 4 and 6."""
+    d = field.real_dimension
+    one = KElement(field, (Fraction(1),) + (Fraction(0),) * (d - 1))
+    zero = KElement.zero(field)
+    units = [KElement(field, tuple(Fraction(sign * (a == b)) for b in range(d)))
+             for a in range(d) for sign in (1, -1)]
+    vectors = (KVector(field, (one, zero)), KVector(field, (zero, one))) + tuple(
+        KVector(field, (one, e)) for e in units)
+    w0 = 1 / (1 + Fraction(2 * d, 2 ** (p // 2)))
+    return WeightedFrame(field, 2, p, vectors, (w0, w0) + (w0 / 2 ** (p // 2),) * (2 * d))
+
+
+def seeded_design(field, p, rng):
+    """axis_design under a seeded rational Householder reflection
+    x -> x - v (2 <v, x> / |v|^2), each vector then gauged by a rational unit
+    and rescaled by a rational c_k with its weight divided by c_k^p.  It still
+    verifies, now with dense forms and mixed denominators."""
+    frame = axis_design(field, p)
+    v = random_rational_vector(rng, field, 2)
+    twice = Fraction(2) / v.norm_sq()
+    units = rational_unit_scalars(field, frame.n, seed=rng.randrange(1000))
+    vectors, weights = [], []
+    for u, w, alpha in zip(frame.vectors, frame.weights, units):
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        reflected = u - v.scale_right(inner_product(v, u).scale(twice))
+        vectors.append(reflected.scale_right(alpha).scale_real(c))
+        weights.append(w / c**p)
+    return WeightedFrame(field, 2, p, tuple(vectors), tuple(weights))
+
+
+@pytest.mark.parametrize("p", [2, 4, 6])
+@pytest.mark.parametrize("field", [Field.R, Field.C, Field.H])
+def test_integer_verify_matches_reference_combination(field, p):
+    # verify sums the cached integer expansions in ints; the reference is the
+    # Fraction linear combination of freshly expanded forms, term for term
+    rng = random.Random(88 + p)
+    for _ in range(2):
+        frame = seeded_design(field, p, rng)
+        k = rng.randrange(frame.n)
+        weights = list(frame.weights)
+        weights[k] *= 1 + Fraction(1, rng.randint(5, 97))
+        failing = WeightedFrame(field, 2, p, frame.vectors, tuple(weights))
+        for candidate, verdict in ((frame, True), (failing, False)):
+            forms = tuple(frame_form(u, p) for u in candidate.vectors)
+            reference = linear_combination(candidate.weights + (-1,),
+                                           forms + (norm_power_form(field, 2, p),))
+            result = verify(candidate)
+            assert result.passed is verdict
+            assert list(result.residual.terms.items()) == list(reference.terms.items())
+            assert all(type(c) is Fraction for c in result.residual.terms.values())
 
 
 def test_chain_frames_skip_the_proof_pass(monkeypatch):
