@@ -29,7 +29,6 @@ Exponent = Tuple[int, ...]
 __all__ = [
     "Exponent",
     "RealForm",
-    "abs_inner_sq_form",
     "evaluate",
     "form_inner",
     "frame_form",
@@ -71,6 +70,8 @@ class RealForm:
                 raise ValueError(f"exponent {expo} has {len(expo)} entries, expected {self.num_vars}")
             if sum(expo) != self.degree:
                 raise ValueError(f"exponent {expo} has degree {sum(expo)}, expected {self.degree}")
+            if min(expo, default=0) < 0:
+                raise ValueError(f"exponent {expo} has a negative entry")
             if coeff != 0:
                 clean[expo] = coeff
         self.terms = MappingProxyType(clean)
@@ -254,15 +255,16 @@ def sphere_moment(beta: Sequence[int], num_vars: int) -> Fraction:
     The integral of x^beta against the uniform probability measure: zero
     when any beta_i is odd, otherwise with beta = 2b and a = sum(b),
         prod_i (2 b_i - 1)!!  /  (N (N+2) ... (N+2a-2)).
+    A negative exponent raises ValueError.
     """
     if num_vars < 1:
         raise ValueError("sphere dimension must be >= 1")
     beta = tuple(beta)
     if len(beta) != num_vars:
         raise ValueError(f"exponent length {len(beta)} does not match N={num_vars}")
-    if any(b % 2 for b in beta):
-        return Fraction(0)
-    return _even_moment(beta)
+    if min(beta, default=0) < 0:
+        raise ValueError(f"exponent {beta} has a negative entry")
+    return Fraction(_moment_numerator(beta), _moment_denominator(num_vars, sum(beta)))
 
 
 # The moment of an even x^beta splits into an int numerator prod_i
@@ -285,11 +287,6 @@ def _moment_numerator(beta: Exponent) -> int:
 @lru_cache(maxsize=None)
 def _moment_denominator(num_vars: int, degree: int) -> int:
     return math.prod(range(num_vars, num_vars + degree, 2))
-
-
-@lru_cache(maxsize=None)
-def _even_moment(beta: Exponent) -> Fraction:
-    return Fraction(_moment_numerator(beta), _moment_denominator(len(beta), sum(beta)))
 
 
 def _parity_buckets(form: RealForm) -> Tuple[int, Dict[Exponent, List[Tuple[Exponent, int]]]]:
@@ -315,26 +312,17 @@ def _bucket_inner(b1, b2) -> int:
     return total
 
 
-def form_inner(f1: RealForm, f2: RealForm) -> Scalar:
-    """<<f1, f2>>: exact sphere integral of f1*f2; only equal-parity term pairs
-    count.  Exact forms are paired in ints over s1 s2 times the moment
-    denominator; a float form sums float terms."""
+def form_inner(f1: RealForm, f2: RealForm) -> Fraction:
+    """<<f1, f2>>: exact sphere integral of f1*f2, paired in ints over s1 s2
+    times the moment denominator; only equal-parity term pairs count.  The
+    forms must be exact: a float coefficient raises ValueError."""
     if f1.num_vars != f2.num_vars:
         raise ValueError(f"variable count mismatch: {f1.num_vars} vs {f2.num_vars}")
-    if f1.is_exact and f2.is_exact:
-        if f1.is_zero or f2.is_zero:
-            return Fraction(0)
-        (s1, b1), (s2, b2) = _parity_buckets(f1), _parity_buckets(f2)
-        den = _moment_denominator(f1.num_vars, f1.degree + f2.degree)
-        return Fraction(_bucket_inner(b1, b2), s1 * s2 * den)
-    buckets: Dict[Exponent, List[Tuple[Exponent, Scalar]]] = {}
-    for e2, c2 in f2.terms.items():
-        buckets.setdefault(tuple([e & 1 for e in e2]), []).append((e2, c2))
-    total = Fraction(0)
-    for e1, c1 in f1.terms.items():
-        for e2, c2 in buckets.get(tuple([e & 1 for e in e1]), ()):
-            total = total + c1 * c2 * _even_moment(tuple(map(operator.add, e1, e2)))
-    return total
+    if not (f1.is_exact and f2.is_exact):
+        raise ValueError("form_inner pairs exact forms only")
+    (s1, b1), (s2, b2) = _parity_buckets(f1), _parity_buckets(f2)
+    den = _moment_denominator(f1.num_vars, f1.degree + f2.degree)
+    return Fraction(_bucket_inner(b1, b2), s1 * s2 * den)
 
 
 def _scaled_linear_forms(u: KVector) -> Tuple[int, List[List[Scalar]]]:
@@ -356,12 +344,6 @@ def _scaled_linear_forms(u: KVector) -> Tuple[int, List[List[Scalar]]]:
     return s, linear
 
 
-def abs_inner_sq_form(u: KVector) -> RealForm:
-    """|<u, x>|^2 as a degree-2 form in the d*m real coordinates of x, expanded
-    over the integers and divided by s^2 once for exact u, as in frame_form."""
-    return frame_form(u, 2)
-
-
 def _integer_frame_form(u: KVector, p: int) -> Tuple[int, RealForm]:
     """s and |<s u, x>|^p expanded: s the lcm of an exact u's denominators and
     int coefficients, or s = 1 and float coefficients for a float u.  Checks
@@ -372,8 +354,9 @@ def _integer_frame_form(u: KVector, p: int) -> Tuple[int, RealForm]:
         raise ValueError("zero vector has no frame form")
     s, linear = _scaled_linear_forms(u)
     n = len(linear[0])
-    squares = [lin * lin for lin in (RealForm(n, 1, {
-        (0,) * j + (1,) + (0,) * (n - j - 1): c for j, c in enumerate(row)}) for row in linear)]
+    squares = [lin * lin for lin in (RealForm._build(n, 1, {
+        (0,) * j + (1,) + (0,) * (n - j - 1): c for j, c in enumerate(row) if c})
+        for row in linear)]
     return s, linear_combination((1,) * len(linear), squares) ** (p // 2)
 
 

@@ -218,8 +218,12 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
         residual = _exact_residual([(w / s**p, power) for w, (s, power) in
                                     zip(frame.weights, frame._expansions)] + [(-1, norm)])
     else:
+        # a float u's expansion is its form; an exact u beside a float weight
+        # is divided by s^p here, as `forms` would, without caching the forms
+        forms = tuple(_divided_frame_form(u, s, power)
+                      for u, (s, power) in zip(frame.vectors, frame._expansions))
         norm = norm_power_form(frame.field, frame.m, p)
-        residual = linear_combination(frame.weights + (-1,), frame.forms + (norm,))
+        residual = linear_combination(frame.weights + (-1,), forms + (norm,))
     if tolerance is None:
         passed = residual.is_zero
     else:
@@ -386,11 +390,10 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     reduced = WeightedFrame(frame.field, frame.m, frame.p,
                             tuple(frame.vectors[k] for k in keep),
                             tuple(frame.weights[k] * (1 - cert.omega[k]) for k in keep))
-    # The kept vectors are the same objects, so their values and forms are too.
+    # The kept vectors are the same objects, so their values and expansions are too.
     object.__setattr__(reduced, "_values", tuple(values[k] for k in keep))
-    for name in ("_expansions", "forms"):
-        if name in vars(frame):
-            object.__setattr__(reduced, name, tuple(getattr(frame, name)[k] for k in keep))
+    if "_expansions" in vars(frame):
+        object.__setattr__(reduced, "_expansions", tuple(frame._expansions[k] for k in keep))
     return reduced
 
 
@@ -419,60 +422,53 @@ class ScalingForms:
     They satisfy sum_k a_k(lambda) |<u_k,x>|^p = (sum_i lambda_i |xi_i|^2)^{p/2}
     identically, so a_k(1,...,1) = w_k.
 
-    An exact lambda = n / D (D the lcm of its denominators) is evaluated in
-    ints: with S the lcm of every coefficient's denominator, each
+    The forms must be exact and share one variable count and degree, and
+    lambda must be exact (ints and Fractions); anything else raises
+    ValueError.  With lambda = n / D (D the lcm of its denominators) and S
+    the lcm of every coefficient's denominator, each
     N_k = sum_nu S a_{k,nu} n^nu is an integer and a_k(lambda) =
     N_k / (S D^{p/2}), so all a_k share one positive denominator and a_hat
-    is one Fraction.  A float lambda is evaluated form by form.
+    is one Fraction.
     """
 
     coefficients: Tuple[RealForm, ...]
 
+    def __post_init__(self):
+        if len({(a.num_vars, a.degree) for a in self.coefficients}) != 1:
+            raise ValueError("scaling forms must share one variable count and degree")
+        if not all(a.is_exact for a in self.coefficients):
+            raise ValueError("scaling forms must be exact")
+
     @cached_property
-    def _integer_rows(self) -> Optional[Tuple[int, Tuple[Exponent, ...], Tuple[tuple, ...]]]:
+    def _integer_rows(self) -> Tuple[int, Tuple[Exponent, ...], Tuple[tuple, ...]]:
         """S, the exponents nu that occur, and per form the pairs (index of
-        nu, S a_{k,nu}) in ints; None unless the forms are exact and share
-        one variable count and degree."""
-        if len({(a.num_vars, a.degree) for a in self.coefficients}) != 1 or not all(
-                a.is_exact for a in self.coefficients):
-            return None
+        nu, S a_{k,nu}) in ints."""
         scale = math.lcm(*(c.denominator for a in self.coefficients for c in a.terms.values()))
         index: Dict[Exponent, int] = {}
         rows = tuple(tuple((index.setdefault(nu, len(index)), c.numerator * (scale // c.denominator))
                            for nu, c in a.terms.items()) for a in self.coefficients)
         return scale, tuple(index), rows
 
-    def _numerators(self, lam: Sequence[Scalar]) -> Optional[Tuple[List[int], int]]:
-        """The N_k and their common denominator S D^{p/2} at an exact lambda,
-        or None when a float in lambda, or forms with no integer table, leave
-        the evaluation to the forms one by one."""
-        table = self._integer_rows
-        if table is None:
-            return None
+    def _numerators(self, lam: Sequence[Scalar]) -> Tuple[List[int], int]:
+        """The N_k and their common denominator S D^{p/2} at lambda."""
         first = self.coefficients[0]
         if len(lam) != first.num_vars:
             raise ValueError(f"point has {len(lam)} coordinates, expected {first.num_vars}")
         if not all(isinstance(x, (int, Fraction)) for x in lam):
-            return None
-        scale, nus, rows = table
+            raise ValueError("scaling forms are evaluated at exact points only")
+        scale, nus, rows = self._integer_rows
         den = math.lcm(*(x.denominator for x in lam))
         n = [x.numerator * (den // x.denominator) for x in lam]
         values = [math.prod(map(pow, n, nu)) for nu in nus]
         return [sum(c * values[j] for j, c in row) for row in rows], scale * den**first.degree
 
-    def evaluate(self, lam: Sequence[Scalar]) -> List[Scalar]:
-        exact = self._numerators(lam)
-        if exact is None:
-            return [a.evaluate(lam) for a in self.coefficients]
-        nums, den = exact
+    def evaluate(self, lam: Sequence[Scalar]) -> List[Fraction]:
+        nums, den = self._numerators(lam)
         return [Fraction(v, den) for v in nums]
 
-    def a_hat(self, lam: Sequence[Scalar]) -> Scalar:
+    def a_hat(self, lam: Sequence[Scalar]) -> Fraction:
         """min_k a_k(lambda), the quantity whose zero crossing drives the reduction."""
-        exact = self._numerators(lam)
-        if exact is None:
-            return min(self.evaluate(lam))
-        nums, den = exact
+        nums, den = self._numerators(lam)
         return Fraction(min(nums), den)
 
 
@@ -484,10 +480,12 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
     F_lambda = sum_nu lambda^nu C_nu(x) with C_nu = (p/2; nu) prod_i
     |xi_i|^{2 nu_i}; each slice C_nu is reduced against the frame forms, and
     its dependence certificate gives the coefficients of lambda^nu in the
-    a_k.  The resulting identity is re-checked symbolically slice by slice,
-    sum_k a_{k,nu} f_k = C_nu summed in ints over one common denominator,
-    which holds for every nu exactly when it holds in (lambda, x); frames
-    whose span misses a slice are rejected.
+    a_k.  The rows are the integer expansions P_k = s_k^p f_k, so a
+    certificate c' with C_nu = sum_k c'_k P_k gives a_{k,nu} = c'_k s_k^p,
+    unique since the P_k are independent.  The identity is re-checked
+    symbolically slice by slice, sum_k c'_k P_k = C_nu summed in ints over
+    one common denominator, which holds for every nu exactly when it holds
+    in (lambda, x); frames whose span misses a slice are rejected.
     """
     if not frame.is_exact:
         raise FrameError("scaling coefficients require exact rational entries")
@@ -496,27 +494,26 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
             "scaling coefficients are defined for verified frames only")
     m, p = frame.m, frame.p
     reducer = RowReducer()
-    for form in frame.forms:
-        if reducer.add_row(form.terms) is not None:
+    for _, power in frame._expansions:
+        if reducer.add_row(power.terms) is not None:
             raise DependentFormsError(
                 "frame forms are linearly dependent; run reduce_to_independent first")
     half = p // 2
     # |xi_i|^2 = |<e_i, x>|^2, which has int coefficients (s = 1)
     squares = [_integer_frame_form(KVector.canonical(frame.field, m, i), 2)[1] for i in range(m)]
-    scaled = [(Fraction(1, s**p), power) for s, power in frame._expansions]
     terms: List[Dict[Exponent, Fraction]] = [{} for _ in range(frame.n)]
     for nu in monomials(m, half):
         weight = math.factorial(half) // math.prod(math.factorial(e) for e in nu)
         c_nu = math.prod((q ** e for q, e in zip(squares, nu) if e), start=weight)
         cert = reducer.add_row(c_nu.terms)
         if cert is None or not _exact_residual(
-                [(cert.get(k, 0) * c, power) for k, (c, power) in enumerate(scaled)]
+                [(cert.get(k, 0), power) for k, (_, power) in enumerate(frame._expansions)]
                 + [(-1, c_nu)]).is_zero:
             raise ScalingExpansionError(
                 "diagonal target is not in the span of the frame forms; "
                 "the expansion identity has no solution for this frame")
         for k, c in cert.items():
-            terms[k][nu] = c
+            terms[k][nu] = c * frame._expansions[k][0] ** p
     coefficients = [RealForm(m, half, t) for t in terms]
     return ScalingForms(coefficients=tuple(coefficients))
 

@@ -7,9 +7,10 @@ Scalar multiplication of vectors acts on the right, and the inner product
 is conjugate-linear in the first argument.
 
 Everything here is immutable and pure: values can be shared freely across
-threads.  A floating-point mirror mode exists for the numeric parts of the
-scaling reduction: every operation accepts float components in place of
-Fractions and computes with binary64 arithmetic, same formulas.
+threads.  A floating-point mirror mode serves float frames, `verify` with a
+tolerance and the floating-point rebuild of the scaling reduction: every
+operation accepts float components in place of Fractions and computes with
+binary64 arithmetic, same formulas.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from .forms import (
     _moment_denominator,
     _moment_numerator,
     _parity_buckets,
-    form_inner,
     linear_combination,
     monomials,
 )
@@ -81,8 +80,8 @@ def _average_monomial(beta: Exponent, table: List[RealForm], d: int) -> RealForm
         if num:
             sums[expo[d:]] = sums.get(expo[d:], 0) + coeff * num
     den = _moment_denominator(d, sum(beta))
-    return RealForm(joint.num_vars - d, sum(beta),
-                    {expo: Fraction(total, den) for expo, total in sums.items() if total})
+    return RealForm._build(joint.num_vars - d, sum(beta),
+                           {expo: Fraction(total, den) for expo, total in sums.items() if total})
 
 
 def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
@@ -118,10 +117,10 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
 
     The forms must be linearly independent and of equal degree; a singular
     Gram matrix is reported as SingularGramError since it certifies
-    dependence.  Exact forms are scaled once each to integer terms bucketed
-    by exponent parity; each entry of the upper triangle of the symmetric
-    Gram is then summed in ints and divided once.  Float forms are paired by
-    `form_inner`.
+    dependence.  The forms must be exact (a float coefficient raises
+    ValueError).  Each is scaled once to integer terms bucketed by exponent
+    parity; each entry of the upper triangle of the symmetric Gram is then
+    summed in ints and divided once.
     """
     forms = tuple(forms)
     if not forms:
@@ -131,16 +130,15 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
     for f in forms[1:]:
         if f.degree != degree or f.num_vars != n_vars:
             raise ValueError("dual basis requires forms of equal degree and variable count")
-    if all(f.is_exact for f in forms):
-        scaled = [_parity_buckets(f) for f in forms]
-        den = _moment_denominator(n_vars, 2 * degree)
-        gram = [[Fraction(0)] * len(forms) for _ in forms]
-        for i, (si, bi) in enumerate(scaled):
-            for j in range(i, len(forms)):
-                sj, bj = scaled[j]
-                gram[i][j] = gram[j][i] = Fraction(_bucket_inner(bi, bj), si * sj * den)
-    else:
-        gram = [[form_inner(fi, fj) for fj in forms] for fi in forms]
+    if not all(f.is_exact for f in forms):
+        raise ValueError("dual basis requires exact forms")
+    scaled = [_parity_buckets(f) for f in forms]
+    den = _moment_denominator(n_vars, 2 * degree)
+    gram = [[Fraction(0)] * len(forms) for _ in forms]
+    for i, (si, bi) in enumerate(scaled):
+        for j in range(i, len(forms)):
+            sj, bj = scaled[j]
+            gram[i][j] = gram[j][i] = Fraction(_bucket_inner(bi, bj), si * sj * den)
     try:
         inv = matrix_inverse(gram)
     except SingularMatrixError as exc:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from isoframe.cli import EXIT_PASS, entry
-from isoframe.forms import RealForm, abs_inner_sq_form, frame_form, monomials, sphere_moment
+from isoframe.forms import RealForm, frame_form, monomials, sphere_moment
 from isoframe.frames import (
     WeightedFrame,
     catalog,
@@ -224,7 +224,7 @@ def test_criterion_5_expansion_identity():
         sf = scaling_coefficients(frame)
         half = frame.p // 2
         forms = [frame_form(u, frame.p) for u in frame.vectors]
-        squares = [abs_inner_sq_form(KVector.canonical(frame.field, frame.m, i))
+        squares = [frame_form(KVector.canonical(frame.field, frame.m, i), 2)
                    for i in range(frame.m)]
         # reconstruct the lambda-coefficient of the target independently:
         # (sum_i lambda_i g_i)^(p/2) has multinomial(p/2; nu) prod g_i^nu_i

@@ -9,7 +9,6 @@ import pytest
 
 from isoframe.forms import (
     RealForm,
-    abs_inner_sq_form,
     form_inner,
     frame_form,
     linear_combination,
@@ -98,6 +97,11 @@ def test_form_rejects_inhomogeneous_terms():
         RealForm(2, 2, {(1, 1, 0): Fraction(1)})
     with pytest.raises(ValueError, match="negative"):
         RealForm.variable(2, 0) ** -1
+    # a negative exponent would borrow across the packed keys of `**`
+    with pytest.raises(ValueError, match="negative"):
+        RealForm(2, 2, {(3, -1): 1})
+    with pytest.raises(ValueError, match="negative"):
+        RealForm.monomial(2, (-1, 3))
 
 
 def test_form_mixed_arity_rejected():
@@ -113,6 +117,9 @@ def test_form_mixed_arity_rejected():
         sphere_moment((2, 0), 3)
     with pytest.raises(ValueError, match="sphere dimension"):
         sphere_moment((), 0)
+    for beta in ((4, -2), (-1, 3), (2, 2, -2)):
+        with pytest.raises(ValueError, match="negative"):
+            sphere_moment(beta, len(beta))
 
 
 def test_pow_matches_repeated_multiplication():
@@ -313,6 +320,7 @@ def test_form_inner_symmetric_bilinear():
 
 
 def test_abs_inner_sq_form_matches_pointwise():
+    # the degree-2 frame form is |<u, x>|^2 over R, C and H
     rng = random.Random(25)
     for field in (Field.R, Field.C, Field.H):
         d = field.real_dimension
@@ -322,7 +330,7 @@ def test_abs_inner_sq_form_matches_pointwise():
                 for _ in range(2)))
             if u.is_zero:
                 continue
-            f = abs_inner_sq_form(u)
+            f = frame_form(u, 2)
             assert f.degree == 2 and f.num_vars == 2 * d
             x = KVector(field, tuple(
                 KElement(field, tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(d)))
@@ -330,10 +338,11 @@ def test_abs_inner_sq_form_matches_pointwise():
             assert f.evaluate(x.real_coords()) == k_norm_sq(inner_product(u, x))
 
 
-def test_abs_inner_sq_form_rejects_zero_vector():
+def test_frame_form_rejects_zero_vector():
     zero = KVector.from_reals(Field.R, [Fraction(0), Fraction(0)])
-    with pytest.raises(ValueError):
-        abs_inner_sq_form(zero)
+    for p in (2, 4):
+        with pytest.raises(ValueError, match="zero vector"):
+            frame_form(zero, p)
     u = KVector.from_reals(Field.R, [Fraction(1), Fraction(0)])
     for p in (3, 0):
         with pytest.raises(ValueError, match="even"):
@@ -345,7 +354,7 @@ def test_abs_inner_sq_form_rejects_zero_vector():
 def test_frame_form_power():
     u = KVector.from_reals(Field.R, [Fraction(1), Fraction(-2)])
     f4 = frame_form(u, 4)
-    assert f4 == abs_inner_sq_form(u) ** 2
+    assert f4 == frame_form(u, 2) ** 2
     assert f4.degree == 4
     # (x - 2y)^4 top coefficient
     assert f4.terms[(0, 4)] == 16
@@ -364,6 +373,7 @@ def test_exact_frame_form_matches_pointwise_oracle():
             KElement(field, tuple(float(c) for c in e.components)) for e in u.entries))
         for p in (4, 6):
             f = frame_form(u, p)
+            assert f.degree == p and f.num_vars == 2 * d
             assert f.is_exact and all(type(c) is Fraction for c in f.terms.values())
             for _ in range(4):
                 x = KVector(field, tuple(KElement(field, tuple(
@@ -371,7 +381,7 @@ def test_exact_frame_form_matches_pointwise_oracle():
                     for _ in range(2)))
                 assert f.evaluate(x.real_coords()) == k_norm_sq(inner_product(u, x)) ** (p // 2)
             g = frame_form(floats, p)
-            reference = abs_inner_sq_form(floats) ** (p // 2)
+            reference = frame_form(floats, 2) ** (p // 2)
             assert list(g.terms) == list(reference.terms)
             assert [c.hex() for c in g.terms.values()] == [c.hex() for c in reference.terms.values()]
 
@@ -414,19 +424,13 @@ def test_norm_power_form_multinomial():
         assert g.evaluate(pt) == Fraction(n) ** (p // 2)
 
 
-def test_float_form_inner_bits_unchanged():
-    # float forms keep the float sum of the parity-paired terms; the values
-    # below were recorded before exact forms moved to integer pairing
+def test_form_inner_rejects_float_forms():
+    # the sphere pairing is exact only; float forms have no pairing to fall back on
     eq = catalog(Field.R, 2, 6, "real2-equiangular").forms
-    rng = random.Random(7)
-    rand = RealForm(3, 4, {e: rng.uniform(-2, 2) for e in monomials(3, 4)})
     exact = norm_power_form(Field.R, 2, 6)
-    pairs = [(eq[0], eq[1]), (eq[1], eq[2]), (eq[3], eq[3]), (eq[2], exact), (exact, eq[2]),
-             (rand, rand), (rand, norm_power_form(Field.R, 3, 4))]
-    assert [form_inner(a, b).hex() for a, b in pairs] == [
-        "0x1.4800000000002p-4", "0x1.4800000000000p-4", "0x1.cdffffffffffep-3",
-        "0x1.4000000000000p-2", "0x1.4000000000000p-2", "0x1.33b63429f3a98p+0",
-        "-0x1.e974d168998afp-1"]
+    for a, b in ((eq[0], eq[1]), (eq[2], exact), (exact, eq[2]), (eq[0], RealForm.zero(2, 6))):
+        with pytest.raises(ValueError, match="exact"):
+            form_inner(a, b)
 
 
 def test_exact_form_inner_matches_term_pairs():

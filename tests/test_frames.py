@@ -30,6 +30,8 @@ from isoframe.frames import (
     reduce_once,
     reduce_to_independent,
     save_frame,
+    scaling_coefficients,
+    scaling_reduce,
     serialize_frame,
     to_unweighted,
     verify,
@@ -301,6 +303,48 @@ def test_forms_expanded_once_across_reductions(monkeypatch):
     assert current.n < frame.n
     assert verify(current).passed
     assert len(calls) == frame.n
+
+
+def test_library_paths_read_expansions_not_forms():
+    # exact frames are read as their integer expansions, float frames as the
+    # float expansions, which are their forms: no call caches `forms`
+    base = catalog(Field.R, 2, 4, "real2-rational-p4")
+    redundant = union(split_vector(base, 1, Fraction(1, 3)), base)
+    synthetic = build_synthetic_frame()
+    halved = WeightedFrame(Field.R, 2, 4,
+                           tuple(u.scale_real(Fraction(1, 2)) for u in synthetic.vectors),
+                           tuple(16 * w for w in synthetic.weights))
+    floats = catalog(Field.R, 2, 6, "real2-equiangular")
+    mixed = WeightedFrame(Field.R, 2, 4, halved.vectors, tuple(map(float, halved.weights)))
+    touched = [redundant, synthetic, halved, floats, mixed]
+    for frame in touched:
+        assert verify(frame, tolerance=1e-9).passed
+    assert verify(redundant).passed and verify(halved).passed
+    current = redundant
+    while (cert := dependence(current)) is not None:
+        current = reduce_once(current, cert)
+        touched.append(current)
+    assert current.n < redundant.n and verify(current).passed
+    scaled = scaling_coefficients(halved).coefficients
+    assert scaled == tuple(a.scale(16) for a in scaling_coefficients(synthetic).coefficients)
+    touched += [scaling_reduce(synthetic), scaling_reduce(halved)]
+    for frame in touched:
+        assert "forms" not in vars(frame)
+
+
+def test_float_verify_divides_exact_vectors_beside_float_weights():
+    # exact vectors with s > 1 in a frame made inexact by a float weight are
+    # divided by s^p before the float sum, as their public forms are
+    synthetic = build_synthetic_frame()
+    vectors = tuple(u.scale_real(Fraction(2, 3)) for u in synthetic.vectors)
+    frame = WeightedFrame(Field.R, 2, 4, vectors,
+                          tuple(float(w * Fraction(81, 16)) for w in synthetic.weights))
+    result = verify(frame, tolerance=1e-12)
+    norm = norm_power_form(Field.R, 2, 4)
+    expected = linear_combination(frame.weights + (-1,), frame.forms + (norm,))
+    assert result.passed
+    assert [(e, c.hex()) for e, c in result.residual.terms.items()] == [
+        (e, c.hex()) for e, c in expected.terms.items()]
 
 
 def weighted_row_dependence(frame):

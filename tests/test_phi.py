@@ -11,7 +11,7 @@ import pytest
 from isoframe import phi
 from isoframe.cli import EXIT_PASS, entry
 from isoframe.forms import RealForm, form_inner, monomials, norm_power_form, sphere_moment
-from isoframe.frames import WeightedFrame, save_frame
+from isoframe.frames import WeightedFrame, catalog, save_frame
 from isoframe.kscalar import Field, KElement, KVector, rational_unit_scalars
 from isoframe.phi import (
     SingularGramError,
@@ -251,6 +251,15 @@ def test_dual_basis_rejects_dependent_forms():
         dual_basis([f, RealForm.monomial(2, (2, 0))])
     with pytest.raises(ValueError, match="equal degree"):
         dual_basis([f, RealForm.monomial(3, (4, 0, 0))])
+
+
+def test_dual_basis_rejects_float_forms():
+    # the Gram is summed in ints; float forms have no exact pairing
+    forms = catalog(Field.R, 2, 6, "real2-equiangular").forms
+    with pytest.raises(ValueError, match="exact"):
+        dual_basis(forms)
+    with pytest.raises(ValueError, match="exact"):
+        dual_basis([forms[0], phi_basis(Field.R, 2, 6).basis[0]])
 
 
 def test_dual_basis_free_functions():

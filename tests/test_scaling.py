@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import isoframe.frames
-from isoframe.forms import RealForm, abs_inner_sq_form, evaluate, form_inner, frame_form
+from isoframe.forms import RealForm, evaluate, form_inner, frame_form
 from isoframe.frames import (
     BudgetExhaustedError,
     DependentFormsError,
@@ -38,7 +38,7 @@ def weighted_norm_form(m, p, lam):
     acc = RealForm.zero(m, 2)
     for i in range(m):
         e = KVector.canonical(Field.R, m, i)
-        acc = acc + abs_inner_sq_form(e).scale(lam[i])
+        acc = acc + frame_form(e, 2).scale(lam[i])
     return acc ** (p // 2)
 
 
@@ -85,7 +85,7 @@ def dual_route_coefficients(frame):
     (sum_i lambda_i |xi_i|^2)^(p/2)."""
     m, half = frame.m, frame.p // 2
     duals = dual_basis(frame.forms).duals
-    norms = [abs_inner_sq_form(KVector.canonical(frame.field, m, i)) for i in range(m)]
+    norms = [frame_form(KVector.canonical(frame.field, m, i), 2) for i in range(m)]
     slices = {}
     for nu in monomials(m, half):
         c_nu = norms[0] ** nu[0]
@@ -342,18 +342,25 @@ def test_scaling_kernel_matches_form_evaluation():
             assert a_hat == min(expected) and type(a_hat) is Fraction
 
 
-def test_scaling_kernel_float_lambda_matches_loop():
-    def bits(v):
-        return v.hex() if isinstance(v, float) else (type(v), v)
-
-    for forms, lams in kernel_cases():
-        for lam in lams[::3]:
-            # all floats, and one float beside exact entries
-            for point in (tuple(map(float, lam)), (float(lam[0]) + 0.1,) + lam[1:]):
-                expected = [bits(evaluate(a, point)) for a in forms.coefficients]
-                assert [bits(v) for v in forms.evaluate(point)] == expected
-                assert bits(forms.a_hat(point)) == bits(
-                    min(evaluate(a, point) for a in forms.coefficients))
+def test_scaling_kernel_rejects_float_input():
+    # ScalingForms is exact only: float or mismatched forms are refused when
+    # built, and a float lambda of the right length when evaluated
+    forms, lams = next(kernel_cases())
+    m, half = forms.coefficients[0].num_vars, forms.coefficients[0].degree
+    with pytest.raises(ValueError, match="exact"):
+        ScalingForms(forms.coefficients + (RealForm.monomial(m, (half,) + (0,) * (m - 1), 0.5),))
+    for extra in (RealForm.monomial(m + 1, (half,) + (0,) * m),
+                  RealForm.monomial(m, (half + 1,) + (0,) * (m - 1))):
+        with pytest.raises(ValueError, match="variable count and degree"):
+            ScalingForms(forms.coefficients + (extra,))
+    with pytest.raises(ValueError, match="variable count and degree"):
+        ScalingForms(())
+    for lam in lams[::3]:
+        for point in (tuple(map(float, lam)), (float(lam[0]) + 0.1,) + lam[1:]):
+            with pytest.raises(ValueError, match="exact"):
+                forms.evaluate(point)
+            with pytest.raises(ValueError, match="exact"):
+                forms.a_hat(point)
 
 
 def test_scaling_kernel_rejects_wrong_length(synthetic_frame):
