@@ -72,6 +72,8 @@ class RealForm:
                 raise ValueError(f"exponent {expo} has degree {sum(expo)}, expected {self.degree}")
             if min(expo, default=0) < 0:
                 raise ValueError(f"exponent {expo} has a negative entry")
+            if not all(isinstance(e, int) for e in expo):
+                raise ValueError(f"exponent {expo} has a non-integer entry")
             if coeff != 0:
                 clean[expo] = coeff
         self.terms = MappingProxyType(clean)
@@ -255,7 +257,7 @@ def sphere_moment(beta: Sequence[int], num_vars: int) -> Fraction:
     The integral of x^beta against the uniform probability measure: zero
     when any beta_i is odd, otherwise with beta = 2b and a = sum(b),
         prod_i (2 b_i - 1)!!  /  (N (N+2) ... (N+2a-2)).
-    A negative exponent raises ValueError.
+    A negative or non-integer exponent raises ValueError.
     """
     if num_vars < 1:
         raise ValueError("sphere dimension must be >= 1")
@@ -264,6 +266,8 @@ def sphere_moment(beta: Sequence[int], num_vars: int) -> Fraction:
         raise ValueError(f"exponent length {len(beta)} does not match N={num_vars}")
     if min(beta, default=0) < 0:
         raise ValueError(f"exponent {beta} has a negative entry")
+    if not all(isinstance(b, int) for b in beta):
+        raise ValueError(f"exponent {beta} has a non-integer entry")
     return Fraction(_moment_numerator(beta), _moment_denominator(num_vars, sum(beta)))
 
 

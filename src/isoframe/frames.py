@@ -297,23 +297,16 @@ def _pivots_mod_q(rows):
 
 @lru_cache(maxsize=None)
 def _point_set(field: Field, m: int, p: int) -> Tuple[Tuple[int, ...], ...]:
-    """Integer points on which evaluation is injective on Phi_K(m,p): over R,
-    the dim Phi lattice points (alpha, 1), |alpha| <= p; over C and H, the
-    pivot points of dim Phi + 8 forms |<v, x>|^p of Phi at dim Phi + 4 points
-    in [-3, 3] if their rank mod _PROOF_PRIME is dim Phi (a minor nonzero over
-    Z), else the lattice in all d*m coordinates (unisolvent for any form)."""
+    """Integer points on which evaluation is injective on Phi_K(m,p): the
+    lattice (alpha, 1, 0^{d-1}), |alpha| <= p, on the slice where the last
+    entry x_m is real, comb(d(m-1)+p, p) points.  If f in Phi vanishes there:
+    its restriction to the slice is a degree-p form in d(m-1)+1 real
+    variables; dehomogenised at Re x_m = 1 it vanishes on the principal
+    lattice, which is unisolvent for degree <= p, so f is zero on the slice;
+    x g lies on the slice for the unit g = conj(x_m)/|x_m| when x_m != 0,
+    and f(x) = f(x g) = 0; so f vanishes on a dense set, hence f = 0."""
     d = field.real_dimension
-    if field is not Field.R:
-        dim = dim_phi(field, m, p)
-        drawn = [tuple(x % 7 - 3 for x in pt) for pt in _proof_points(2 * dim + 12, d * m)]
-        points, generators = drawn[:dim + 4], drawn[dim + 4:]
-        rows = (_proof_row(KVector(field, tuple(KElement(field, v[i:i + d])
-                                                for i in range(0, d * m, d))), p, points)
-                for v in generators)
-        cols = [col for col in _pivots_mod_q(rows) if col is not None]
-        if len(cols) == dim:
-            return tuple(points[col] for col in sorted(cols))
-    return tuple(e[1:] + (1,) for e in monomials(d * m, p))
+    return tuple(e[1:] + (1,) + (0,) * (d - 1) for e in monomials(d * (m - 1) + 1, p))
 
 
 def _vanishes(coeffs: Sequence[Scalar], rows: Sequence[Sequence[int]]) -> bool:
@@ -330,8 +323,9 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     denominators).  For n <= dim Phi, V_k at n + 4 fixed points that keep a
     pivot in every row mod a prime give a minor nonzero over Z: None.  A
     frame that already carries its values on X, as `reduce_once` hands them
-    on along a chain, skips this proof pass.  Else
-    the V_k on the unisolvent set X are reduced mod the prime; at the first
+    on along a chain, skips this proof pass.  Else the V_k on X, the
+    lattice of `_point_set` on the slice where x_m is real (unisolvent for
+    Phi by unit invariance), are reduced mod the prime; at the first
     zero row k, the pivot columns of rows 0..k-1 give c, checked exactly as
     sum_j c_j V_j = V_k on X, or, if that fails, exact elimination of the
     full rows on X.  The dependency, unique up to scale, gives

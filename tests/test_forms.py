@@ -104,6 +104,19 @@ def test_form_rejects_inhomogeneous_terms():
         RealForm.monomial(2, (-1, 3))
 
 
+def test_form_and_moment_reject_non_integer_exponents():
+    # a float or Fraction exponent passes the degree check, then breaks the
+    # packed keys of `**` and the factorials of the moment
+    for expo in ((1.5, 0.5), (2.0, 0), (Fraction(1), 1)):
+        with pytest.raises(ValueError, match="non-integer"):
+            RealForm(2, 2, {expo: 1})
+        with pytest.raises(ValueError, match="non-integer"):
+            RealForm.monomial(2, expo)
+        with pytest.raises(ValueError, match="non-integer"):
+            sphere_moment(expo, 2)
+    assert sphere_moment((2, 2), 2) == Fraction(1, 8)
+
+
 def test_form_mixed_arity_rejected():
     x2 = RealForm.variable(2, 0)
     x3 = RealForm.variable(3, 0)

@@ -438,15 +438,20 @@ def test_value_chains_match_weighted_rows(field, m, p):
 
 @pytest.mark.parametrize("field, m, p", [
     (Field.R, 2, 4), (Field.R, 3, 4), (Field.C, 2, 4), (Field.C, 3, 2),
-    (Field.H, 2, 2), (Field.H, 2, 4), (Field.C, 2, 6),
+    (Field.H, 2, 2), (Field.H, 2, 4), (Field.C, 2, 6), (Field.C, 3, 4),
+    (Field.H, 3, 2), (Field.C, 4, 2), (Field.H, 4, 2), (Field.C, 1, 4),
+    (Field.H, 1, 4),
 ])
 def test_point_set_is_unisolvent_for_phi_basis(field, m, p):
     # independent oracle: the unit-group averaged basis of Phi, evaluated at
     # the point set, has full rank dim Phi
     points = isoframe.frames._point_set(field, m, p)
+    d = field.real_dimension
     dim = dim_phi(field, m, p)
-    assert len(points) == len(set(points)) == dim
+    assert len(points) == len(set(points)) == math.comb(d * (m - 1) + p, p) >= dim
     assert all(type(x) is int for pt in points for x in pt)
+    # the last entry x_m is real
+    assert all(len(pt) == d * m and pt[d * (m - 1):] == (1,) + (0,) * (d - 1) for pt in points)
     reducer = RowReducer()
     for form in phi_basis(field, m, p).basis:
         assert reducer.add_row(dict(enumerate(form.evaluate(pt) for pt in points))) is None
@@ -490,7 +495,7 @@ def test_full_rank_frame_runs_no_exact_elimination(monkeypatch, field, m, p, n):
     assert "forms" not in vars(frame)
 
 
-def test_degenerate_proof_points_fall_back_to_exact_loop(monkeypatch, fresh_point_sets):
+def test_degenerate_proof_points_fall_back_to_exact_loop(monkeypatch):
     # one point repeated gives value rows of rank <= 1, which prove nothing:
     # every answer then comes from the values at the unisolvent points, and
     # is the same
@@ -522,19 +527,21 @@ def test_denominator_divisible_by_proof_prime_falls_back(monkeypatch):
     assert cert.pivot == 1 and cert.omega[0] == 0
 
 
-def test_short_certification_falls_back_to_lattice(monkeypatch, fresh_point_sets):
-    # one repeated candidate point leaves the certified rank at 1: the
-    # lattice in all d*m coordinates stands in, with the same certificates
-    monkeypatch.setattr(isoframe.frames, "_proof_points",
-                        lambda count, num_vars: [tuple(range(1, num_vars + 1))] * count)
-    for field, m, p in ((Field.C, 2, 4), (Field.H, 2, 2)):
-        num_vars = field.real_dimension * m
-        points = isoframe.frames._point_set(field, m, p)
-        assert len(points) == math.comb(num_vars + p - 1, p) > dim_phi(field, m, p)
-    assert_chains_match_weighted_rows(((Field.C, 2, 4), (Field.H, 2, 2)))
+def test_point_set_is_closed_form(monkeypatch, fresh_point_sets):
+    # no random draw and no rank check modulo the prime builds the point set
+    def forbidden(*args):
+        raise AssertionError("the point set ran the proof machinery")
+
+    for name in ("_proof_points", "_proof_row", "_pivots_mod_q", "dim_phi"):
+        monkeypatch.setattr(isoframe.frames, name, forbidden)
+    for field in (Field.R, Field.C, Field.H):
+        points = isoframe.frames._point_set(field, 3, 4)
+        assert len(points) == math.comb(field.real_dimension * 2 + 4, 4)
+    # over R it is the lattice (alpha, 1), |alpha| <= p, in every coordinate
+    assert isoframe.frames._point_set(Field.R, 2, 2) == ((0, 1), (1, 1), (2, 1))
 
 
-def test_mod_q_only_dependence_falls_back_to_value_rows(monkeypatch, fresh_point_sets):
+def test_mod_q_only_dependence_falls_back_to_value_rows(monkeypatch):
     # modulo 5 most value rows look dependent; each candidate that fails its
     # exact check sends dependence to the full value rows, with the same
     # certificates
