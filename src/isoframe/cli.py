@@ -229,8 +229,8 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_MALFORMED
     try:
-        if "tolerance" in args and not args.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {args.tolerance}")
+        if "tolerance" in args and not 0 < args.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {args.tolerance}")
         return args.run(args)
     except FrameParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -150,7 +150,7 @@ class WeightedFrame:
     def n(self) -> int:
         return len(self.vectors)
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all(u.is_exact for u in self.vectors) and all(
             isinstance(w, Fraction) for w in self.weights)
@@ -172,6 +172,12 @@ class WeightedFrame:
         """`_scaled_values` of each exact u_k at the points of `_point_set`."""
         points = _point_set(self.field, self.m, self.p)
         return tuple(_scaled_values(u, self.p, points) for u in self.vectors)
+
+    @cached_property
+    def _scaling_forms(self) -> ScalingForms:
+        """`scaling_coefficients` of this frame, computed on first use; a
+        call that raises stores nothing."""
+        return _expand_scaling(self)
 
 
 @dataclass(frozen=True)
@@ -480,7 +486,16 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
     symbolically slice by slice, sum_k c'_k P_k = C_nu summed in ints over
     one common denominator, which holds for every nu exactly when it holds
     in (lambda, x); frames whose span misses a slice are rejected.
+
+    The result is kept with the frame, so a later call on the same frame
+    object, such as the one inside `scaling_reduce`, returns it at once.
+    Errors are raised afresh on every call.
     """
+    return frame._scaling_forms
+
+
+def _expand_scaling(frame: WeightedFrame) -> ScalingForms:
+    """The work of `scaling_coefficients`, run once per frame object."""
     if not frame.is_exact:
         raise FrameError("scaling coefficients require exact rational entries")
     if not verify(frame).passed:
@@ -516,18 +531,6 @@ MAX_GRID_NODES = 100_000  # cap on comb(grid, m - 1), the simplex nodes scaling_
 BISECTION_BUDGET = 200  # cap on the bisection steps of scaling_reduce
 
 
-def _simplex_nodes(m: int, per_axis: int) -> List[Tuple[Fraction, ...]]:
-    # Interior grid on the simplex lambda_1 + ... + lambda_m = m: points
-    # m * (c_1, ..., c_m) / S with integer c_i >= 1 summing to S = per_axis + 1.
-    s = per_axis + 1
-    nodes = []
-    for cuts in combinations(range(1, s), m - 1):
-        bounds = (0,) + cuts + (s,)
-        parts = [bounds[i + 1] - bounds[i] for i in range(m)]
-        nodes.append(tuple(Fraction(m * c, s) for c in parts))
-    return nodes
-
-
 def scaling_reduce(
     frame: WeightedFrame,
     grid: Optional[int] = None,
@@ -546,13 +549,23 @@ def scaling_reduce(
     exactly when all mu_i are squares of rationals and in floating point
     otherwise, and re-verified either way.  Returns None when the sampled
     cone shows no negative a_hat: no reduction found (which certifies
-    nothing).
+    nothing).  The tolerance must be finite and positive.
+
+    The search runs on integer vectors.  a_hat is homogeneous of degree
+    p/2, so scaling every point by one positive factor scales every value
+    by one positive factor and keeps each sign and comparison.  The grid
+    node m c / S (S = grid + 1) is kept as 2c, so each refinement midpoint
+    is an integer vector too; the bisection keeps both ends as integer
+    numerators over one denominator, which doubles at each step, and builds
+    mu as Fractions once at the end.  The coefficients come from
+    `scaling_coefficients`, so a frame whose coefficients were computed
+    before is neither verified nor expanded again.
     """
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     tol = Fraction(tolerance)
     sf = scaling_coefficients(frame)
-    m = frame.m
+    m, half = frame.m, frame.p // 2
     if grid is None:
         grid = 33 if m == 2 else 9 if m == 3 else max(5, m - 1)
     if grid < max(1, m - 1):
@@ -560,47 +573,58 @@ def scaling_reduce(
     if comb(grid, m - 1) > MAX_GRID_NODES:
         raise ValueError(f"grid {grid} gives more than {MAX_GRID_NODES} nodes for m = {m}")
 
-    nodes = _simplex_nodes(m, grid)
+    # The interior nodes m * (c_1, ..., c_m) / S, integers c_i >= 1 summing
+    # to S = grid + 1, each kept as 2c: every a_hat is scaled by (2S/m)^{p/2}.
+    s = grid + 1
+    nodes = []
+    for cuts in combinations(range(2, 2 * s, 2), m - 1):
+        bounds = (0,) + cuts + (2 * s,)
+        nodes.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
     values = {node: sf.a_hat(node) for node in nodes}
     # Refine between neighboring nodes of opposite sign: a neighbor moves one
-    # unit of 1/S mass from coordinate i to coordinate j.  Each such pair has
-    # exactly one negative node, so pairs are taken from the negative side.
-    unit = Fraction(m, grid + 1)
+    # unit of 1/S mass (2 in the integer vectors) from coordinate i to
+    # coordinate j.  Each such pair has exactly one negative node, so pairs
+    # are taken from the negative side.
     for u in nodes:
         if values[u] >= 0:
             continue
         for i, j in permutations(range(m), 2):
             v = list(u)
-            v[i] -= unit
-            v[j] += unit
+            v[i] -= 2
+            v[j] += 2
             v = tuple(v)
             if v in values and values[v] >= 0:
-                mid = tuple((a + b) / 2 for a, b in zip(u, v))
+                mid = tuple((a + b) // 2 for a, b in zip(u, v))
                 values[mid] = sf.a_hat(mid)
-    gamma, lowest = min(values.items(), key=lambda kv: (kv[1], kv[0]))
+    point, lowest = min(values.items(), key=lambda kv: (kv[1], kv[0]))
     if lowest >= 0:
         return None
 
-    # Bisect on the segment from (1,...,1) to gamma, keeping
-    # value = a_hat(mu) >= 0 > a_hat(hi).
-    mu, hi = (Fraction(1),) * m, gamma
-    value = sf.a_hat(mu)
+    # Bisect on the segment from (1,...,1) to gamma = m * point / (2S) over
+    # one denominator den: lo / den and hi / den keep
+    # a_hat(lo / den) >= 0 > a_hat(hi / den), and value = a_hat(lo) is
+    # den^{p/2} a_hat(lo / den).
+    den = 2 * s
+    lo, hi = (den,) * m, tuple(m * x for x in point)
+    value = sf.a_hat(lo)
     if value < 0:
         raise RuntimeError("a_hat(1,...,1) = min_k w_k came out negative for a "
                            "verified frame; this indicates a defect")
     spent = 0
-    while value > tol:
+    while value > tol * den**half:
         if spent >= BISECTION_BUDGET:
             raise BudgetExhaustedError(
-                f"bisection budget {BISECTION_BUDGET} exhausted at a_hat = {float(value):.3e} "
-                f"(tolerance {float(tol):.3e})")
-        mid = tuple((a + b) / 2 for a, b in zip(mu, hi))
+                f"bisection budget {BISECTION_BUDGET} exhausted at "
+                f"a_hat = {float(value / den**half):.3e} (tolerance {float(tol):.3e})")
+        den *= 2
+        mid = tuple(a + b for a, b in zip(lo, hi))
         mid_value = sf.a_hat(mid)
         if mid_value >= 0:
-            mu, value = mid, mid_value
+            lo, hi, value = mid, tuple(2 * b for b in hi), mid_value
         else:
-            hi = mid
+            lo, hi, value = tuple(2 * a for a in lo), mid, value * 2**half
         spent += 1
+    mu = tuple(Fraction(x, den) for x in lo)
 
     coeffs = sf.evaluate(mu)
     keep = [k for k, a in enumerate(coeffs) if a > tol]

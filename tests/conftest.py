@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from isoframe.frames import WeightedFrame
-from isoframe.kscalar import Field, KVector
+from isoframe.kscalar import Field, KElement, KVector
 
 SYNTHETIC_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -2), (2, -1))
 SYNTHETIC_WEIGHTS = (Fraction(1, 2), Fraction(1, 2), Fraction(5, 27),
@@ -30,6 +30,23 @@ def build_rescaled_synthetic_frame(exponent=100):
     big = Fraction(10**exponent)
     return WeightedFrame(Field.R, 2, 4, (f.vectors[0].scale_real(big),) + f.vectors[1:],
                          (f.weights[0] / big**4,) + f.weights[1:])
+
+
+def design_h2_p4():
+    """(1,0), (0,1), (1,+-1), (1,+-i), (1,+-j), (1,+-k) over H^2 with
+    weights 1/3, 1/3, 1/12 x 8; a projective 2-design."""
+    def quaternion(*comps):
+        return KElement(Field.H, comps + (0,) * (4 - len(comps)))
+
+    vectors = [KVector(Field.H, (quaternion(1), quaternion(0))),
+               KVector(Field.H, (quaternion(0), quaternion(1)))]
+    for unit in range(4):
+        for sign in (1, -1):
+            comps = [0, 0, 0, 0]
+            comps[unit] = sign
+            vectors.append(KVector(Field.H, (quaternion(1), quaternion(*comps))))
+    return WeightedFrame(Field.H, 2, 4, tuple(vectors),
+                         (Fraction(1, 3),) * 2 + (Fraction(1, 12),) * 8)
 
 
 @pytest.fixture

@@ -235,6 +235,17 @@ def test_scale_reduce_budget_exit(capsys, synthetic_path):
     assert err == "error: all scaling coefficients vanished; frame is degenerate\n"
 
 
+def test_nonfinite_tolerance_exits_malformed(capsys, synthetic_path, catalog_path):
+    # a tolerance that overflows binary64 parses as inf, which no exact
+    # bisection can compare and no float check can fail
+    for text in ("inf", "1e400", "nan", "-inf"):
+        for argv in (("scale-reduce", synthetic_path), ("verify", catalog_path, "--mode", "float")):
+            code, out, err = run(capsys, *argv, f"--tolerance={text}")
+            assert code == EXIT_MALFORMED
+            assert out == ""
+            assert err == f"error: tolerance must be finite and positive, got {float(text)}\n"
+
+
 def test_catalog_stdout_round_trip(capsys):
     code, out, _ = run(capsys, "catalog", "H", "3", "2", "orthonormal-p2")
     assert code == EXIT_PASS

@@ -22,6 +22,8 @@ from isoframe.phi import (
     upper_bound,
 )
 
+from conftest import design_h2_p4
+
 FIELDS = (Field.R, Field.C, Field.H)
 
 
@@ -268,23 +270,6 @@ def test_dual_basis_free_functions():
     db = dual_basis([f, g])
     assert form_inner(f, db.duals[0]) == 1
     assert form_inner(f, db.duals[1]) == 0
-
-
-def design_h2_p4():
-    """(1,0), (0,1), (1,+-1), (1,+-i), (1,+-j), (1,+-k) over H^2 with
-    weights 1/3, 1/3, 1/12 x 8; a projective 2-design."""
-    def quaternion(*comps):
-        return KElement(Field.H, comps + (0,) * (4 - len(comps)))
-
-    vectors = [KVector(Field.H, (quaternion(1), quaternion(0))),
-               KVector(Field.H, (quaternion(0), quaternion(1)))]
-    for unit in range(4):
-        for sign in (1, -1):
-            comps = [0, 0, 0, 0]
-            comps[unit] = sign
-            vectors.append(KVector(Field.H, (quaternion(1), quaternion(*comps))))
-    return WeightedFrame(Field.H, 2, 4, tuple(vectors),
-                         (Fraction(1, 3),) * 2 + (Fraction(1, 12),) * 8)
 
 
 def test_counting_builds_no_basis(capsys, tmp_path):

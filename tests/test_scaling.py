@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -26,7 +27,12 @@ from isoframe.linalg import RowReducer
 from isoframe.forms import monomials
 from isoframe.phi import dual_basis
 
-from conftest import SYNTHETIC_WEIGHTS, build_rescaled_synthetic_frame, build_synthetic_frame
+from conftest import (
+    SYNTHETIC_WEIGHTS,
+    build_rescaled_synthetic_frame,
+    build_synthetic_frame,
+    design_h2_p4,
+)
 
 
 def rvec(*coords):
@@ -148,8 +154,10 @@ def test_scaling_expansion_identity_at_sample_points(synthetic_frame):
 def test_scaling_coefficients_requires_verified_frame():
     f = catalog(Field.R, 2, 4, "real2-rational-p4")
     bad = WeightedFrame(Field.R, 2, 4, f.vectors, (Fraction(1),) * 4)
-    with pytest.raises(UnverifiedFrameError):
-        scaling_coefficients(bad)
+    # an error is not kept with the frame: every call raises it again
+    for call in (scaling_coefficients, scaling_coefficients, scaling_reduce):
+        with pytest.raises(UnverifiedFrameError):
+            call(bad)
 
 
 def test_scaling_coefficients_requires_exact():
@@ -164,8 +172,9 @@ def test_scaling_coefficients_rejects_dependent_forms(synthetic_frame):
         tuple(w / 2 for w in SYNTHETIC_WEIGHTS[:1])
         + SYNTHETIC_WEIGHTS[1:] + (SYNTHETIC_WEIGHTS[0] / 2,))
     assert verify(doubled).passed
-    with pytest.raises(DependentFormsError, match="reduce"):
-        scaling_coefficients(doubled)
+    for call in (scaling_coefficients, scaling_coefficients, scaling_reduce):
+        with pytest.raises(DependentFormsError, match="reduce"):
+            call(doubled)
 
 
 def test_scaling_expansion_fails_outside_span():
@@ -253,6 +262,10 @@ def test_scaling_reduce_parameter_validation(synthetic_frame):
     # a tolerance at or above every weight drops every vector at once
     with pytest.raises(FrameError, match="vanished"):
         scaling_reduce(synthetic_frame, tolerance=1)
+    # no exact bisection compares against inf (1e400 parses as inf) or nan
+    for tolerance in (math.inf, float("1e400"), math.nan, -math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            scaling_reduce(synthetic_frame, tolerance=tolerance)
 
 
 def test_scaling_reduce_nonfinite_bound():
@@ -272,13 +285,17 @@ def test_scaling_reduce_deterministic(synthetic_frame):
     assert a == b
 
 
-def test_scaling_reduce_exact_branch(monkeypatch):
-    # a_1 = lambda_1 - lambda_2 / 49, a_2 = a_3 = lambda_2 / 98: with grid 2049
-    # the bisection lands on mu = ((1/5)^2, (7/5)^2), where a_1 = 0 exactly,
-    # so the rebuild is exact and re-verified with no tolerance
+def exact_branch_frame():
+    """a_1 = lambda_1 - lambda_2 / 49, a_2 = a_3 = lambda_2 / 98."""
     vectors = tuple(rvec(a, b) for a, b in ((1, 0), (1, 7), (1, -7)))
-    frame = WeightedFrame(Field.R, 2, 2, vectors,
-                          (Fraction(48, 49), Fraction(1, 98), Fraction(1, 98)))
+    return WeightedFrame(Field.R, 2, 2, vectors,
+                         (Fraction(48, 49), Fraction(1, 98), Fraction(1, 98)))
+
+
+def test_scaling_reduce_exact_branch(monkeypatch):
+    # with grid 2049 the bisection lands on mu = ((1/5)^2, (7/5)^2), where
+    # a_1 = 0 exactly, so the rebuild is exact and re-verified with no tolerance
+    frame = exact_branch_frame()
     assert verify(frame).passed
     calls = []
     exact_verify = isoframe.frames.verify
@@ -308,6 +325,14 @@ def mub_c2_p4():
                          (Fraction(1, 2), Fraction(1, 2)) + (Fraction(1, 8),) * 4)
 
 
+def simplex_parts(m, s):
+    """Every (c_1, ..., c_m) of integers c_i >= 1 summing to s, in the order
+    of the cuts 0 < b_1 < ... < b_{m-1} < s that separate them."""
+    for cuts in combinations(range(1, s), m - 1):
+        bounds = (0,) + cuts + (s,)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
 def kernel_cases():
     """Scaling forms of the synthetic frame, the C^2 MUB design and the H^2
     orthonormal frame, each with an identically zero coefficient form
@@ -319,7 +344,7 @@ def kernel_cases():
         sf = scaling_coefficients(frame)
         m, half = frame.m, frame.p // 2
         forms = ScalingForms(sf.coefficients + (RealForm.zero(m, half),))
-        nodes = isoframe.frames._simplex_nodes(m, 9)
+        nodes = [tuple(Fraction(m * c, 10) for c in parts) for parts in simplex_parts(m, 10)]
         lams = list(nodes)
         lams += [tuple((a + b) / 2 for a, b in zip(u, v)) for u, v in zip(nodes, nodes[1:])]
         for _ in range(5):
@@ -370,3 +395,152 @@ def test_scaling_kernel_rejects_wrong_length(synthetic_frame):
             sf.evaluate(lam)
         with pytest.raises(ValueError, match="coordinates"):
             sf.a_hat(lam)
+
+
+def reference_search(forms, m, grid, tolerance):
+    """The cone search on tuples of Fractions: a_hat at every node m c / S of
+    the simplex (S = grid + 1), at the midpoint of every neighboring pair of
+    opposite sign, then bisection from (1, ..., 1) toward the lowest point
+    with mu and hi halved toward each other over Q.  Returns mu, or None
+    when no value is negative; raises BudgetExhaustedError as scaling_reduce
+    does after BISECTION_BUDGET steps."""
+    s = grid + 1
+    nodes = [tuple(Fraction(m * c, s) for c in parts) for parts in simplex_parts(m, s)]
+    values = {node: forms.a_hat(node) for node in nodes}
+    unit = Fraction(m, s)
+    for u in nodes:
+        if values[u] >= 0:
+            continue
+        for i, j in permutations(range(m), 2):
+            v = list(u)
+            v[i] -= unit
+            v[j] += unit
+            v = tuple(v)
+            if v in values and values[v] >= 0:
+                mid = tuple((a + b) / 2 for a, b in zip(u, v))
+                values[mid] = forms.a_hat(mid)
+    gamma, lowest = min(values.items(), key=lambda kv: (kv[1], kv[0]))
+    if lowest >= 0:
+        return None
+    tol = Fraction(tolerance)
+    mu, hi = (Fraction(1),) * m, gamma
+    value = forms.a_hat(mu)
+    spent = 0
+    while value > tol:
+        if spent >= isoframe.frames.BISECTION_BUDGET:
+            raise BudgetExhaustedError(
+                f"bisection budget {isoframe.frames.BISECTION_BUDGET} exhausted at "
+                f"a_hat = {float(value):.3e} (tolerance {float(tol):.3e})")
+        mid = tuple((a + b) / 2 for a, b in zip(mu, hi))
+        mid_value = forms.a_hat(mid)
+        if mid_value >= 0:
+            mu, value = mid, mid_value
+        else:
+            hi = mid
+        spent += 1
+    return mu
+
+
+def reference_reduce(frame, grid, tolerance=1e-9):
+    """The reduced frame at the mu of `reference_search`: weights a_k(mu)
+    above the tolerance, vectors scaled by mu_i^{-1/2}, exact when every mu_i
+    is the square of a rational."""
+    forms = scaling_coefficients(frame)
+    if grid is None:
+        grid = 33 if frame.m == 2 else 9 if frame.m == 3 else max(5, frame.m - 1)
+    mu = reference_search(forms, frame.m, grid, tolerance)
+    if mu is None:
+        return None
+    coeffs = forms.evaluate(mu)
+    keep = [k for k, a in enumerate(coeffs) if a > Fraction(tolerance)]
+    if all(math.isqrt(x.numerator) ** 2 == x.numerator
+           and math.isqrt(x.denominator) ** 2 == x.denominator for x in mu):
+        inv = [Fraction(math.isqrt(x.denominator), math.isqrt(x.numerator)) for x in mu]
+    else:
+        inv = [1.0 / math.sqrt(float(x)) for x in mu]
+    vectors = tuple(KVector(frame.field, tuple(entry.scale(inv[i]) for i, entry in
+                                               enumerate(frame.vectors[k].entries)))
+                    for k in keep)
+    return WeightedFrame(frame.field, frame.m, frame.p, vectors, tuple(coeffs[k] for k in keep))
+
+
+def twisted(frame, seed):
+    """Coordinate i of every vector times a seeded unit scalar alpha_i: a
+    unitary diagonal map that commutes with diag(lambda), so the frame
+    still verifies and keeps its a_k."""
+    alphas = rational_unit_scalars(frame.field, frame.m, seed=seed)
+    vectors = tuple(KVector(frame.field, tuple(k_mul(a, e) for a, e in zip(alphas, u.entries)))
+                    for u in frame.vectors)
+    return WeightedFrame(frame.field, frame.m, frame.p, vectors, frame.weights)
+
+
+def reference_frames():
+    """Seeded twists of designs over R, C and H that reduce, and of
+    orthonormal frames that do not."""
+    return [twisted(build_synthetic_frame(), 1),
+            twisted(catalog(Field.R, 2, 4, "real2-rational-p4"), 2),
+            twisted(exact_branch_frame(), 3),
+            twisted(mub_c2_p4(), 4),
+            twisted(design_h2_p4(), 5),
+            twisted(catalog(Field.C, 3, 2, "orthonormal-p2"), 6),
+            twisted(catalog(Field.H, 2, 2, "orthonormal-p2"), 7)]
+
+
+def test_scaling_reduce_matches_reference_search():
+    reductions = 0
+    for frame in reference_frames():
+        assert verify(frame).passed
+        for grid in (None, 15, 20, 2049):
+            if math.comb(grid or 1, frame.m - 1) > isoframe.frames.MAX_GRID_NODES:
+                continue
+            expected = reference_reduce(frame, grid)
+            assert scaling_reduce(frame, grid=grid) == expected
+            reductions += expected is not None
+    assert reductions >= 15
+
+
+def test_scaling_reduce_budget_text_matches_reference(monkeypatch):
+    monkeypatch.setattr(isoframe.frames, "BISECTION_BUDGET", 3)
+    texts = []
+    for frame in reference_frames()[:5]:
+        for grid in (None, 15, 20, 2049):
+            try:
+                expected = reference_reduce(frame, grid)
+            except BudgetExhaustedError as exc:
+                with pytest.raises(BudgetExhaustedError) as got:
+                    scaling_reduce(frame, grid=grid)
+                assert str(got.value) == str(exc)
+                texts.append(str(exc))
+            else:
+                assert scaling_reduce(frame, grid=grid) == expected
+    assert len(texts) == 17
+
+
+def test_scaling_forms_kept_with_the_frame(monkeypatch, synthetic_frame):
+    forms = scaling_coefficients(synthetic_frame)
+    assert scaling_coefficients(synthetic_frame) is forms
+    # the following search neither verifies the input frame nor reduces its
+    # rows and slices again; it still re-verifies the reduced frame
+    verified, rows = [], []
+    exact_verify, add_row = isoframe.frames.verify, RowReducer.add_row
+
+    def verify_spy(f, tolerance=None):
+        verified.append(f)
+        return exact_verify(f, tolerance)
+
+    def add_row_spy(self, row):
+        rows.append(row)
+        return add_row(self, row)
+
+    monkeypatch.setattr(isoframe.frames, "verify", verify_spy)
+    monkeypatch.setattr(RowReducer, "add_row", add_row_spy)
+    reduced = scaling_reduce(synthetic_frame)
+    assert reduced.n == 4
+    assert not any(f is synthetic_frame for f in verified) and verified[-1] is reduced
+    assert rows == []
+    # an equal frame that is another object computes its own forms
+    other = build_synthetic_frame()
+    assert scaling_reduce(other) == reduced
+    assert any(f is other for f in verified) and rows
+    assert scaling_coefficients(other).coefficients == forms.coefficients
+
