@@ -162,12 +162,6 @@ class WeightedFrame:
         return tuple(_integer_frame_form(u, self.p) for u in self.vectors)
 
     @cached_property
-    def forms(self) -> Tuple[RealForm, ...]:
-        """The unweighted forms |<u_k, x>|^p, read off `_expansions`."""
-        return tuple(_divided_frame_form(u, s, power)
-                     for u, (s, power) in zip(self.vectors, self._expansions))
-
-    @cached_property
     def _values(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
         """`_scaled_values` of each exact u_k at the points of `_point_set`."""
         points = _point_set(self.field, self.m, self.p)
@@ -216,8 +210,11 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     against the tolerance, which is the only meaningful test for frames with
     floating-point entries.  A residual coefficient beyond binary64 (a float
     that overflowed to inf or nan, or an exact one too large to convert)
-    compares with no tolerance and raises FrameError.
+    compares with no tolerance and raises FrameError.  A tolerance that is
+    negative, nan or infinite raises ValueError before any work.
     """
+    if tolerance is not None and not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     p = frame.p
     if frame.is_exact:
         norm = _integer_norm_power(frame.field.real_dimension * frame.m, p)
@@ -225,7 +222,7 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
                                     zip(frame.weights, frame._expansions)] + [(-1, norm)])
     else:
         # a float u's expansion is its form; an exact u beside a float weight
-        # is divided by s^p here, as `forms` would, without caching the forms
+        # is divided by s^p here, the one place an expansion is divided
         forms = tuple(_divided_frame_form(u, s, power)
                       for u, (s, power) in zip(frame.vectors, frame._expansions))
         norm = norm_power_form(frame.field, frame.m, p)
@@ -233,8 +230,6 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     if tolerance is None:
         passed = residual.is_zero
     else:
-        if tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
         passed = _residual_max(residual) <= tolerance
     return VerifyResult(passed=passed, residual=residual)
 
@@ -281,11 +276,6 @@ def _scaled_values(u: KVector, p: int, points) -> Tuple[int, Tuple[int, ...]]:
     s, linear = _scaled_linear_forms(u)
     return s, tuple(sum(sum(coef * x for coef, x in zip(lin, pt)) ** 2 for lin in linear)
                     ** (p // 2) for pt in points)
-
-
-def _proof_row(u: KVector, p: int, points) -> List[int]:
-    """|<s u, x>|^p mod _PROOF_PRIME at each point, s the lcm of u's denominators."""
-    return [v % _PROOF_PRIME for v in _scaled_values(u, p, points)[1]]
 
 
 def _pivots_mod_q(rows):
@@ -335,14 +325,15 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     zero row k, the pivot columns of rows 0..k-1 give c, checked exactly as
     sum_j c_j V_j = V_k on X, or, if that fails, exact elimination of the
     full rows on X.  The dependency, unique up to scale, gives
-    omega_j = c_j s_j^p / (s_k^p w_j), omega_k = -1 / w_k, scaled to max 1.
+    omega_j = c_j s_j^p / w_j and omega_k = -s_k^p / w_k, scaled to max 1.
     """
     if not frame.is_exact:
         raise FrameError("dependence detection requires exact rational entries")
     dim = dim_phi(frame.field, frame.m, frame.p)
     if frame.n <= dim and "_values" not in vars(frame):
         points = _proof_points(frame.n + 4, frame.field.real_dimension * frame.m)
-        if None not in _pivots_mod_q(_proof_row(u, frame.p, points) for u in frame.vectors):
+        values = (_scaled_values(u, frame.p, points)[1] for u in frame.vectors)
+        if None not in _pivots_mod_q([v % _PROOF_PRIME for v in row] for row in values):
             return None
     scales, rows = zip(*frame._values)
     cols = list(takewhile(lambda col: col is not None, _pivots_mod_q(
@@ -360,9 +351,8 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
             return None
         if _vanishes([cert.get(j, 0) for j in range(k)] + [-1], rows[:k + 1]):
             break
-    combo = [cert.get(j, 0) * Fraction(scales[j], scales[k]) ** frame.p / frame.weights[j]
-             for j in range(k)]
-    combo.append(-1 / frame.weights[k])
+    combo = [cert.get(j, 0) * scales[j]**frame.p / frame.weights[j] for j in range(k)]
+    combo.append(-scales[k]**frame.p / frame.weights[k])
     peak = max(combo)
     omega = [c / peak for c in combo] + [Fraction(0)] * (frame.n - k - 1)
     return DependenceCertificate(omega=tuple(omega), pivot=omega.index(Fraction(1)))
@@ -549,7 +539,8 @@ def scaling_reduce(
     exactly when all mu_i are squares of rationals and in floating point
     otherwise, and re-verified either way.  Returns None when the sampled
     cone shows no negative a_hat: no reduction found (which certifies
-    nothing).  The tolerance must be finite and positive.
+    nothing).  The tolerance must be finite and positive; it and the grid
+    are checked before the frame is verified or expanded.
 
     The search runs on integer vectors.  a_hat is homogeneous of degree
     p/2, so scaling every point by one positive factor scales every value
@@ -563,8 +554,6 @@ def scaling_reduce(
     """
     if not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
-    tol = Fraction(tolerance)
-    sf = scaling_coefficients(frame)
     m, half = frame.m, frame.p // 2
     if grid is None:
         grid = 33 if m == 2 else 9 if m == 3 else max(5, m - 1)
@@ -572,6 +561,8 @@ def scaling_reduce(
         raise ValueError(f"grid must be >= {max(1, m - 1)} for m = {m}, got {grid}")
     if comb(grid, m - 1) > MAX_GRID_NODES:
         raise ValueError(f"grid {grid} gives more than {MAX_GRID_NODES} nodes for m = {m}")
+    tol = Fraction(tolerance)
+    sf = scaling_coefficients(frame)
 
     # The interior nodes m * (c_1, ..., c_m) / S, integers c_i >= 1 summing
     # to S = grid + 1, each kept as 2c: every a_hat is scaled by (2S/m)^{p/2}.
@@ -644,11 +635,8 @@ def scaling_reduce(
                             tuple(coeffs[k] for k in keep))
 
     dropped_clean = all(coeffs[k] == 0 for k in range(len(coeffs)) if k not in keep)
-    if reduced.is_exact and dropped_clean:
-        if not verify(reduced).passed:
-            raise RuntimeError("exact scaling reduction failed re-verification; "
-                               "this indicates a defect")
-    else:
+    bound = None
+    if not (reduced.is_exact and dropped_clean):
         # Dropped coefficients bound the residual: the identity is exact
         # before dropping, so the leftover is sum of a_k * max coeff of the
         # dropped rescaled forms, plus binary64 noise.  An entry beyond
@@ -666,9 +654,8 @@ def scaling_reduce(
             bound = math.inf
         if not math.isfinite(bound):
             raise FrameError("the bound for the dropped vectors is not finite in binary64")
-        if not verify(reduced, tolerance=bound).passed:
-            raise RuntimeError("scaling reduction failed floating-point re-verification; "
-                               "this indicates a defect")
+    if not verify(reduced, tolerance=bound).passed:
+        raise RuntimeError("scaling reduction failed re-verification; this indicates a defect")
     return reduced
 
 

@@ -187,6 +187,20 @@ def test_reduce_refuses_unverified(capsys, tmp_path):
     assert "refus" in err
 
 
+def test_scale_reduce_checks_grid_before_the_frame(capsys, tmp_path):
+    # a bad grid is a usage error whatever the frame: it is refused before
+    # the frame is verified
+    base = catalog(Field.R, 2, 4, "real2-rational-p4")
+    path = tmp_path / "bad.json"
+    save_frame(WeightedFrame(Field.R, 2, 4, base.vectors, (Fraction(1),) * 4), path)
+    code, out, err = run(capsys, "scale-reduce", str(path), "--grid", "0")
+    assert code == EXIT_MALFORMED
+    assert out == "" and err.startswith("error: grid must be")
+    code, out, err = run(capsys, "scale-reduce", str(path))
+    assert code == EXIT_FAIL
+    assert out == "" and "verified frames only" in err
+
+
 def test_scale_reduce_full_run(capsys, synthetic_path, tmp_path):
     out_path = tmp_path / "scaled.json"
     code, out, _ = run(capsys, "scale-reduce", synthetic_path,

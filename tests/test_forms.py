@@ -439,7 +439,8 @@ def test_norm_power_form_multinomial():
 
 def test_form_inner_rejects_float_forms():
     # the sphere pairing is exact only; float forms have no pairing to fall back on
-    eq = catalog(Field.R, 2, 6, "real2-equiangular").forms
+    frame = catalog(Field.R, 2, 6, "real2-equiangular")
+    eq = tuple(frame_form(u, frame.p) for u in frame.vectors)
     exact = norm_power_form(Field.R, 2, 6)
     for a, b in ((eq[0], eq[1]), (eq[2], exact), (exact, eq[2]), (eq[0], RealForm.zero(2, 6))):
         with pytest.raises(ValueError, match="exact"):

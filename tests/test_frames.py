@@ -105,7 +105,7 @@ def test_frame_basic_properties():
     f = catalog(Field.R, 2, 4, "real2-rational-p4")
     assert f.n == 4
     assert f.is_exact
-    forms = f.forms
+    forms = tuple(frame_form(u, f.p) for u in f.vectors)
     assert len(forms) == 4 and all(g.degree == 4 for g in forms)
     # int entries and weights are stored as Fractions: the frame is exact
     ints = WeightedFrame(Field.R, 2, 2, (KVector.from_reals(Field.R, [1, 0]),
@@ -131,12 +131,13 @@ def test_catalog_p4_verifies_exactly():
 
 
 def test_shared_forms_are_read_only():
-    # a frame's forms and the cached phi basis are shared by every reader,
-    # so none of them may change a verdict or a basis after the fact
+    # a frame's integer expansions and the cached phi basis are shared by
+    # every reader, so none of them may change a verdict or a basis after
+    # the fact
     frame = catalog(Field.R, 2, 4, "real2-rational-p4")
     basis_form = phi_basis(Field.R, 2, 4).basis[0]
     basis_terms = dict(basis_form.terms)
-    for form in (frame.forms[0], basis_form):
+    for form in (frame._expansions[0][1], basis_form):
         before = dict(form.terms)
         with pytest.raises(AttributeError):
             form.terms.clear()
@@ -201,9 +202,13 @@ def test_verify_exact_residual_beyond_binary64():
 
 
 def test_verify_tolerance_validation():
-    f = catalog(Field.R, 2, 4, "real2-rational-p4")
-    with pytest.raises(ValueError):
-        verify(f, tolerance=-1.0)
+    # a negative, nan or infinite tolerance is refused before any expansion
+    for tolerance in (-1.0, math.nan, math.inf, -math.inf):
+        f = catalog(Field.R, 2, 4, "real2-rational-p4")
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            verify(f, tolerance=tolerance)
+        assert "_expansions" not in vars(f)
+    assert verify(catalog(Field.R, 2, 4, "real2-rational-p4"), tolerance=0.0).passed
 
 
 def test_verify_gauge_invariant():
@@ -245,7 +250,7 @@ def test_dependence_finds_parallel_vector():
     cert = dependence(g)
     assert cert is not None
     omega_w = [o * w for o, w in zip(cert.omega, g.weights)]
-    forms = g.forms
+    forms = tuple(frame_form(u, g.p) for u in g.vectors)
     acc = forms[0].scale(omega_w[0])
     for o, form in zip(omega_w[1:], forms[1:]):
         acc = acc + form.scale(o)
@@ -278,9 +283,10 @@ def test_reduce_once_drops_pivot_and_reweights():
     assert out.n == 4
     assert verify(out).passed
     assert sum(out.weights) < sum(red.weights) or sum(out.weights) == sum(red.weights)
-    assert len(out.forms) == out.n
-    for form, u in zip(out.forms, out.vectors):
-        assert form == frame_form(u, out.p)
+    # the values handed on with the kept vectors are their own
+    points = isoframe.frames._point_set(out.field, out.m, out.p)
+    assert out._values == tuple(isoframe.frames._scaled_values(u, out.p, points)
+                                for u in out.vectors)
 
 
 def test_forms_expanded_once_across_reductions(monkeypatch):
@@ -307,7 +313,7 @@ def test_forms_expanded_once_across_reductions(monkeypatch):
 
 def test_library_paths_read_expansions_not_forms():
     # exact frames are read as their integer expansions, float frames as the
-    # float expansions, which are their forms: no call caches `forms`
+    # float expansions, which are their forms
     base = catalog(Field.R, 2, 4, "real2-rational-p4")
     redundant = union(split_vector(base, 1, Fraction(1, 3)), base)
     synthetic = build_synthetic_frame()
@@ -316,32 +322,29 @@ def test_library_paths_read_expansions_not_forms():
                            tuple(16 * w for w in synthetic.weights))
     floats = catalog(Field.R, 2, 6, "real2-equiangular")
     mixed = WeightedFrame(Field.R, 2, 4, halved.vectors, tuple(map(float, halved.weights)))
-    touched = [redundant, synthetic, halved, floats, mixed]
-    for frame in touched:
+    for frame in (redundant, synthetic, halved, floats, mixed):
         assert verify(frame, tolerance=1e-9).passed
     assert verify(redundant).passed and verify(halved).passed
     current = redundant
     while (cert := dependence(current)) is not None:
         current = reduce_once(current, cert)
-        touched.append(current)
     assert current.n < redundant.n and verify(current).passed
     scaled = scaling_coefficients(halved).coefficients
     assert scaled == tuple(a.scale(16) for a in scaling_coefficients(synthetic).coefficients)
-    touched += [scaling_reduce(synthetic), scaling_reduce(halved)]
-    for frame in touched:
-        assert "forms" not in vars(frame)
+    assert scaling_reduce(synthetic).n == scaling_reduce(halved).n == synthetic.n - 1
 
 
 def test_float_verify_divides_exact_vectors_beside_float_weights():
     # exact vectors with s > 1 in a frame made inexact by a float weight are
-    # divided by s^p before the float sum, as their public forms are
+    # divided by s^p before the float sum, as frame_form divides them
     synthetic = build_synthetic_frame()
     vectors = tuple(u.scale_real(Fraction(2, 3)) for u in synthetic.vectors)
     frame = WeightedFrame(Field.R, 2, 4, vectors,
                           tuple(float(w * Fraction(81, 16)) for w in synthetic.weights))
     result = verify(frame, tolerance=1e-12)
     norm = norm_power_form(Field.R, 2, 4)
-    expected = linear_combination(frame.weights + (-1,), frame.forms + (norm,))
+    forms = tuple(frame_form(u, frame.p) for u in frame.vectors)
+    expected = linear_combination(frame.weights + (-1,), forms + (norm,))
     assert result.passed
     assert [(e, c.hex()) for e, c in result.residual.terms.items()] == [
         (e, c.hex()) for e, c in expected.terms.items()]
@@ -492,7 +495,7 @@ def test_full_rank_frame_runs_no_exact_elimination(monkeypatch, field, m, p, n):
     monkeypatch.setattr(isoframe.frames, "RowReducer", NoElimination)
     frame = random_rational_frame(field, m, p, n)
     assert dependence(frame) is None
-    assert "forms" not in vars(frame)
+    assert "_expansions" not in vars(frame)
 
 
 def test_degenerate_proof_points_fall_back_to_exact_loop(monkeypatch):
@@ -532,7 +535,7 @@ def test_point_set_is_closed_form(monkeypatch, fresh_point_sets):
     def forbidden(*args):
         raise AssertionError("the point set ran the proof machinery")
 
-    for name in ("_proof_points", "_proof_row", "_pivots_mod_q", "dim_phi"):
+    for name in ("_proof_points", "_pivots_mod_q", "dim_phi"):
         monkeypatch.setattr(isoframe.frames, name, forbidden)
     for field in (Field.R, Field.C, Field.H):
         points = isoframe.frames._point_set(field, 3, 4)
@@ -570,7 +573,7 @@ def test_dependence_chain_expands_no_form():
             current = reduce_once(current, cert)
             chain.append(current)
         assert len(chain) >= 3
-        assert all("forms" not in vars(frame) for frame in chain)
+        assert all("_expansions" not in vars(frame) for frame in chain)
 
 
 def test_reduce_once_requires_exact_frames():
@@ -586,10 +589,11 @@ def test_proof_row_is_scaled_form_value():
         frame = WeightedFrame(field, m, p, tuple(
             random_rational_vector(rng, field, m) for _ in range(4)), (Fraction(1),) * 4)
         points = isoframe.frames._proof_points(5, field.real_dimension * m)
-        for u, form in zip(frame.vectors, frame.forms):
+        for u in frame.vectors:
             s = math.lcm(*(c.denominator for e in u.entries for c in e.components))
-            expected = [int(s**p * form.evaluate(x)) % q for x in points]
-            assert isoframe.frames._proof_row(u, p, points) == expected
+            expected = [int(s**p * frame_form(u, p).evaluate(x)) % q for x in points]
+            scale, values = isoframe.frames._scaled_values(u, p, points)
+            assert scale == s and [v % q for v in values] == expected
 
 
 def test_proof_row_and_frame_form_read_one_integer_expansion():
@@ -609,7 +613,8 @@ def test_proof_row_and_frame_form_read_one_integer_expansion():
             assert all(type(c) is int for c in integer_form.terms.values())
             assert integer_form.scale(Fraction(1, s**p)) == frame_form(u, p)
             x = tuple(rng.randint(-999, 999) for _ in range(n))
-            assert isoframe.frames._proof_row(u, p, [x]) == [integer_form.evaluate(x) % q]
+            values = isoframe.frames._scaled_values(u, p, [x])[1]
+            assert [v % q for v in values] == [integer_form.evaluate(x) % q]
 
 
 def test_proof_pass_guards_the_rank_bound(monkeypatch, synthetic_frame):
@@ -876,7 +881,8 @@ def test_exact_verify_residual_is_the_linear_combination():
     for frame in frames:
         assert frame.is_exact
         norm = norm_power_form(frame.field, frame.m, frame.p)
-        expected = linear_combination(frame.weights + (-1,), frame.forms + (norm,))
+        forms = tuple(frame_form(u, frame.p) for u in frame.vectors)
+        expected = linear_combination(frame.weights + (-1,), forms + (norm,))
         result = verify(frame)
         assert result.residual == expected
         assert list(result.residual.terms.items()) == list(expected.terms.items())
@@ -953,5 +959,5 @@ def test_chain_frames_skip_the_proof_pass(monkeypatch):
         assert cert is not None
         current = reduce_once(frame, cert)
         with monkeypatch.context() as patch:
-            patch.setattr(isoframe.frames, "_proof_row", None)
+            patch.setattr(isoframe.frames, "_proof_points", None)
             assert assert_chain_matches_weighted_rows(current) >= 0

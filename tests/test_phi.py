@@ -10,7 +10,14 @@ import pytest
 
 from isoframe import phi
 from isoframe.cli import EXIT_PASS, entry
-from isoframe.forms import RealForm, form_inner, monomials, norm_power_form, sphere_moment
+from isoframe.forms import (
+    RealForm,
+    form_inner,
+    frame_form,
+    monomials,
+    norm_power_form,
+    sphere_moment,
+)
 from isoframe.frames import WeightedFrame, catalog, save_frame
 from isoframe.kscalar import Field, KElement, KVector, rational_unit_scalars
 from isoframe.phi import (
@@ -257,7 +264,8 @@ def test_dual_basis_rejects_dependent_forms():
 
 def test_dual_basis_rejects_float_forms():
     # the Gram is summed in ints; float forms have no exact pairing
-    forms = catalog(Field.R, 2, 6, "real2-equiangular").forms
+    frame = catalog(Field.R, 2, 6, "real2-equiangular")
+    forms = tuple(frame_form(u, frame.p) for u in frame.vectors)
     with pytest.raises(ValueError, match="exact"):
         dual_basis(forms)
     with pytest.raises(ValueError, match="exact"):

@@ -90,7 +90,7 @@ def dual_route_coefficients(frame):
     C_nu = multinomial(p/2; nu) prod_i |xi_i|^(2 nu_i) the slices of
     (sum_i lambda_i |xi_i|^2)^(p/2)."""
     m, half = frame.m, frame.p // 2
-    duals = dual_basis(frame.forms).duals
+    duals = dual_basis(tuple(frame_form(u, frame.p) for u in frame.vectors)).duals
     norms = [frame_form(KVector.canonical(frame.field, m, i), 2) for i in range(m)]
     slices = {}
     for nu in monomials(m, half):
@@ -248,24 +248,24 @@ def test_scaling_reduce_loose_tolerance_drops_small_weights(synthetic_frame):
 
 
 def test_scaling_reduce_parameter_validation(synthetic_frame):
-    with pytest.raises(ValueError):
-        scaling_reduce(synthetic_frame, tolerance=0.0)
-    with pytest.raises(ValueError):
-        scaling_reduce(synthetic_frame, tolerance=-1e-9)
-    with pytest.raises(ValueError):
-        scaling_reduce(synthetic_frame, grid=0)
+    # every refusal comes before the frame is verified or expanded
+    def refused(frame, match, **kwargs):
+        with pytest.raises(ValueError, match=match):
+            scaling_reduce(frame, **kwargs)
+        assert "_scaling_forms" not in vars(frame)
+
+    refused(build_synthetic_frame(), "tolerance", tolerance=0.0)
+    refused(build_synthetic_frame(), "tolerance", tolerance=-1e-9)
+    refused(build_synthetic_frame(), "grid", grid=0)
     # the grid needs m - 1 cuts, and at most MAX_GRID_NODES nodes
-    with pytest.raises(ValueError, match="grid"):
-        scaling_reduce(catalog(Field.R, 7, 2, "orthonormal-p2"), grid=5)
-    with pytest.raises(ValueError, match="nodes"):
-        scaling_reduce(synthetic_frame, grid=100_001)
+    refused(catalog(Field.R, 7, 2, "orthonormal-p2"), "grid", grid=5)
+    refused(build_synthetic_frame(), "nodes", grid=100_001)
     # a tolerance at or above every weight drops every vector at once
     with pytest.raises(FrameError, match="vanished"):
         scaling_reduce(synthetic_frame, tolerance=1)
     # no exact bisection compares against inf (1e400 parses as inf) or nan
     for tolerance in (math.inf, float("1e400"), math.nan, -math.inf):
-        with pytest.raises(ValueError, match="finite and positive"):
-            scaling_reduce(synthetic_frame, tolerance=tolerance)
+        refused(build_synthetic_frame(), "finite and positive", tolerance=tolerance)
 
 
 def test_scaling_reduce_nonfinite_bound():
