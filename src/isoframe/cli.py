@@ -28,7 +28,7 @@ from .frames import (
     verify,
 )
 from .kscalar import Field, scalar_to_str
-from .phi import dim_phi, upper_bound
+from .phi import _dim_too_long_to_print, dim_phi, upper_bound
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -50,18 +50,6 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
         else:
             lines.append(f"{key}: {value}")
     print("\n".join(lines))
-
-
-def _log10_dim(field: Field, m: int, p: int) -> float:
-    """log10 of dim_phi(field, m, p), summed over the smaller side of each binomial."""
-    def lcomb(a: int, b: int) -> float:
-        b = min(b, a - b)
-        if b > 14_300:  # C(a, b) >= 2^b > 10^4300
-            return math.inf
-        return sum(math.log10(a - i) - math.log10(i + 1) for i in range(b))
-    k = p // 2
-    return {Field.R: lcomb(m + p - 1, p), Field.C: 2 * lcomb(m + k - 1, k),
-            Field.H: lcomb(2 * m + k - 1, k) + lcomb(2 * m + k - 2, k) - math.log10(k + 1)}[field]
 
 
 def _bound_entry(field: Field, m: int, p: int):
@@ -89,7 +77,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_dim(args: argparse.Namespace) -> int:
     field, m, p = Field.from_tag(args.field), args.m, args.p
-    if m >= 1 and p >= 2 and not p % 2 and _log10_dim(field, m, p) >= 4300:
+    if _dim_too_long_to_print(field, m, p):
         raise ValueError(f"dim Phi_{field.name}(m={m}, p={p}) has more digits than Python prints")
     report = {
         "field": field.name,
@@ -131,13 +119,12 @@ def cmd_scale_reduce(args: argparse.Namespace) -> int:
     if reduced is None:
         _emit({"result": "none", "n_initial": frame.n}, args)
         return EXIT_PASS
-    check = verify(reduced, tolerance=None if reduced.is_exact else args.tolerance)
     report = {
         "result": "reduced",
         "n_initial": frame.n,
         "n_final": reduced.n,
         "exact": reduced.is_exact,
-        "residual_max": check.max_residual,
+        "residual_max": verify(reduced).max_residual,
     }
     if args.out:
         save_frame(reduced, args.out)

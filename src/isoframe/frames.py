@@ -326,6 +326,7 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     sum_j c_j V_j = V_k on X, or, if that fails, exact elimination of the
     full rows on X.  The dependency, unique up to scale, gives
     omega_j = c_j s_j^p / w_j and omega_k = -s_k^p / w_k, scaled to max 1.
+    Each None is checked against the rank bound n <= dim Phi (RuntimeError).
     """
     if not frame.is_exact:
         raise FrameError("dependence detection requires exact rational entries")
@@ -338,19 +339,19 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     scales, rows = zip(*frame._values)
     cols = list(takewhile(lambda col: col is not None, _pivots_mod_q(
         [v % _PROOF_PRIME for v in values] for values in rows)))
-    if len(cols) == frame.n:
+    cert = None
+    if len(cols) < frame.n:
+        for columns in (cols, range(len(rows[0]))):
+            reducer = RowReducer()
+            for k, row in enumerate(rows):
+                if (cert := reducer.add_row({col: row[col] for col in columns})) is not None:
+                    break
+            if cert is None or _vanishes([cert.get(j, 0) for j in range(k)] + [-1], rows[:k + 1]):
+                break
+    if cert is None:
         if frame.n > dim:
             raise RuntimeError(f"{frame.n} independent forms exceed dim Phi = {dim}: a defect")
         return None
-    for columns in (cols, range(len(rows[0]))):
-        reducer = RowReducer()
-        for k, row in enumerate(rows):
-            if (cert := reducer.add_row({col: row[col] for col in columns})) is not None:
-                break
-        else:
-            return None
-        if _vanishes([cert.get(j, 0) for j in range(k)] + [-1], rows[:k + 1]):
-            break
     combo = [cert.get(j, 0) * scales[j]**frame.p / frame.weights[j] for j in range(k)]
     combo.append(-scales[k]**frame.p / frame.weights[k])
     peak = max(combo)
@@ -391,18 +392,10 @@ def reduce_to_independent(frame: WeightedFrame) -> WeightedFrame:
     """Iterate dependence/reduce_once until the frame forms are independent.
 
     Terminates in at most n steps since each reduction is strictly smaller.
-    The postcondition n <= dim Phi_K(m,p) is checked at runtime and an
-    unexpected violation raises.
     """
-    current = frame
-    while (cert := dependence(current)) is not None:
-        current = reduce_once(current, cert)
-    dim = dim_phi(current.field, current.m, current.p)
-    if current.n > dim:
-        raise RuntimeError(
-            f"independent frame of size {current.n} exceeds dim Phi = {dim}; "
-            "this contradicts the rank bound and indicates a defect")
-    return current
+    while (cert := dependence(frame)) is not None:
+        frame = reduce_once(frame, cert)
+    return frame
 
 
 @dataclass(frozen=True)

@@ -127,4 +127,5 @@ def matrix_inverse(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]
             raise SingularMatrixError(
                 f"matrix is singular (row {i} depends on the rows before it)")
     certs = [reducer.add_row({i: 1}) for i in range(n)]
-    return [[cert.get(j, Fraction(0)) for j in range(n)] for cert in certs]
+    zero = Fraction(0)
+    return [[cert.get(j, zero) for j in range(n)] for cert in certs]

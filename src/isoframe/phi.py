@@ -193,7 +193,7 @@ def phi_basis(field: Field, m: int, p: int) -> PhiBasis:
     keeping the earliest generating monomials in graded-lex order.  A rank
     other than `dim_phi` raises RuntimeError.
     """
-    _check_arguments(m, p)
+    dim = dim_phi(field, m, p)
     d = field.real_dimension
     table = _substitution_table(field, m)
     reducer = RowReducer()
@@ -206,12 +206,20 @@ def phi_basis(field: Field, m: int, p: int) -> PhiBasis:
         if reducer.add_row(averaged.terms) is None:
             basis.append(averaged)
             labels.append(beta)
-    dim = dim_phi(field, m, p)
     if len(basis) != dim:
         raise RuntimeError(
             f"averaged monomials have rank {len(basis)} but dim Phi = {dim}; "
             "this contradicts the closed form and indicates a defect")
     return PhiBasis(field=field, m=m, p=p, basis=tuple(basis), labels=tuple(labels))
+
+
+def _dim_factors(field: Field, m: int, p: int) -> Tuple[Tuple[Tuple[int, int], ...], int]:
+    """dim Phi_K(m,p) as binomials C(a, b) and a divisor: the product over the divisor."""
+    _check_arguments(m, p)
+    k = p // 2
+    return {Field.R: (((m + p - 1, p),), 1),
+            Field.C: (((m + k - 1, k),) * 2, 1),
+            Field.H: (((2 * m + k - 1, k), (2 * m + k - 2, k)), k + 1)}[field]
 
 
 def dim_phi(field: Field, m: int, p: int) -> int:
@@ -225,13 +233,23 @@ def dim_phi(field: Field, m: int, p: int) -> int:
            the GL(2m) representation of shape (k, k) that the degree-p
            invariants of Sp(1) = SU(2) on 2m copies of C^2 form.
     """
-    _check_arguments(m, p)
-    k = p // 2
-    if field is Field.R:
-        return math.comb(m + p - 1, p)
-    if field is Field.C:
-        return math.comb(m + k - 1, k) ** 2
-    return math.comb(2 * m + k - 1, k) * math.comb(2 * m + k - 2, k) // (k + 1)
+    factors, divisor = _dim_factors(field, m, p)
+    return math.prod(math.comb(a, b) for a, b in factors) // divisor
+
+
+def _dim_too_long_to_print(field: Field, m: int, p: int) -> bool:
+    """Whether dim Phi_K(m,p) has more than 4,300 digits, Python's limit for
+    printing an int.  A log10 sum over the smaller side of each binomial
+    decides; within 1e-6 of 4,300, where it could round wrongly, dim_phi does."""
+    factors, divisor = _dim_factors(field, m, p)
+    sides = [(a, min(b, a - b)) for a, b in factors]
+    if max(b for _, b in sides) > 14_300:  # C(a, b) >= 2^b > 10^4300, and so is dim Phi
+        return True
+    estimate = sum(math.log10(a - i) - math.log10(i + 1)
+                   for a, b in sides for i in range(b)) - math.log10(divisor)
+    if abs(estimate - 4300) > 1e-6:
+        return estimate > 4300
+    return dim_phi(field, m, p) >= 10**4300
 
 
 def upper_bound(field: Field, m: int, p: int) -> int:

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from isoframe.frames import (
     verify,
 )
 from isoframe.kscalar import Field
+from isoframe.phi import dim_phi
 
 from conftest import build_rescaled_synthetic_frame
 
@@ -353,21 +355,31 @@ def test_dim_never_hangs():
     ("R", "2000000", "2000000"),
     # this one used to print its field, m and p lines before failing
     ("R", "100000", "100000"),
+    # dim Phi_C(m, 2) = m^2 = 10^4300 has 4301 digits
+    ("C", str(10**2150), "2"),
 ])
 def test_dim_too_long_to_print_exits_at_once(argv):
     proc = run_module("dim", *argv, timeout=20)
     assert proc.returncode == EXIT_MALFORMED
     assert proc.stdout == ""
-    assert proc.stderr == (f"error: dim Phi_R(m={argv[1]}, p={argv[2]}) "
+    assert proc.stderr == (f"error: dim Phi_{argv[0]}(m={argv[1]}, p={argv[2]}) "
                            "has more digits than Python prints\n")
 
 
 def test_dim_just_short_of_the_digit_limit(capsys):
-    # dim Phi_R(2, p) = p + 1; with p = 10^4299 - 2 it has 4299 digits
-    p = str(10**4299 - 2)
-    code, out, _ = run(capsys, "dim", "R", "2", p)
-    assert code == EXIT_PASS
-    assert f"dim: {10**4299 - 1}\n" in out
+    cases = [
+        # dim Phi_R(2, p) = p + 1: 4299 digits, then 10^4300 - 1 with 4300
+        (Field.R, 2, 10**4299 - 2),
+        (Field.R, 2, 10**4300 - 2),
+        # dim Phi_C(m, 2) = m^2 = (10^2150 - 1)^2
+        (Field.C, 10**2150 - 1, 2),
+        # dim Phi_H(m, 2) = m (2m - 1), just below 10^4300
+        (Field.H, math.isqrt(10**4300 // 2), 2),
+    ]
+    for field, m, p in cases:
+        code, out, err = run(capsys, "dim", field.name, str(m), str(p))
+        assert (code, err) == (EXIT_PASS, "")
+        assert f"dim: {dim_phi(field, m, p)}\n" in out
 
 
 def test_text_report_is_written_whole(capsys):

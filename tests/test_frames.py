@@ -617,11 +617,26 @@ def test_proof_row_and_frame_form_read_one_integer_expansion():
             assert [v % q for v in values] == [integer_form.evaluate(x) % q]
 
 
+class NeverDependent:
+    """Stands in for a RowReducer whose exact elimination misses every dependence."""
+
+    def add_row(self, row):
+        return None
+
+
 def test_proof_pass_guards_the_rank_bound(monkeypatch, synthetic_frame):
     # five independent forms against a claimed dimension of three
     monkeypatch.setattr(isoframe.frames, "dim_phi", lambda field, m, p: 3)
     with pytest.raises(RuntimeError, match="exceed dim Phi = 3"):
         dependence(synthetic_frame)
+    # a repeated vector stops the pass mod q early; an exact fallback that
+    # finds no dependence still leaves six forms above the claimed three
+    f = synthetic_frame
+    repeated = WeightedFrame(f.field, f.m, f.p, f.vectors + f.vectors[:1],
+                             f.weights + f.weights[:1])
+    monkeypatch.setattr(isoframe.frames, "RowReducer", NeverDependent)
+    with pytest.raises(RuntimeError, match="exceed dim Phi = 3"):
+        dependence(repeated)
 
 
 def is_prime(n):
