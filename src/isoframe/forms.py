@@ -146,13 +146,14 @@ class RealForm:
 
     def __pow__(self, exponent: int) -> "RealForm":
         """self ** exponent by the tree half * half, then times self for an
-        odd exponent, run on exponent vectors packed into one int each.
+        odd exponent, run on the exponent vectors packed by `_pack` for the
+        degree of the power and unpacked once at the end.
 
-        Each exponent is one digit of (degree * exponent).bit_length() bits
-        (one bit for a constant), wide enough for any exponent of the power,
-        so adding two packed keys adds their exponent vectors with no carry.
         Terms are summed and dropped in the order `__mul__` sums and drops
-        them, so float coefficients are the same bit for bit.
+        them, so float coefficients are the same bit for bit.  Exact squares
+        run over the term pairs i <= j only, with cross terms doubled; each
+        key first appears at the same pair as in the full product, so the
+        term order is the same too.
         """
         if exponent < 0:
             raise ValueError("negative powers are not defined for forms")
@@ -161,14 +162,8 @@ class RealForm:
         if exponent == 1:
             return self
         degree = self.degree * exponent
-        width = degree.bit_length() or 1
-        shifts = range(0, width * self.num_vars, width)
-        units = [1 << s for s in shifts]
-        base = {sum(map(operator.mul, expo, units)): c for expo, c in self.terms.items()}
-        mask = (1 << width) - 1
-        return RealForm._build(self.num_vars, degree, {
-            tuple([key >> s & mask for s in shifts]): c
-            for key, c in _packed_power(base, exponent).items()})
+        power = _packed_power(_pack(self.terms, self.num_vars, degree), exponent)
+        return RealForm._build(self.num_vars, degree, _unpack(power, self.num_vars, degree))
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         return evaluate(self, point)
@@ -186,7 +181,29 @@ def _nonzero(terms: dict) -> dict:
     return terms if all(terms.values()) else {k: c for k, c in terms.items() if c != 0}
 
 
-def _packed_product(a: Dict[int, Scalar], b: Dict[int, Scalar]) -> Dict[int, Scalar]:
+def _key_digits(num_vars: int, degree: int) -> Tuple[range, int]:
+    """The bit shifts of the num_vars digits of a packed key, and the digit
+    mask.  Each exponent is one digit of degree.bit_length() bits (one bit
+    for a constant), wide enough for any exponent of a form of that degree,
+    so adding two keys of forms whose degrees sum to at most `degree` adds
+    their exponent vectors with no carry."""
+    width = degree.bit_length() or 1
+    return range(0, width * num_vars, width), (1 << width) - 1
+
+
+def _pack(terms: Mapping[Exponent, Scalar], num_vars: int, degree: int) -> Dict[int, Scalar]:
+    """terms keyed by one int per exponent vector, for products up to `degree`."""
+    units = [1 << s for s in _key_digits(num_vars, degree)[0]]
+    return {sum(map(operator.mul, expo, units)): c for expo, c in terms.items()}
+
+
+def _unpack(packed: Mapping[int, Scalar], num_vars: int, degree: int) -> Dict[Exponent, Scalar]:
+    """The inverse of `_pack`, in the same term order."""
+    shifts, mask = _key_digits(num_vars, degree)
+    return {tuple([key >> s & mask for s in shifts]): c for key, c in packed.items()}
+
+
+def _packed_product(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Dict[int, Scalar]:
     out: Dict[int, Scalar] = {}
     get = out.get
     pairs = list(b.items())
@@ -197,11 +214,33 @@ def _packed_product(a: Dict[int, Scalar], b: Dict[int, Scalar]) -> Dict[int, Sca
     return _nonzero(out)
 
 
-def _packed_power(base: Dict[int, Scalar], exponent: int) -> Dict[int, Scalar]:
+def _packed_square(a: Mapping[int, Scalar]) -> Dict[int, Scalar]:
+    """a * a over the term pairs i <= j, cross terms doubled, for exact
+    coefficients.  The first pair (i, j) of the full product that reaches a
+    key has i <= j, so keys first appear in the order `_packed_product(a, a)`
+    gives them, and the exact sums are equal."""
+    out: Dict[int, Scalar] = {}
+    get = out.get
+    pairs = list(a.items())
+    for i, (k1, c1) in enumerate(pairs):
+        key = k1 + k1
+        out[key] = get(key, 0) + c1 * c1
+        twice = 2 * c1
+        for k2, c2 in pairs[i + 1:]:
+            key = k1 + k2
+            out[key] = get(key, 0) + twice * c2
+    return _nonzero(out)
+
+
+def _packed_power(base: Mapping[int, Scalar], exponent: int) -> Mapping[int, Scalar]:
     if exponent == 1:
         return base
     half = _packed_power(base, exponent // 2)
-    sq = _packed_product(half, half)
+    # float sums keep the order of the full product, and so their bits
+    if any(isinstance(c, float) for c in half.values()):
+        sq = _packed_product(half, half)
+    else:
+        sq = _packed_square(half)
     return _packed_product(sq, base) if exponent % 2 else sq
 
 
@@ -348,10 +387,11 @@ def _scaled_linear_forms(u: KVector) -> Tuple[int, List[List[Scalar]]]:
     return s, linear
 
 
-def _integer_frame_form(u: KVector, p: int) -> Tuple[int, RealForm]:
-    """s and |<s u, x>|^p expanded: s the lcm of an exact u's denominators and
-    int coefficients, or s = 1 and float coefficients for a float u.  Checks
-    p and u as frame_form documents."""
+def _packed_frame_form(u: KVector, p: int) -> Tuple[int, Mapping[int, Scalar]]:
+    """s and the terms of |<s u, x>|^p keyed by `_pack` for degree p, in a
+    read-only mapping: s the lcm of an exact u's denominators and int
+    coefficients, or s = 1 and float coefficients for a float u.  Checks p
+    and u as frame_form documents."""
     if p < 2 or p % 2:
         raise ValueError(f"exponent p must be a positive even integer, got {p}")
     if u.is_zero:
@@ -361,17 +401,19 @@ def _integer_frame_form(u: KVector, p: int) -> Tuple[int, RealForm]:
     squares = [lin * lin for lin in (RealForm._build(n, 1, {
         (0,) * j + (1,) + (0,) * (n - j - 1): c for j, c in enumerate(row) if c})
         for row in linear)]
-    return s, linear_combination((1,) * len(linear), squares) ** (p // 2)
+    base = linear_combination((1,) * len(linear), squares)
+    return s, MappingProxyType(_packed_power(_pack(base.terms, n, p), p // 2))
 
 
-def _divided_frame_form(u: KVector, s: int, power: RealForm) -> RealForm:
-    """|<u, x>|^p from _integer_frame_form's s and power: each coefficient
-    divided by s^p once for an exact u, the float power as it is."""
-    if not u.is_exact:
-        return power
-    scale = s**power.degree
-    return RealForm._build(power.num_vars, power.degree,
-                           {e: Fraction(c, scale) for e, c in power.terms.items()})
+def _divided_frame_form(u: KVector, p: int, s: int, packed: Mapping[int, Scalar]) -> RealForm:
+    """|<u, x>|^p from _packed_frame_form's s and terms, unpacked: each
+    coefficient divided by s^p once for an exact u, the floats as they are."""
+    n = u.field.real_dimension * u.m
+    terms = _unpack(packed, n, p)
+    if u.is_exact:
+        scale = s**p
+        terms = {e: Fraction(c, scale) for e, c in terms.items()}
+    return RealForm._build(n, p, terms)
 
 
 def frame_form(u: KVector, p: int) -> RealForm:
@@ -381,19 +423,21 @@ def frame_form(u: KVector, p: int) -> RealForm:
     its denominators, and each coefficient is divided by s^p once.  Rejects
     u = 0, which contributes nothing to a frame and never appears in one.
     """
-    return _divided_frame_form(u, *_integer_frame_form(u, p))
+    return _divided_frame_form(u, p, *_packed_frame_form(u, p))
 
 
 @lru_cache(maxsize=None)
-def _integer_norm_power(num_vars: int, p: int) -> RealForm:
-    """(sum of the num_vars squared coordinates)^{p/2} with int coefficients."""
+def _packed_norm_power(num_vars: int, p: int) -> Mapping[int, int]:
+    """(sum of the num_vars squared coordinates)^{p/2} with int coefficients,
+    keyed by `_pack` for degree p, in a read-only mapping."""
     sq = {(0,) * j + (2,) + (0,) * (num_vars - j - 1): 1 for j in range(num_vars)}
-    return RealForm._build(num_vars, 2, sq) ** (p // 2)
+    return MappingProxyType(_packed_power(_pack(sq, num_vars, p), p // 2))
 
 
 def norm_power_form(fld: Field, m: int, p: int) -> RealForm:
     """<x, x>^{p/2} = (sum of all d*m squared real coordinates)^{p/2}."""
     if p < 2 or p % 2:
         raise ValueError(f"exponent p must be a positive even integer, got {p}")
-    power = _integer_norm_power(fld.real_dimension * m, p)
-    return RealForm._build(power.num_vars, p, {e: Fraction(c) for e, c in power.terms.items()})
+    n = fld.real_dimension * m
+    return RealForm._build(n, p, {e: Fraction(c) for e, c in
+                                  _unpack(_packed_norm_power(n, p), n, p).items()})

@@ -30,15 +30,17 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, takewhile
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .forms import (
     Exponent,
     RealForm,
     _divided_frame_form,
-    _integer_frame_form,
-    _integer_norm_power,
+    _pack,
+    _packed_frame_form,
+    _packed_norm_power,
     _scaled_linear_forms,
+    _unpack,
     frame_form,
     linear_combination,
     monomials,
@@ -156,16 +158,24 @@ class WeightedFrame:
             isinstance(w, Fraction) for w in self.weights)
 
     @cached_property
-    def _expansions(self) -> Tuple[Tuple[int, RealForm], ...]:
-        """`_integer_frame_form` of each u_k: s_k and |<s_k u_k, x>|^p,
-        expanded on first use."""
-        return tuple(_integer_frame_form(u, self.p) for u in self.vectors)
+    def _expansions(self) -> Tuple[Tuple[int, Mapping[int, Scalar]], ...]:
+        """`_packed_frame_form` of each u_k, expanded on first use: s_k and
+        the terms of |<s_k u_k, x>|^p, keyed by the packed ints of
+        `RealForm.__pow__` and read-only.  Readers that need exponent
+        tuples unpack them."""
+        return tuple(_packed_frame_form(u, self.p) for u in self.vectors)
 
     @cached_property
     def _values(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
         """`_scaled_values` of each exact u_k at the points of `_point_set`."""
         points = _point_set(self.field, self.m, self.p)
         return tuple(_scaled_values(u, self.p, points) for u in self.vectors)
+
+    @cached_property
+    def _echelon(self) -> Tuple[Tuple[int, int, List[int]], ...]:
+        """The `_pivots_mod_q` echelon of the leading rows of `_values`:
+        empty until `dependence` records one, or `reduce_once` hands one on."""
+        return ()
 
     @cached_property
     def _scaling_forms(self) -> ScalingForms:
@@ -215,15 +225,15 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     """
     if tolerance is not None and not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
-    p = frame.p
+    p, num_vars = frame.p, frame.field.real_dimension * frame.m
     if frame.is_exact:
-        norm = _integer_norm_power(frame.field.real_dimension * frame.m, p)
-        residual = _exact_residual([(w / s**p, power) for w, (s, power) in
-                                    zip(frame.weights, frame._expansions)] + [(-1, norm)])
+        residual = _exact_residual([(w / s**p, power) for w, (s, power) in zip(
+            frame.weights, frame._expansions)] + [(-1, _packed_norm_power(num_vars, p))],
+            num_vars, p)
     else:
         # a float u's expansion is its form; an exact u beside a float weight
         # is divided by s^p here, the one place an expansion is divided
-        forms = tuple(_divided_frame_form(u, s, power)
+        forms = tuple(_divided_frame_form(u, p, s, power)
                       for u, (s, power) in zip(frame.vectors, frame._expansions))
         norm = norm_power_form(frame.field, frame.m, p)
         residual = linear_combination(frame.weights + (-1,), forms + (norm,))
@@ -234,28 +244,29 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     return VerifyResult(passed=passed, residual=residual)
 
 
-def _exact_residual(pairs: Sequence[Tuple[Scalar, RealForm]]) -> RealForm:
-    """sum_k c_k * P_k over pairs (c_k, P_k) of a rational c_k and a form P_k
-    with int coefficients, of one variable count and degree.  The sum runs
-    in ints over L, the lcm of the c_k's denominators, and each surviving
-    term is divided by L once.  Terms are kept and dropped in the order
-    linear_combination keeps them, so the two results are equal term for
-    term."""
+def _exact_residual(pairs: Sequence[Tuple[Scalar, Mapping[int, int]]],
+                    num_vars: int, degree: int) -> RealForm:
+    """sum_k c_k * P_k over pairs (c_k, P_k) of a rational c_k and the int
+    terms P_k of a form in num_vars variables of the given degree, keyed by
+    `forms._pack` for that degree.  The sum runs in ints over L, the lcm of
+    the c_k's denominators, on the packed keys; only the terms that survive
+    are unpacked, each divided by L once.  Terms are kept and dropped in the
+    order linear_combination keeps them, so the result equals the Fraction
+    combination of the unpacked forms term for term."""
     common = math.lcm(*(c.denominator for c, _ in pairs))
-    out: Dict[Exponent, int] = {}
+    out: Dict[int, int] = {}
     get, pop = out.get, out.pop
     for c, power in pairs:
         if not c:
             continue
         factor = c.numerator * (common // c.denominator)
-        for expo, v in power.terms.items():
-            if value := get(expo, 0) + factor * v:
-                out[expo] = value
+        for key, v in power.items():
+            if value := get(key, 0) + factor * v:
+                out[key] = value
             else:
-                pop(expo, None)
-    first = pairs[0][1]
-    return RealForm._build(first.num_vars, first.degree,
-                           {expo: Fraction(v, common) for expo, v in out.items()})
+                pop(key, None)
+    return RealForm._build(num_vars, degree, {expo: Fraction(v, common) for expo, v in
+                                              _unpack(out, num_vars, degree).items()})
 
 
 @dataclass(frozen=True)
@@ -278,9 +289,11 @@ def _scaled_values(u: KVector, p: int, points) -> Tuple[int, Tuple[int, ...]]:
                     ** (p // 2) for pt in points)
 
 
-def _pivots_mod_q(rows):
-    """Reduce rows mod _PROOF_PRIME in turn, yielding each pivot column or None."""
-    reduced: List[Tuple[int, int, List[int]]] = []  # (column, inverse of the pivot, row)
+def _pivots_mod_q(rows, reduced: Optional[List[Tuple[int, int, List[int]]]] = None):
+    """Reduce rows mod _PROOF_PRIME in turn, yielding each pivot column or
+    None.  The echelon `reduced` holds (column, inverse of the pivot, row)
+    per pivot; a given list is resumed from and extended in place."""
+    reduced = [] if reduced is None else reduced
     for row in rows:
         for col, inv, prow in reduced:
             if f := row[col] * inv % _PROOF_PRIME:
@@ -327,6 +340,14 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     full rows on X.  The dependency, unique up to scale, gives
     omega_j = c_j s_j^p / w_j and omega_k = -s_k^p / w_k, scaled to max 1.
     Each None is checked against the rank bound n <= dim Phi (RuntimeError).
+
+    The mod-q pass resumes from the echelon the frame carries (`reduce_once`
+    hands one on along a chain) and records on the frame the echelon of the
+    rows before the first zero row.  A carried echelon spans, mod q, at
+    least the leading rows it stands for, so its first zero row comes no
+    later than the true first dependent row; a zero row that is no true
+    dependence fails the exact check and goes to the full rows, so every
+    certificate is the one a fresh frame gives.
     """
     if not frame.is_exact:
         raise FrameError("dependence detection requires exact rational entries")
@@ -337,8 +358,11 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
         if None not in _pivots_mod_q([v % _PROOF_PRIME for v in row] for row in values):
             return None
     scales, rows = zip(*frame._values)
-    cols = list(takewhile(lambda col: col is not None, _pivots_mod_q(
-        [v % _PROOF_PRIME for v in values] for values in rows)))
+    echelon = list(frame._echelon)
+    cols = [col for col, _, _ in echelon]
+    cols += takewhile(lambda col: col is not None, _pivots_mod_q(
+        ([v % _PROOF_PRIME for v in values] for values in rows[len(echelon):]), echelon))
+    object.__setattr__(frame, "_echelon", tuple(echelon))
     cert = None
     if len(cols) < frame.n:
         for columns in (cols, range(len(rows[0]))):
@@ -365,6 +389,12 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     This is the weighted, fully rational form of replacing u_k with
     u_k (1-omega_k)^{1/p}: the output verifies exactly when the input does,
     and is strictly smaller.  Checked on values: sum_k w_k omega_k V_k / s_k^p = 0.
+
+    The output keeps the input's values and expansions.  It also keeps the
+    mod-q echelon of rows 0..k-1 that the input carries, when omega drops
+    exactly one vector j and its last nonzero entry is omega_k: that
+    dependence has a nonzero coefficient at j, so rows {0..k} minus j span
+    what rows 0..k-1 span, and the next `dependence` resumes at row k.
     """
     if len(cert.omega) != frame.n:
         raise CertificateError(
@@ -385,6 +415,9 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     object.__setattr__(reduced, "_values", tuple(values[k] for k in keep))
     if "_expansions" in vars(frame):
         object.__setattr__(reduced, "_expansions", tuple(frame._expansions[k] for k in keep))
+    last = max(k for k, om in enumerate(cert.omega) if om)
+    if len(keep) == frame.n - 1 and last == len(frame._echelon):
+        object.__setattr__(reduced, "_echelon", frame._echelon)
     return reduced
 
 
@@ -437,11 +470,15 @@ class ScalingForms:
         first = self.coefficients[0]
         if len(lam) != first.num_vars:
             raise ValueError(f"point has {len(lam)} coordinates, expected {first.num_vars}")
-        if not all(isinstance(x, (int, Fraction)) for x in lam):
+        if all(type(x) is int for x in lam):
+            # the integer vectors of the scaling search: D = 1
+            n, den = lam, 1
+        elif all(isinstance(x, (int, Fraction)) for x in lam):
+            den = math.lcm(*(x.denominator for x in lam))
+            n = [x.numerator * (den // x.denominator) for x in lam]
+        else:
             raise ValueError("scaling forms are evaluated at exact points only")
         scale, nus, rows = self._integer_rows
-        den = math.lcm(*(x.denominator for x in lam))
-        n = [x.numerator * (den // x.denominator) for x in lam]
         values = [math.prod(map(pow, n, nu)) for nu in nus]
         return [sum(c * values[j] for j, c in row) for row in rows], scale * den**first.degree
 
@@ -484,23 +521,26 @@ def _expand_scaling(frame: WeightedFrame) -> ScalingForms:
     if not verify(frame).passed:
         raise UnverifiedFrameError(
             "scaling coefficients are defined for verified frames only")
-    m, p = frame.m, frame.p
+    m, p, d = frame.m, frame.p, frame.field.real_dimension
+    num_vars = d * m
     reducer = RowReducer()
     for _, power in frame._expansions:
-        if reducer.add_row(power.terms) is not None:
+        if reducer.add_row(power) is not None:
             raise DependentFormsError(
                 "frame forms are linearly dependent; run reduce_to_independent first")
     half = p // 2
-    # |xi_i|^2 = |<e_i, x>|^2, which has int coefficients (s = 1)
-    squares = [_integer_frame_form(KVector.canonical(frame.field, m, i), 2)[1] for i in range(m)]
+    # |xi_i|^2, the sum of the squares of xi_i's d real coordinates
+    squares = [RealForm._build(num_vars, 2, {(0,) * j + (2,) + (0,) * (num_vars - j - 1): 1
+                                             for j in range(d * i, d * i + d)}) for i in range(m)]
     terms: List[Dict[Exponent, Fraction]] = [{} for _ in range(frame.n)]
     for nu in monomials(m, half):
         weight = math.factorial(half) // math.prod(math.factorial(e) for e in nu)
-        c_nu = math.prod((q ** e for q, e in zip(squares, nu) if e), start=weight)
-        cert = reducer.add_row(c_nu.terms)
+        c_nu = _pack(math.prod((q ** e for q, e in zip(squares, nu) if e), start=weight).terms,
+                     num_vars, p)
+        cert = reducer.add_row(c_nu)
         if cert is None or not _exact_residual(
                 [(cert.get(k, 0), power) for k, (_, power) in enumerate(frame._expansions)]
-                + [(-1, c_nu)]).is_zero:
+                + [(-1, c_nu)], num_vars, p).is_zero:
             raise ScalingExpansionError(
                 "diagonal target is not in the span of the frame forms; "
                 "the expansion identity has no solution for this frame")

@@ -9,6 +9,9 @@ import pytest
 
 from isoframe.forms import (
     RealForm,
+    _pack,
+    _packed_product,
+    _packed_square,
     form_inner,
     frame_form,
     linear_combination,
@@ -183,6 +186,29 @@ def test_packed_pow_matches_tuple_keyed_products():
                 c.hex() if isinstance(c, float) else c for c in reference.terms.values()]
             assert all(c != 0 for c in power.terms.values())
     assert (2, 2) not in (bases[5] ** 2).terms
+    # the symmetric square of exact coefficients keeps the full product's
+    # term order and values, cancelled terms included; dense seeded dicts of
+    # ints and Fractions in [-2, 2] cancel often
+    cancelled = 0
+    for num_vars, degree in ((2, 2), (3, 2), (3, 3), (4, 2)):
+        for _ in range(8):
+            terms = {e: rng.choice((rng.randint(-2, 2), Fraction(rng.randint(-2, 2), 2)))
+                     for e in monomials(num_vars, degree)}
+            half = _pack({e: c for e, c in terms.items() if c}, num_vars, 2 * degree)
+            full = _packed_product(half, half)
+            square = _packed_square(half)
+            assert list(square) == list(full)
+            assert [(c, type(c)) for c in square.values()] == [
+                (c, type(c)) for c in full.values()]
+            cancelled += len({k1 + k2 for k1 in half for k2 in half}) - len(full)
+    assert cancelled > 0
+    # float squares keep the full product's summation order: dense float
+    # powers stay hex-equal to the tuple-keyed fold
+    for num_vars, degree in ((3, 2), (4, 2)):
+        f = RealForm(num_vars, degree, {e: rng.uniform(-3, 3) for e in monomials(num_vars, degree)})
+        for k in (2, 3, 4):
+            assert [(e, c.hex()) for e, c in (f ** k).terms.items()] == [
+                (e, c.hex()) for e, c in tree_power(f, k).terms.items()]
     # products, powers and combinations skip re-validation; the public
     # constructor still validates its input
     with pytest.raises(ValueError, match="entries"):

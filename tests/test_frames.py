@@ -12,6 +12,7 @@ import pytest
 import isoframe.frames
 from isoframe.forms import (
     RealForm,
+    _packed_norm_power,
     _scaled_linear_forms,
     frame_form,
     linear_combination,
@@ -131,19 +132,19 @@ def test_catalog_p4_verifies_exactly():
 
 
 def test_shared_forms_are_read_only():
-    # a frame's integer expansions and the cached phi basis are shared by
-    # every reader, so none of them may change a verdict or a basis after
-    # the fact
+    # a frame's packed integer expansions, the cached packed norm power and
+    # the cached phi basis are shared by every reader, so none of them may
+    # change a verdict or a basis after the fact
     frame = catalog(Field.R, 2, 4, "real2-rational-p4")
     basis_form = phi_basis(Field.R, 2, 4).basis[0]
     basis_terms = dict(basis_form.terms)
-    for form in (frame._expansions[0][1], basis_form):
-        before = dict(form.terms)
+    for terms in (frame._expansions[0][1], _packed_norm_power(2, 4), basis_form.terms):
+        before = dict(terms)
         with pytest.raises(AttributeError):
-            form.terms.clear()
+            terms.clear()
         with pytest.raises(TypeError):
-            form.terms[next(iter(before))] = Fraction(0)
-        assert form.terms == before
+            terms[next(iter(before))] = Fraction(0)
+        assert terms == before
     assert verify(frame).passed
     assert phi_basis(Field.R, 2, 4).basis[0].terms == basis_terms
 
@@ -293,13 +294,13 @@ def test_forms_expanded_once_across_reductions(monkeypatch):
     # verify, the dependence/reduce_once loop and the final verify share one
     # integer expansion per input vector: reduced frames inherit the kept ones.
     calls = []
-    expand = isoframe.frames._integer_frame_form
+    expand = isoframe.frames._packed_frame_form
 
     def counting_expansion(u, p):
         calls.append(u)
         return expand(u, p)
 
-    monkeypatch.setattr(isoframe.frames, "_integer_frame_form", counting_expansion)
+    monkeypatch.setattr(isoframe.frames, "_packed_frame_form", counting_expansion)
     base = catalog(Field.R, 2, 4, "real2-rational-p4")
     frame = union(split_vector(split_vector(base, 1, Fraction(1, 3)), 2, Fraction(3, 4)), base)
     assert verify(frame).passed
@@ -562,6 +563,59 @@ def test_mod_q_only_dependence_falls_back_to_value_rows(monkeypatch):
     for n in (3, 6):
         assert_chain_matches_weighted_rows(dependent_frame(rng, Field.R, 3, 4, n))
     assert False in checks and True in checks
+
+
+@pytest.mark.parametrize("prime", [None, 5, 7])
+def test_chain_carries_the_mod_q_echelon(monkeypatch, prime):
+    # reduce_once hands the mod-q echelon on and dependence resumes after it,
+    # so along a chain each value row goes through the mod-q pass at most
+    # once, and every certificate is that of a fresh frame.  Under a small
+    # prime a candidate can fail its exact check; the step after it starts
+    # afresh, so rows are counted from there, and some carried echelon must
+    # meet such a candidate, which the full rows then settle.
+    if prime is not None:
+        monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", prime)
+    pivots, exact_check = isoframe.frames._pivots_mod_q, isoframe.frames._vanishes
+    pulled, checks = [], []
+
+    def counting_pivots(rows, reduced=None):
+        if reduced is None:  # the proof pass
+            return pivots(rows)
+        return pivots((pulled.append(None) or row for row in rows), reduced)
+
+    def recording_vanishes(coeffs, rows):
+        checks.append(exact_check(coeffs, rows))
+        return checks[-1]
+
+    monkeypatch.setattr(isoframe.frames, "_pivots_mod_q", counting_pivots)
+    monkeypatch.setattr(isoframe.frames, "_vanishes", recording_vanishes)
+    rng = random.Random(89)
+    fresh_starts, carried_rejections = 0, 0
+    for field, m, p in ((Field.R, 2, 4), (Field.R, 3, 4), (Field.C, 2, 4),
+                        (Field.H, 2, 2), (Field.H, 2, 4)):
+        for _ in range(4):
+            current = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 4)
+            while True:
+                start, before = len(current._echelon), len(pulled)
+                if not start:
+                    passes = dict.fromkeys(map(id, current.vectors), 0)
+                    fresh_starts += 1
+                del checks[:]
+                cert = dependence(current)
+                carried_rejections += bool(start) and False in checks
+                for u in current.vectors[start:start + len(pulled) - before]:
+                    passes[id(u)] += 1
+                    assert passes[id(u)] == 1
+                assert cert == dependence(WeightedFrame(field, m, p, current.vectors,
+                                                        current.weights))
+                if cert is None:
+                    break
+                assert cert.omega.count(1) == 1
+                current = reduce_once(current, cert)
+    if prime is None:
+        assert fresh_starts == 20 and carried_rejections == 0
+    else:
+        assert carried_rejections > 0
 
 
 def test_dependence_chain_expands_no_form():

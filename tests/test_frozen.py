@@ -1,0 +1,134 @@
+"""Frozen answers: the verify residual and the dependence chains of seeded
+random frames, pinned by sha256.  Each digest was taken when the answer was
+first computed and must stay byte for byte; CI runs each test as its own
+step under a 20 s timeout."""
+
+import hashlib
+import itertools
+import random
+from fractions import Fraction
+
+from isoframe.frames import WeightedFrame, dependence, reduce_once, serialize_frame, verify
+from isoframe.kscalar import Field, KElement, KVector
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def drawn_frame(field, m, p, n):
+    """The first n nonzero vectors drawn from random.Random(0), each of the
+    d*m components Fraction(randint(-3, 3), randint(1, 3)), with unit weights."""
+    rng = random.Random(0)
+
+    def draw():
+        return KVector(field, tuple(KElement(field, tuple(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for _ in range(field.real_dimension))) for _ in range(m)))
+
+    vectors = tuple(itertools.islice((u for u in iter(draw, None) if not u.is_zero), n))
+    return WeightedFrame(field, m, p, vectors, (1,) * n)
+
+
+def chain(frame):
+    """dependence and reduce_once until the forms are independent: the final
+    size, the digest of each certificate and of the reduced frame."""
+    steps = []
+    while (cert := dependence(frame)) is not None:
+        steps.append(sha(repr((cert.omega, cert.pivot))))
+        frame = reduce_once(frame, cert)
+    return frame.n, steps, sha(serialize_frame(frame))
+
+
+def test_verify_residual_smoke():
+    # the random C^3 p = 6 frame of CI's independence smoke fails, and its
+    # residual, summed in ints from the cached integer expansions, keeps the
+    # terms and order of the Fraction sum
+    result = verify(drawn_frame(Field.C, 3, 6, 100))
+    terms = result.residual.terms
+    assert not result.passed and len(terms) == 446
+    assert sha(repr(list(terms.items()))) == (
+        '231aa6404df76b1e4fa3a6a48f143f9dec252a8fd17836fbfea02b2bd7bfa1be')
+
+
+def test_complex_and_quaternion_chain_smoke():
+    # random C^3 p = 4 (54 -> 36) and H^2 p = 4 (40 -> 20) chains: every
+    # certificate and the reduced frame, read from value rows on the lattice
+    # where x_m is real (wider than dim Phi over C and H)
+    assert chain(drawn_frame(Field.C, 3, 4, 54)) == (36, [
+        '1c019e28ddd4b241c15c98a76b6e92884479c46dc7677a659f96ed187f4b86aa',
+        'c6e0c44b0fbd15ecf98b6437221dad0017d19014c7294a3a8072363ccc0cda40',
+        'fdbe0ac368b9cf7b1c180edefba305d8e6f6f927353fff105549c444dd175940',
+        'fb5f27bc05d5e0fe7d51a89b055128c3738e3ac5503054f65bdd457beaee0058',
+        '3caf3109380819325ae16585306e3570719a9731bad3bb32cc7d368aedb8d389',
+        '4b339be748297bda8960c18051a2c47d4ae22c2fb72285fc9e6f3aa988137bae',
+        '4470f3672814de079d058eb88aabc8a8a87cf275d31fd255f59d2013ce49866c',
+        'c47edf0c6ae176af55088cee7e5aab256696cbd9f247671fa290f98f240490a1',
+        'dbe4235a42476a4d346eab7a0607d5575078419a14ee3b6ce6a69523d9b122d4',
+        '38098cc25f36d142e0295a6eb36a26511baf6d92f61d756ae511e9a00cd1d0a7',
+        '7766b01f68e1d923a763d85c27663432220283aef361780028008faa49ca8685',
+        'f9b1653fe817b859443531628a230d7874ba0fdfbff0a8be37bcccce6d492b8c',
+        'f6485e426df3c9e0c08bdceb369d812924cc2dff4da1336a6027407eb48c378f',
+        'd0dd28c4b8886afe220fb5ff68f1d995ffd465437505a166ea1a365d39ac3226',
+        'f34bb5a64b3160ad24ef35339703e29f59a1dd34e9a0cfe25474da4c5a21e6e2',
+        '98634bf59811a8d2b7be3ed131ae32e4a10892ed01f8100f28332d99e6f55485',
+        'b43bd9bca618d667c2b413f062f1bfe91861c05dcf712ac8a59e23c21e17a367',
+        '5a9348be474fa516bfe2c553661648a8054855db1f514302d3217ffbba12b036',
+    ], '3d3b9a22a3a32d12429a993798207cc0248dbd9ff111cc6b6c4cc58d5848bceb')
+    assert chain(drawn_frame(Field.H, 2, 4, 40)) == (20, [
+        'b364e70320b86fe2e4a8644330319e07141e65c82a6eab00b62d4e009f864c8a',
+        '539b5bb7d4bdd0b66652bf14369daffe88cb5bd84a5d7d7cfa665bbb8a489c08',
+        'b8a21d64a0bc511b54363f25bdd62cec269c92e35a09aa83e5370eb537786ee9',
+        '572c66292dfb20708ceeda9643bd18ed6ff3afef624b0dc8a622ae2fa62dff95',
+        'a44d43c542a34b7872f5adf1c734fb6e6e0397aa0458af7091024121fc0dad24',
+        'a41cfcbe7013e8e7c66a633df2743d8bf291152bb9230509499e45b9c48ee9fd',
+        '28d66650300ec3a414189e8ac73e2b51df58a76b36d3aa233a680380ca4807d5',
+        '3b12e1093260a67cdd7ff663f7c56378fa4e23d3096b9ab690037527235de712',
+        '3e28f2a690ab923d65288ce33bee5fbb68450a8b832de36375461d8c865a1276',
+        'cea6d50cb2f626bee46f2ba031dd519ff3d4d3bf14f8093314d97e6d2e765089',
+        '15a3f36e869562a48cd964b6353edfd1619ac2280339a68a4435d12ed2a4c932',
+        '15d4ee2873e537b373a58f7fcac00e9039eac6700e5dd1ee734c6b004563bdf1',
+        '2d88c704ae102f95a5a8d7631b3f3d93137dccf31c7afb3ec552d9f47ecd674d',
+        '9746d60945d93ed89a466b113a8e041bc2181dd5185bc6a0ffd310a5ec6b0d33',
+        'fec94ed08bf1a234e99aa0228af6e037f7fed906b828c118c4b2670c7d7d0183',
+        'c80a0292cda6cc786720223df4303e595d991ad494494d762e7a1420985c0e34',
+        '5beb566ca569b946295b834fac77536e370a1257bec8886de4b25ebd89a739d8',
+        'd95d26fefb7f01190626efec35789710152cabbf08098e62bea868a9c34e352e',
+        '5bc8d7587d8ea6be18d77170348878473de1dd0e3ad4bf33456168e656612b95',
+        '5d0e6959d9e97060831fddcd3ca1e9c99a90658cd3c703aa75901ff43a1289e1',
+    ], 'e546b3620dbcdc6e988453d7925e5afc691918ffdadd2fab4546c5374448f2c1')
+
+
+def test_real_chain_smoke():
+    # random R^3 p = 6 chain (56 -> 28): every certificate, with omega built
+    # from the integer scale powers s_k^p, and the reduced frame
+    assert chain(drawn_frame(Field.R, 3, 6, 56)) == (28, [
+        '2bc1527f93010ec7f93f023b2e9827a047eb1a2008b71299072581b0c0213ab1',
+        '9f95250207d5298fc1f1ec4aefa5c8b3440bdcd3639fb9d62060deeaa242bc3a',
+        '20c59beab86c5ebcfe04e904d0f6a59d7600dc06b8e295c72fa48507189c1786',
+        'e5dfc329ac9443805bf4bcf217d7ae59eddf7c14382cfcca2b5ff259faea1b0c',
+        '02b001edaa4bd1be61478f75db33e23f59fd4ee319d9d3c1165fc83dfdba2ea9',
+        '8d2e51aec84fac1b518eb86f1edc735cd06116a9b57e89198702d19e129af9ba',
+        '8e29c43cd043a8950fae88a0218d78890bc026e487521803ba0ce99a0eb6892e',
+        'aab0add8d44907f7d561813495dd645a953ca5e9ea8b5a3d9d08442441dfd898',
+        '1efe84a169e7daba3eb5a3ed922e026bdbc693ac12204d9946e1031740b8b4f5',
+        '0235c11a01bbbd2303c67f24e99fd3d75af7f402498e1f3c25cf39a2b48c93a8',
+        '2d2d24763b6a685075b3e6d60b2dee4abb02ea1ecc78d851b87065cc16fa6de0',
+        '5cc05b0083c4c812d6a61cb09ee7209b120d122c57a54f484b1e6d3d4d96b898',
+        '8b41320480f94d5c29a206086426b89830b1018afdfe6c531098ddd4b0e37a55',
+        'b761a70de8da7e197d0e5290c9af60946dc70713427c465e7d7928582f7171b3',
+        '22da5a1951e1ec4b2be9e96ba0419373bfa5497b9feeb7a2dd5e8ff544c7ebc8',
+        'ba7a47e2472f3e2d13f73c121d14eb26c309abd841cad3131003b776cd45920d',
+        '9e9fe04b13be8e750b5133a3b447c37cff1dc504814d97e203eb1f1502f5deb7',
+        '971ab7b8a85f5a0a1c69dadaa98c0acef453e81b629f4565615d1a7162a02cdd',
+        'a3098693d6af6e6e42c1074ef187afb2989da8c38669f1021f0640ef86e57f1f',
+        'ba5a4ed9f7bedd8377a183826ee2f2757d881eaadcaad0379100330f4fe15ad8',
+        'bfb877f3bcc58d622e6f14c8377d5895ec7a633c9efbff2aebc43c931aa787e1',
+        'b315b2a82f88a37ea1826a7c9bb80ec71a6e829d5b39b3e9a36d894b2e26f8ab',
+        '15d84f74c91146f22e71f583a8c64189b9f48629e58c40e58c307c3d96703092',
+        '7e90fe1f16cdf51086ad277620687c8b7911ccdc6800236dee9270db08b04505',
+        '106953792b43e20c4459da8eab62c8c52587dfa0f49d053982f8cb08a43fea64',
+        'c4aa443503ec9e12629f2c4c60df4cf0f67dc9fc08144d14b7ba84c9407298b8',
+        'c5daa3ae0c9f72e0687c15f476d2c3a5b8fca2c5671e105788a0c72db7b4758d',
+        'ca448ba891439bb90a2d46c7be9f3349bbb77601ce564966ae02739869eb2bee',
+    ], '5e7cc937ac2827f506f02d4822386c26ac867b18166b0faf7092efec4861ac7d')
