@@ -1,7 +1,7 @@
 """Frozen answers: the verify residual and the dependence chains of seeded
-random frames, pinned by sha256.  Each digest was taken when the answer was
-first computed and must stay byte for byte; CI runs each test as its own
-step under a 20 s timeout."""
+random frames, and the Phi bases with their duals, pinned by sha256.  Each
+digest was taken when the answer was first computed and must stay byte for
+byte; CI runs each test as its own step under a 20 s timeout."""
 
 import hashlib
 import itertools
@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from isoframe.frames import WeightedFrame, dependence, reduce_once, serialize_frame, verify
 from isoframe.kscalar import Field, KElement, KVector
+from isoframe.phi import dual_basis, phi_basis
 
 
 def sha(text):
@@ -132,3 +133,19 @@ def test_real_chain_smoke():
         'c5daa3ae0c9f72e0687c15f476d2c3a5b8fca2c5671e105788a0c72db7b4758d',
         'ca448ba891439bb90a2d46c7be9f3349bbb77601ce564966ae02739869eb2bee',
     ], '5e7cc937ac2827f506f02d4822386c26ac867b18166b0faf7092efec4861ac7d')
+
+
+def test_dual_basis_digest_smoke():
+    # the 12 DUAL_KEYS of bench/worker.py, in order: the phi_basis labels
+    # and basis terms, the dual terms and the exact Gram inverse
+    keys = [('R', 4, 6), ('C', 2, 8), ('C', 3, 4), ('R', 3, 6), ('H', 3, 2),
+            ('C', 5, 2), ('R', 3, 4), ('C', 3, 2), ('R', 2, 8), ('R', 2, 4),
+            ('C', 2, 2), ('H', 2, 2)]
+    digest = hashlib.sha256()
+    for tag, m, p in keys:
+        basis = phi_basis(Field[tag], m, p)
+        dual = dual_basis(basis.basis)
+        digest.update(repr((basis.labels, [b.terms for b in basis.basis],
+                            [t.terms for t in dual.duals], dual.gram_inverse)).encode())
+    assert digest.hexdigest() == (
+        '52e7954d22a10f3d559491239a3b04a9181772bba3e2f68abf18927936d194dd')
