@@ -332,15 +332,19 @@ def _moment_denominator(num_vars: int, degree: int) -> int:
     return math.prod(range(num_vars, num_vars + degree, 2))
 
 
-def _parity_buckets(form: RealForm) -> Tuple[int, Dict[Exponent, List[Tuple[Exponent, int]]]]:
+def _scaled_terms(form: RealForm) -> Tuple[int, List[Tuple[Exponent, int]]]:
     """s, the lcm of an exact form's denominators, and the integer terms of
-    s * form bucketed by the parity class of their exponents."""
+    s * form in the form's term order."""
     s = math.lcm(*(c.denominator for c in form.terms.values()))
+    return s, [(e, c.numerator * (s // c.denominator)) for e, c in form.terms.items()]
+
+
+def _parity_buckets(terms: Sequence[Tuple[Exponent, int]]) -> Dict[Exponent, List[Tuple[Exponent, int]]]:
+    """The terms bucketed by the parity class of their exponents."""
     buckets: Dict[Exponent, List[Tuple[Exponent, int]]] = {}
-    for e, c in form.terms.items():
-        buckets.setdefault(tuple([x & 1 for x in e]), []).append(
-            (e, c.numerator * (s // c.denominator)))
-    return s, buckets
+    for term in terms:
+        buckets.setdefault(tuple([x & 1 for x in term[0]]), []).append(term)
+    return buckets
 
 
 def _bucket_inner(b1, b2) -> int:
@@ -363,9 +367,9 @@ def form_inner(f1: RealForm, f2: RealForm) -> Fraction:
         raise ValueError(f"variable count mismatch: {f1.num_vars} vs {f2.num_vars}")
     if not (f1.is_exact and f2.is_exact):
         raise ValueError("form_inner pairs exact forms only")
-    (s1, b1), (s2, b2) = _parity_buckets(f1), _parity_buckets(f2)
+    (s1, t1), (s2, t2) = _scaled_terms(f1), _scaled_terms(f2)
     den = _moment_denominator(f1.num_vars, f1.degree + f2.degree)
-    return Fraction(_bucket_inner(b1, b2), s1 * s2 * den)
+    return Fraction(_bucket_inner(_parity_buckets(t1), _parity_buckets(t2)), s1 * s2 * den)
 
 
 def _scaled_linear_forms(u: KVector) -> Tuple[int, List[List[Scalar]]]:
@@ -387,16 +391,11 @@ def _scaled_linear_forms(u: KVector) -> Tuple[int, List[List[Scalar]]]:
     return s, linear
 
 
-def _packed_frame_form(u: KVector, p: int) -> Tuple[int, Mapping[int, Scalar]]:
+def _packed_frame_form(s: int, linear: List[List[Scalar]], p: int) -> Tuple[int, Mapping[int, Scalar]]:
     """s and the terms of |<s u, x>|^p keyed by `_pack` for degree p, in a
-    read-only mapping: s the lcm of an exact u's denominators and int
-    coefficients, or s = 1 and float coefficients for a float u.  Checks p
-    and u as frame_form documents."""
-    if p < 2 or p % 2:
-        raise ValueError(f"exponent p must be a positive even integer, got {p}")
-    if u.is_zero:
-        raise ValueError("zero vector has no frame form")
-    s, linear = _scaled_linear_forms(u)
+    read-only mapping, from `_scaled_linear_forms(u)`: s the lcm of an exact
+    u's denominators and int coefficients, or s = 1 and float coefficients
+    for a float u."""
     n = len(linear[0])
     squares = [lin * lin for lin in (RealForm._build(n, 1, {
         (0,) * j + (1,) + (0,) * (n - j - 1): c for j, c in enumerate(row) if c})
@@ -423,7 +422,11 @@ def frame_form(u: KVector, p: int) -> RealForm:
     its denominators, and each coefficient is divided by s^p once.  Rejects
     u = 0, which contributes nothing to a frame and never appears in one.
     """
-    return _divided_frame_form(u, p, *_packed_frame_form(u, p))
+    if p < 2 or p % 2:
+        raise ValueError(f"exponent p must be a positive even integer, got {p}")
+    if u.is_zero:
+        raise ValueError("zero vector has no frame form")
+    return _divided_frame_form(u, p, *_packed_frame_form(*_scaled_linear_forms(u), p))
 
 
 @lru_cache(maxsize=None)

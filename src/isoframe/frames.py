@@ -158,18 +158,25 @@ class WeightedFrame:
             isinstance(w, Fraction) for w in self.weights)
 
     @cached_property
+    def _linear_forms(self) -> Tuple[Tuple[int, List[List[Scalar]]], ...]:
+        """`_scaled_linear_forms` of each u_k, built on first use: s_k and the
+        d coefficient rows of <s_k u_k, x>, which the expansions, the values
+        and the proof pass of `dependence` all read."""
+        return tuple(_scaled_linear_forms(u) for u in self.vectors)
+
+    @cached_property
     def _expansions(self) -> Tuple[Tuple[int, Mapping[int, Scalar]], ...]:
         """`_packed_frame_form` of each u_k, expanded on first use: s_k and
         the terms of |<s_k u_k, x>|^p, keyed by the packed ints of
         `RealForm.__pow__` and read-only.  Readers that need exponent
         tuples unpack them."""
-        return tuple(_packed_frame_form(u, self.p) for u in self.vectors)
+        return tuple(_packed_frame_form(s, linear, self.p) for s, linear in self._linear_forms)
 
     @cached_property
     def _values(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
         """`_scaled_values` of each exact u_k at the points of `_point_set`."""
         points = _point_set(self.field, self.m, self.p)
-        return tuple(_scaled_values(u, self.p, points) for u in self.vectors)
+        return tuple(_scaled_values(s, linear, self.p, points) for s, linear in self._linear_forms)
 
     @cached_property
     def _echelon(self) -> Tuple[Tuple[int, int, List[int]], ...]:
@@ -282,9 +289,8 @@ def _proof_points(count: int, num_vars: int) -> List[Tuple[int, ...]]:
     return [tuple(rng.randint(-999, 999) for _ in range(num_vars)) for _ in range(count)]
 
 
-def _scaled_values(u: KVector, p: int, points) -> Tuple[int, Tuple[int, ...]]:
-    """s, the lcm of u's denominators, and the integers |<s u, x>|^p at the points."""
-    s, linear = _scaled_linear_forms(u)
+def _scaled_values(s: int, linear: List[List[int]], p: int, points) -> Tuple[int, Tuple[int, ...]]:
+    """s and the integers |<s u, x>|^p at the points, from `_scaled_linear_forms(u)`."""
     return s, tuple(sum(sum(coef * x for coef, x in zip(lin, pt)) ** 2 for lin in linear)
                     ** (p // 2) for pt in points)
 
@@ -354,7 +360,8 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     dim = dim_phi(frame.field, frame.m, frame.p)
     if frame.n <= dim and "_values" not in vars(frame):
         points = _proof_points(frame.n + 4, frame.field.real_dimension * frame.m)
-        values = (_scaled_values(u, frame.p, points)[1] for u in frame.vectors)
+        values = (_scaled_values(s, linear, frame.p, points)[1]
+                  for s, linear in frame._linear_forms)
         if None not in _pivots_mod_q([v % _PROOF_PRIME for v in row] for row in values):
             return None
     scales, rows = zip(*frame._values)
@@ -390,11 +397,12 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     u_k (1-omega_k)^{1/p}: the output verifies exactly when the input does,
     and is strictly smaller.  Checked on values: sum_k w_k omega_k V_k / s_k^p = 0.
 
-    The output keeps the input's values and expansions.  It also keeps the
-    mod-q echelon of rows 0..k-1 that the input carries, when omega drops
-    exactly one vector j and its last nonzero entry is omega_k: that
-    dependence has a nonzero coefficient at j, so rows {0..k} minus j span
-    what rows 0..k-1 span, and the next `dependence` resumes at row k.
+    The output keeps the input's linear forms, values and expansions.  It
+    also keeps the mod-q echelon of rows 0..k-1 that the input carries,
+    when omega drops exactly one vector j and its last nonzero entry is
+    omega_k: that dependence has a nonzero coefficient at j, so rows
+    {0..k} minus j span what rows 0..k-1 span, and the next `dependence`
+    resumes at row k.
     """
     if len(cert.omega) != frame.n:
         raise CertificateError(
@@ -411,7 +419,9 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     reduced = WeightedFrame(frame.field, frame.m, frame.p,
                             tuple(frame.vectors[k] for k in keep),
                             tuple(frame.weights[k] * (1 - cert.omega[k]) for k in keep))
-    # The kept vectors are the same objects, so their values and expansions are too.
+    # The kept vectors are the same objects, so their linear forms, values
+    # and expansions are too.
+    object.__setattr__(reduced, "_linear_forms", tuple(frame._linear_forms[k] for k in keep))
     object.__setattr__(reduced, "_values", tuple(values[k] for k in keep))
     if "_expansions" in vars(frame):
         object.__setattr__(reduced, "_expansions", tuple(frame._expansions[k] for k in keep))

@@ -10,19 +10,24 @@ x and alpha, and the alpha-monomials integrate to rational sphere moments.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .forms import (
     Exponent,
     RealForm,
     _bucket_inner,
+    _key_digits,
     _moment_denominator,
     _moment_numerator,
+    _pack,
+    _packed_power,
+    _packed_product,
     _parity_buckets,
+    _scaled_terms,
+    _unpack,
     linear_combination,
     monomials,
 )
@@ -68,20 +73,53 @@ def _substitution_table(field: Field, m: int) -> List[RealForm]:
     return [RealForm(n_joint, 2, terms) for terms in table]
 
 
-def _average_monomial(beta: Exponent, table: List[RealForm], d: int) -> RealForm:
-    # x^beta becomes the product of the substituted coordinates; integrating
-    # alpha over the unit sphere turns each alpha monomial into its moment.
-    # Every alpha monomial has degree |beta|, so the moments share one
-    # denominator: the int numerators are summed and divided once per term.
-    joint = reduce(operator.mul, (table[v] ** b for v, b in enumerate(beta) if b))
-    sums: Dict[Exponent, int] = {}
-    for expo, coeff in joint.terms.items():
-        num = _moment_numerator(expo[:d])
-        if num:
-            sums[expo[d:]] = sums.get(expo[d:], 0) + coeff * num
-    den = _moment_denominator(d, sum(beta))
-    return RealForm._build(joint.num_vars - d, sum(beta),
-                           {expo: Fraction(total, den) for expo, total in sums.items() if total})
+def _averager(table: List[RealForm], d: int, degree: int) -> Callable[[Exponent], Dict[int, int]]:
+    """The unit-group average of a monomial x^beta of the given degree, as
+    int numerators over `_moment_denominator(d, degree)`, keyed by the x
+    exponents packed by `forms._pack` for twice the degree; zero sums are
+    dropped.
+
+    x^beta becomes the product of the substituted coordinates; integrating
+    alpha over the unit sphere turns each alpha monomial into its moment.
+    Every alpha monomial has degree |beta|, so the moments share one
+    denominator and only their int numerators are summed.  The products run
+    on packed joint keys, alpha's d digits below those of x, and meet their
+    terms in the order of the tuple-keyed `RealForm.__mul__`.  Each power
+    table[v] ** b and each alpha moment is built once per averager.
+    """
+    n_joint = table[0].num_vars
+    shifts, mask = _key_digits(n_joint, 2 * degree)
+    low = shifts[d]
+    alpha_mask = (1 << low) - 1
+    powers: Dict[Tuple[int, int], Mapping[int, int]] = {}
+    moments: Dict[int, int] = {}
+
+    def average(beta: Exponent) -> Dict[int, int]:
+        factors = []
+        for v, b in enumerate(beta):
+            if b:
+                if (v, b) not in powers:
+                    powers[v, b] = _packed_power(_pack(table[v].terms, n_joint, 2 * degree), b)
+                factors.append(powers[v, b])
+        sums: Dict[int, int] = {}
+        for key, coeff in reduce(_packed_product, factors).items():
+            alpha = key & alpha_mask
+            if alpha not in moments:
+                moments[alpha] = _moment_numerator(tuple([alpha >> s & mask for s in shifts[:d]]))
+            if num := moments[alpha]:
+                x = key >> low
+                sums[x] = sums.get(x, 0) + coeff * num
+        return {x: total for x, total in sums.items() if total}
+
+    return average
+
+
+def _averaged_form(numerators: Dict[int, int], num_vars: int, d: int, degree: int) -> RealForm:
+    """The form in num_vars variables of an `_averager` row: each numerator
+    over the moment denominator, in the row's term order."""
+    den = _moment_denominator(d, degree)
+    return RealForm._build(num_vars, degree, {expo: Fraction(total, den) for expo, total in
+                                              _unpack(numerators, num_vars, 2 * degree).items()})
 
 
 def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
@@ -97,8 +135,8 @@ def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
             f"form has {phi.num_vars} variables, expected {d * m} for {field.name}^{m}")
     if phi.is_zero or phi.degree == 0:
         return phi
-    table = _substitution_table(field, m)
-    averages = [_average_monomial(beta, table, d) for beta in phi.terms]
+    average = _averager(_substitution_table(field, m), d, phi.degree)
+    averages = [_averaged_form(average(beta), d * m, d, phi.degree) for beta in phi.terms]
     return linear_combination(list(phi.terms.values()), averages)
 
 
@@ -112,15 +150,48 @@ class DualBasis:
     gram_inverse: Tuple[Tuple[Fraction, ...], ...]
 
 
+def _parity_blocks(buckets: Sequence[Dict[Exponent, list]]) -> List[List[int]]:
+    """The indices of the forms grouped into the connected components of
+    "has a parity class in common", each ascending.  Forms in different
+    components pair to zero, so the Gram matrix is block-diagonal."""
+    parent = list(range(len(buckets)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    first: Dict[Exponent, int] = {}
+    for i, classes in enumerate(buckets):
+        for parity in classes:
+            a, b = root(i), root(first.setdefault(parity, i))
+            parent[max(a, b)] = min(a, b)
+    blocks: Dict[int, List[int]] = {}
+    for i in range(len(buckets)):
+        blocks.setdefault(root(i), []).append(i)
+    return list(blocks.values())
+
+
 def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
     """Dual basis under the sphere-integral pairing: theta_k = sum_j G^{-1}_{kj} b_j.
 
     The forms must be linearly independent and of equal degree; a singular
     Gram matrix is reported as SingularGramError since it certifies
     dependence.  The forms must be exact (a float coefficient raises
-    ValueError).  Each is scaled once to integer terms bucketed by exponent
-    parity; each entry of the upper triangle of the symmetric Gram is then
-    summed in ints and divided once.
+    ValueError).
+
+    Each form b_i is scaled once by s_i, the lcm of its denominators, to
+    integer terms bucketed by exponent parity.  Two forms with no parity
+    class in common pair to zero, so G splits into one block per connected
+    component of the shared classes, and only the blocks are summed and
+    inverted.  In a block, g_ij = <<s_i b_i, s_j b_j>> times the moment
+    denominator den is an int, G = S^-1 g S^-1 / den with S = diag(s_i),
+    and G^-1 = den S g^-1 S.  Each dual theta_k = den s_k sum_j
+    (g^-1)_kj s_j b_j is summed in ints over the one denominator of row k
+    of g^-1, and each of its terms divided once.  Terms are kept and
+    dropped in the order `linear_combination` keeps them, so every Gram
+    entry, inverse entry and dual term is the Fraction that the dense
+    Fraction computation gives, in the same order.
     """
     forms = tuple(forms)
     if not forms:
@@ -132,24 +203,48 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
             raise ValueError("dual basis requires forms of equal degree and variable count")
     if not all(f.is_exact for f in forms):
         raise ValueError("dual basis requires exact forms")
-    scaled = [_parity_buckets(f) for f in forms]
+    scaled = [_scaled_terms(f) for f in forms]
+    buckets = [_parity_buckets(terms) for _, terms in scaled]
     den = _moment_denominator(n_vars, 2 * degree)
-    gram = [[Fraction(0)] * len(forms) for _ in forms]
-    for i, (si, bi) in enumerate(scaled):
-        for j in range(i, len(forms)):
-            sj, bj = scaled[j]
-            gram[i][j] = gram[j][i] = Fraction(_bucket_inner(bi, bj), si * sj * den)
-    try:
-        inv = matrix_inverse(gram)
-    except SingularMatrixError as exc:
-        raise SingularGramError(
-            "Gram matrix is singular: the forms are linearly dependent; "
-            "run dependence detection instead") from exc
+    zero = Fraction(0)
+    n = len(forms)
+    gram = [[zero] * n for _ in forms]
+    inverse = [[zero] * n for _ in forms]
+    duals = [None] * n
+    for block in _parity_blocks(buckets):
+        g = [[0] * len(block) for _ in block]
+        for a, i in enumerate(block):
+            for b in range(a, len(block)):
+                j = block[b]
+                g[a][b] = g[b][a] = _bucket_inner(buckets[i], buckets[j])
+                gram[i][j] = gram[j][i] = Fraction(g[a][b], scaled[i][0] * scaled[j][0] * den)
+        try:
+            g_inv = matrix_inverse(g)
+        except SingularMatrixError as exc:
+            raise SingularGramError(
+                "Gram matrix is singular: the forms are linearly dependent; "
+                "run dependence detection instead") from exc
+        for k, row in zip(block, g_inv):
+            row_den = math.lcm(*(x.denominator for x in row))
+            factor = den * scaled[k][0]
+            out: Dict[Exponent, int] = {}
+            for j, x in zip(block, row):
+                if not x:
+                    continue
+                c = x.numerator * (row_den // x.denominator)
+                inverse[k][j] = Fraction(factor * scaled[j][0] * c, row_den)
+                for expo, coeff in scaled[j][1]:
+                    if value := out.get(expo, 0) + coeff * c:
+                        out[expo] = value
+                    else:
+                        out.pop(expo, None)
+            duals[k] = RealForm._build(n_vars, degree, {
+                expo: Fraction(factor * total, row_den) for expo, total in out.items()})
     return DualBasis(
         forms=forms,
-        duals=tuple(linear_combination(row, forms) for row in inv),
+        duals=tuple(duals),
         gram=tuple(tuple(row) for row in gram),
-        gram_inverse=tuple(tuple(row) for row in inv),
+        gram_inverse=tuple(tuple(row) for row in inverse),
     )
 
 
@@ -192,25 +287,28 @@ def phi_basis(field: Field, m: int, p: int) -> PhiBasis:
     independent subset of the averages is extracted by exact elimination,
     keeping the earliest generating monomials in graded-lex order.  A rank
     other than `dim_phi` raises RuntimeError.
+
+    The averages share one moment denominator, so the elimination reads
+    their int numerators as they stand (`_averager`), and only the dim Phi
+    rows kept become Fraction forms.
     """
     dim = dim_phi(field, m, p)
     d = field.real_dimension
-    table = _substitution_table(field, m)
+    average = _averager(_substitution_table(field, m), d, p)
     reducer = RowReducer()
-    basis: List[RealForm] = []
+    rows: List[Dict[int, int]] = []
     labels: List[Exponent] = []
     for beta in monomials(d * m, p):
-        averaged = _average_monomial(beta, table, d)
-        if averaged.is_zero:
-            continue
-        if reducer.add_row(averaged.terms) is None:
-            basis.append(averaged)
+        row = average(beta)
+        if row and reducer.add_row(row) is None:
+            rows.append(row)
             labels.append(beta)
-    if len(basis) != dim:
+    if len(rows) != dim:
         raise RuntimeError(
-            f"averaged monomials have rank {len(basis)} but dim Phi = {dim}; "
+            f"averaged monomials have rank {len(rows)} but dim Phi = {dim}; "
             "this contradicts the closed form and indicates a defect")
-    return PhiBasis(field=field, m=m, p=p, basis=tuple(basis), labels=tuple(labels))
+    return PhiBasis(field=field, m=m, p=p, labels=tuple(labels),
+                    basis=tuple(_averaged_form(row, d * m, d, p) for row in rows))
 
 
 def _dim_factors(field: Field, m: int, p: int) -> Tuple[Tuple[Tuple[int, int], ...], int]:

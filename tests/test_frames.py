@@ -286,8 +286,8 @@ def test_reduce_once_drops_pivot_and_reweights():
     assert sum(out.weights) < sum(red.weights) or sum(out.weights) == sum(red.weights)
     # the values handed on with the kept vectors are their own
     points = isoframe.frames._point_set(out.field, out.m, out.p)
-    assert out._values == tuple(isoframe.frames._scaled_values(u, out.p, points)
-                                for u in out.vectors)
+    assert out._values == tuple(isoframe.frames._scaled_values(*_scaled_linear_forms(u), out.p,
+                                                               points) for u in out.vectors)
 
 
 def test_forms_expanded_once_across_reductions(monkeypatch):
@@ -296,9 +296,9 @@ def test_forms_expanded_once_across_reductions(monkeypatch):
     calls = []
     expand = isoframe.frames._packed_frame_form
 
-    def counting_expansion(u, p):
-        calls.append(u)
-        return expand(u, p)
+    def counting_expansion(s, linear, p):
+        calls.append(linear)
+        return expand(s, linear, p)
 
     monkeypatch.setattr(isoframe.frames, "_packed_frame_form", counting_expansion)
     base = catalog(Field.R, 2, 4, "real2-rational-p4")
@@ -310,6 +310,33 @@ def test_forms_expanded_once_across_reductions(monkeypatch):
     assert current.n < frame.n
     assert verify(current).passed
     assert len(calls) == frame.n
+
+
+def test_linear_forms_built_once_per_vector(monkeypatch):
+    # verify, the proof pass, the value rows of a dependence/reduce_once
+    # chain and the final verify read one build of the linear forms
+    # <s_k u_k, x> per input vector: reduced frames inherit the kept ones
+    calls = []
+    build = isoframe.frames._scaled_linear_forms
+
+    def counting_build(u):
+        calls.append(u)
+        return build(u)
+
+    monkeypatch.setattr(isoframe.frames, "_scaled_linear_forms", counting_build)
+    rng = random.Random(85)
+    for field, m, p in ((Field.R, 2, 4), (Field.C, 2, 4), (Field.H, 2, 2)):
+        dim = dim_phi(field, m, p)
+        for frame in (dependent_frame(rng, field, m, p, dim - 1),
+                      dependent_frame(rng, field, m, p, dim + 2),
+                      random_rational_frame(field, m, p, dim - 1, seed=85)):
+            calls.clear()
+            verify(frame)
+            current = frame
+            while (cert := dependence(current)) is not None:
+                current = reduce_once(current, cert)
+            verify(current)
+            assert len(calls) == frame.n
 
 
 def test_library_paths_read_expansions_not_forms():
@@ -646,7 +673,7 @@ def test_proof_row_is_scaled_form_value():
         for u in frame.vectors:
             s = math.lcm(*(c.denominator for e in u.entries for c in e.components))
             expected = [int(s**p * frame_form(u, p).evaluate(x)) % q for x in points]
-            scale, values = isoframe.frames._scaled_values(u, p, points)
+            scale, values = isoframe.frames._scaled_values(*_scaled_linear_forms(u), p, points)
             assert scale == s and [v % q for v in values] == expected
 
 
@@ -667,7 +694,7 @@ def test_proof_row_and_frame_form_read_one_integer_expansion():
             assert all(type(c) is int for c in integer_form.terms.values())
             assert integer_form.scale(Fraction(1, s**p)) == frame_form(u, p)
             x = tuple(rng.randint(-999, 999) for _ in range(n))
-            values = isoframe.frames._scaled_values(u, p, [x])[1]
+            values = isoframe.frames._scaled_values(s, rows, p, [x])[1]
             assert [v % q for v in values] == [integer_form.evaluate(x) % q]
 
 

@@ -14,12 +14,14 @@ from isoframe.forms import (
     RealForm,
     form_inner,
     frame_form,
+    linear_combination,
     monomials,
     norm_power_form,
     sphere_moment,
 )
 from isoframe.frames import WeightedFrame, catalog, save_frame
 from isoframe.kscalar import Field, KElement, KVector, rational_unit_scalars
+from isoframe.linalg import matrix_inverse
 from isoframe.phi import (
     SingularGramError,
     dim_phi,
@@ -280,6 +282,57 @@ def test_dual_basis_free_functions():
     assert form_inner(f, db.duals[1]) == 0
 
 
+def parity_class_forms(seed):
+    """Seeded random exact quartics in 4 variables, each on one or two of
+    the parity classes A..E of its exponents: classes A and C share the
+    forms drawn on "AC", D and E those on "DE", so the Gram matrix has the
+    three blocks {A, C}, {B} and {D, E}."""
+    rng = random.Random(seed)
+    by_class = {}
+    for expo in monomials(4, 4):
+        by_class.setdefault(tuple(x % 2 for x in expo), []).append(expo)
+    classes = dict(zip("ABCDE", sorted(by_class, key=lambda c: -len(by_class[c]))))
+    forms = []
+    for pattern in ("A", "B", "AC", "D", "A", "DE", "B", "C", "AC", "E", "D"):
+        terms = {}
+        for tag in pattern:
+            for expo in rng.sample(by_class[classes[tag]], 2):
+                terms[expo] = Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(1, 4))
+        forms.append(RealForm(4, 4, terms))
+    return forms
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dual_basis_matches_dense_fraction_reference(seed):
+    # forms that are no Phi basis, over several parity classes with blocks
+    # merged through shared classes: the Gram, its inverse and every dual
+    # term, in order, equal those of the dense Fraction computation
+    forms = parity_class_forms(seed)
+    assert len(phi._parity_blocks([phi._parity_buckets(phi._scaled_terms(f)[1])
+                                   for f in forms])) == 3
+    gram = [[form_inner(fi, fj) for fj in forms] for fi in forms]
+    inverse = matrix_inverse(gram)
+    db = dual_basis(forms)
+    assert db.gram == tuple(map(tuple, gram))
+    assert db.gram_inverse == tuple(map(tuple, inverse))
+    assert all(type(x) is Fraction for row in db.gram + db.gram_inverse for x in row)
+    for theta, row in zip(db.duals, inverse):
+        assert list(theta.terms.items()) == list(linear_combination(row, forms).terms.items())
+        assert all(type(c) is Fraction for c in theta.terms.values())
+    for j, b in enumerate(forms):
+        assert [form_inner(b, theta) for theta in db.duals] == [int(j == k) for k in range(len(forms))]
+
+
+def test_dual_basis_rejects_dependence_within_one_block():
+    forms = parity_class_forms(0)
+    # forms 2 and 8 both lie on classes A and C
+    dependent = linear_combination((Fraction(2, 3), -3), (forms[2], forms[8]))
+    with pytest.raises(SingularGramError):
+        dual_basis(forms + [dependent])
+    with pytest.raises(SingularGramError):
+        dual_basis([forms[0], forms[1], forms[0].scale(Fraction(-7, 2))])
+
+
 def test_counting_builds_no_basis(capsys, tmp_path):
     # dim_phi and upper_bound are closed forms, so neither they nor the
     # `dim` and `verify` commands ever fill the phi_basis cache
@@ -339,7 +392,8 @@ def reference_average(beta, table, d):
 def test_average_monomial_matches_sphere_moment_reference(field, m, p):
     d = field.real_dimension
     table = phi._substitution_table(field, m)
+    average = phi._averager(table, d, p)
     for beta in monomials(d * m, p):
-        averaged = phi._average_monomial(beta, table, d)
+        averaged = phi._averaged_form(average(beta), d * m, d, p)
         assert averaged == reference_average(beta, table, d)
         assert all(type(c) is Fraction for c in averaged.terms.values())
