@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .kscalar import Field, KVector, Scalar, basis_product
 
@@ -282,6 +282,24 @@ def linear_combination(coeffs: Sequence[Scalar], forms: Sequence[RealForm]) -> R
     return RealForm._build(first.num_vars, first.degree, out)
 
 
+def _int_combination(pairs: Iterable[Tuple[int, Mapping]]) -> Dict:
+    """sum_k c_k * P_k over pairs (c_k, P_k) of an int c_k and an int term
+    mapping P_k.  Terms are kept and dropped in the order linear_combination
+    keeps them, so a combination of Fraction coefficients c_k / L, summed
+    here as the numerators c_k over their common denominator L, has the
+    Fraction combination's terms over L, in the same order."""
+    out: Dict = {}
+    get, pop = out.get, out.pop
+    for c, terms in pairs:
+        if c:
+            for key, v in terms.items():
+                if value := get(key, 0) + c * v:
+                    out[key] = value
+                else:
+                    pop(key, None)
+    return out
+
+
 def _double_factorial(k: int) -> int:
     out = 1
     while k > 1:
@@ -332,17 +350,17 @@ def _moment_denominator(num_vars: int, degree: int) -> int:
     return math.prod(range(num_vars, num_vars + degree, 2))
 
 
-def _scaled_terms(form: RealForm) -> Tuple[int, List[Tuple[Exponent, int]]]:
+def _scaled_terms(form: RealForm) -> Tuple[int, Dict[Exponent, int]]:
     """s, the lcm of an exact form's denominators, and the integer terms of
     s * form in the form's term order."""
     s = math.lcm(*(c.denominator for c in form.terms.values()))
-    return s, [(e, c.numerator * (s // c.denominator)) for e, c in form.terms.items()]
+    return s, {e: c.numerator * (s // c.denominator) for e, c in form.terms.items()}
 
 
-def _parity_buckets(terms: Sequence[Tuple[Exponent, int]]) -> Dict[Exponent, List[Tuple[Exponent, int]]]:
+def _parity_buckets(terms: Mapping[Exponent, int]) -> Dict[Exponent, List[Tuple[Exponent, int]]]:
     """The terms bucketed by the parity class of their exponents."""
     buckets: Dict[Exponent, List[Tuple[Exponent, int]]] = {}
-    for term in terms:
+    for term in terms.items():
         buckets.setdefault(tuple([x & 1 for x in term[0]]), []).append(term)
     return buckets
 

@@ -36,6 +36,7 @@ from .forms import (
     Exponent,
     RealForm,
     _divided_frame_form,
+    _int_combination,
     _pack,
     _packed_frame_form,
     _packed_norm_power,
@@ -261,17 +262,7 @@ def _exact_residual(pairs: Sequence[Tuple[Scalar, Mapping[int, int]]],
     order linear_combination keeps them, so the result equals the Fraction
     combination of the unpacked forms term for term."""
     common = math.lcm(*(c.denominator for c, _ in pairs))
-    out: Dict[int, int] = {}
-    get, pop = out.get, out.pop
-    for c, power in pairs:
-        if not c:
-            continue
-        factor = c.numerator * (common // c.denominator)
-        for key, v in power.items():
-            if value := get(key, 0) + factor * v:
-                out[key] = value
-            else:
-                pop(key, None)
+    out = _int_combination((c.numerator * (common // c.denominator), power) for c, power in pairs)
     return RealForm._build(num_vars, degree, {expo: Fraction(v, common) for expo, v in
                                               _unpack(out, num_vars, degree).items()})
 

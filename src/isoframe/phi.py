@@ -19,6 +19,7 @@ from .forms import (
     Exponent,
     RealForm,
     _bucket_inner,
+    _int_combination,
     _key_digits,
     _moment_denominator,
     _moment_numerator,
@@ -154,22 +155,15 @@ def _parity_blocks(buckets: Sequence[Dict[Exponent, list]]) -> List[List[int]]:
     """The indices of the forms grouped into the connected components of
     "has a parity class in common", each ascending.  Forms in different
     components pair to zero, so the Gram matrix is block-diagonal."""
-    parent = list(range(len(buckets)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    first: Dict[Exponent, int] = {}
+    blocks: List[Tuple[set, List[int]]] = []
     for i, classes in enumerate(buckets):
-        for parity in classes:
-            a, b = root(i), root(first.setdefault(parity, i))
-            parent[max(a, b)] = min(a, b)
-    blocks: Dict[int, List[int]] = {}
-    for i in range(len(buckets)):
-        blocks.setdefault(root(i), []).append(i)
-    return list(blocks.values())
+        merged = (set(classes), [i])
+        for block in [b for b in blocks if not b[0].isdisjoint(classes)]:
+            blocks.remove(block)
+            merged[0].update(block[0])
+            merged[1].extend(block[1])
+        blocks.append(merged)
+    return [sorted(indices) for _, indices in blocks]
 
 
 def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
@@ -186,12 +180,13 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
     component of the shared classes, and only the blocks are summed and
     inverted.  In a block, g_ij = <<s_i b_i, s_j b_j>> times the moment
     denominator den is an int, G = S^-1 g S^-1 / den with S = diag(s_i),
-    and G^-1 = den S g^-1 S.  Each dual theta_k = den s_k sum_j
-    (g^-1)_kj s_j b_j is summed in ints over the one denominator of row k
-    of g^-1, and each of its terms divided once.  Terms are kept and
-    dropped in the order `linear_combination` keeps them, so every Gram
-    entry, inverse entry and dual term is the Fraction that the dense
-    Fraction computation gives, in the same order.
+    and G^-1 = den S g^-1 S.  With row k of g^-1 written as n_kj / D_k over
+    one denominator, the dual theta_k = (den s_k / D_k) sum_j n_kj s_j b_j
+    is summed in ints over the integer terms of s_j b_j
+    (`forms._int_combination`), and each of its terms divided once.  Terms
+    are kept and dropped in the order `linear_combination` keeps them, so
+    every Gram entry, inverse entry and dual term is the Fraction that the
+    dense Fraction computation gives, in the same order.
     """
     forms = tuple(forms)
     if not forms:
@@ -226,18 +221,12 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
                 "run dependence detection instead") from exc
         for k, row in zip(block, g_inv):
             row_den = math.lcm(*(x.denominator for x in row))
+            nums = [x.numerator * (row_den // x.denominator) for x in row]
             factor = den * scaled[k][0]
-            out: Dict[Exponent, int] = {}
-            for j, x in zip(block, row):
-                if not x:
-                    continue
-                c = x.numerator * (row_den // x.denominator)
-                inverse[k][j] = Fraction(factor * scaled[j][0] * c, row_den)
-                for expo, coeff in scaled[j][1]:
-                    if value := out.get(expo, 0) + coeff * c:
-                        out[expo] = value
-                    else:
-                        out.pop(expo, None)
+            for j, c in zip(block, nums):
+                if c:
+                    inverse[k][j] = Fraction(factor * scaled[j][0] * c, row_den)
+            out = _int_combination(zip(nums, [scaled[j][1] for j in block]))
             duals[k] = RealForm._build(n_vars, degree, {
                 expo: Fraction(factor * total, row_den) for expo, total in out.items()})
     return DualBasis(
