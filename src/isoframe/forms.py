@@ -409,7 +409,8 @@ def _scaled_linear_forms(u: KVector) -> Tuple[int, List[List[Scalar]]]:
     return s, linear
 
 
-def _packed_frame_form(s: int, linear: List[List[Scalar]], p: int) -> Tuple[int, Mapping[int, Scalar]]:
+def _packed_frame_form(s: int, linear: List[List[Scalar]],
+                       p: int) -> Tuple[int, Mapping[int, Scalar]]:
     """s and the terms of |<s u, x>|^p keyed by `_pack` for degree p, in a
     read-only mapping, from `_scaled_linear_forms(u)`: s the lcm of an exact
     u's denominators and int coefficients, or s = 1 and float coefficients

@@ -320,7 +320,8 @@ def test_dual_basis_matches_dense_fraction_reference(seed):
         assert list(theta.terms.items()) == list(linear_combination(row, forms).terms.items())
         assert all(type(c) is Fraction for c in theta.terms.values())
     for j, b in enumerate(forms):
-        assert [form_inner(b, theta) for theta in db.duals] == [int(j == k) for k in range(len(forms))]
+        assert [form_inner(b, theta) for theta in db.duals] == [int(j == k)
+                                                                for k in range(len(forms))]
 
 
 def test_dual_basis_rejects_dependence_within_one_block():
