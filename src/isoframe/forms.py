@@ -132,15 +132,14 @@ class RealForm:
         return linear_combination((r,), (self,))
 
     def __mul__(self, other) -> "RealForm":
+        """self * other on keys packed by `_pack` for the product's degree,
+        unpacked once at the end; a scalar other scales."""
         if not isinstance(other, RealForm):
             return self.scale(other)
         self._check_compatible(other, same_degree=False)
-        out: Dict[Exponent, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(map(operator.add, e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return RealForm._build(self.num_vars, self.degree + other.degree, _nonzero(out))
+        n, degree = self.num_vars, self.degree + other.degree
+        product = _packed_product(_pack(self.terms, n, degree), _pack(other.terms, n, degree))
+        return RealForm._build(n, degree, _unpack(product, n, degree))
 
     __rmul__ = __mul__
 
@@ -259,35 +258,27 @@ def evaluate(form: RealForm, point: Sequence[Scalar]) -> Scalar:
 
 
 def linear_combination(coeffs: Sequence[Scalar], forms: Sequence[RealForm]) -> RealForm:
-    """sum_k coeffs[k] * forms[k], built in one pass over the terms.
+    """sum_k coeffs[k] * forms[k] by `_combination`.
 
-    The forms must share their variable count and degree, and there must be
-    at least one.  Each coefficient of the result starts from int 0 and adds
-    (term coefficient) * coeffs[k] in the order of `forms`, so ints stay ints,
-    Fractions stay Fractions, and float sums round as a left fold of `+` does
-    (0 + x and Fraction(0) + x are the same float).  Cancelled terms are dropped.
+    There must be at least one form and one coefficient per form, and the
+    forms must share their variable count and degree; otherwise ValueError.
     """
+    if not forms or len(coeffs) != len(forms):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(forms)} forms")
     first = forms[0]
-    out: Dict[Exponent, Scalar] = {}
-    for c, form in zip(coeffs, forms):
+    for form in forms:
         first._check_compatible(form, same_degree=True)
-        if c == 0:
-            continue
-        for expo, coeff in form.terms.items():
-            value = out.get(expo, 0) + coeff * c
-            if value:
-                out[expo] = value
-            else:
-                out.pop(expo, None)
-    return RealForm._build(first.num_vars, first.degree, out)
+    return RealForm._build(first.num_vars, first.degree,
+                           _combination(zip(coeffs, [form.terms for form in forms])))
 
 
-def _int_combination(pairs: Iterable[Tuple[int, Mapping]]) -> Dict:
-    """sum_k c_k * P_k over pairs (c_k, P_k) of an int c_k and an int term
-    mapping P_k.  Terms are kept and dropped in the order linear_combination
-    keeps them, so a combination of Fraction coefficients c_k / L, summed
-    here as the numerators c_k over their common denominator L, has the
-    Fraction combination's terms over L, in the same order."""
+def _combination(pairs: Iterable[Tuple[Scalar, Mapping]]) -> Dict:
+    """sum_k c_k * P_k over pairs (c_k, P_k) of a scalar and a term mapping,
+    keyed by exponent tuples or packed ints.  Each coefficient starts from
+    int 0 and adds c_k * (term coefficient) in pair order, so ints stay ints,
+    Fractions stay Fractions, float sums round as a left fold of `+` does,
+    and cancelled terms are dropped.  So int numerators c_k over a common
+    denominator L give the Fraction combination's terms over L, in order."""
     out: Dict = {}
     get, pop = out.get, out.pop
     for c, terms in pairs:
@@ -423,17 +414,6 @@ def _packed_frame_form(s: int, linear: List[List[Scalar]],
     return s, MappingProxyType(_packed_power(_pack(base.terms, n, p), p // 2))
 
 
-def _divided_frame_form(u: KVector, p: int, s: int, packed: Mapping[int, Scalar]) -> RealForm:
-    """|<u, x>|^p from _packed_frame_form's s and terms, unpacked: each
-    coefficient divided by s^p once for an exact u, the floats as they are."""
-    n = u.field.real_dimension * u.m
-    terms = _unpack(packed, n, p)
-    if u.is_exact:
-        scale = s**p
-        terms = {e: Fraction(c, scale) for e, c in terms.items()}
-    return RealForm._build(n, p, terms)
-
-
 def frame_form(u: KVector, p: int) -> RealForm:
     """|<u, x>|^p as a degree-p form; p must be a positive even integer.
 
@@ -445,7 +425,13 @@ def frame_form(u: KVector, p: int) -> RealForm:
         raise ValueError(f"exponent p must be a positive even integer, got {p}")
     if u.is_zero:
         raise ValueError("zero vector has no frame form")
-    return _divided_frame_form(u, p, *_packed_frame_form(*_scaled_linear_forms(u), p))
+    s, packed = _packed_frame_form(*_scaled_linear_forms(u), p)
+    n = u.field.real_dimension * u.m
+    terms = _unpack(packed, n, p)
+    if u.is_exact:
+        scale = s**p
+        terms = {e: Fraction(c, scale) for e, c in terms.items()}
+    return RealForm._build(n, p, terms)
 
 
 @lru_cache(maxsize=None)

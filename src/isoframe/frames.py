@@ -35,17 +35,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .forms import (
     Exponent,
     RealForm,
-    _divided_frame_form,
-    _int_combination,
+    _combination,
     _pack,
     _packed_frame_form,
     _packed_norm_power,
     _scaled_linear_forms,
     _unpack,
     frame_form,
-    linear_combination,
     monomials,
-    norm_power_form,
 )
 from .kscalar import (
     Field,
@@ -239,12 +236,12 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
             frame.weights, frame._expansions)] + [(-1, _packed_norm_power(num_vars, p))],
             num_vars, p)
     else:
-        # a float u's expansion is its form; an exact u beside a float weight
-        # is divided by s^p here, the one place an expansion is divided
-        forms = tuple(_divided_frame_form(u, p, s, power)
-                      for u, (s, power) in zip(frame.vectors, frame._expansions))
-        norm = norm_power_form(frame.field, frame.m, p)
-        residual = linear_combination(frame.weights + (-1,), forms + (norm,))
+        # an exact u's expansion is divided by s^p, as frame_form divides it;
+        # Fraction(-1) keeps the norm power's terms Fractions (norm_power_form)
+        pairs = [(w, {key: Fraction(c, s**p) for key, c in power.items()} if u.is_exact else power)
+                 for w, u, (s, power) in zip(frame.weights, frame.vectors, frame._expansions)]
+        out = _combination(pairs + [(Fraction(-1), _packed_norm_power(num_vars, p))])
+        residual = RealForm._build(num_vars, p, _unpack(out, num_vars, p))
     if tolerance is None:
         passed = residual.is_zero
     else:
@@ -258,11 +255,12 @@ def _exact_residual(pairs: Sequence[Tuple[Scalar, Mapping[int, int]]],
     terms P_k of a form in num_vars variables of the given degree, keyed by
     `forms._pack` for that degree.  The sum runs in ints over L, the lcm of
     the c_k's denominators, on the packed keys; only the terms that survive
-    are unpacked, each divided by L once.  Terms are kept and dropped in the
-    order linear_combination keeps them, so the result equals the Fraction
-    combination of the unpacked forms term for term."""
+    are unpacked, each divided by L once.  `forms._combination` keeps and
+    drops the int terms where it would keep and drop the Fraction terms, so
+    the result equals the Fraction combination of the unpacked forms term
+    for term."""
     common = math.lcm(*(c.denominator for c, _ in pairs))
-    out = _int_combination((c.numerator * (common // c.denominator), power) for c, power in pairs)
+    out = _combination((c.numerator * (common // c.denominator), power) for c, power in pairs)
     return RealForm._build(num_vars, degree, {expo: Fraction(v, common) for expo, v in
                                               _unpack(out, num_vars, degree).items()})
 

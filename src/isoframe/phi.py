@@ -19,7 +19,7 @@ from .forms import (
     Exponent,
     RealForm,
     _bucket_inner,
-    _int_combination,
+    _combination,
     _key_digits,
     _moment_denominator,
     _moment_numerator,
@@ -183,7 +183,7 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
     and G^-1 = den S g^-1 S.  With row k of g^-1 written as n_kj / D_k over
     one denominator, the dual theta_k = (den s_k / D_k) sum_j n_kj s_j b_j
     is summed in ints over the integer terms of s_j b_j
-    (`forms._int_combination`), and each of its terms divided once.  Terms
+    (`forms._combination`), and each of its terms divided once.  Terms
     are kept and dropped in the order `linear_combination` keeps them, so
     every Gram entry, inverse entry and dual term is the Fraction that the
     dense Fraction computation gives, in the same order.
@@ -226,7 +226,7 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
             for j, c in zip(block, nums):
                 if c:
                     inverse[k][j] = Fraction(factor * scaled[j][0] * c, row_den)
-            out = _int_combination(zip(nums, [scaled[j][1] for j in block]))
+            out = _combination(zip(nums, [scaled[j][1] for j in block]))
             duals[k] = RealForm._build(n_vars, degree, {
                 expo: Fraction(factor * total, row_den) for expo, total in out.items()})
     return DualBasis(

@@ -32,6 +32,17 @@ def build_rescaled_synthetic_frame(exponent=100):
                          (f.weights[0] / big**4,) + f.weights[1:])
 
 
+def mub_c2_p4():
+    """The three mutually unbiased bases of C^2, a projective 2-design."""
+    def cvec(*entries):
+        return KVector(Field.C, tuple(KElement(Field.C, (Fraction(a), Fraction(b)))
+                                      for a, b in entries))
+    vectors = (cvec((1, 0), (0, 0)), cvec((0, 0), (1, 0)), cvec((1, 0), (1, 0)),
+               cvec((1, 0), (-1, 0)), cvec((1, 0), (0, 1)), cvec((1, 0), (0, -1)))
+    return WeightedFrame(Field.C, 2, 4, vectors,
+                         (Fraction(1, 2), Fraction(1, 2)) + (Fraction(1, 8),) * 4)
+
+
 def design_h2_p4():
     """(1,0), (0,1), (1,+-1), (1,+-i), (1,+-j), (1,+-k) over H^2 with
     weights 1/3, 1/3, 1/12 x 8; a projective 2-design."""

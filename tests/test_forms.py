@@ -1,6 +1,7 @@
 """Homogeneous forms, sphere moments, and the induced inner product."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -150,6 +151,18 @@ def test_pow_matches_repeated_multiplication():
     assert g ** 1 == g and g ** 2 == g * g
 
 
+def tuple_product(f, g):
+    """f * g on exponent tuples: each key starts from int 0 and adds c1 * c2
+    over the pairs (f's term, g's term) in that loop order, and cancelled
+    keys are dropped at the end, in order."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(map(operator.add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return RealForm(f.num_vars, f.degree + g.degree, out)
+
+
 def tree_power(f, k):
     """f ** k by repeated tuple-keyed products in the tree that `**` keeps:
     half * half, then times f for an odd k."""
@@ -158,8 +171,46 @@ def tree_power(f, k):
     if k == 1:
         return f
     half = tree_power(f, k // 2)
-    sq = half * half
-    return sq * f if k % 2 else sq
+    sq = tuple_product(half, half)
+    return tuple_product(sq, f) if k % 2 else sq
+
+
+def signature(form):
+    """The shape and terms of a form: keys in order, each coefficient with
+    its type, a float as its hex string."""
+    return (form.num_vars, form.degree, [(e, c.hex() if isinstance(c, float) else c, type(c))
+                                         for e, c in form.terms.items()])
+
+
+def test_product_matches_tuple_keyed_loop():
+    rng = random.Random(29)
+    x, y = RealForm.variable(2, 0), RealForm.variable(2, 1)
+    ints = RealForm(2, 1, {(1, 0): 2, (0, 1): -3})
+    fractions = random_form(3, 2, rng)
+    floats = RealForm(3, 2, {e: rng.uniform(-2, 2) for e in monomials(3, 2)})
+    mixed = RealForm(3, 1, {(1, 0, 0): 0.7, (0, 1, 0): Fraction(-2, 5), (0, 0, 1): 3})
+    pairs = [
+        (ints, RealForm(2, 2, {(2, 0): 1, (1, 1): -4, (0, 2): 5})),
+        (fractions, random_form(3, 3, rng)),
+        (floats, RealForm(3, 3, {e: rng.uniform(-2, 2) for e in monomials(3, 3)})),
+        (floats, fractions), (mixed, floats), (mixed, fractions), (ints, x * x - y * y),
+        # the x y term of (x + y)(x - y) cancels and is dropped
+        (x + y, x - y),
+        (RealForm(2, 1, {(1, 0): 0.5, (0, 1): 0.25}), RealForm(2, 1, {(1, 0): 2.0, (0, 1): -4.0})),
+        # degree 0: constants of every type, in zero and in three variables
+        (RealForm(3, 0, {(0, 0, 0): Fraction(-3, 2)}), mixed),
+        (floats, RealForm(3, 0, {(0, 0, 0): 0.3})),
+        (RealForm(0, 0, {(): 2}), RealForm(0, 0, {(): 0.5})),
+        (RealForm.zero(3, 2), floats),
+    ]
+    cancelled = 0
+    for f, g in pairs:
+        for a, b in ((f, g), (g, f)):
+            reference = tuple_product(a, b)
+            assert signature(a * b) == signature(reference)
+            cancelled += len({tuple(map(operator.add, e1, e2))
+                              for e1 in a.terms for e2 in b.terms}) - len(reference.terms)
+    assert cancelled > 0
 
 
 def test_packed_pow_matches_tuple_keyed_products():
@@ -179,11 +230,8 @@ def test_packed_pow_matches_tuple_keyed_products():
     ]
     for f in bases:
         for k in range(6):
-            power, reference = f ** k, tree_power(f, k)
-            assert (power.num_vars, power.degree) == (reference.num_vars, reference.degree)
-            assert list(power.terms) == list(reference.terms)
-            assert [c.hex() if isinstance(c, float) else c for c in power.terms.values()] == [
-                c.hex() if isinstance(c, float) else c for c in reference.terms.values()]
+            power = f ** k
+            assert signature(power) == signature(tree_power(f, k))
             assert all(c != 0 for c in power.terms.values())
     assert (2, 2) not in (bases[5] ** 2).terms
     # the symmetric square of exact coefficients keeps the full product's
@@ -264,6 +312,16 @@ def test_linear_combination_drops_cancelled_terms():
     assert linear_combination((0, 0), (f, g)) == RealForm.zero(2, 2)
     with pytest.raises(ValueError):
         linear_combination((1, 1), (f, x))
+
+
+def test_linear_combination_needs_one_coefficient_per_form():
+    # unequal lengths are refused, not truncated by zip: (1, 5) with (f,)
+    # must not give f, nor (1,) with (f, h) skip h's variable count and degree
+    f = RealForm(2, 2, {(2, 0): 1, (1, 1): Fraction(1, 2)})
+    h = RealForm(3, 1, {(1, 0, 0): 1})
+    for coeffs, forms in (((1, 5), (f,)), ((1,), (f, h)), ((1,), (f, f)), ((), (f,)), ((), ())):
+        with pytest.raises(ValueError, match="coefficients for"):
+            linear_combination(coeffs, forms)
 
 
 def test_average_fixes_zero_and_constant_forms():

@@ -47,7 +47,12 @@ from isoframe.kscalar import (
 from isoframe.linalg import RowReducer
 from isoframe.phi import dim_phi, phi_basis
 
-from conftest import build_rescaled_synthetic_frame, build_synthetic_frame
+from conftest import (
+    build_rescaled_synthetic_frame,
+    build_synthetic_frame,
+    design_h2_p4,
+    mub_c2_p4,
+)
 
 ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
 
@@ -362,20 +367,78 @@ def test_library_paths_read_expansions_not_forms():
     assert scaling_reduce(synthetic).n == scaling_reduce(halved).n == synthetic.n - 1
 
 
-def test_float_verify_divides_exact_vectors_beside_float_weights():
-    # exact vectors with s > 1 in a frame made inexact by a float weight are
-    # divided by s^p before the float sum, as frame_form divides them
-    synthetic = build_synthetic_frame()
-    vectors = tuple(u.scale_real(Fraction(2, 3)) for u in synthetic.vectors)
-    frame = WeightedFrame(Field.R, 2, 4, vectors,
-                          tuple(float(w * Fraction(81, 16)) for w in synthetic.weights))
-    result = verify(frame, tolerance=1e-12)
-    norm = norm_power_form(Field.R, 2, 4)
-    forms = tuple(frame_form(u, frame.p) for u in frame.vectors)
-    expected = linear_combination(frame.weights + (-1,), forms + (norm,))
-    assert result.passed
-    assert [(e, c.hex()) for e, c in result.residual.terms.items()] == [
-        (e, c.hex()) for e, c in expected.terms.items()]
+def fold_residual(frame):
+    """sum_k w_k |<u_k, x>|^p - <x, x>^{p/2} as the left fold acc + c * f
+    over the frame forms and the norm power, on term dicts: each entry
+    starts from int 0, and cancelled entries are dropped after every step."""
+    forms = [frame_form(u, frame.p) for u in frame.vectors]
+    forms.append(norm_power_form(frame.field, frame.m, frame.p))
+    acc = {}
+    for c, form in zip(frame.weights + (-1,), forms):
+        for expo, coeff in form.terms.items():
+            acc[expo] = acc.get(expo, 0) + c * coeff
+        acc = {expo: v for expo, v in acc.items() if v != 0}
+    return acc
+
+
+def typed_terms(terms):
+    """Keys in order, each coefficient with its type, a float as hex."""
+    return [(e, c.hex() if isinstance(c, float) else c, type(c)) for e, c in terms.items()]
+
+
+def float_frame(field, m, p, seed, mixed=False):
+    """Four seeded vectors with float and Fraction weights: float entries,
+    or with mixed every second vector rational with denominators up to 3."""
+    rng = random.Random(seed)
+
+    def entry(k):
+        if mixed and k % 2:
+            return Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        return rng.uniform(-2, 2)
+
+    vectors = tuple(KVector(field, tuple(KElement(field, tuple(
+        entry(k) for _ in range(field.real_dimension))) for _ in range(m))) for k in range(4))
+    return WeightedFrame(field, m, p, vectors, (0.25, Fraction(1, 3), 0.5, Fraction(2, 7)))
+
+
+def exact_beside_float_weights(frame):
+    """An exact verifying frame with every vector times 2/3, so s = 3, and
+    every weight times (3/2)^p as a float: it still verifies."""
+    return WeightedFrame(frame.field, frame.m, frame.p,
+                         tuple(u.scale_real(Fraction(2, 3)) for u in frame.vectors),
+                         tuple(float(w * Fraction(3, 2)**frame.p) for w in frame.weights))
+
+
+FLOAT_VERIFY_CASES = [
+    pytest.param(lambda: float_frame(Field.R, 3, 4, 1), False, id="R-float"),
+    pytest.param(lambda: float_frame(Field.C, 2, 4, 2), False, id="C-float"),
+    pytest.param(lambda: float_frame(Field.H, 2, 4, 3), False, id="H-float"),
+    # the y^4 and x^2 y^2 terms come from the norm power alone
+    pytest.param(lambda: WeightedFrame(Field.R, 2, 4, (KVector.from_reals(Field.R, (1.0, 0.0)),),
+                                       (0.5,)), False, id="R-float-norm-only-terms"),
+    pytest.param(lambda: float_frame(Field.R, 3, 6, 4, mixed=True), False, id="R-mixed"),
+    pytest.param(lambda: float_frame(Field.C, 2, 4, 5, mixed=True), False, id="C-mixed"),
+    pytest.param(lambda: float_frame(Field.H, 2, 2, 6, mixed=True), False, id="H-mixed"),
+    pytest.param(lambda: exact_beside_float_weights(build_synthetic_frame()), True,
+                 id="R-exact-beside-float-weights"),
+    pytest.param(lambda: exact_beside_float_weights(mub_c2_p4()), True,
+                 id="C-exact-beside-float-weights"),
+    pytest.param(lambda: exact_beside_float_weights(design_h2_p4()), True,
+                 id="H-exact-beside-float-weights"),
+] + [pytest.param(lambda p=p: catalog(Field.R, 2, p, "real2-equiangular"), True,
+                  id=f"real2-equiangular-p{p}") for p in range(2, 11, 2)]
+
+
+@pytest.mark.parametrize("build, verifies", FLOAT_VERIFY_CASES)
+def test_float_verify_matches_left_fold(build, verifies):
+    # the packed expansions are summed once and unpacked once: a float u's
+    # as they are, an exact u's divided by s^p as frame_form divides them,
+    # each beside float or Fraction weights
+    frame = build()
+    assert not frame.is_exact
+    result = verify(frame, tolerance=1e-9)
+    assert result.passed is verifies
+    assert typed_terms(result.residual.terms) == typed_terms(fold_residual(frame))
 
 
 def weighted_row_dependence(frame):
@@ -976,14 +1039,11 @@ def test_exact_verify_residual_is_the_linear_combination():
     passed = []
     for frame in frames:
         assert frame.is_exact
-        norm = norm_power_form(frame.field, frame.m, frame.p)
-        forms = tuple(frame_form(u, frame.p) for u in frame.vectors)
-        expected = linear_combination(frame.weights + (-1,), forms + (norm,))
+        expected = fold_residual(frame)
         result = verify(frame)
-        assert result.residual == expected
-        assert list(result.residual.terms.items()) == list(expected.terms.items())
+        assert typed_terms(result.residual.terms) == typed_terms(expected)
         assert all(type(c) is Fraction for c in result.residual.terms.values())
-        assert result.passed == expected.is_zero
+        assert result.passed == (not expected)
         passed.append(result.passed)
     assert True in passed and False in passed
 
@@ -1026,7 +1086,7 @@ def seeded_design(field, p, rng):
 @pytest.mark.parametrize("field", [Field.R, Field.C, Field.H])
 def test_integer_verify_matches_reference_combination(field, p):
     # verify sums the cached integer expansions in ints; the reference is the
-    # Fraction linear combination of freshly expanded forms, term for term
+    # Fraction left fold over freshly expanded forms, term for term
     rng = random.Random(88 + p)
     for _ in range(2):
         frame = seeded_design(field, p, rng)
@@ -1035,12 +1095,9 @@ def test_integer_verify_matches_reference_combination(field, p):
         weights[k] *= 1 + Fraction(1, rng.randint(5, 97))
         failing = WeightedFrame(field, 2, p, frame.vectors, tuple(weights))
         for candidate, verdict in ((frame, True), (failing, False)):
-            forms = tuple(frame_form(u, p) for u in candidate.vectors)
-            reference = linear_combination(candidate.weights + (-1,),
-                                           forms + (norm_power_form(field, 2, p),))
             result = verify(candidate)
             assert result.passed is verdict
-            assert list(result.residual.terms.items()) == list(reference.terms.items())
+            assert typed_terms(result.residual.terms) == typed_terms(fold_residual(candidate))
             assert all(type(c) is Fraction for c in result.residual.terms.values())
 
 

@@ -1,16 +1,29 @@
-"""Frozen answers: the verify residual and the dependence chains of seeded
-random frames, and the Phi bases with their duals, pinned by sha256.  Each
-digest was taken when the answer was first computed and must stay byte for
-byte; CI runs each test as its own step under a 20 s timeout."""
+"""Frozen answers: the independence proof, the dense dependence, the verify
+residual and the dependence chains of seeded random frames, the scaling
+coefficients and searches of known frames, and the Phi bases with their
+duals, pinned by sha256.  Each digest was taken when the answer was first
+computed and must stay byte for byte; CI runs each test as its own step
+under a 20 s timeout."""
 
 import hashlib
 import itertools
 import random
 from fractions import Fraction
 
-from isoframe.frames import WeightedFrame, dependence, reduce_once, serialize_frame, verify
-from isoframe.kscalar import Field, KElement, KVector
+from isoframe.frames import (
+    WeightedFrame,
+    catalog,
+    dependence,
+    reduce_once,
+    scaling_coefficients,
+    scaling_reduce,
+    serialize_frame,
+    verify,
+)
+from isoframe.kscalar import Field, KElement, KVector, k_mul, rational_unit_scalars
 from isoframe.phi import dual_basis, phi_basis
+
+from conftest import build_synthetic_frame, mub_c2_p4
 
 
 def sha(text):
@@ -39,6 +52,21 @@ def chain(frame):
         steps.append(sha(repr((cert.omega, cert.pivot))))
         frame = reduce_once(frame, cert)
     return frame.n, steps, sha(serialize_frame(frame))
+
+
+def test_independence_proof_smoke():
+    # 100 random rational vectors over C^3 at p = 6: exact elimination takes
+    # about 38 s on them, the proof modulo a prime well under 1 s
+    assert dependence(drawn_frame(Field.C, 3, 6, 100)) is None
+
+
+def test_dense_dependence_smoke():
+    # 85 = dim Phi_R(4,6) + 1 random rational vectors over R^4 at p = 6: an
+    # 84 x 84 exact solve, fraction-free in integers; the pivot and the
+    # certificate's sha256 are those of the Fraction elimination
+    cert = dependence(drawn_frame(Field.R, 4, 6, 85))
+    assert (cert.pivot, sha(repr(cert.omega))) == (
+        52, '5557b4ba66d50e1e040ac774f2e0be504637d2048d5f3e12bbd79eddbc651a6d')
 
 
 def test_verify_residual_smoke():
@@ -149,3 +177,51 @@ def test_dual_basis_digest_smoke():
                             [t.terms for t in dual.duals], dual.gram_inverse)).encode())
     assert digest.hexdigest() == (
         '52e7954d22a10f3d559491239a3b04a9181772bba3e2f68abf18927936d194dd')
+
+
+def rvec(a, b):
+    return KVector.from_reals(Field.R, [Fraction(a), Fraction(b)])
+
+
+def test_scaling_coefficients_smoke():
+    # the README quick-start frame and the C^2 MUB design: the exact
+    # coefficient forms a_k, read from certificates over the integer
+    # expansions, and the reduced frames keep the digests they had when the
+    # certificates were taken over the Fraction forms
+    got = [(sha(repr([list(a.terms.items()) for a in scaling_coefficients(f).coefficients])),
+            sha(serialize_frame(scaling_reduce(f))))
+           for f in (build_synthetic_frame(), mub_c2_p4())]
+    assert got == [
+        ('ad3291e228e99356c9d4a692364ea5916bae91facc16bc60bed1a35f9a653846',
+         '9402e9f4d26c3471d06c6d0880d477a79e54d4e356208c6a24d675fefb219501'),
+        ('55d3a4a337c4fe4763109c1b04ff32defe85c18c59441ed9ca81b3aa60de85dd',
+         'a43b8922f9b76085cf56e5562ff9e98c8b1e00dc9d051824ed466b3362dcb0fe')]
+
+
+def test_scaling_search_smoke():
+    # the grid, refinement and bisection of scaling_reduce run on integer
+    # vectors over one denominator; the reduced frames keep the digests the
+    # search had on tuples of Fractions: the exact-branch frame at grid 2049,
+    # the README quick-start frame at grid 20, the catalog frame at the
+    # default grid, and a phase-twisted C^3 orthonormal frame at grid 15,
+    # which has no reduction.  The twist multiplies vector k on the right by
+    # alpha_k.
+    exact = WeightedFrame(Field.R, 2, 2, (rvec(1, 0), rvec(1, 7), rvec(1, -7)),
+                          (Fraction(48, 49), Fraction(1, 98), Fraction(1, 98)))
+    base = catalog(Field.C, 3, 2, 'orthonormal-p2')
+    alphas = rational_unit_scalars(Field.C, 3, seed=3)
+    twisted = WeightedFrame(Field.C, 3, 2, tuple(
+        KVector(Field.C, tuple(k_mul(e, a) for e in u.entries))
+        for u, a in zip(base.vectors, alphas)), base.weights)
+
+    def digest(frame, grid):
+        out = scaling_reduce(frame, grid=grid)
+        return None if out is None else sha(serialize_frame(out))
+
+    got = [digest(exact, 2049), digest(build_synthetic_frame(), 20),
+           digest(catalog(Field.R, 2, 4, 'real2-rational-p4'), None), digest(twisted, 15)]
+    assert got == [
+        'a410e512ac9392c65249b837a98fdefa4500841617baea6b0766c9fefa3f4e51',
+        '30eadbdb9e5567372ce9cbcd6d2eb838ab63fc782458de9584dcd173353c07a0',
+        '292911fa99e36ef0045db02eb859fc9c3caeef4d7c18bd59a608b3071ae8c971',
+        None]

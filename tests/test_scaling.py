@@ -22,7 +22,7 @@ from isoframe.frames import (
     scaling_reduce,
     verify,
 )
-from isoframe.kscalar import Field, KElement, KVector, k_mul, rational_unit_scalars
+from isoframe.kscalar import Field, KVector, k_mul, rational_unit_scalars
 from isoframe.linalg import RowReducer
 from isoframe.forms import monomials
 from isoframe.phi import dual_basis
@@ -32,6 +32,7 @@ from conftest import (
     build_rescaled_synthetic_frame,
     build_synthetic_frame,
     design_h2_p4,
+    mub_c2_p4,
 )
 
 
@@ -312,17 +313,6 @@ def test_scaling_reduce_exact_branch(monkeypatch):
     assert calls[-1] == (reduced, None)
     monkeypatch.undo()
     assert scaling_reduce(frame) is None
-
-
-def mub_c2_p4():
-    """The three mutually unbiased bases of C^2, a projective 2-design."""
-    def cvec(*entries):
-        return KVector(Field.C, tuple(KElement(Field.C, (Fraction(a), Fraction(b)))
-                                      for a, b in entries))
-    vectors = (cvec((1, 0), (0, 0)), cvec((0, 0), (1, 0)), cvec((1, 0), (1, 0)),
-               cvec((1, 0), (-1, 0)), cvec((1, 0), (0, 1)), cvec((1, 0), (0, -1)))
-    return WeightedFrame(Field.C, 2, 4, vectors,
-                         (Fraction(1, 2), Fraction(1, 2)) + (Fraction(1, 8),) * 4)
 
 
 def simplex_parts(m, s):
