@@ -1041,6 +1041,8 @@ def test_exact_verify_residual_is_the_linear_combination():
         assert frame.is_exact
         expected = fold_residual(frame)
         result = verify(frame)
+        assert (result.residual.num_vars, result.residual.degree) == (
+            frame.field.real_dimension * frame.m, frame.p)
         assert typed_terms(result.residual.terms) == typed_terms(expected)
         assert all(type(c) is Fraction for c in result.residual.terms.values())
         assert result.passed == (not expected)
