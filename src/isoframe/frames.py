@@ -171,6 +171,39 @@ class WeightedFrame:
         return tuple(_packed_frame_form(s, linear, self.p) for s, linear in self._linear_forms)
 
     @cached_property
+    def _weight_numerators(self) -> Tuple[int, List[int]]:
+        """L, the lcm of the denominators of the w_k / s_k^p of an exact
+        frame, and the ints L w_k / s_k^p, which the refutation at x0 and the
+        residual sum both read."""
+        return _over_one_denominator([w / s**self.p for w, (s, _) in
+                                      zip(self.weights, self._linear_forms)])
+
+    @cached_property
+    def _residual(self) -> RealForm:
+        """sum_k w_k |<u_k, x>|^p - <x, x>^{p/2}, built on first use.
+
+        An exact frame sums its packed int expansions with the ints
+        L w_k / s_k^p of `_weight_numerators`, and the packed norm power
+        with -L, on the packed keys; only the terms that survive are
+        unpacked, each divided by L once.  `forms._combination` keeps and
+        drops the int terms where it would keep and drop the Fraction terms,
+        so the result equals the Fraction combination of the unpacked forms
+        term for term.  A float frame sums its packed expansions, an exact
+        u's divided by s^p as `frame_form` divides it, and unpacks once."""
+        p, num_vars = self.p, self.field.real_dimension * self.m
+        if self.is_exact:
+            common, numerators = self._weight_numerators
+            out = _combination([(c, power) for c, (_, power) in zip(numerators, self._expansions)]
+                               + [(-common, _packed_norm_power(num_vars, p))])
+            return RealForm._build(num_vars, p, {expo: Fraction(v, common) for expo, v in
+                                                 _unpack(out, num_vars, p).items()})
+        # Fraction(-1) keeps the norm power's terms Fractions (norm_power_form)
+        pairs = [(w, {key: Fraction(c, s**p) for key, c in power.items()} if u.is_exact else power)
+                 for w, u, (s, power) in zip(self.weights, self.vectors, self._expansions)]
+        out = _combination(pairs + [(Fraction(-1), _packed_norm_power(num_vars, p))])
+        return RealForm._build(num_vars, p, _unpack(out, num_vars, p))
+
+    @cached_property
     def _values(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
         """`_scaled_values` of each exact u_k at the points of `_point_set`."""
         points = _point_set(self.field, self.m, self.p)
@@ -191,10 +224,17 @@ class WeightedFrame:
 
 @dataclass(frozen=True)
 class VerifyResult:
-    """Outcome of the identity check, with the residual form for diagnostics."""
+    """Outcome of the identity check on `frame`, with the residual form for
+    diagnostics.  `residual` is the frame's own, built on first read and
+    kept with the frame, so a verdict that is never asked for its residual
+    expands nothing that it did not need."""
 
     passed: bool
-    residual: RealForm
+    frame: WeightedFrame
+
+    @property
+    def residual(self) -> RealForm:
+        return self.frame._residual
 
     @property
     def max_residual(self) -> float:
@@ -227,42 +267,49 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     that overflowed to inf or nan, or an exact one too large to convert)
     compares with no tolerance and raises FrameError.  A tolerance that is
     negative, nan or infinite raises ValueError before any work.
+
+    The exact test of an exact frame first tries to refute it at one integer
+    point x0 (`_refutation_point`): with V_k(x0) = |<s_k u_k, x0>|^p,
+    sum_k (L w_k / s_k^p) V_k(x0) != L |x0|^p in ints proves the residual
+    nonzero, so the frame fails with nothing expanded.  Equality proves
+    nothing, and the residual decides, as it does every other test.  The
+    result reads the frame's residual, built at most once per frame, only
+    when asked for it.
     """
     if tolerance is not None and not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
-    p, num_vars = frame.p, frame.field.real_dimension * frame.m
-    if frame.is_exact:
-        residual = _exact_residual([(w / s**p, power) for w, (s, power) in zip(
-            frame.weights, frame._expansions)] + [(-1, _packed_norm_power(num_vars, p))],
-            num_vars, p)
+    if tolerance is not None:
+        passed = _residual_max(frame._residual) <= tolerance
+    elif frame.is_exact and _refuted_at_one_point(frame):
+        passed = False
     else:
-        # an exact u's expansion is divided by s^p, as frame_form divides it;
-        # Fraction(-1) keeps the norm power's terms Fractions (norm_power_form)
-        pairs = [(w, {key: Fraction(c, s**p) for key, c in power.items()} if u.is_exact else power)
-                 for w, u, (s, power) in zip(frame.weights, frame.vectors, frame._expansions)]
-        out = _combination(pairs + [(Fraction(-1), _packed_norm_power(num_vars, p))])
-        residual = RealForm._build(num_vars, p, _unpack(out, num_vars, p))
-    if tolerance is None:
-        passed = residual.is_zero
-    else:
-        passed = _residual_max(residual) <= tolerance
-    return VerifyResult(passed=passed, residual=residual)
+        passed = frame._residual.is_zero
+    return VerifyResult(passed=passed, frame=frame)
 
 
-def _exact_residual(pairs: Sequence[Tuple[Scalar, Mapping[int, int]]],
-                    num_vars: int, degree: int) -> RealForm:
-    """sum_k c_k * P_k over pairs (c_k, P_k) of a rational c_k and the int
-    terms P_k of a form in num_vars variables of the given degree, keyed by
-    `forms._pack` for that degree.  The sum runs in ints over L, the lcm of
-    the c_k's denominators, on the packed keys; only the terms that survive
-    are unpacked, each divided by L once.  `forms._combination` keeps and
-    drops the int terms where it would keep and drop the Fraction terms, so
-    the result equals the Fraction combination of the unpacked forms term
-    for term."""
-    common = math.lcm(*(c.denominator for c, _ in pairs))
-    out = _combination((c.numerator * (common // c.denominator), power) for c, power in pairs)
-    return RealForm._build(num_vars, degree, {expo: Fraction(v, common) for expo, v in
-                                              _unpack(out, num_vars, degree).items()})
+@lru_cache(maxsize=None)
+def _refutation_point(num_vars: int) -> Tuple[int, ...]:
+    """x0: the first num_vars draws of random.Random(0) in [-999, 999], a
+    fixed integer point with no zero pattern for a structured frame to
+    vanish on, as a sparse point such as e_1 has."""
+    rng = random.Random(0)
+    return tuple(rng.randint(-999, 999) for _ in range(num_vars))
+
+
+def _refuted_at_one_point(frame: WeightedFrame) -> bool:
+    """Whether sum_k (L w_k / s_k^p) V_k(x0) != L |x0|^p, summed in ints: a
+    proof that the exact frame's residual is not the zero form."""
+    x0 = _refutation_point(frame.field.real_dimension * frame.m)
+    common, numerators = frame._weight_numerators
+    total = sum(c * _scaled_values(s, linear, frame.p, (x0,))[1][0]
+                for c, (s, linear) in zip(numerators, frame._linear_forms))
+    return total != common * sum(x * x for x in x0) ** (frame.p // 2)
+
+
+def _over_one_denominator(coeffs: Sequence[Scalar]) -> Tuple[int, List[int]]:
+    """L, the lcm of the denominators of the rationals coeffs, and the ints L c."""
+    common = math.lcm(*(c.denominator for c in coeffs))
+    return common, [c.numerator * (common // c.denominator) for c in coeffs]
 
 
 @dataclass(frozen=True)
@@ -286,13 +333,16 @@ def _scaled_values(s: int, linear: List[List[int]], p: int, points) -> Tuple[int
 
 def _pivots_mod_q(rows, reduced: Optional[List[Tuple[int, int, List[int]]]] = None):
     """Reduce rows mod _PROOF_PRIME in turn, yielding each pivot column or
-    None.  The echelon `reduced` holds (column, inverse of the pivot, row)
-    per pivot; a given list is resumed from and extended in place."""
+    None.  The echelon `reduced` holds (column, inverse of the pivot, row
+    reduced mod the prime) per pivot; a given list is resumed from and
+    extended in place.  A row is updated unreduced, each factor read mod
+    the prime from its unreduced entry, and reduced once at the end."""
     reduced = [] if reduced is None else reduced
     for row in rows:
         for col, inv, prow in reduced:
             if f := row[col] * inv % _PROOF_PRIME:
-                row = [(a - f * b) % _PROOF_PRIME for a, b in zip(row, prow)]
+                row = [a - f * b for a, b in zip(row, prow)]
+        row = [a % _PROOF_PRIME for a in row]
         col = next((j for j, v in enumerate(row) if v), None)
         if col is not None:
             reduced.append((col, pow(row[col], -1, _PROOF_PRIME), row))
@@ -315,8 +365,7 @@ def _point_set(field: Field, m: int, p: int) -> Tuple[Tuple[int, ...], ...]:
 
 def _vanishes(coeffs: Sequence[Scalar], rows: Sequence[Sequence[int]]) -> bool:
     """Whether sum_k coeffs[k] * rows[k] = 0, summed in ints over one denominator."""
-    scale = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    pairs = [(int(Fraction(c) * scale), row) for c, row in zip(coeffs, rows) if c]
+    pairs = [(c, row) for c, row in zip(_over_one_denominator(coeffs)[1], rows) if c]
     return not any(sum(c * row[i] for c, row in pairs) for i in range(len(rows[0])))
 
 
@@ -523,7 +572,8 @@ def _expand_scaling(frame: WeightedFrame) -> ScalingForms:
     m, p, d = frame.m, frame.p, frame.field.real_dimension
     num_vars = d * m
     reducer = RowReducer()
-    for _, power in frame._expansions:
+    powers = [power for _, power in frame._expansions]
+    for power in powers:
         if reducer.add_row(power) is not None:
             raise DependentFormsError(
                 "frame forms are linearly dependent; run reduce_to_independent first")
@@ -537,9 +587,8 @@ def _expand_scaling(frame: WeightedFrame) -> ScalingForms:
         c_nu = _pack(math.prod((q ** e for q, e in zip(squares, nu) if e), start=weight).terms,
                      num_vars, p)
         cert = reducer.add_row(c_nu)
-        if cert is None or not _exact_residual(
-                [(cert.get(k, 0), power) for k, (_, power) in enumerate(frame._expansions)]
-                + [(-1, c_nu)], num_vars, p).is_zero:
+        if cert is None or _combination(zip(_over_one_denominator(
+                [cert.get(k, 0) for k in range(frame.n)] + [-1])[1], powers + [c_nu])):
             raise ScalingExpansionError(
                 "diagonal target is not in the span of the frame forms; "
                 "the expansion identity has no solution for this frame")

@@ -37,7 +37,8 @@ class RowReducer:
     row = sum_j c_j * row_j.
 
     Input row j is scaled once by sigma_j, the lcm of its denominators, to
-    integer entries.  A pivot is kept as a primitive integer row together with
+    integer entries; a row of `int` entries only has sigma_j = 1 and is read
+    as it stands.  A pivot is kept as a primitive integer row together with
     the integer combination of the scaled input rows that gives it; a step
     cross-multiplies by the two leading entries and then removes the joint gcd
     of row and combination.  From 0 = sum_j combo_j sigma_j row_j a dependent
@@ -68,10 +69,13 @@ class RowReducer:
         test the result with `is None`.  The row mapping itself is not
         modified.
         """
-        exact = {key: x if isinstance(x, (int, Fraction)) else Fraction(x)
-                 for key, x in row.items() if x}
-        scale = math.lcm(*(x.denominator for x in exact.values()))
-        work = {key: x.numerator * (scale // x.denominator) for key, x in exact.items()}
+        if all(type(x) is int for x in row.values()):
+            scale, work = 1, {key: x for key, x in row.items() if x}
+        else:
+            exact = {key: x if isinstance(x, (int, Fraction)) else Fraction(x)
+                     for key, x in row.items() if x}
+            scale = math.lcm(*(x.denominator for x in exact.values()))
+            work = {key: x.numerator * (scale // x.denominator) for key, x in exact.items()}
         new = len(self._scales)
         self._scales.append(scale)
         combo = {new: 1}

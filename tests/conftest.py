@@ -1,6 +1,7 @@
 """Shared fixtures: the reducible five-vector instance used across suites."""
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -58,6 +59,28 @@ def design_h2_p4():
             vectors.append(KVector(Field.H, (quaternion(1), quaternion(*comps))))
     return WeightedFrame(Field.H, 2, 4, tuple(vectors),
                          (Fraction(1, 3),) * 2 + (Fraction(1, 12),) * 8)
+
+
+def e8_root_frame(p):
+    """One root from each of the 120 antipodal pairs of the E8 roots over R^8
+    (e_i + e_j and e_i - e_j for i < j, and the (1/2)(+-1, ..., +-1) with
+    an even number of minus signs and a plus first), each with the weight
+    1 / sum_u <u, e_1>^p.  The 240 roots form a spherical 7-design and not
+    an 8-design (Delsarte, Goethals and Seidel, "Spherical codes and
+    designs", 1977), so sum_u <u, x>^p is c |x|^p for p = 2, 4, 6, the
+    weight makes c = 1, and at p = 8 the frame fails."""
+    roots = []
+    for i, j in combinations(range(8), 2):
+        for sign in (1, -1):
+            root = [0] * 8
+            root[i], root[j] = 1, sign
+            roots.append(root)
+    for signs in product((1, -1), repeat=7):
+        if signs.count(-1) % 2 == 0:
+            roots.append([Fraction(1, 2)] + [Fraction(sign, 2) for sign in signs])
+    weight = 1 / sum(Fraction(root[0]) ** p for root in roots)
+    return WeightedFrame(Field.R, 8, p, tuple(KVector.from_reals(Field.R, root) for root in roots),
+                         (weight,) * len(roots))
 
 
 @pytest.fixture

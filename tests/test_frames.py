@@ -16,6 +16,7 @@ from isoframe.forms import (
     _scaled_linear_forms,
     frame_form,
     linear_combination,
+    monomials,
     norm_power_form,
 )
 from isoframe.frames import (
@@ -51,6 +52,7 @@ from conftest import (
     build_rescaled_synthetic_frame,
     build_synthetic_frame,
     design_h2_p4,
+    e8_root_frame,
     mub_c2_p4,
 )
 
@@ -1116,3 +1118,164 @@ def test_chain_frames_skip_the_proof_pass(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(isoframe.frames, "_proof_points", None)
             assert assert_chain_matches_weighted_rows(current) >= 0
+
+
+def per_update_pivots(rows, reduced, prime):
+    """Reference mod-q pass: every entry reduced after every pivot update."""
+    for row in rows:
+        for col, inv, prow in reduced:
+            if f := row[col] * inv % prime:
+                row = [(a - f * b) % prime for a, b in zip(row, prow)]
+        col = next((j for j, v in enumerate(row) if v), None)
+        if col is not None:
+            reduced.append((col, pow(row[col], -1, prime), row))
+        yield col
+
+
+@pytest.mark.parametrize("prime", [None, 5])
+def test_pivots_mod_q_matches_per_update_reference(monkeypatch, prime):
+    # rows updated unreduced and reduced once give the columns and the
+    # echelon of the per-update reduction, from nothing and resumed from a
+    # given echelon, under the proof prime and under 5, where many factors
+    # and entries vanish mod q
+    if prime is not None:
+        monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", prime)
+    q = isoframe.frames._PROOF_PRIME
+    rng = random.Random(90)
+    row_sets = []
+    for field, m, p in ((Field.R, 3, 4), (Field.C, 2, 4), (Field.H, 2, 2)):
+        frame = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 2)
+        row_sets.append([list(values) for _, values in frame._values])
+    for width, count in ((6, 9), (15, 12)):
+        rows = [[rng.randint(-10**6, 10**6) for _ in range(width)] for _ in range(count)]
+        rows.insert(3, [a - 2 * b for a, b in zip(rows[0], rows[1])])
+        rows.insert(5, [0] * width)
+        row_sets.append(rows)
+    for rows in row_sets:
+        rows = [[v % q for v in row] for row in rows]
+        reference_echelon, echelon = [], []
+        expected = list(per_update_pivots(rows, reference_echelon, q))
+        assert None in expected
+        assert list(isoframe.frames._pivots_mod_q(rows)) == expected
+        assert list(isoframe.frames._pivots_mod_q(rows, echelon)) == expected
+        assert echelon == reference_echelon
+        for start in (1, len(rows) // 2):
+            given = []
+            list(per_update_pivots(rows[:start], given, q))
+            reference = list(given)
+            expected = list(per_update_pivots(rows[start:], reference, q))
+            assert list(isoframe.frames._pivots_mod_q(rows[start:], given)) == expected
+            assert given == reference
+
+
+def test_int_rows_reduce_as_their_fractions():
+    # a row of ints is read as it stands, with sigma = 1; the same rows as
+    # Fractions (and a bool row, which takes the general path) give the
+    # same certificates and rank: dependence value rows over R, C and H and
+    # the averaged rows of a phi_basis key
+    rng = random.Random(91)
+    row_sets = []
+    for field, m, p in ((Field.R, 3, 4), (Field.C, 2, 4), (Field.H, 2, 2)):
+        frame = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 2)
+        row_sets.append([dict(enumerate(values)) for _, values in frame._values])
+    average = isoframe.phi._averager(isoframe.phi._substitution_table(Field.C, 2), 2, 4)
+    row_sets.append([average(beta) for beta in monomials(4, 4)])
+    row_sets.append([{0: 1, 1: 0, 2: 3}, {0: True, 2: True}, {1: 2, 2: -5}, {0: 2, 2: 4}])
+    for rows in row_sets:
+        as_ints, as_fractions = RowReducer(), RowReducer()
+        certs = [as_ints.add_row(row) for row in rows]
+        assert certs == [as_fractions.add_row({key: Fraction(v) for key, v in row.items()})
+                         for row in rows]
+        assert any(cert is not None for cert in certs)
+        assert as_ints.rank == as_fractions.rank
+
+
+def count_expansions(monkeypatch):
+    """Record each `_packed_frame_form` call that a frame's `_expansions` makes."""
+    calls = []
+    expand = isoframe.frames._packed_frame_form
+
+    def counting_expansion(s, linear, p):
+        calls.append(linear)
+        return expand(s, linear, p)
+
+    monkeypatch.setattr(isoframe.frames, "_packed_frame_form", counting_expansion)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 4, 6, 8])
+@pytest.mark.parametrize("field", [Field.R, Field.C, Field.H])
+def test_exact_verdict_is_the_zero_test_of_the_residual(field, p):
+    # whether it comes from the point x0 or from the expansion, the verdict
+    # is that of the left-fold residual: on seeded designs, which pass for
+    # p <= 6 (at p = 8, where they fail, the perturbed one stands for both),
+    # the designs with one weight perturbed, random frames, and the frames
+    # reduce_once returns
+    rng = random.Random(92 + p)
+    design = seeded_design(field, p, rng)
+    weights = list(design.weights)
+    weights[rng.randrange(design.n)] *= 1 + Fraction(1, rng.randint(5, 97))
+    dependent = dependent_frame(rng, field, 2, p, 3)
+    frames = [WeightedFrame(field, 2, p, design.vectors, tuple(weights)),
+              random_rational_frame(field, 2, p, 4, seed=p),
+              reduce_once(dependent, dependence(dependent))]
+    if p <= 6:
+        frames.append(design)
+    verdicts = [verify(frame).passed for frame in frames]
+    assert verdicts == [not fold_residual(frame) for frame in frames]
+    assert verdicts == [False, False, False] + [True] * (p <= 6)
+
+
+def test_failing_frame_that_vanishes_at_x0_fails_on_its_residual(monkeypatch):
+    # an R^2 p = 2 orthonormal frame plus u orthogonal to x0 has the same
+    # value at x0 as <x, x>, so the point proves nothing and the residual
+    # w <u, x>^2 decides
+    calls = count_expansions(monkeypatch)
+    a, b = isoframe.frames._refutation_point(2)
+    frame = WeightedFrame(Field.R, 2, 2, (rvec(1, 0), rvec(0, 1), rvec(-b, a)),
+                          (1, 1, Fraction(1, 3)))
+    assert not isoframe.frames._refuted_at_one_point(frame)
+    result = verify(frame)
+    assert not result.passed and len(calls) == frame.n
+    assert typed_terms(result.residual.terms) == typed_terms(fold_residual(frame))
+    assert len(calls) == frame.n
+
+
+def test_failing_verdict_expands_nothing_until_the_residual_is_read(monkeypatch):
+    # x0 refutes each failing frame with no expansion; its residual is built
+    # on first read, once per frame, and is the left fold's term for term
+    calls = count_expansions(monkeypatch)
+    rng = random.Random(93)
+    for field, p in ((Field.R, 4), (Field.C, 4), (Field.H, 2), (Field.C, 6)):
+        design = seeded_design(field, p, rng)
+        weights = list(design.weights)
+        weights[0] *= Fraction(101, 100)
+        for frame in (WeightedFrame(field, 2, p, design.vectors, tuple(weights)),
+                      random_rational_frame(field, 2, p, 5, seed=p)):
+            calls.clear()
+            result = verify(frame)
+            assert result.passed is False and calls == []
+            expected = fold_residual(frame)
+            assert result.max_residual == float(max(abs(c) for c in expected.values()))
+            assert typed_terms(result.residual.terms) == typed_terms(expected)
+            assert len(calls) == frame.n
+            again = verify(frame)
+            assert again.passed is False and again.residual is result.residual
+            assert len(calls) == frame.n
+        calls.clear()
+        result = verify(design)
+        assert result.passed and len(calls) == design.n
+        assert verify(design).residual is result.residual and len(calls) == design.n
+
+
+def test_e8_roots_verify_up_to_their_design_strength(monkeypatch):
+    # an independent oracle: the E8 roots form a spherical 7-design and not
+    # an 8-design, so the frame verifies at p = 2, 4 and 6 and fails at
+    # p = 8, where x0 refutes it with no expansion
+    calls = count_expansions(monkeypatch)
+    for p in (2, 4, 6):
+        assert verify(e8_root_frame(p)).passed
+    calls.clear()
+    frame = e8_root_frame(8)
+    assert frame.n == 120 and not verify(frame).passed
+    assert calls == [] and "_expansions" not in vars(frame)
