@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, takewhile
+from itertools import combinations, islice, permutations
 from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -210,10 +210,13 @@ class WeightedFrame:
         return tuple(_scaled_values(s, linear, self.p, points) for s, linear in self._linear_forms)
 
     @cached_property
-    def _echelon(self) -> Tuple[Tuple[int, int, List[int]], ...]:
-        """The `_pivots_mod_q` echelon of the leading rows of `_values`:
-        empty until `dependence` records one, or `reduce_once` hands one on."""
-        return ()
+    def _columns(self) -> Tuple[int, ...]:
+        """The pivot columns of the rows of `_values` modulo _PROOF_PRIME, in
+        row order, from one `_pivots_mod_q` pass that stops once it has
+        dim Phi of them, or as `reduce_once` hands them on."""
+        pivots = _pivots_mod_q([v % _PROOF_PRIME for v in row] for _, row in self._values)
+        return tuple(islice((col for col in pivots if col is not None),
+                            dim_phi(self.field, self.m, self.p)))
 
     @cached_property
     def _scaling_forms(self) -> ScalingForms:
@@ -269,7 +272,7 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     negative, nan or infinite raises ValueError before any work.
 
     The exact test of an exact frame first tries to refute it at one integer
-    point x0 (`_refutation_point`): with V_k(x0) = |<s_k u_k, x0>|^p,
+    point x0, the first of `_proof_points`: with V_k(x0) = |<s_k u_k, x0>|^p,
     sum_k (L w_k / s_k^p) V_k(x0) != L |x0|^p in ints proves the residual
     nonzero, so the frame fails with nothing expanded.  Equality proves
     nothing, and the residual decides, as it does every other test.  The
@@ -287,19 +290,10 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     return VerifyResult(passed=passed, frame=frame)
 
 
-@lru_cache(maxsize=None)
-def _refutation_point(num_vars: int) -> Tuple[int, ...]:
-    """x0: the first num_vars draws of random.Random(0) in [-999, 999], a
-    fixed integer point with no zero pattern for a structured frame to
-    vanish on, as a sparse point such as e_1 has."""
-    rng = random.Random(0)
-    return tuple(rng.randint(-999, 999) for _ in range(num_vars))
-
-
 def _refuted_at_one_point(frame: WeightedFrame) -> bool:
     """Whether sum_k (L w_k / s_k^p) V_k(x0) != L |x0|^p, summed in ints: a
     proof that the exact frame's residual is not the zero form."""
-    x0 = _refutation_point(frame.field.real_dimension * frame.m)
+    x0 = _proof_points(1, frame.field.real_dimension * frame.m)[0]
     common, numerators = frame._weight_numerators
     total = sum(c * _scaled_values(s, linear, frame.p, (x0,))[1][0]
                 for c, (s, linear) in zip(numerators, frame._linear_forms))
@@ -320,9 +314,13 @@ class DependenceCertificate:
     pivot: int
 
 
-def _proof_points(count: int, num_vars: int) -> List[Tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _proof_points(count: int, num_vars: int) -> Tuple[Tuple[int, ...], ...]:
+    """count points of num_vars successive draws of random.Random(0) in
+    [-999, 999]: fixed integer points with no zero pattern for a structured
+    frame to vanish on, as a sparse point such as e_1 has."""
     rng = random.Random(0)
-    return [tuple(rng.randint(-999, 999) for _ in range(num_vars)) for _ in range(count)]
+    return tuple(tuple(rng.randint(-999, 999) for _ in range(num_vars)) for _ in range(count))
 
 
 def _scaled_values(s: int, linear: List[List[int]], p: int, points) -> Tuple[int, Tuple[int, ...]]:
@@ -331,13 +329,13 @@ def _scaled_values(s: int, linear: List[List[int]], p: int, points) -> Tuple[int
                     ** (p // 2) for pt in points)
 
 
-def _pivots_mod_q(rows, reduced: Optional[List[Tuple[int, int, List[int]]]] = None):
+def _pivots_mod_q(rows):
     """Reduce rows mod _PROOF_PRIME in turn, yielding each pivot column or
-    None.  The echelon `reduced` holds (column, inverse of the pivot, row
-    reduced mod the prime) per pivot; a given list is resumed from and
-    extended in place.  A row is updated unreduced, each factor read mod
-    the prime from its unreduced entry, and reduced once at the end."""
-    reduced = [] if reduced is None else reduced
+    None.  The echelon holds (column, inverse of the pivot, row reduced mod
+    the prime) per pivot.  A row is updated unreduced, each factor read mod
+    the prime from its unreduced entry, and reduced once at the end; rows
+    are read only as far as the caller pulls."""
+    reduced = []
     for row in rows:
         for col, inv, prow in reduced:
             if f := row[col] * inv % _PROOF_PRIME:
@@ -378,20 +376,19 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     frame that already carries its values on X, as `reduce_once` hands them
     on along a chain, skips this proof pass.  Else the V_k on X, the
     lattice of `_point_set` on the slice where x_m is real (unisolvent for
-    Phi by unit invariance), are reduced mod the prime; at the first
-    zero row k, the pivot columns of rows 0..k-1 give c, checked exactly as
+    Phi by unit invariance), give their pivot columns mod the prime
+    (`WeightedFrame._columns`); n of them prove the rows independent: None.
+    Otherwise exact elimination of the rows on those columns stops at the
+    first dependent row k, and its c is checked exactly as
     sum_j c_j V_j = V_k on X, or, if that fails, exact elimination of the
-    full rows on X.  The dependency, unique up to scale, gives
+    full rows on X decides.  The dependency, unique up to scale, gives
     omega_j = c_j s_j^p / w_j and omega_k = -s_k^p / w_k, scaled to max 1.
     Each None is checked against the rank bound n <= dim Phi (RuntimeError).
 
-    The mod-q pass resumes from the echelon the frame carries (`reduce_once`
-    hands one on along a chain) and records on the frame the echelon of the
-    rows before the first zero row.  A carried echelon spans, mod q, at
-    least the leading rows it stands for, so its first zero row comes no
-    later than the true first dependent row; a zero row that is no true
-    dependence fails the exact check and goes to the full rows, so every
-    certificate is the one a fresh frame gives.
+    Restricting rows to columns keeps every dependence, so k is no later
+    than the first truly dependent row, and a c that passes the exact check
+    is a true dependence among rows 0..k: the certificate is the one a fresh
+    frame gives, whichever columns the frame carries.
     """
     if not frame.is_exact:
         raise FrameError("dependence detection requires exact rational entries")
@@ -403,11 +400,7 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
         if None not in _pivots_mod_q([v % _PROOF_PRIME for v in row] for row in values):
             return None
     scales, rows = zip(*frame._values)
-    echelon = list(frame._echelon)
-    cols = [col for col, _, _ in echelon]
-    cols += takewhile(lambda col: col is not None, _pivots_mod_q(
-        ([v % _PROOF_PRIME for v in values] for values in rows[len(echelon):]), echelon))
-    object.__setattr__(frame, "_echelon", tuple(echelon))
+    cols = frame._columns
     cert = None
     if len(cols) < frame.n:
         for columns in (cols, range(len(rows[0]))):
@@ -435,12 +428,12 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     u_k (1-omega_k)^{1/p}: the output verifies exactly when the input does,
     and is strictly smaller.  Checked on values: sum_k w_k omega_k V_k / s_k^p = 0.
 
-    The output keeps the input's linear forms, values and expansions.  It
-    also keeps the mod-q echelon of rows 0..k-1 that the input carries,
-    when omega drops exactly one vector j and its last nonzero entry is
-    omega_k: that dependence has a nonzero coefficient at j, so rows
-    {0..k} minus j span what rows 0..k-1 span, and the next `dependence`
-    resumes at row k.
+    The output keeps the input's linear forms, values and expansions.  When
+    omega drops exactly one vector j, it also keeps the input's pivot
+    columns mod the prime: the dependence has omega_j != 0, so the other
+    rows span what all rows span, and the output's rank over Q is the
+    input's, at least the number of columns.  A step that drops several
+    vectors can shrink the span, so its output finds its own columns.
     """
     if len(cert.omega) != frame.n:
         raise CertificateError(
@@ -463,9 +456,8 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     object.__setattr__(reduced, "_values", tuple(values[k] for k in keep))
     if "_expansions" in vars(frame):
         object.__setattr__(reduced, "_expansions", tuple(frame._expansions[k] for k in keep))
-    last = max(k for k, om in enumerate(cert.omega) if om)
-    if len(keep) == frame.n - 1 and last == len(frame._echelon):
-        object.__setattr__(reduced, "_echelon", frame._echelon)
+    if len(keep) == frame.n - 1 and "_columns" in vars(frame):
+        object.__setattr__(reduced, "_columns", frame._columns)
     return reduced
 
 

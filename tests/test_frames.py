@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -658,22 +659,22 @@ def test_mod_q_only_dependence_falls_back_to_value_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("prime", [None, 5, 7])
-def test_chain_carries_the_mod_q_echelon(monkeypatch, prime):
-    # reduce_once hands the mod-q echelon on and dependence resumes after it,
-    # so along a chain each value row goes through the mod-q pass at most
-    # once, and every certificate is that of a fresh frame.  Under a small
-    # prime a candidate can fail its exact check; the step after it starts
-    # afresh, so rows are counted from there, and some carried echelon must
-    # meet such a candidate, which the full rows then settle.
+def test_chain_hands_on_the_pivot_columns(monkeypatch, prime):
+    # one mod-q pass finds the pivot columns of a chain and reduce_once hands
+    # them on across one-vector drops, so along a chain each value row goes
+    # through the pass at most once, and every certificate is that of a
+    # fresh frame.  Under the proof prime the pass stops at dim Phi pivots,
+    # before the last row.  Under a small prime a candidate on handed-on
+    # columns can fail its exact check, and the full rows then settle it.
+    # The chains start above dim Phi, so no proof pass runs.
     if prime is not None:
         monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", prime)
+    q = isoframe.frames._PROOF_PRIME
     pivots, exact_check = isoframe.frames._pivots_mod_q, isoframe.frames._vanishes
     pulled, checks = [], []
 
-    def counting_pivots(rows, reduced=None):
-        if reduced is None:  # the proof pass
-            return pivots(rows)
-        return pivots((pulled.append(None) or row for row in rows), reduced)
+    def counting_pivots(rows):
+        return pivots(pulled.append(tuple(row)) or row for row in rows)
 
     def recording_vanishes(coeffs, rows):
         checks.append(exact_check(coeffs, rows))
@@ -682,32 +683,52 @@ def test_chain_carries_the_mod_q_echelon(monkeypatch, prime):
     monkeypatch.setattr(isoframe.frames, "_pivots_mod_q", counting_pivots)
     monkeypatch.setattr(isoframe.frames, "_vanishes", recording_vanishes)
     rng = random.Random(89)
-    fresh_starts, carried_rejections = 0, 0
+    handed_on_rejections = 0
     for field, m, p in ((Field.R, 2, 4), (Field.R, 3, 4), (Field.C, 2, 4),
                         (Field.H, 2, 2), (Field.H, 2, 4)):
         for _ in range(4):
             current = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 4)
+            rows = Counter(tuple(v % q for v in row) for _, row in current._values)
+            del pulled[:]
+            steps = []
             while True:
-                start, before = len(current._echelon), len(pulled)
-                if not start:
-                    passes = dict.fromkeys(map(id, current.vectors), 0)
-                    fresh_starts += 1
+                handed_on = "_columns" in vars(current)
                 del checks[:]
                 cert = dependence(current)
-                carried_rejections += bool(start) and False in checks
-                for u in current.vectors[start:start + len(pulled) - before]:
-                    passes[id(u)] += 1
-                    assert passes[id(u)] == 1
-                assert cert == dependence(WeightedFrame(field, m, p, current.vectors,
-                                                        current.weights))
+                handed_on_rejections += handed_on and False in checks
+                steps.append((current, cert))
                 if cert is None:
                     break
                 assert cert.omega.count(1) == 1
                 current = reduce_once(current, cert)
+            assert Counter(pulled) <= rows
+            assert prime is not None or len(pulled) < steps[0][0].n
+            for frame, cert in steps:
+                assert cert == dependence(WeightedFrame(field, m, p, frame.vectors, frame.weights))
     if prime is None:
-        assert fresh_starts == 20 and carried_rejections == 0
-    else:
-        assert carried_rejections > 0
+        assert handed_on_rejections == 0
+    elif prime == 5:
+        assert handed_on_rejections > 0
+
+
+def test_chain_after_a_tie_finds_its_own_columns():
+    # acceptance criterion 4's seed-8 frame: the synthetic frame united with
+    # real2-rational-p4, vector 0 split at 1/5.  Its fourth step drops two
+    # vectors at n = 7, which can shrink the span, so the output finds its
+    # own pivot columns; each one-vector drop hands them on
+    base = catalog(Field.R, 2, 4, "real2-rational-p4")
+    current = split_vector(union(build_synthetic_frame(), base), 0, Fraction(1, 5))
+    drops = []
+    while True:
+        cert = dependence(current)
+        assert cert == dependence(WeightedFrame(current.field, current.m, current.p,
+                                                current.vectors, current.weights))
+        if cert is None:
+            break
+        drops.append((current.n, cert.omega.count(1)))
+        current = reduce_once(current, cert)
+        assert ("_columns" in vars(current)) is (drops[-1][1] == 1)
+    assert drops == [(10, 1), (9, 1), (8, 1), (7, 2), (5, 1)]
 
 
 def test_dependence_chain_expands_no_form():
@@ -1120,8 +1141,9 @@ def test_chain_frames_skip_the_proof_pass(monkeypatch):
             assert assert_chain_matches_weighted_rows(current) >= 0
 
 
-def per_update_pivots(rows, reduced, prime):
+def per_update_pivots(rows, prime):
     """Reference mod-q pass: every entry reduced after every pivot update."""
+    reduced = []
     for row in rows:
         for col, inv, prow in reduced:
             if f := row[col] * inv % prime:
@@ -1134,10 +1156,9 @@ def per_update_pivots(rows, reduced, prime):
 
 @pytest.mark.parametrize("prime", [None, 5])
 def test_pivots_mod_q_matches_per_update_reference(monkeypatch, prime):
-    # rows updated unreduced and reduced once give the columns and the
-    # echelon of the per-update reduction, from nothing and resumed from a
-    # given echelon, under the proof prime and under 5, where many factors
-    # and entries vanish mod q
+    # rows updated unreduced and reduced once give the columns of the
+    # per-update reduction, under the proof prime and under 5, where many
+    # factors and entries vanish mod q
     if prime is not None:
         monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", prime)
     q = isoframe.frames._PROOF_PRIME
@@ -1153,19 +1174,9 @@ def test_pivots_mod_q_matches_per_update_reference(monkeypatch, prime):
         row_sets.append(rows)
     for rows in row_sets:
         rows = [[v % q for v in row] for row in rows]
-        reference_echelon, echelon = [], []
-        expected = list(per_update_pivots(rows, reference_echelon, q))
+        expected = list(per_update_pivots(rows, q))
         assert None in expected
         assert list(isoframe.frames._pivots_mod_q(rows)) == expected
-        assert list(isoframe.frames._pivots_mod_q(rows, echelon)) == expected
-        assert echelon == reference_echelon
-        for start in (1, len(rows) // 2):
-            given = []
-            list(per_update_pivots(rows[:start], given, q))
-            reference = list(given)
-            expected = list(per_update_pivots(rows[start:], reference, q))
-            assert list(isoframe.frames._pivots_mod_q(rows[start:], given)) == expected
-            assert given == reference
 
 
 def test_int_rows_reduce_as_their_fractions():
@@ -1231,7 +1242,7 @@ def test_failing_frame_that_vanishes_at_x0_fails_on_its_residual(monkeypatch):
     # value at x0 as <x, x>, so the point proves nothing and the residual
     # w <u, x>^2 decides
     calls = count_expansions(monkeypatch)
-    a, b = isoframe.frames._refutation_point(2)
+    a, b = isoframe.frames._proof_points(1, 2)[0]
     frame = WeightedFrame(Field.R, 2, 2, (rvec(1, 0), rvec(0, 1), rvec(-b, a)),
                           (1, 1, Fraction(1, 3)))
     assert not isoframe.frames._refuted_at_one_point(frame)
