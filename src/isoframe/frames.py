@@ -123,6 +123,11 @@ class WeightedFrame:
     vectors: Tuple[KVector, ...]
     weights: Tuple[Scalar, ...]
 
+    # The elimination (reducer, ids, records) of `_first_dependence` that
+    # `reduce_once` hands on along a chain, its ids those of this frame's
+    # rows 0..k-1; None starts afresh.
+    _carried = None
+
     def __post_init__(self):
         object.__setattr__(self, "vectors", tuple(self.vectors))
         object.__setattr__(self, "weights", tuple(_coerce(w) for w in self.weights))
@@ -217,6 +222,45 @@ class WeightedFrame:
         pivots = _pivots_mod_q([v % _PROOF_PRIME for v in row] for _, row in self._values)
         return tuple(islice((col for col in pivots if col is not None),
                             dim_phi(self.field, self.m, self.p)))
+
+    @cached_property
+    def _first_dependence(self) -> Optional[Tuple[int, List[int], Optional[tuple]]]:
+        """The first row k of `_values` that depends on the rows before it,
+        with ints c such that sum_{i<=k} c_i V_i = 0 and c_k < 0, and the
+        elimination at it; None when the rows are independent.
+
+        The elimination is (reducer, ids, records): a `RowReducer` over the
+        rows restricted to `_columns`, each row under the index it got
+        there (its id); the ids of rows 0..k; and the records (j, den,
+        {i: num}), earliest first, each saying that the dropped row of id j
+        is sum_i num_i / den * row_i over rows alive when it was dropped, so
+        that no record names an id an earlier one removed.  It carries on
+        from `_carried`, on a copy, so that this frame's elimination stays
+        its own, and adds the rows after the carried ones until one is
+        dependent.  That row's certificate, rewritten through the records,
+        is checked exactly as a relation on all of X.  If the check fails,
+        exact elimination of the full rows decides, and no elimination is
+        kept."""
+        rows = [row for _, row in self._values]
+        cols = self._columns
+        if len(cols) >= self.n:
+            return None
+        reducer, ids, records = self._carried or (RowReducer(), (), ())
+        reducer, ids = reducer.copy(), list(ids)
+        for k in range(len(ids), self.n):
+            ids.append(reducer.added)
+            if (cert := reducer.add_row({col: rows[k][col] for col in cols})) is not None:
+                break
+        else:
+            return None
+        coeffs = _rewritten(cert, records, ids)
+        if _vanishes(coeffs, rows[:k + 1]):
+            return k, coeffs, (reducer, tuple(ids), records)
+        reducer = RowReducer()
+        for k, row in enumerate(rows):
+            if (cert := reducer.add_row(dict(enumerate(row)))) is not None:
+                return k, _rewritten(cert, (), range(k + 1)), None
+        return None
 
     @cached_property
     def _scaling_forms(self) -> ScalingForms:
@@ -367,6 +411,29 @@ def _vanishes(coeffs: Sequence[Scalar], rows: Sequence[Sequence[int]]) -> bool:
     return not any(sum(c * row[i] for c, row in pairs) for i in range(len(rows[0])))
 
 
+def _rewritten(cert: Mapping[int, Fraction], records, ids: Sequence[int]) -> List[int]:
+    """The certificate row_k = sum_j c_j row_j over reducer ids, with each
+    dropped id replaced through its record, earliest first, as ints
+    c'_0 .. c'_k over the rows of ids (the last of which is row k), in
+    lowest terms, with c'_k = -den < 0 and sum_i c'_i row_i = 0."""
+    den, nums = _over_one_denominator(list(cert.values()))
+    combo = dict(zip(cert, nums))
+    for j, rden, relation in records:
+        if c := combo.pop(j, 0):
+            combo = {i: x * rden for i, x in combo.items()}
+            for i, r in relation.items():
+                combo[i] = combo.get(i, 0) + c * r
+            den *= rden
+            if (g := math.gcd(den, *combo.values())) != 1:
+                den, combo = den // g, {i: x // g for i, x in combo.items()}
+    row_of = {i: k for k, i in enumerate(ids)}
+    out = [0] * len(row_of)
+    for i, x in combo.items():
+        out[row_of[i]] = x
+    out[-1] = -den
+    return out
+
+
 def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     """First linear dependence among the weighted frame forms, or None.
 
@@ -379,16 +446,21 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     Phi by unit invariance), give their pivot columns mod the prime
     (`WeightedFrame._columns`); n of them prove the rows independent: None.
     Otherwise exact elimination of the rows on those columns stops at the
-    first dependent row k, and its c is checked exactly as
+    first dependent row k, and its certificate c is checked exactly as
     sum_j c_j V_j = V_k on X, or, if that fails, exact elimination of the
-    full rows on X decides.  The dependency, unique up to scale, gives
-    omega_j = c_j s_j^p / w_j and omega_k = -s_k^p / w_k, scaled to max 1.
-    Each None is checked against the rank bound n <= dim Phi (RuntimeError).
+    full rows on X decides (`WeightedFrame._first_dependence`).  The
+    dependency, unique up to scale, gives omega_j = c_j s_j^p / w_j and
+    omega_k = -s_k^p / w_k, scaled to max 1.  Each None is checked against
+    the rank bound n <= dim Phi (RuntimeError).
 
-    Restricting rows to columns keeps every dependence, so k is no later
-    than the first truly dependent row, and a c that passes the exact check
-    is a true dependence among rows 0..k: the certificate is the one a fresh
-    frame gives, whichever columns the frame carries.
+    Along a chain the elimination is carried on: each value row enters it
+    once, and a certificate that names a dropped row is rewritten through
+    the record `reduce_once` kept of it.  Restricting rows to columns keeps
+    every dependence, so k is no later than the first truly dependent row,
+    and a c that passes the exact check is a true dependence among rows
+    0..k, unique since rows 0..k-1 are independent: the certificate is the
+    one a fresh frame gives, whichever columns and elimination the frame
+    carries.  A second call on the same frame reads the first one's.
     """
     if not frame.is_exact:
         raise FrameError("dependence detection requires exact rational entries")
@@ -399,23 +471,13 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
                   for s, linear in frame._linear_forms)
         if None not in _pivots_mod_q([v % _PROOF_PRIME for v in row] for row in values):
             return None
-    scales, rows = zip(*frame._values)
-    cols = frame._columns
-    cert = None
-    if len(cols) < frame.n:
-        for columns in (cols, range(len(rows[0]))):
-            reducer = RowReducer()
-            for k, row in enumerate(rows):
-                if (cert := reducer.add_row({col: row[col] for col in columns})) is not None:
-                    break
-            if cert is None or _vanishes([cert.get(j, 0) for j in range(k)] + [-1], rows[:k + 1]):
-                break
-    if cert is None:
+    found = frame._first_dependence
+    if found is None:
         if frame.n > dim:
             raise RuntimeError(f"{frame.n} independent forms exceed dim Phi = {dim}: a defect")
         return None
-    combo = [cert.get(j, 0) * scales[j]**frame.p / frame.weights[j] for j in range(k)]
-    combo.append(-scales[k]**frame.p / frame.weights[k])
+    k, coeffs, _ = found
+    combo = [c * s**frame.p / w for c, (s, _), w in zip(coeffs, frame._values, frame.weights)]
     peak = max(combo)
     omega = [c / peak for c in combo] + [Fraction(0)] * (frame.n - k - 1)
     return DependenceCertificate(omega=tuple(omega), pivot=omega.index(Fraction(1)))
@@ -426,14 +488,20 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
 
     This is the weighted, fully rational form of replacing u_k with
     u_k (1-omega_k)^{1/p}: the output verifies exactly when the input does,
-    and is strictly smaller.  Checked on values: sum_k w_k omega_k V_k / s_k^p = 0.
+    and is strictly smaller.  Checked on values: sum_k a_k V_k = 0 with
+    a_k = w_k omega_k / s_k^p.
 
     The output keeps the input's linear forms, values and expansions.  When
     omega drops exactly one vector j, it also keeps the input's pivot
     columns mod the prime: the dependence has omega_j != 0, so the other
     rows span what all rows span, and the output's rank over Q is the
-    input's, at least the number of columns.  A step that drops several
-    vectors can shrink the span, so its output finds its own columns.
+    input's, at least the number of columns.  If, besides, the input's
+    elimination stopped at k = max{i : omega_i != 0}, the output carries it
+    on: rows {0..k} minus j span what rows 0..k-1 span, so the pivots span
+    the output's rows 0..k-1, and its next dependent row is its first.  For
+    j != k the elimination keeps the record row_j = -sum_{i!=j} a_i / a_j
+    row_i; row k keeps its id.  A step that drops several vectors can shrink
+    the span, so its output finds its own columns and starts afresh.
     """
     if len(cert.omega) != frame.n:
         raise CertificateError(
@@ -443,8 +511,10 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     if not frame.is_exact:
         raise FrameError("reduce_once requires exact rational entries")
     values = frame._values
-    if not _vanishes([w * om / s**frame.p for (s, _), w, om in
-                      zip(values, frame.weights, cert.omega)], [v for _, v in values]):
+    # the ints L a_k of a_k = w_k omega_k / s_k^p
+    a = _over_one_denominator([w * om / s**frame.p for (s, _), w, om in
+                               zip(values, frame.weights, cert.omega)])[1]
+    if not _vanishes(a, [v for _, v in values]):
         raise CertificateError("certificate residual identity fails for this frame")
     keep = [k for k, om in enumerate(cert.omega) if om != 1]
     reduced = WeightedFrame(frame.field, frame.m, frame.p,
@@ -456,8 +526,18 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     object.__setattr__(reduced, "_values", tuple(values[k] for k in keep))
     if "_expansions" in vars(frame):
         object.__setattr__(reduced, "_expansions", tuple(frame._expansions[k] for k in keep))
-    if len(keep) == frame.n - 1 and "_columns" in vars(frame):
-        object.__setattr__(reduced, "_columns", frame._columns)
+    if len(keep) == frame.n - 1:
+        if "_columns" in vars(frame):
+            object.__setattr__(reduced, "_columns", frame._columns)
+        found = vars(frame).get("_first_dependence")
+        if found and found[2] and max(i for i, x in enumerate(a) if x) == found[0]:
+            k, _, (reducer, ids, records) = found
+            j = cert.omega.index(1)
+            if j != k:
+                g = math.gcd(*a)
+                records += ((ids[j], a[j] // g, {
+                    ids[i]: -a[i] // g for i in range(k + 1) if a[i] and i != j}),)
+            object.__setattr__(reduced, "_carried", (reducer, ids[:j] + ids[j + 1:], records))
     return reduced
 
 

@@ -48,7 +48,10 @@ class RowReducer:
     Pivot rows are always linearly independent input rows, so each
     certificate, each set of independent rows and each inverse is unique,
     whichever nonzero column a pivot uses.  A dependent row never becomes a
-    pivot, so its index is never a key of a later certificate.
+    pivot, so `add_row` never names its index in a later certificate; a
+    caller that rewrites certificates through relations of its own (as a
+    chain in `frames` does, which may drop a pivot row and keep a dependent
+    one) may name that index there.
     """
 
     def __init__(self):
@@ -60,6 +63,19 @@ class RowReducer:
     @property
     def rank(self) -> int:
         return len(self._pivots)
+
+    @property
+    def added(self) -> int:
+        """The number of rows added so far: the index of the next row."""
+        return len(self._scales)
+
+    def copy(self) -> "RowReducer":
+        """A reducer holding the same rows, to which rows can be added
+        without changing this one.  It shares the pivot rows and their
+        combinations, which are never changed once made."""
+        other = type(self)()
+        other._pivots, other._scales = list(self._pivots), list(self._scales)
+        return other
 
     def add_row(self, row: Row) -> Optional[Dict[int, Fraction]]:
         """Add a row; return None if independent, else its certificate.

@@ -563,12 +563,14 @@ class NoElimination:
 
 
 class CountingReducer(RowReducer):
-    """Records the width of every row that exact elimination receives."""
+    """Records every row that exact elimination receives, and its width."""
 
     widths = []
+    rows = []
 
     def add_row(self, row):
         CountingReducer.widths.append(len(row))
+        CountingReducer.rows.append(tuple(row.items()))
         return super().add_row(row)
 
 
@@ -638,19 +640,24 @@ def test_point_set_is_closed_form(monkeypatch, fresh_point_sets):
     assert isoframe.frames._point_set(Field.R, 2, 2) == ((0, 1), (1, 1), (2, 1))
 
 
-def test_mod_q_only_dependence_falls_back_to_value_rows(monkeypatch):
-    # modulo 5 most value rows look dependent; each candidate that fails its
-    # exact check sends dependence to the full value rows, with the same
-    # certificates
-    checks = []
-    exact_check = isoframe.frames._vanishes
+def recording_checks(monkeypatch):
+    """Patch the exact check of dependence and reduce_once to record each verdict."""
+    checks, exact_check = [], isoframe.frames._vanishes
 
     def recording_vanishes(coeffs, rows):
         checks.append(exact_check(coeffs, rows))
         return checks[-1]
 
-    monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", 5)
     monkeypatch.setattr(isoframe.frames, "_vanishes", recording_vanishes)
+    return checks
+
+
+def test_mod_q_only_dependence_falls_back_to_value_rows(monkeypatch):
+    # modulo 5 most value rows look dependent; each candidate that fails its
+    # exact check sends dependence to the full value rows, with the same
+    # certificates
+    monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", 5)
+    checks = recording_checks(monkeypatch)
     assert_chains_match_weighted_rows(((Field.R, 2, 4), (Field.C, 2, 4), (Field.H, 2, 2)))
     rng = random.Random(83)
     for n in (3, 6):
@@ -670,18 +677,13 @@ def test_chain_hands_on_the_pivot_columns(monkeypatch, prime):
     if prime is not None:
         monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", prime)
     q = isoframe.frames._PROOF_PRIME
-    pivots, exact_check = isoframe.frames._pivots_mod_q, isoframe.frames._vanishes
-    pulled, checks = [], []
+    pivots, pulled = isoframe.frames._pivots_mod_q, []
 
     def counting_pivots(rows):
         return pivots(pulled.append(tuple(row)) or row for row in rows)
 
-    def recording_vanishes(coeffs, rows):
-        checks.append(exact_check(coeffs, rows))
-        return checks[-1]
-
     monkeypatch.setattr(isoframe.frames, "_pivots_mod_q", counting_pivots)
-    monkeypatch.setattr(isoframe.frames, "_vanishes", recording_vanishes)
+    checks = recording_checks(monkeypatch)
     rng = random.Random(89)
     handed_on_rejections = 0
     for field, m, p in ((Field.R, 2, 4), (Field.R, 3, 4), (Field.C, 2, 4),
@@ -728,7 +730,116 @@ def test_chain_after_a_tie_finds_its_own_columns():
         drops.append((current.n, cert.omega.count(1)))
         current = reduce_once(current, cert)
         assert ("_columns" in vars(current)) is (drops[-1][1] == 1)
+        # the exact elimination is carried on in the same way
+        assert (current._carried is not None) is (drops[-1][1] == 1)
     assert drops == [(10, 1), (9, 1), (8, 1), (7, 2), (5, 1)]
+
+
+# seeded chains of dim Phi + 4 vectors, drawn as in
+# test_chain_hands_on_the_pivot_columns: every step drops one vector
+CHAIN_KEYS = ((Field.R, 2, 4), (Field.R, 3, 4), (Field.C, 2, 4), (Field.H, 2, 2), (Field.H, 2, 4))
+
+
+def fresh(frame):
+    """The same frame with nothing cached or handed on."""
+    return WeightedFrame(frame.field, frame.m, frame.p, frame.vectors, frame.weights)
+
+
+def negated(cert):
+    """The negated certificate, rescaled to max omega = 1: valid whenever cert
+    is, with the same top index k, and dropping another vector.  dependence
+    gives row k a negative omega, so its own certificates drop some j < k;
+    the negated one can drop k itself."""
+    flipped = [-om for om in cert.omega]
+    peak = max(flipped)
+    return DependenceCertificate(tuple(om / peak for om in flipped), flipped.index(peak))
+
+
+def test_chain_carries_one_exact_elimination(monkeypatch):
+    # along each chain one exact elimination runs: every step after the
+    # first carries it on, each value row enters it at most once (no
+    # candidate fails its exact check, so no full rows run), and every
+    # certificate is that of a fresh frame.  Every other step reduces along
+    # the negated certificate, which dependence did not produce, so steps
+    # drop the dependent row itself (j = k) as well as an earlier row
+    # (j < k), whose later certificates are rewritten through its record.
+    monkeypatch.setattr(isoframe.frames, "RowReducer", CountingReducer)
+    checks = recording_checks(monkeypatch)
+    rng = random.Random(89)
+    drops = Counter()
+    for field, m, p in CHAIN_KEYS:
+        for _ in range(4):
+            current = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 4)
+            CountingReducer.rows = []
+            steps = []
+            while (cert := dependence(current)) is not None:
+                steps.append((current, cert))
+                if len(steps) % 2 == 0 and negated(cert).omega.count(1) == 1:
+                    cert = negated(cert)
+                assert cert.omega.count(1) == 1
+                drops[cert.pivot == max(i for i, om in enumerate(cert.omega) if om)] += 1
+                current = reduce_once(current, cert)
+                assert current._carried is not None
+            steps.append((current, None))
+            assert False not in checks
+            cols = steps[0][0]._columns
+            value_rows = Counter(tuple((col, row[col]) for col in cols)
+                                 for _, row in steps[0][0]._values)
+            assert Counter(CountingReducer.rows) <= value_rows
+            for frame, cert in steps:
+                assert cert == dependence(fresh(frame))
+    CountingReducer.rows = []
+    # j = k and j < k both occur
+    assert drops[True] > 0 and drops[False] > 0
+
+
+def test_carried_candidate_that_fails_its_check_starts_afresh(monkeypatch):
+    # modulo 5 the pivot columns lose rank over Q, and a candidate from the
+    # carried elimination can fail its exact check; the full rows settle
+    # it, and that step's output starts a fresh elimination.  Every
+    # certificate is still that of a fresh frame.
+    monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", 5)
+    checks = recording_checks(monkeypatch)
+    rng = random.Random(89)
+    rejected = 0
+    for field, m, p in CHAIN_KEYS:
+        for _ in range(4):
+            current = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 4)
+            steps = []
+            while True:
+                carried = current._carried is not None
+                del checks[:]
+                cert = dependence(current)
+                steps.append((current, cert))
+                if cert is None:
+                    break
+                failed = False in checks
+                rejected += carried and failed
+                assert cert.omega.count(1) == 1
+                current = reduce_once(current, cert)
+                assert (current._carried is None) is failed
+            for frame, cert in steps:
+                assert cert == dependence(fresh(frame))
+    assert rejected > 0
+
+
+def test_parent_frame_keeps_its_own_elimination():
+    # the elimination a frame hands on is copied before its child adds rows:
+    # the parent asked again, after its child and grandchild moved on,
+    # returns its own certificate from its cache, and a second child of the
+    # same parent gets the first child's certificate
+    rng = random.Random(92)
+    parent = dependent_frame(rng, Field.C, 2, 4, dim_phi(Field.C, 2, 4) + 4)
+    cert = dependence(parent)
+    child = reduce_once(parent, cert)
+    child_cert = dependence(child)
+    grandchild = reduce_once(child, child_cert)
+    assert dependence(grandchild) is not None
+    found = vars(parent)["_first_dependence"]
+    assert dependence(parent) == cert and vars(parent)["_first_dependence"] is found
+    sibling = reduce_once(parent, cert)
+    assert sibling._carried == child._carried
+    assert dependence(sibling) == child_cert == dependence(fresh(child))
 
 
 def test_dependence_chain_expands_no_form():
@@ -784,10 +895,11 @@ def test_proof_row_and_frame_form_read_one_integer_expansion():
             assert [v % q for v in values] == [integer_form.evaluate(x) % q]
 
 
-class NeverDependent:
-    """Stands in for a RowReducer whose exact elimination misses every dependence."""
+class NeverDependent(RowReducer):
+    """A RowReducer whose exact elimination misses every dependence."""
 
     def add_row(self, row):
+        super().add_row(row)
         return None
 
 

@@ -3,7 +3,7 @@ residual and the dependence chains of seeded random frames, the scaling
 coefficients and searches of known frames, and the Phi bases with their
 duals, pinned by sha256.  Each digest was taken when the answer was first
 computed and must stay byte for byte; CI runs each test as its own step
-under a 20 s timeout."""
+under a 20 s timeout (30 s for the large real chain)."""
 
 import hashlib
 import itertools
@@ -161,6 +161,57 @@ def test_real_chain_smoke():
         'c5daa3ae0c9f72e0687c15f476d2c3a5b8fca2c5671e105788a0c72db7b4758d',
         'ca448ba891439bb90a2d46c7be9f3349bbb77601ce564966ae02739869eb2bee',
     ], '5e7cc937ac2827f506f02d4822386c26ac867b18166b0faf7092efec4861ac7d')
+
+
+def test_large_real_chain_smoke():
+    # random R^4 p = 6 chain (126 -> 84, 42 steps): one exact elimination of
+    # the value rows on the pivot columns is carried along the chain, each
+    # row entering it once, where solving every step afresh took about 48 s;
+    # every certificate and the reduced frame are those of per-step solving
+    assert chain(drawn_frame(Field.R, 4, 6, 126)) == (84, [
+        '04f9921b0cc01d177127ea18eba7c7cd4e5f56a7465932c04d601319ccad6c16',
+        'fc60137edf5835a17ed8fd0196d80e33a1c719405bbc543b560a631f2faa9b89',
+        'e3ba1c69f6792db45498faecb764bcef159908b872abf0ea6fb27f04456c590e',
+        '41417214de9ede4b3574f0f841ca7d8d659772a1d4bbf0a5b5c6fd9d4e50c945',
+        '3c9cc8727acbcf40071b5df78ec409558abef746073da47b83ddb90aca286a29',
+        '31c667f6c08779c0c7cf20f90931dfa51b384d0e36551b282d92b92263774f5c',
+        'bb15dbe359bbfac333d6ded080b2b233052cfa484830e461af6ee252c0497957',
+        'b28222349760b67c8b5e308dcf9dce34661d871013b0bf349b7d0aa28bff05be',
+        'f6474e62e2fa9332b93b956427d1c487f4338fcfc612c0ec90bfb1ed717b238e',
+        '0bb2f2ef4417ccc401743a5263f5d563f43c60b04fa21e971c50d15d00aa1e9c',
+        'aca3931691bb1065e3fb3d3acd5bf898dc43b5551e7c8676c2be4803cbe066b6',
+        '299e4ad60e136f7cd2eff3121f893a7d10d58aa75e0c28e8e150330fc151ba0c',
+        '7ac22132c74714a55c13e34d2bce66cbadd00fcd69402551a454c20584574e5f',
+        '97faa539b8d732ac66e01a85c30d19e6511bf7b1b2e3fe87c3224ae8fb7137b1',
+        'eca3fe29736c3a5b31b84db7c4a071af3648a81dfe01bcdf957390333bc88d7c',
+        'e14d9e1f40bed9566a085263434d725af9a6d64471c32dc93f0e5b1480a35221',
+        'd96e5b7a62ab73c87205b1c041bb8e4cf3782e797e944bff3dbe88d78ff136fd',
+        '61d0c94455cc90457217c3393a2d03190991c24ec7239fa4be0eee5759a06fbf',
+        'b9f895b19af329327dc067c59b259906815638b83a7f52e4cb06c2c85999cd4e',
+        'd23656bc204352c529265f669cff936a8f7dc8e8d7b911899dd256d2f5d84235',
+        '8cd8edcc980d4ff1f3ef1c9067f2e4e02f2139b0b27bea1229070de48d79bce6',
+        'c2ef0528c096a15b2d1360423f4fe475417a7ccb411b7c4aedc7f91b9ba48ae1',
+        '6a287a169ccd6c3ebdf18fd441b90252341ce601b8cb5a321a0527171b31bae4',
+        'ad841e01cc983716f863489243b2cc08d478d43928bff586f6acc3391ae44612',
+        'a879baaf09af6ccee5b589e784124c9f9f6d589796066f66707b680d806a8beb',
+        'b3062efd4762db74065b25047758e99e7b8489368aaae89db545af4ace4170a9',
+        'd08f0ede340916bbc32a99b31d3ad37db07f64435b4be3345347f919511d68e3',
+        'f4f46a2526c25ad670a670fcb383fae1e27b1d963dea756bca160c65e8f68e3d',
+        '5645728149babe5d7d87097eaf365d0baf31125f1fd9154e05efd10565307d98',
+        '456b4f440522eaaba5e567d5296f9ae43f3aef563cfe9bf8515d2d4c6e48a9cc',
+        'e8bb0a5a66ad0a64e5a410a8967482038e9bcd40e00270fa03437f18954dfab6',
+        '9227d80a2aeba82cf88d7abf53abebb4a98b134411730656b6fda346f1512247',
+        '03f3333f8bb161a65899107b054e95d66e1d580ef28499ce778cd2dbbacb1ad6',
+        '68e3878c8cdc673205c79939c12e391025d7e48f5faac91a293e256380b9b628',
+        '8cd8daa016d70ca58921c9e4b2c8c4d59ca13a5b76062984b3df58b9796dde41',
+        '3bc2763611859b5e6d5937091d655cd50f09fff3ef5d09f6fc86acb55ec5ec81',
+        '876c12cf70adbcd3221e357a388bb9b109c0d8a0186d0bf441bc3e3c595909dc',
+        'c49fc6fba434d5102632900d370d0931aff830916ea4261872e2cca7e5dbe722',
+        '1bb94af7bd2427d141bc76beeeee824914e47447528e2078982fb0a263b9de8a',
+        '0c00614a5bd51e60eef7e428702d0ff82154157c8fcdfbadca87cfb97b8c9bd3',
+        '1dd9a0ad51df5aeafb996267be5c9e2333b2ad8fe17ec6cdf59c300fcfbd8fc8',
+        'ab690e1e1e497b1df04ba72a9cac0790e775c92d29ab66b3f62135dd2b87bd6e',
+    ], '8923e5aea32fd6ec6fec94dd9842c130ff29bee002ba7846c3ce0fd5713cec60')
 
 
 def test_dual_basis_digest_smoke():

@@ -1,0 +1,104 @@
+"""Time reduction chains and print their answers, one JSON line per chain.
+
+Each chain is `tests/test_frozen.py::chain` (dependence and reduce_once
+until the forms are independent) on a drawn frame (`drawn_frame` of the
+same file), or on one of acceptance criterion 4's seeded frames.  A line
+holds the wall time of one run in this process, the final size, the sha256
+of every certificate and of the reduced frame, so two checkouts can be
+compared answer for answer.  `early-*` names time one `dependence` on a
+drawn frame whose vector 1 is twice vector 0.
+
+    PYTHONPATH=src python3 tools/chain_timing.py [NAME ...]
+
+With no NAME it runs the small chains and criterion 4's seeds; `--list`
+prints every name.
+"""
+
+import json
+import random
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from isoframe.frames import WeightedFrame, catalog, dependence, verify  # noqa: E402
+from isoframe.kscalar import Field  # noqa: E402
+
+from conftest import build_synthetic_frame  # noqa: E402
+from test_frozen import chain, drawn_frame, sha  # noqa: E402
+
+DRAWN = {
+    "R3p6-56": (Field.R, 3, 6, 56), "R4p4-70": (Field.R, 4, 4, 70),
+    "C3p4-54": (Field.C, 3, 4, 54), "H2p4-40": (Field.H, 2, 4, 40),
+    "H2p6-80": (Field.H, 2, 6, 80), "R4p6-126": (Field.R, 4, 6, 126),
+    "C3p6-130": (Field.C, 3, 6, 130), "H3p4-140": (Field.H, 3, 4, 140),
+}
+EARLY = {"early-R4p6-85": (Field.R, 4, 6, 85), "early-C3p4-40": (Field.C, 3, 4, 40),
+         "early-H2p6-51": (Field.H, 2, 6, 51)}
+CRITERION_4 = {"criterion4-seed8": 8, "criterion4-seed12": 12, "criterion4-seed49": 49}
+DEFAULT = ["R3p6-56", "R4p4-70", "C3p4-54", "H2p4-40", *CRITERION_4]
+
+
+def criterion_4_frame(seed):
+    """The redundant frame that tests/test_acceptance.py's criterion 4 draws
+    for seed."""
+    fields = (Field.R, Field.C, Field.H)
+    r24 = [catalog(Field.R, 2, 4, "real2-rational-p4"), build_synthetic_frame()]
+
+    def union(a, b):
+        return WeightedFrame(a.field, a.m, a.p, a.vectors + b.vectors,
+                             tuple(w / 2 for w in a.weights) + tuple(w / 2 for w in b.weights))
+
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        frame = union(rng.choice(r24), rng.choice(r24))
+    else:
+        field = rng.choice(fields)
+        base = catalog(field, rng.choice((2, 3)), 2, "orthonormal-p2")
+        frame = union(base, base)
+    for _ in range(rng.randint(0, 3)):
+        idx, ratio = rng.randrange(frame.n), Fraction(rng.randint(1, 4), 5)
+        w = frame.weights[idx]
+        weights = list(frame.weights)
+        weights[idx] = w * ratio
+        frame = WeightedFrame(frame.field, frame.m, frame.p, frame.vectors + (frame.vectors[idx],),
+                              tuple(weights) + (w * (1 - ratio),))
+    assert verify(frame).passed
+    return frame
+
+
+def early_frame(field, m, p, n):
+    frame = drawn_frame(field, m, p, n)
+    u = frame.vectors[0]
+    return WeightedFrame(field, m, p, (u, u.scale_real(2)) + frame.vectors[2:], frame.weights)
+
+
+def run(name):
+    if name in EARLY:
+        frame = early_frame(*EARLY[name])
+        start = time.perf_counter()
+        cert = dependence(frame)
+        seconds = time.perf_counter() - start
+        return {"name": name, "seconds": round(seconds, 4), "pivot": cert.pivot,
+                "certificate": sha(repr((cert.omega, cert.pivot)))}
+    frame = drawn_frame(*DRAWN[name]) if name in DRAWN else criterion_4_frame(CRITERION_4[name])
+    start = time.perf_counter()
+    n, steps, reduced = chain(frame)
+    seconds = time.perf_counter() - start
+    return {"name": name, "seconds": round(seconds, 4), "n": [frame.n, n],
+            "certificates": steps, "reduced": reduced}
+
+
+def main(argv):
+    if argv == ["--list"]:
+        print(" ".join([*DRAWN, *CRITERION_4, *EARLY]))
+        return
+    for name in argv or DEFAULT:
+        print(json.dumps(run(name)), flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
