@@ -123,9 +123,9 @@ class WeightedFrame:
     vectors: Tuple[KVector, ...]
     weights: Tuple[Scalar, ...]
 
-    # The elimination (reducer, ids, records) of `_first_dependence` that
-    # `reduce_once` hands on along a chain, its ids those of this frame's
-    # rows 0..k-1; None starts afresh.
+    # The elimination (cols, reducer, ids, records) that settled the last
+    # step of a chain, as `reduce_once` hands it on, its ids those of this
+    # frame's rows 0..k-1; None starts afresh on `_columns`.
     _carried = None
 
     def __post_init__(self):
@@ -218,49 +218,50 @@ class WeightedFrame:
     def _columns(self) -> Tuple[int, ...]:
         """The pivot columns of the rows of `_values` modulo _PROOF_PRIME, in
         row order, from one `_pivots_mod_q` pass that stops once it has
-        dim Phi of them, or as `reduce_once` hands them on."""
+        dim Phi of them.  Only a frame that carries no elimination reads
+        them."""
         pivots = _pivots_mod_q([v % _PROOF_PRIME for v in row] for _, row in self._values)
         return tuple(islice((col for col in pivots if col is not None),
                             dim_phi(self.field, self.m, self.p)))
 
     @cached_property
-    def _first_dependence(self) -> Optional[Tuple[int, List[int], Optional[tuple]]]:
+    def _first_dependence(self) -> Optional[Tuple[int, List[int], tuple]]:
         """The first row k of `_values` that depends on the rows before it,
         with ints c such that sum_{i<=k} c_i V_i = 0 and c_k < 0, and the
-        elimination at it; None when the rows are independent.
+        elimination that settled it; None when the rows are independent.
 
-        The elimination is (reducer, ids, records): a `RowReducer` over the
-        rows restricted to `_columns`, each row under the index it got
-        there (its id); the ids of rows 0..k; and the records (j, den,
-        {i: num}), earliest first, each saying that the dropped row of id j
-        is sum_i num_i / den * row_i over rows alive when it was dropped, so
-        that no record names an id an earlier one removed.  It carries on
-        from `_carried`, on a copy, so that this frame's elimination stays
-        its own, and adds the rows after the carried ones until one is
-        dependent.  That row's certificate, rewritten through the records,
-        is checked exactly as a relation on all of X.  If the check fails,
-        exact elimination of the full rows decides, and no elimination is
-        kept."""
+        An elimination is (cols, reducer, ids, records): the columns of X
+        its rows are restricted to; a `RowReducer` over those rows, each
+        row under the index it got there (its id); the ids of rows 0..k;
+        and the records (j, den, {i: num}), earliest first, each saying that
+        the dropped row of id j is sum_i num_i / den * row_i over rows alive
+        when it was dropped, so that no record names an id an earlier one
+        removed.  At most two eliminations run.  The first carries on from
+        `_carried`, on a copy, so that this frame's elimination stays its
+        own, or else starts on `_columns`, which prove the rows independent
+        when there are n of them.  It adds the rows after the carried ones
+        until one is dependent, and that row's certificate, rewritten
+        through the records, is checked exactly as a relation on all of X.
+        If the check fails, the second, a fresh elimination of the full
+        rows, settles the step: its certificate is exact."""
         rows = [row for _, row in self._values]
-        cols = self._columns
-        if len(cols) >= self.n:
-            return None
-        reducer, ids, records = self._carried or (RowReducer(), (), ())
-        reducer, ids = reducer.copy(), list(ids)
-        for k in range(len(ids), self.n):
-            ids.append(reducer.added)
-            if (cert := reducer.add_row({col: rows[k][col] for col in cols})) is not None:
-                break
-        else:
-            return None
-        coeffs = _rewritten(cert, records, ids)
-        if _vanishes(coeffs, rows[:k + 1]):
-            return k, coeffs, (reducer, tuple(ids), records)
-        reducer = RowReducer()
-        for k, row in enumerate(rows):
-            if (cert := reducer.add_row(dict(enumerate(row)))) is not None:
-                return k, _rewritten(cert, (), range(k + 1)), None
-        return None
+        first = self._carried
+        if first is None:
+            if len(self._columns) >= self.n:
+                return None
+            first = (self._columns, RowReducer(), (), ())
+        for cols, reducer, ids, records in (first, (range(len(rows[0])), RowReducer(), (), ())):
+            reducer, ids = reducer.copy(), list(ids)
+            for k in range(len(ids), self.n):
+                ids.append(reducer.added)
+                if (cert := reducer.add_row({col: rows[k][col] for col in cols})) is not None:
+                    break
+            else:
+                return None
+            coeffs = _rewritten(cert, records, ids)
+            if _vanishes(coeffs, rows[:k + 1]):
+                return k, coeffs, (cols, reducer, tuple(ids), records)
+        raise RuntimeError("a certificate on the full value rows failed its exact check: a defect")
 
     @cached_property
     def _scaling_forms(self) -> ScalingForms:
@@ -405,9 +406,9 @@ def _point_set(field: Field, m: int, p: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(e[1:] + (1,) + (0,) * (d - 1) for e in monomials(d * (m - 1) + 1, p))
 
 
-def _vanishes(coeffs: Sequence[Scalar], rows: Sequence[Sequence[int]]) -> bool:
-    """Whether sum_k coeffs[k] * rows[k] = 0, summed in ints over one denominator."""
-    pairs = [(c, row) for c, row in zip(_over_one_denominator(coeffs)[1], rows) if c]
+def _vanishes(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:
+    """Whether sum_k coeffs[k] * rows[k] = 0, for ints coeffs and rows."""
+    pairs = [(c, row) for c, row in zip(coeffs, rows) if c]
     return not any(sum(c * row[i] for c, row in pairs) for i in range(len(rows[0])))
 
 
@@ -453,14 +454,18 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     omega_k = -s_k^p / w_k, scaled to max 1.  Each None is checked against
     the rank bound n <= dim Phi (RuntimeError).
 
-    Along a chain the elimination is carried on: each value row enters it
-    once, and a certificate that names a dropped row is rewritten through
-    the record `reduce_once` kept of it.  Restricting rows to columns keeps
-    every dependence, so k is no later than the first truly dependent row,
-    and a c that passes the exact check is a true dependence among rows
-    0..k, unique since rows 0..k-1 are independent: the certificate is the
-    one a fresh frame gives, whichever columns and elimination the frame
-    carries.  A second call on the same frame reads the first one's.
+    Along a chain the elimination that settled a step is carried on, on
+    the columns or, after a candidate failed its check, on the full rows,
+    so each value row enters a carried elimination once, and a certificate
+    that names a dropped row is rewritten through the record `reduce_once`
+    kept of it.  Restricting
+    rows to columns keeps every dependence, so k is no later than the
+    first truly dependent row, and a c that passes the exact check is a
+    true dependence among rows 0..k, unique since rows 0..k-1 are
+    independent: the certificate is the one a fresh frame gives, whichever
+    elimination the frame carries.  A second call on the same frame reads
+    the first one's elimination and certificate, but a frame that the
+    proof pass settles runs that pass again on every call.
     """
     if not frame.is_exact:
         raise FrameError("dependence detection requires exact rational entries")
@@ -492,16 +497,15 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     a_k = w_k omega_k / s_k^p.
 
     The output keeps the input's linear forms, values and expansions.  When
-    omega drops exactly one vector j, it also keeps the input's pivot
-    columns mod the prime: the dependence has omega_j != 0, so the other
-    rows span what all rows span, and the output's rank over Q is the
-    input's, at least the number of columns.  If, besides, the input's
-    elimination stopped at k = max{i : omega_i != 0}, the output carries it
-    on: rows {0..k} minus j span what rows 0..k-1 span, so the pivots span
-    the output's rows 0..k-1, and its next dependent row is its first.  For
-    j != k the elimination keeps the record row_j = -sum_{i!=j} a_i / a_j
-    row_i; row k keeps its id.  A step that drops several vectors can shrink
-    the span, so its output finds its own columns and starts afresh.
+    omega drops exactly one vector j and the elimination that settled the
+    input's dependence stopped at k = max{i : omega_i != 0}, the output
+    carries that elimination on, with its columns, whether they are the
+    pivot columns or all of X: omega_j != 0, so rows {0..k} minus j span
+    what rows 0..k-1 span, the pivots span the output's rows 0..k-1, and
+    its next dependent row is its first.  For j != k the elimination keeps
+    the record row_j = -sum_{i!=j} a_i / a_j row_i; row k keeps its id.  A
+    step that drops several vectors can shrink the span, so its output
+    finds its own columns and starts afresh.
     """
     if len(cert.omega) != frame.n:
         raise CertificateError(
@@ -526,18 +530,15 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     object.__setattr__(reduced, "_values", tuple(values[k] for k in keep))
     if "_expansions" in vars(frame):
         object.__setattr__(reduced, "_expansions", tuple(frame._expansions[k] for k in keep))
-    if len(keep) == frame.n - 1:
-        if "_columns" in vars(frame):
-            object.__setattr__(reduced, "_columns", frame._columns)
-        found = vars(frame).get("_first_dependence")
-        if found and found[2] and max(i for i, x in enumerate(a) if x) == found[0]:
-            k, _, (reducer, ids, records) = found
-            j = cert.omega.index(1)
-            if j != k:
-                g = math.gcd(*a)
-                records += ((ids[j], a[j] // g, {
-                    ids[i]: -a[i] // g for i in range(k + 1) if a[i] and i != j}),)
-            object.__setattr__(reduced, "_carried", (reducer, ids[:j] + ids[j + 1:], records))
+    found = vars(frame).get("_first_dependence")
+    if len(keep) == frame.n - 1 and found and max(i for i, x in enumerate(a) if x) == found[0]:
+        k, _, (cols, reducer, ids, records) = found
+        j = cert.omega.index(1)
+        if j != k:
+            g = math.gcd(*a)
+            records += ((ids[j], a[j] // g, {
+                ids[i]: -a[i] // g for i in range(k + 1) if a[i] and i != j}),)
+        object.__setattr__(reduced, "_carried", (cols, reducer, ids[:j] + ids[j + 1:], records))
     return reduced
 
 

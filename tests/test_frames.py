@@ -668,12 +668,13 @@ def test_mod_q_only_dependence_falls_back_to_value_rows(monkeypatch):
 @pytest.mark.parametrize("prime", [None, 5, 7])
 def test_chain_hands_on_the_pivot_columns(monkeypatch, prime):
     # one mod-q pass finds the pivot columns of a chain and reduce_once hands
-    # them on across one-vector drops, so along a chain each value row goes
-    # through the pass at most once, and every certificate is that of a
-    # fresh frame.  Under the proof prime the pass stops at dim Phi pivots,
-    # before the last row.  Under a small prime a candidate on handed-on
-    # columns can fail its exact check, and the full rows then settle it.
-    # The chains start above dim Phi, so no proof pass runs.
+    # them on, inside the carried elimination, across one-vector drops, so
+    # along a chain each value row goes through the pass at most once, and
+    # every certificate is that of a fresh frame.  Under the proof prime the
+    # pass stops at dim Phi pivots, before the last row.  Under a small
+    # prime a candidate on handed-on columns can fail its exact check, and
+    # the full rows then settle it.  The chains start above dim Phi, so no
+    # proof pass runs.
     if prime is not None:
         monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", prime)
     q = isoframe.frames._PROOF_PRIME
@@ -694,7 +695,7 @@ def test_chain_hands_on_the_pivot_columns(monkeypatch, prime):
             del pulled[:]
             steps = []
             while True:
-                handed_on = "_columns" in vars(current)
+                handed_on = current._carried is not None
                 del checks[:]
                 cert = dependence(current)
                 handed_on_rejections += handed_on and False in checks
@@ -717,7 +718,8 @@ def test_chain_after_a_tie_finds_its_own_columns():
     # acceptance criterion 4's seed-8 frame: the synthetic frame united with
     # real2-rational-p4, vector 0 split at 1/5.  Its fourth step drops two
     # vectors at n = 7, which can shrink the span, so the output finds its
-    # own pivot columns; each one-vector drop hands them on
+    # own pivot columns and starts afresh; each one-vector drop hands on the
+    # elimination with its columns
     base = catalog(Field.R, 2, 4, "real2-rational-p4")
     current = split_vector(union(build_synthetic_frame(), base), 0, Fraction(1, 5))
     drops = []
@@ -729,8 +731,6 @@ def test_chain_after_a_tie_finds_its_own_columns():
             break
         drops.append((current.n, cert.omega.count(1)))
         current = reduce_once(current, cert)
-        assert ("_columns" in vars(current)) is (drops[-1][1] == 1)
-        # the exact elimination is carried on in the same way
         assert (current._carried is not None) is (drops[-1][1] == 1)
     assert drops == [(10, 1), (9, 1), (8, 1), (7, 2), (5, 1)]
 
@@ -793,31 +793,45 @@ def test_chain_carries_one_exact_elimination(monkeypatch):
     assert drops[True] > 0 and drops[False] > 0
 
 
-def test_carried_candidate_that_fails_its_check_starts_afresh(monkeypatch):
+def test_carried_candidate_that_fails_its_check_hands_on_the_full_rows(monkeypatch):
     # modulo 5 the pivot columns lose rank over Q, and a candidate from the
     # carried elimination can fail its exact check; the full rows settle
-    # it, and that step's output starts a fresh elimination.  Every
-    # certificate is still that of a fresh frame.
+    # it, and that step's output carries their elimination on.  Every later
+    # step of the chain carries it too, with no mod-q pass and no failed
+    # check, and every certificate is still that of a fresh frame.
     monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", 5)
     checks = recording_checks(monkeypatch)
+    pivots, passes = isoframe.frames._pivots_mod_q, []
+
+    def counting_pivots(rows):
+        passes.append(None)
+        return pivots(rows)
+
+    monkeypatch.setattr(isoframe.frames, "_pivots_mod_q", counting_pivots)
     rng = random.Random(89)
     rejected = 0
     for field, m, p in CHAIN_KEYS:
         for _ in range(4):
             current = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 4)
+            full_rows = range(len(current._values[0][1]))
+            on_full_rows = False
             steps = []
             while True:
                 carried = current._carried is not None
-                del checks[:]
+                del checks[:], passes[:]
                 cert = dependence(current)
                 steps.append((current, cert))
+                if on_full_rows:
+                    assert passes == [] and False not in checks
                 if cert is None:
                     break
                 failed = False in checks
                 rejected += carried and failed
                 assert cert.omega.count(1) == 1
                 current = reduce_once(current, cert)
-                assert (current._carried is None) is failed
+                on_full_rows = on_full_rows or failed
+                cols = full_rows if on_full_rows else steps[0][0]._columns
+                assert list(current._carried[0]) == list(cols)
             for frame, cert in steps:
                 assert cert == dependence(fresh(frame))
     assert rejected > 0

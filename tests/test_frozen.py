@@ -7,8 +7,12 @@ under a 20 s timeout (30 s for the large real chain)."""
 
 import hashlib
 import itertools
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from isoframe.frames import (
     WeightedFrame,
@@ -161,6 +165,21 @@ def test_real_chain_smoke():
         'c5daa3ae0c9f72e0687c15f476d2c3a5b8fca2c5671e105788a0c72db7b4758d',
         'ca448ba891439bb90a2d46c7be9f3349bbb77601ce564966ae02739869eb2bee',
     ], '5e7cc937ac2827f506f02d4822386c26ac867b18166b0faf7092efec4861ac7d')
+
+
+def test_chain_timing_script_prints_the_chain_answers():
+    # tools/chain_timing.py, the chain measurement of the ROADMAP and the
+    # BENCH files, runs in a fresh process and prints for each chain the
+    # answers of chain() in this process
+    script = Path(__file__).resolve().parent.parent / "tools" / "chain_timing.py"
+    proc = subprocess.run([sys.executable, str(script), "R3p6-56", "criterion4-seed8"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [line["name"] for line in lines] == ["R3p6-56", "criterion4-seed8"]
+    n, steps, reduced = chain(drawn_frame(Field.R, 3, 6, 56))
+    assert lines[0]["n"] == [56, n]
+    assert lines[0]["certificates"] == steps and lines[0]["reduced"] == reduced
 
 
 def test_large_real_chain_smoke():
