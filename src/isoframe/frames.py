@@ -82,7 +82,7 @@ __all__ = [
     "verify",
 ]
 
-_PROOF_PRIME = (1 << 62) - 57  # the modulus of the proof pass in `dependence`
+_PROOF_PRIME = (1 << 62) - 57  # the modulus of the mod-q passes of `_first_dependence`
 
 
 class FrameError(ValueError):
@@ -125,7 +125,8 @@ class WeightedFrame:
 
     # The elimination (cols, reducer, ids, records) that settled the last
     # step of a chain, as `reduce_once` hands it on, its ids those of this
-    # frame's rows 0..k-1; None starts afresh on `_columns`.
+    # frame's rows 0..k-1; None starts afresh on the pivot columns that
+    # `_first_dependence` finds.
     _carried = None
 
     def __post_init__(self):
@@ -164,7 +165,7 @@ class WeightedFrame:
     def _linear_forms(self) -> Tuple[Tuple[int, List[List[Scalar]]], ...]:
         """`_scaled_linear_forms` of each u_k, built on first use: s_k and the
         d coefficient rows of <s_k u_k, x>, which the expansions, the values
-        and the proof pass of `dependence` all read."""
+        and the proof pass of `_first_dependence` all read."""
         return tuple(_scaled_linear_forms(u) for u in self.vectors)
 
     @cached_property
@@ -215,41 +216,58 @@ class WeightedFrame:
         return tuple(_scaled_values(s, linear, self.p, points) for s, linear in self._linear_forms)
 
     @cached_property
-    def _columns(self) -> Tuple[int, ...]:
-        """The pivot columns of the rows of `_values` modulo _PROOF_PRIME, in
-        row order, from one `_pivots_mod_q` pass that stops once it has
-        dim Phi of them.  Only a frame that carries no elimination reads
-        them."""
-        pivots = _pivots_mod_q([v % _PROOF_PRIME for v in row] for _, row in self._values)
-        return tuple(islice((col for col in pivots if col is not None),
-                            dim_phi(self.field, self.m, self.p)))
+    def _first_dependence(self) -> Optional[Tuple[DependenceCertificate, int, tuple]]:
+        """The dependence decision of `dependence`, made once per frame: None
+        when the forms are independent, else the certificate of the first
+        row k of `_values` that depends on the rows before it, k, and the
+        elimination that settled it, which `reduce_once` hands on.
 
-    @cached_property
-    def _first_dependence(self) -> Optional[Tuple[int, List[int], tuple]]:
-        """The first row k of `_values` that depends on the rows before it,
-        with ints c such that sum_{i<=k} c_i V_i = 0 and c_k < 0, and the
-        elimination that settled it; None when the rows are independent.
+        The proof pass: for n <= dim Phi and no `_values` yet, V_k at n + 4
+        fixed points (`_proof_points`) that keep a pivot in every row modulo
+        _PROOF_PRIME give a minor nonzero over Z: None.  The columns: with
+        nothing carried, one `_pivots_mod_q` pass over the rows of `_values`
+        finds their pivot columns mod the prime, in row order, stopping at
+        dim Phi of them; n of them prove the rows independent: None.
 
-        An elimination is (cols, reducer, ids, records): the columns of X
-        its rows are restricted to; a `RowReducer` over those rows, each
-        row under the index it got there (its id); the ids of rows 0..k;
-        and the records (j, den, {i: num}), earliest first, each saying that
-        the dropped row of id j is sum_i num_i / den * row_i over rows alive
-        when it was dropped, so that no record names an id an earlier one
-        removed.  At most two eliminations run.  The first carries on from
-        `_carried`, on a copy, so that this frame's elimination stays its
-        own, or else starts on `_columns`, which prove the rows independent
-        when there are n of them.  It adds the rows after the carried ones
-        until one is dependent, and that row's certificate, rewritten
-        through the records, is checked exactly as a relation on all of X.
-        If the check fails, the second, a fresh elimination of the full
-        rows, settles the step: its certificate is exact."""
+        The elimination: an elimination is (cols, reducer, ids, records):
+        the columns of X its rows are restricted to; a `RowReducer` over
+        those rows, each row under the index it got there (its id); the ids
+        of rows 0..k; and the records (j, den, {i: num}), earliest first,
+        each saying that the dropped row of id j is sum_i num_i / den *
+        row_i over rows alive when it was dropped, so that no record names
+        an id an earlier one removed.  At most two eliminations run.  The
+        first carries on from `_carried`, on a copy, so that this frame's
+        elimination stays its own, or else starts on the columns.  It adds
+        the rows after the carried ones until one is dependent, and that
+        row's certificate, rewritten through the records into ints c with
+        sum_{i<=k} c_i V_i = 0 and c_k < 0, is checked exactly as a relation
+        on all of X.  If the check fails, the second, a fresh elimination of
+        the full rows, settles the step: its certificate is exact.
+        Restricting rows to columns keeps every dependence, so k is no later
+        than the first truly dependent row, and a c that passes the check is
+        a true dependence among rows 0..k, unique up to scale since rows
+        0..k-1 are independent: the certificate is the one a fresh frame
+        gives, whichever elimination the frame carries.  It gives
+        omega_i = c_i s_i^p / w_i, scaled to max 1.
+
+        The guard: an elimination that finds every row independent checks
+        the rank bound n <= dim Phi (RuntimeError); the two earlier None
+        exits already imply it."""
+        dim = dim_phi(self.field, self.m, self.p)
+        if self.n <= dim and "_values" not in vars(self):
+            points = _proof_points(self.n + 4, self.field.real_dimension * self.m)
+            values = (_scaled_values(s, linear, self.p, points)[1]
+                      for s, linear in self._linear_forms)
+            if None not in _pivots_mod_q([v % _PROOF_PRIME for v in row] for row in values):
+                return None
         rows = [row for _, row in self._values]
         first = self._carried
         if first is None:
-            if len(self._columns) >= self.n:
+            pivots = _pivots_mod_q([v % _PROOF_PRIME for v in row] for row in rows)
+            cols = tuple(islice((col for col in pivots if col is not None), dim))
+            if len(cols) >= self.n:
                 return None
-            first = (self._columns, RowReducer(), (), ())
+            first = (cols, RowReducer(), (), ())
         for cols, reducer, ids, records in (first, (range(len(rows[0])), RowReducer(), (), ())):
             reducer, ids = reducer.copy(), list(ids)
             for k in range(len(ids), self.n):
@@ -257,10 +275,18 @@ class WeightedFrame:
                 if (cert := reducer.add_row({col: rows[k][col] for col in cols})) is not None:
                     break
             else:
+                if self.n > dim:
+                    raise RuntimeError(
+                        f"{self.n} independent forms exceed dim Phi = {dim}: a defect")
                 return None
             coeffs = _rewritten(cert, records, ids)
             if _vanishes(coeffs, rows[:k + 1]):
-                return k, coeffs, (cols, reducer, tuple(ids), records)
+                combo = [c * s**self.p / w
+                         for c, (s, _), w in zip(coeffs, self._values, self.weights)]
+                peak = max(combo)
+                omega = tuple(c / peak for c in combo) + (Fraction(0),) * (self.n - k - 1)
+                return (DependenceCertificate(omega=omega, pivot=omega.index(Fraction(1))), k,
+                        (cols, reducer, tuple(ids), records))
         raise RuntimeError("a certificate on the full value rows failed its exact check: a defect")
 
     @cached_property
@@ -439,53 +465,21 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
     """First linear dependence among the weighted frame forms, or None.
 
     Reads no form, only V_k = |<s_k u_k, x>|^p (s_k the lcm of u_k's
-    denominators).  For n <= dim Phi, V_k at n + 4 fixed points that keep a
-    pivot in every row mod a prime give a minor nonzero over Z: None.  A
-    frame that already carries its values on X, as `reduce_once` hands them
-    on along a chain, skips this proof pass.  Else the V_k on X, the
-    lattice of `_point_set` on the slice where x_m is real (unisolvent for
-    Phi by unit invariance), give their pivot columns mod the prime
-    (`WeightedFrame._columns`); n of them prove the rows independent: None.
-    Otherwise exact elimination of the rows on those columns stops at the
-    first dependent row k, and its certificate c is checked exactly as
-    sum_j c_j V_j = V_k on X, or, if that fails, exact elimination of the
-    full rows on X decides (`WeightedFrame._first_dependence`).  The
-    dependency, unique up to scale, gives omega_j = c_j s_j^p / w_j and
-    omega_k = -s_k^p / w_k, scaled to max 1.  Each None is checked against
-    the rank bound n <= dim Phi (RuntimeError).
-
-    Along a chain the elimination that settled a step is carried on, on
-    the columns or, after a candidate failed its check, on the full rows,
-    so each value row enters a carried elimination once, and a certificate
-    that names a dropped row is rewritten through the record `reduce_once`
-    kept of it.  Restricting
-    rows to columns keeps every dependence, so k is no later than the
-    first truly dependent row, and a c that passes the exact check is a
-    true dependence among rows 0..k, unique since rows 0..k-1 are
-    independent: the certificate is the one a fresh frame gives, whichever
-    elimination the frame carries.  A second call on the same frame reads
-    the first one's elimination and certificate, but a frame that the
-    proof pass settles runs that pass again on every call.
+    denominators) at fixed integer points: at n + 4 points for a proof of
+    independence, else on X, the lattice of `_point_set` on the slice where
+    x_m is real (unisolvent for Phi by unit invariance).  The certificate
+    omega satisfies sum_k omega_k w_k |<u_k, x>|^p = 0 exactly, with
+    max omega = 1, omega_k < 0 at the first dependent row k and omega_i = 0
+    past it; it is unique, the one a fresh frame gives, whichever
+    elimination the frame carries along a chain.  A frame decides once
+    (`WeightedFrame._first_dependence`, where the proof pass, the pivot
+    columns, the exact elimination and the rank guard are described):
+    asking it again returns the same answer at no cost.
     """
     if not frame.is_exact:
         raise FrameError("dependence detection requires exact rational entries")
-    dim = dim_phi(frame.field, frame.m, frame.p)
-    if frame.n <= dim and "_values" not in vars(frame):
-        points = _proof_points(frame.n + 4, frame.field.real_dimension * frame.m)
-        values = (_scaled_values(s, linear, frame.p, points)[1]
-                  for s, linear in frame._linear_forms)
-        if None not in _pivots_mod_q([v % _PROOF_PRIME for v in row] for row in values):
-            return None
     found = frame._first_dependence
-    if found is None:
-        if frame.n > dim:
-            raise RuntimeError(f"{frame.n} independent forms exceed dim Phi = {dim}: a defect")
-        return None
-    k, coeffs, _ = found
-    combo = [c * s**frame.p / w for c, (s, _), w in zip(coeffs, frame._values, frame.weights)]
-    peak = max(combo)
-    omega = [c / peak for c in combo] + [Fraction(0)] * (frame.n - k - 1)
-    return DependenceCertificate(omega=tuple(omega), pivot=omega.index(Fraction(1)))
+    return None if found is None else found[0]
 
 
 def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFrame:
@@ -531,8 +525,8 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     if "_expansions" in vars(frame):
         object.__setattr__(reduced, "_expansions", tuple(frame._expansions[k] for k in keep))
     found = vars(frame).get("_first_dependence")
-    if len(keep) == frame.n - 1 and found and max(i for i, x in enumerate(a) if x) == found[0]:
-        k, _, (cols, reducer, ids, records) = found
+    if len(keep) == frame.n - 1 and found and max(i for i, x in enumerate(a) if x) == found[1]:
+        _, k, (cols, reducer, ids, records) = found
         j = cert.omega.index(1)
         if j != k:
             g = math.gcd(*a)

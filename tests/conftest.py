@@ -1,11 +1,12 @@
 """Shared fixtures: the reducible five-vector instance used across suites."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from isoframe.frames import WeightedFrame
+from isoframe.frames import WeightedFrame, catalog
 from isoframe.kscalar import Field, KElement, KVector
 
 SYNTHETIC_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -2), (2, -1))
@@ -31,6 +32,30 @@ def build_rescaled_synthetic_frame(exponent=100):
     big = Fraction(10**exponent)
     return WeightedFrame(Field.R, 2, 4, (f.vectors[0].scale_real(big),) + f.vectors[1:],
                          (f.weights[0] / big**4,) + f.weights[1:])
+
+
+def criterion_4_frame(seed):
+    """Acceptance criterion 4's redundant frame for seed.  From
+    random.Random(seed): the half-weight union of two frames, each drawn
+    from real2-rational-p4 and the synthetic frame, or of an orthonormal-p2
+    frame over R, C or H at m = 2 or 3 with itself; then up to three times
+    a vector repeated, with its weight split at a ratio in {1/5, ..., 4/5}."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        r24 = [catalog(Field.R, 2, 4, "real2-rational-p4"), build_synthetic_frame()]
+        a, b = rng.choice(r24), rng.choice(r24)
+    else:
+        field = rng.choice((Field.R, Field.C, Field.H))
+        a = b = catalog(field, rng.choice((2, 3)), 2, "orthonormal-p2")
+    frame = WeightedFrame(a.field, a.m, a.p, a.vectors + b.vectors,
+                          tuple(w / 2 for w in a.weights + b.weights))
+    for _ in range(rng.randint(0, 3)):
+        idx, ratio = rng.randrange(frame.n), Fraction(rng.randint(1, 4), 5)
+        w = frame.weights[idx]
+        weights = frame.weights[:idx] + (w * ratio,) + frame.weights[idx + 1:]
+        frame = WeightedFrame(frame.field, frame.m, frame.p, frame.vectors + (frame.vectors[idx],),
+                              weights + (w * (1 - ratio),))
+    return frame
 
 
 def mub_c2_p4():

@@ -37,7 +37,7 @@ from isoframe.kscalar import (
 )
 from isoframe.phi import dim_phi, phi_basis, unit_group_average, upper_bound
 
-from conftest import build_synthetic_frame
+from conftest import build_synthetic_frame, criterion_4_frame
 
 FIELDS = (Field.R, Field.C, Field.H)
 
@@ -163,35 +163,9 @@ def test_criterion_4_dependence_reduction_pipeline():
     """50 seeded redundant frames reduce to independence with exact
     verification preserved at every step and strictly decreasing n; the
     certificates of every step match the recorded ones."""
-    r24 = [catalog(Field.R, 2, 4, "real2-rational-p4"), build_synthetic_frame()]
-    orthos = {field: {m: catalog(field, m, 2, "orthonormal-p2")
-                      for m in (2, 3)} for field in FIELDS}
-
-    def split(frame, idx, ratio):
-        w = frame.weights[idx]
-        weights = list(frame.weights)
-        weights[idx] = w * ratio
-        return WeightedFrame(frame.field, frame.m, frame.p,
-                             frame.vectors + (frame.vectors[idx],),
-                             tuple(weights) + (w * (1 - ratio),))
-
-    def union(a, b):
-        return WeightedFrame(a.field, a.m, a.p, a.vectors + b.vectors,
-                             tuple(w / 2 for w in a.weights)
-                             + tuple(w / 2 for w in b.weights))
-
     chains = []
     for seed in range(50):
-        rng = random.Random(seed)
-        if rng.random() < 0.5:
-            frame = union(rng.choice(r24), rng.choice(r24))
-        else:
-            field = rng.choice(FIELDS)
-            base = orthos[field][rng.choice((2, 3))]
-            frame = union(base, base)
-        for _ in range(rng.randint(0, 3)):
-            frame = split(frame, rng.randrange(frame.n),
-                          Fraction(rng.randint(1, 4), 5))
+        frame = criterion_4_frame(seed)
         assert verify(frame).passed
 
         chain = []

@@ -52,10 +52,12 @@ from isoframe.phi import dim_phi, phi_basis
 from conftest import (
     build_rescaled_synthetic_frame,
     build_synthetic_frame,
+    criterion_4_frame,
     design_h2_p4,
     e8_root_frame,
     mub_c2_p4,
 )
+from test_frozen import drawn_frame
 
 ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
 
@@ -720,8 +722,7 @@ def test_chain_after_a_tie_finds_its_own_columns():
     # vectors at n = 7, which can shrink the span, so the output finds its
     # own pivot columns and starts afresh; each one-vector drop hands on the
     # elimination with its columns
-    base = catalog(Field.R, 2, 4, "real2-rational-p4")
-    current = split_vector(union(build_synthetic_frame(), base), 0, Fraction(1, 5))
+    current = criterion_4_frame(8)
     drops = []
     while True:
         cert = dependence(current)
@@ -782,7 +783,7 @@ def test_chain_carries_one_exact_elimination(monkeypatch):
                 assert current._carried is not None
             steps.append((current, None))
             assert False not in checks
-            cols = steps[0][0]._columns
+            cols = steps[0][0]._first_dependence[2][0]
             value_rows = Counter(tuple((col, row[col]) for col in cols)
                                  for _, row in steps[0][0]._values)
             assert Counter(CountingReducer.rows) <= value_rows
@@ -830,7 +831,7 @@ def test_carried_candidate_that_fails_its_check_hands_on_the_full_rows(monkeypat
                 assert cert.omega.count(1) == 1
                 current = reduce_once(current, cert)
                 on_full_rows = on_full_rows or failed
-                cols = full_rows if on_full_rows else steps[0][0]._columns
+                cols = full_rows if on_full_rows else steps[0][0]._first_dependence[2][0]
                 assert list(current._carried[0]) == list(cols)
             for frame, cert in steps:
                 assert cert == dependence(fresh(frame))
@@ -854,6 +855,32 @@ def test_parent_frame_keeps_its_own_elimination():
     sibling = reduce_once(parent, cert)
     assert sibling._carried == child._carried
     assert dependence(sibling) == child_cert == dependence(fresh(child))
+
+
+def test_a_frame_decides_its_dependence_once(monkeypatch):
+    # dependence asked again returns the frame's first answer with no work:
+    # a frame that the proof pass proves independent runs no point value
+    # and no mod-q pass, and a dependent frame returns the same certificate
+    # object with no row added to an exact elimination
+    calls = Counter()
+    for name in ("_scaled_values", "_pivots_mod_q"):
+        def counted(*args, name=name, original=getattr(isoframe.frames, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(isoframe.frames, name, counted)
+    monkeypatch.setattr(isoframe.frames, "RowReducer", CountingReducer)
+    independent = drawn_frame(Field.C, 2, 6, 12)
+    assert dependence(independent) is None and calls["_scaled_values"] == 12
+    calls.clear()
+    assert dependence(independent) is None and not calls
+    dependent = criterion_4_frame(8)
+    cert = dependence(dependent)
+    assert cert is not None and calls["_pivots_mod_q"] > 0
+    calls.clear()
+    CountingReducer.rows = []
+    assert dependence(dependent) is cert
+    assert not calls and CountingReducer.rows == []
 
 
 def test_dependence_chain_expands_no_form():

@@ -27,7 +27,7 @@ from isoframe.frames import (
 from isoframe.kscalar import Field, KElement, KVector, k_mul, rational_unit_scalars
 from isoframe.phi import dual_basis, phi_basis
 
-from conftest import build_synthetic_frame, mub_c2_p4
+from conftest import build_synthetic_frame, criterion_4_frame, mub_c2_p4
 
 
 def sha(text):
@@ -177,9 +177,10 @@ def test_chain_timing_script_prints_the_chain_answers():
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [line["name"] for line in lines] == ["R3p6-56", "criterion4-seed8"]
-    n, steps, reduced = chain(drawn_frame(Field.R, 3, 6, 56))
-    assert lines[0]["n"] == [56, n]
-    assert lines[0]["certificates"] == steps and lines[0]["reduced"] == reduced
+    for line, frame in zip(lines, (drawn_frame(Field.R, 3, 6, 56), criterion_4_frame(8))):
+        n, steps, reduced = chain(frame)
+        assert line["n"] == [frame.n, n]
+        assert line["certificates"] == steps and line["reduced"] == reduced
 
 
 def test_large_real_chain_smoke():

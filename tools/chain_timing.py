@@ -2,7 +2,8 @@
 
 Each chain is `tests/test_frozen.py::chain` (dependence and reduce_once
 until the forms are independent) on a drawn frame (`drawn_frame` of the
-same file), or on one of acceptance criterion 4's seeded frames.  A line
+same file), or on one of acceptance criterion 4's seeded frames
+(`criterion_4_frame` of `tests/conftest.py`).  A line
 holds the wall time of one run in this process, the final size, the sha256
 of every certificate and of the reduced frame, so two checkouts can be
 compared answer for answer.  `early-*` names time one `dependence` on a
@@ -15,19 +16,17 @@ prints every name.
 """
 
 import json
-import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from isoframe.frames import WeightedFrame, catalog, dependence, verify  # noqa: E402
+from isoframe.frames import WeightedFrame, dependence, verify  # noqa: E402
 from isoframe.kscalar import Field  # noqa: E402
 
-from conftest import build_synthetic_frame  # noqa: E402
+from conftest import criterion_4_frame  # noqa: E402
 from test_frozen import chain, drawn_frame, sha  # noqa: E402
 
 DRAWN = {
@@ -40,34 +39,6 @@ EARLY = {"early-R4p6-85": (Field.R, 4, 6, 85), "early-C3p4-40": (Field.C, 3, 4, 
          "early-H2p6-51": (Field.H, 2, 6, 51)}
 CRITERION_4 = {"criterion4-seed8": 8, "criterion4-seed12": 12, "criterion4-seed49": 49}
 DEFAULT = ["R3p6-56", "R4p4-70", "C3p4-54", "H2p4-40", *CRITERION_4]
-
-
-def criterion_4_frame(seed):
-    """The redundant frame that tests/test_acceptance.py's criterion 4 draws
-    for seed."""
-    fields = (Field.R, Field.C, Field.H)
-    r24 = [catalog(Field.R, 2, 4, "real2-rational-p4"), build_synthetic_frame()]
-
-    def union(a, b):
-        return WeightedFrame(a.field, a.m, a.p, a.vectors + b.vectors,
-                             tuple(w / 2 for w in a.weights) + tuple(w / 2 for w in b.weights))
-
-    rng = random.Random(seed)
-    if rng.random() < 0.5:
-        frame = union(rng.choice(r24), rng.choice(r24))
-    else:
-        field = rng.choice(fields)
-        base = catalog(field, rng.choice((2, 3)), 2, "orthonormal-p2")
-        frame = union(base, base)
-    for _ in range(rng.randint(0, 3)):
-        idx, ratio = rng.randrange(frame.n), Fraction(rng.randint(1, 4), 5)
-        w = frame.weights[idx]
-        weights = list(frame.weights)
-        weights[idx] = w * ratio
-        frame = WeightedFrame(frame.field, frame.m, frame.p, frame.vectors + (frame.vectors[idx],),
-                              tuple(weights) + (w * (1 - ratio),))
-    assert verify(frame).passed
-    return frame
 
 
 def early_frame(field, m, p, n):
@@ -84,7 +55,11 @@ def run(name):
         seconds = time.perf_counter() - start
         return {"name": name, "seconds": round(seconds, 4), "pivot": cert.pivot,
                 "certificate": sha(repr((cert.omega, cert.pivot)))}
-    frame = drawn_frame(*DRAWN[name]) if name in DRAWN else criterion_4_frame(CRITERION_4[name])
+    if name in DRAWN:
+        frame = drawn_frame(*DRAWN[name])
+    else:
+        frame = criterion_4_frame(CRITERION_4[name])
+        assert verify(frame).passed
     start = time.perf_counter()
     n, steps, reduced = chain(frame)
     seconds = time.perf_counter() - start
