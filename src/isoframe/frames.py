@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, islice, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -82,7 +82,7 @@ __all__ = [
     "verify",
 ]
 
-_PROOF_PRIME = (1 << 62) - 57  # the modulus of the mod-q passes of `_first_dependence`
+_PROOF_PRIME = (1 << 62) - 57  # the modulus of the proof pass and of `_point_set`'s pivots
 
 
 class FrameError(ValueError):
@@ -123,10 +123,9 @@ class WeightedFrame:
     vectors: Tuple[KVector, ...]
     weights: Tuple[Scalar, ...]
 
-    # The elimination (cols, reducer, ids, records) that settled the last
-    # step of a chain, as `reduce_once` hands it on, its ids those of this
-    # frame's rows 0..k-1; None starts afresh on the pivot columns that
-    # `_first_dependence` finds.
+    # The elimination (reducer, ids, records) that settled the last step of
+    # a chain, as `reduce_once` hands it on, its ids those of this frame's
+    # rows 0..k-1; None starts afresh.
     _carried = None
 
     def __post_init__(self):
@@ -224,35 +223,28 @@ class WeightedFrame:
 
         The proof pass: for n <= dim Phi and no `_values` yet, V_k at n + 4
         fixed points (`_proof_points`) that keep a pivot in every row modulo
-        _PROOF_PRIME give a minor nonzero over Z: None.  The columns: with
-        nothing carried, one `_pivots_mod_q` pass over the rows of `_values`
-        finds their pivot columns mod the prime, in row order, stopping at
-        dim Phi of them; n of them prove the rows independent: None.
+        _PROOF_PRIME give a minor nonzero over Z: None.
 
-        The elimination: an elimination is (cols, reducer, ids, records):
-        the columns of X its rows are restricted to; a `RowReducer` over
-        those rows, each row under the index it got there (its id); the ids
-        of rows 0..k; and the records (j, den, {i: num}), earliest first,
-        each saying that the dropped row of id j is sum_i num_i / den *
-        row_i over rows alive when it was dropped, so that no record names
-        an id an earlier one removed.  At most two eliminations run.  The
-        first carries on from `_carried`, on a copy, so that this frame's
-        elimination stays its own, or else starts on the columns.  It adds
-        the rows after the carried ones until one is dependent, and that
-        row's certificate, rewritten through the records into ints c with
-        sum_{i<=k} c_i V_i = 0 and c_k < 0, is checked exactly as a relation
-        on all of X.  If the check fails, the second, a fresh elimination of
-        the full rows, settles the step: its certificate is exact.
-        Restricting rows to columns keeps every dependence, so k is no later
-        than the first truly dependent row, and a c that passes the check is
-        a true dependence among rows 0..k, unique up to scale since rows
-        0..k-1 are independent: the certificate is the one a fresh frame
-        gives, whichever elimination the frame carries.  It gives
+        The elimination: an elimination is (reducer, ids, records): a
+        `RowReducer` over full rows of `_values`, each row under the index it
+        got there (its id); the ids of rows 0..k; and the records
+        (j, den, {i: num}), earliest first, each saying that the dropped row
+        of id j is sum_i num_i / den * row_i over rows alive when it was
+        dropped, so that no record names an id an earlier one removed.  One
+        elimination runs: it carries on from `_carried`, on a copy, so that
+        this frame's elimination stays its own, or else starts afresh.  It
+        adds the rows after the carried ones until one is dependent, and
+        that row's certificate, rewritten through the records into ints c
+        with sum_{i<=k} c_i V_i = 0 and c_k < 0, is exact: `_point_set` is
+        unisolvent for Phi, so a dependence among the value rows is one
+        among the forms, unique up to scale since rows 0..k-1 are
+        independent, and the certificate is the one a fresh frame gives,
+        whichever elimination the frame carries.  It gives
         omega_i = c_i s_i^p / w_i, scaled to max 1.
 
         The guard: an elimination that finds every row independent checks
-        the rank bound n <= dim Phi (RuntimeError); the two earlier None
-        exits already imply it."""
+        the rank bound n <= dim Phi (RuntimeError); the proof pass already
+        implies it."""
         dim = dim_phi(self.field, self.m, self.p)
         if self.n <= dim and "_values" not in vars(self):
             points = _proof_points(self.n + 4, self.field.real_dimension * self.m)
@@ -260,34 +252,22 @@ class WeightedFrame:
                       for s, linear in self._linear_forms)
             if None not in _pivots_mod_q([v % _PROOF_PRIME for v in row] for row in values):
                 return None
-        rows = [row for _, row in self._values]
-        first = self._carried
-        if first is None:
-            pivots = _pivots_mod_q([v % _PROOF_PRIME for v in row] for row in rows)
-            cols = tuple(islice((col for col in pivots if col is not None), dim))
-            if len(cols) >= self.n:
-                return None
-            first = (cols, RowReducer(), (), ())
-        for cols, reducer, ids, records in (first, (range(len(rows[0])), RowReducer(), (), ())):
-            reducer, ids = reducer.copy(), list(ids)
-            for k in range(len(ids), self.n):
-                ids.append(reducer.added)
-                if (cert := reducer.add_row({col: rows[k][col] for col in cols})) is not None:
-                    break
-            else:
-                if self.n > dim:
-                    raise RuntimeError(
-                        f"{self.n} independent forms exceed dim Phi = {dim}: a defect")
-                return None
-            coeffs = _rewritten(cert, records, ids)
-            if _vanishes(coeffs, rows[:k + 1]):
-                combo = [c * s**self.p / w
-                         for c, (s, _), w in zip(coeffs, self._values, self.weights)]
-                peak = max(combo)
-                omega = tuple(c / peak for c in combo) + (Fraction(0),) * (self.n - k - 1)
-                return (DependenceCertificate(omega=omega, pivot=omega.index(Fraction(1))), k,
-                        (cols, reducer, tuple(ids), records))
-        raise RuntimeError("a certificate on the full value rows failed its exact check: a defect")
+        reducer, ids, records = self._carried or (RowReducer(), (), ())
+        reducer, ids = reducer.copy(), list(ids)
+        for k in range(len(ids), self.n):
+            ids.append(reducer.added)
+            if (cert := reducer.add_row(dict(enumerate(self._values[k][1])))) is not None:
+                break
+        else:
+            if self.n > dim:
+                raise RuntimeError(f"{self.n} independent forms exceed dim Phi = {dim}: a defect")
+            return None
+        combo = [c * s**self.p / w for c, (s, _), w in
+                 zip(_rewritten(cert, records, ids), self._values, self.weights)]
+        peak = max(combo)
+        omega = tuple(c / peak for c in combo) + (Fraction(0),) * (self.n - k - 1)
+        return (DependenceCertificate(omega=omega, pivot=omega.index(Fraction(1))), k,
+                (reducer, tuple(ids), records))
 
     @cached_property
     def _scaling_forms(self) -> ScalingForms:
@@ -420,16 +400,45 @@ def _pivots_mod_q(rows):
 
 @lru_cache(maxsize=None)
 def _point_set(field: Field, m: int, p: int) -> Tuple[Tuple[int, ...], ...]:
-    """Integer points on which evaluation is injective on Phi_K(m,p): the
-    lattice (alpha, 1, 0^{d-1}), |alpha| <= p, on the slice where the last
-    entry x_m is real, comb(d(m-1)+p, p) points.  If f in Phi vanishes there:
-    its restriction to the slice is a degree-p form in d(m-1)+1 real
-    variables; dehomogenised at Re x_m = 1 it vanishes on the principal
-    lattice, which is unisolvent for degree <= p, so f is zero on the slice;
-    x g lies on the slice for the unit g = conj(x_m)/|x_m| when x_m != 0,
-    and f(x) = f(x g) = 0; so f vanishes on a dense set, hence f = 0."""
+    """Y, dim Phi integer points on which evaluation is injective on
+    Phi_K(m,p), the same in every process: a subset, in order, of the
+    lattice X of points (alpha, 1, 0^{d-1}), |alpha| <= p, on the slice
+    where the last entry x_m is real, comb(d(m-1)+p, p) points.
+
+    X is unisolvent: if f in Phi vanishes on X, its restriction to the slice
+    is a degree-p form in d(m-1)+1 real variables; dehomogenised at
+    Re x_m = 1 it vanishes on the principal lattice, which is unisolvent for
+    degree <= p, so f is zero on the slice; x g lies on the slice for the
+    unit g = conj(x_m)/|x_m| when x_m != 0, and f(x) = f(x g) = 0; so f
+    vanishes on a dense set, hence f = 0.  Over R, X has dim Phi points and
+    is Y.
+
+    Over C and H, Y is the points of X whose columns keep a pivot modulo
+    _PROOF_PRIME in the rows of values on X of the products of p/2
+    quadratic invariants |<v, x>|^2, v in {e_i} and
+    {e_i + e_j eps_c : i < j, c < d} (discrete Leja points, Bos, De Marchi,
+    Sommariva and Vianello, SIAM J. Numer. Anal. 48, 2010, chosen
+    exactly).  The products lie in Phi and span it (first fundamental
+    theorem, Weyl, The Classical Groups), so dim Phi pivots give a
+    dim Phi x dim Phi minor nonzero modulo the prime, hence over Z, and a
+    form in Phi that vanishes on Y is zero.  Any other rank is a defect
+    (RuntimeError)."""
     d = field.real_dimension
-    return tuple(e[1:] + (1,) + (0,) * (d - 1) for e in monomials(d * (m - 1) + 1, p))
+    lattice = tuple(e[1:] + (1,) + (0,) * (d - 1) for e in monomials(d * (m - 1) + 1, p))
+    if d == 1:
+        return lattice
+    units = [KElement(field, tuple(int(t == c) for t in range(d))) for c in range(d)]
+    basis = [KVector.canonical(field, m, i) for i in range(m)]
+    directions = basis + [basis[i] + basis[j].scale_right(unit)
+                          for i, j in combinations(range(m), 2) for unit in units]
+    squares = [_scaled_values(*_scaled_linear_forms(v), 2, lattice)[1] for v in directions]
+    rows = ([math.prod(column) for column in zip(*chosen)]
+            for chosen in combinations_with_replacement(squares, p // 2))
+    cols = sorted(col for col in _pivots_mod_q(rows) if col is not None)
+    if len(cols) != (dim := dim_phi(field, m, p)):
+        raise RuntimeError(f"the invariant products keep {len(cols)} pivots modulo the "
+                           f"prime, not dim Phi = {dim}: a defect")
+    return tuple(lattice[col] for col in cols)
 
 
 def _vanishes(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:
@@ -466,15 +475,15 @@ def dependence(frame: WeightedFrame) -> Optional[DependenceCertificate]:
 
     Reads no form, only V_k = |<s_k u_k, x>|^p (s_k the lcm of u_k's
     denominators) at fixed integer points: at n + 4 points for a proof of
-    independence, else on X, the lattice of `_point_set` on the slice where
-    x_m is real (unisolvent for Phi by unit invariance).  The certificate
-    omega satisfies sum_k omega_k w_k |<u_k, x>|^p = 0 exactly, with
-    max omega = 1, omega_k < 0 at the first dependent row k and omega_i = 0
-    past it; it is unique, the one a fresh frame gives, whichever
-    elimination the frame carries along a chain.  A frame decides once
-    (`WeightedFrame._first_dependence`, where the proof pass, the pivot
-    columns, the exact elimination and the rank guard are described):
-    asking it again returns the same answer at no cost.
+    independence, else on Y, the dim Phi points of `_point_set`, unisolvent
+    for Phi.  The certificate omega satisfies
+    sum_k omega_k w_k |<u_k, x>|^p = 0 exactly, with max omega = 1,
+    omega_k < 0 at the first dependent row k and omega_i = 0 past it; it is
+    unique, the one a fresh frame gives, whichever elimination the frame
+    carries along a chain.  A frame decides once
+    (`WeightedFrame._first_dependence`, where the proof pass, the exact
+    elimination and the rank guard are described): asking it again returns
+    the same answer at no cost.
     """
     if not frame.is_exact:
         raise FrameError("dependence detection requires exact rational entries")
@@ -493,13 +502,12 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     The output keeps the input's linear forms, values and expansions.  When
     omega drops exactly one vector j and the elimination that settled the
     input's dependence stopped at k = max{i : omega_i != 0}, the output
-    carries that elimination on, with its columns, whether they are the
-    pivot columns or all of X: omega_j != 0, so rows {0..k} minus j span
-    what rows 0..k-1 span, the pivots span the output's rows 0..k-1, and
-    its next dependent row is its first.  For j != k the elimination keeps
-    the record row_j = -sum_{i!=j} a_i / a_j row_i; row k keeps its id.  A
-    step that drops several vectors can shrink the span, so its output
-    finds its own columns and starts afresh.
+    carries that elimination (reducer, ids, records) on: omega_j != 0, so
+    rows {0..k} minus j span what rows 0..k-1 span, the pivots span the
+    output's rows 0..k-1, and its next dependent row is its first.  For
+    j != k the elimination keeps the record
+    row_j = -sum_{i!=j} a_i / a_j row_i; row k keeps its id.  A step that
+    drops several vectors can shrink the span, so its output starts afresh.
     """
     if len(cert.omega) != frame.n:
         raise CertificateError(
@@ -526,13 +534,13 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
         object.__setattr__(reduced, "_expansions", tuple(frame._expansions[k] for k in keep))
     found = vars(frame).get("_first_dependence")
     if len(keep) == frame.n - 1 and found and max(i for i, x in enumerate(a) if x) == found[1]:
-        _, k, (cols, reducer, ids, records) = found
+        _, k, (reducer, ids, records) = found
         j = cert.omega.index(1)
         if j != k:
             g = math.gcd(*a)
             records += ((ids[j], a[j] // g, {
                 ids[i]: -a[i] // g for i in range(k + 1) if a[i] and i != j}),)
-        object.__setattr__(reduced, "_carried", (cols, reducer, ids[:j] + ids[j + 1:], records))
+        object.__setattr__(reduced, "_carried", (reducer, ids[:j] + ids[j + 1:], records))
     return reduced
 
 

@@ -325,7 +325,12 @@ def test_forms_expanded_once_across_reductions(monkeypatch):
 def test_linear_forms_built_once_per_vector(monkeypatch):
     # verify, the proof pass, the value rows of a dependence/reduce_once
     # chain and the final verify read one build of the linear forms
-    # <s_k u_k, x> per input vector: reduced frames inherit the kept ones
+    # <s_k u_k, x> per input vector: reduced frames inherit the kept ones.
+    # The point sets, which read the linear forms of their own directions,
+    # are built before counting.
+    keys = ((Field.R, 2, 4), (Field.C, 2, 4), (Field.H, 2, 2))
+    for key in keys:
+        isoframe.frames._point_set(*key)
     calls = []
     build = isoframe.frames._scaled_linear_forms
 
@@ -335,7 +340,7 @@ def test_linear_forms_built_once_per_vector(monkeypatch):
 
     monkeypatch.setattr(isoframe.frames, "_scaled_linear_forms", counting_build)
     rng = random.Random(85)
-    for field, m, p in ((Field.R, 2, 4), (Field.C, 2, 4), (Field.H, 2, 2)):
+    for field, m, p in keys:
         dim = dim_phi(field, m, p)
         for frame in (dependent_frame(rng, field, m, p, dim - 1),
                       dependent_frame(rng, field, m, p, dim + 2),
@@ -539,18 +544,23 @@ def test_value_chains_match_weighted_rows(field, m, p):
     (Field.R, 2, 4), (Field.R, 3, 4), (Field.C, 2, 4), (Field.C, 3, 2),
     (Field.H, 2, 2), (Field.H, 2, 4), (Field.C, 2, 6), (Field.C, 3, 4),
     (Field.H, 3, 2), (Field.C, 4, 2), (Field.H, 4, 2), (Field.C, 1, 4),
-    (Field.H, 1, 4),
+    (Field.H, 1, 4), (Field.C, 3, 6), (Field.H, 3, 4),
 ])
 def test_point_set_is_unisolvent_for_phi_basis(field, m, p):
     # independent oracle: the unit-group averaged basis of Phi, evaluated at
-    # the point set, has full rank dim Phi
+    # the point set Y, has full rank dim Phi.  Y is dim Phi points of the
+    # lattice X where the last entry x_m is real, in X's order, and all of X
+    # over R.
     points = isoframe.frames._point_set(field, m, p)
     d = field.real_dimension
     dim = dim_phi(field, m, p)
-    assert len(points) == len(set(points)) == math.comb(d * (m - 1) + p, p) >= dim
+    lattice = tuple(e[1:] + (1,) + (0,) * (d - 1) for e in monomials(d * (m - 1) + 1, p))
+    assert len(lattice) == math.comb(d * (m - 1) + p, p) >= dim
+    assert len(points) == dim and set(points) <= set(lattice)
+    positions = [lattice.index(pt) for pt in points]
+    assert positions == sorted(set(positions))
+    assert field is not Field.R or points == lattice
     assert all(type(x) is int for pt in points for x in pt)
-    # the last entry x_m is real
-    assert all(len(pt) == d * m and pt[d * (m - 1):] == (1,) + (0,) * (d - 1) for pt in points)
     reducer = RowReducer()
     for form in phi_basis(field, m, p).basis:
         assert reducer.add_row(dict(enumerate(form.evaluate(pt) for pt in points))) is None
@@ -607,121 +617,92 @@ def test_degenerate_proof_points_fall_back_to_exact_loop(monkeypatch):
     frame = random_rational_frame(Field.R, 4, 8, 25)
     CountingReducer.widths = []
     assert dependence(frame) is None
-    # the value rows keep a pivot each modulo the prime: no exact elimination
-    assert "_values" in vars(frame) and CountingReducer.widths == []
+    # each value row enters the exact elimination once, at the point set's width
+    assert "_values" in vars(frame)
+    assert CountingReducer.widths == [dim_phi(Field.R, 4, 8)] * frame.n
 
 
-def test_denominator_divisible_by_proof_prime_falls_back(monkeypatch):
+def test_rows_that_lose_rank_modulo_the_prime_decide_exactly(monkeypatch, fresh_point_sets):
+    # a proof pass that fails modulo the prime proves nothing, and the exact
+    # elimination on the point set decides.  With a denominator divisible by
+    # the prime, (q x_1 + x_2)^4 = x_2^4 mod q; under _PROOF_PRIME = 5 most
+    # value rows look dependent.  Every certificate is the weighted-row one.
+    # The point sets are built under the real prime first.
     q = isoframe.frames._PROOF_PRIME
-    monkeypatch.setattr(isoframe.frames, "RowReducer", CountingReducer)
-    CountingReducer.widths = []
     independent = WeightedFrame(Field.R, 2, 4, (rvec(1, 0), rvec(0, 1), rvec(1, Fraction(1, q))),
                                 (Fraction(1),) * 3)
     assert dependence(independent) is None
-    # (q x_1 + x_2)^4 = x_2^4 mod q at the 5 points: the candidate on the two
-    # pivot columns fails its exact check, and the full value rows run
-    assert CountingReducer.widths == [2, 2, 2, 5, 5, 5]
     dependent = WeightedFrame(Field.R, 2, 4, (rvec(0, 1), rvec(1, 0), rvec(Fraction(2, q), 0)),
                               (Fraction(1, 2), Fraction(1, 3), Fraction(5, 7)))
     cert = dependence(dependent)
     assert cert == weighted_row_dependence(dependent)
     assert cert.pivot == 1 and cert.omega[0] == 0
+    keys = ((Field.R, 2, 4), (Field.C, 2, 4), (Field.H, 2, 2), (Field.R, 3, 4))
+    for key in keys:
+        isoframe.frames._point_set(*key)
+    monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", 5)
+    assert_chains_match_weighted_rows(keys[:3])
+    rng = random.Random(83)
+    for n in (3, 6):
+        assert_chain_matches_weighted_rows(dependent_frame(rng, Field.R, 3, 4, n))
 
 
 def test_point_set_is_closed_form(monkeypatch, fresh_point_sets):
-    # no random draw and no rank check modulo the prime builds the point set
+    # no random draw builds the point set, so every process chooses the
+    # same one; over R it is the lattice, with no rank check modulo the prime
     def forbidden(*args):
-        raise AssertionError("the point set ran the proof machinery")
+        raise AssertionError("the point set drew at random or ran a mod-q pass")
 
-    for name in ("_proof_points", "_pivots_mod_q", "dim_phi"):
+    monkeypatch.setattr(isoframe.frames, "_proof_points", forbidden)
+    monkeypatch.setattr(isoframe.frames, "random", None)
+    first = {field: isoframe.frames._point_set(field, 2, 4) for field in (Field.C, Field.H)}
+    isoframe.frames._point_set.cache_clear()
+    assert {field: isoframe.frames._point_set(field, 2, 4) for field in first} == first
+    for name in ("_pivots_mod_q", "dim_phi"):
         monkeypatch.setattr(isoframe.frames, name, forbidden)
-    for field in (Field.R, Field.C, Field.H):
-        points = isoframe.frames._point_set(field, 3, 4)
-        assert len(points) == math.comb(field.real_dimension * 2 + 4, 4)
+    assert len(isoframe.frames._point_set(Field.R, 3, 4)) == math.comb(3 + 4 - 1, 4)
     # over R it is the lattice (alpha, 1), |alpha| <= p, in every coordinate
     assert isoframe.frames._point_set(Field.R, 2, 2) == ((0, 1), (1, 1), (2, 1))
 
 
-def recording_checks(monkeypatch):
-    """Patch the exact check of dependence and reduce_once to record each verdict."""
-    checks, exact_check = [], isoframe.frames._vanishes
-
-    def recording_vanishes(coeffs, rows):
-        checks.append(exact_check(coeffs, rows))
-        return checks[-1]
-
-    monkeypatch.setattr(isoframe.frames, "_vanishes", recording_vanishes)
-    return checks
-
-
-def test_mod_q_only_dependence_falls_back_to_value_rows(monkeypatch):
-    # modulo 5 most value rows look dependent; each candidate that fails its
-    # exact check sends dependence to the full value rows, with the same
-    # certificates
-    monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", 5)
-    checks = recording_checks(monkeypatch)
-    assert_chains_match_weighted_rows(((Field.R, 2, 4), (Field.C, 2, 4), (Field.H, 2, 2)))
-    rng = random.Random(83)
-    for n in (3, 6):
-        assert_chain_matches_weighted_rows(dependent_frame(rng, Field.R, 3, 4, n))
-    assert False in checks and True in checks
+def test_point_set_guards_its_rank(monkeypatch, fresh_point_sets):
+    # the invariant products keep dim Phi pivots; a dimension one below or
+    # one above the truth is a defect
+    for field, m, p in ((Field.C, 2, 4), (Field.H, 2, 4)):
+        dim = dim_phi(field, m, p)
+        for claimed in (dim - 1, dim + 1):
+            monkeypatch.setattr(isoframe.frames, "dim_phi", lambda field, m, p: claimed)
+            with pytest.raises(RuntimeError, match=f"not dim Phi = {claimed}: a defect"):
+                isoframe.frames._point_set(field, m, p)
 
 
-@pytest.mark.parametrize("prime", [None, 5, 7])
-def test_chain_hands_on_the_pivot_columns(monkeypatch, prime):
-    # one mod-q pass finds the pivot columns of a chain and reduce_once hands
-    # them on, inside the carried elimination, across one-vector drops, so
-    # along a chain each value row goes through the pass at most once, and
-    # every certificate is that of a fresh frame.  Under the proof prime the
-    # pass stops at dim Phi pivots, before the last row.  Under a small
-    # prime a candidate on handed-on columns can fail its exact check, and
-    # the full rows then settle it.  The chains start above dim Phi, so no
-    # proof pass runs.
-    if prime is not None:
-        monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", prime)
-    q = isoframe.frames._PROOF_PRIME
-    pivots, pulled = isoframe.frames._pivots_mod_q, []
-
-    def counting_pivots(rows):
-        return pivots(pulled.append(tuple(row)) or row for row in rows)
-
-    monkeypatch.setattr(isoframe.frames, "_pivots_mod_q", counting_pivots)
-    checks = recording_checks(monkeypatch)
-    rng = random.Random(89)
-    handed_on_rejections = 0
-    for field, m, p in ((Field.R, 2, 4), (Field.R, 3, 4), (Field.C, 2, 4),
-                        (Field.H, 2, 2), (Field.H, 2, 4)):
-        for _ in range(4):
-            current = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 4)
-            rows = Counter(tuple(v % q for v in row) for _, row in current._values)
-            del pulled[:]
-            steps = []
-            while True:
-                handed_on = current._carried is not None
-                del checks[:]
-                cert = dependence(current)
-                handed_on_rejections += handed_on and False in checks
-                steps.append((current, cert))
-                if cert is None:
-                    break
-                assert cert.omega.count(1) == 1
-                current = reduce_once(current, cert)
-            assert Counter(pulled) <= rows
-            assert prime is not None or len(pulled) < steps[0][0].n
-            for frame, cert in steps:
-                assert cert == dependence(WeightedFrame(field, m, p, frame.vectors, frame.weights))
-    if prime is None:
-        assert handed_on_rejections == 0
-    elif prime == 5:
-        assert handed_on_rejections > 0
+def test_early_dependence_adds_two_rows(monkeypatch):
+    # a frame longer than dim Phi whose vector 1 is twice vector 0 depends
+    # at row 1: once the key's point set is built, dependence runs no mod-q
+    # pass and adds rows 0 and 1 alone to the exact elimination
+    passes = []
+    pivots = isoframe.frames._pivots_mod_q
+    monkeypatch.setattr(isoframe.frames, "_pivots_mod_q",
+                        lambda rows: passes.append(None) or pivots(rows))
+    monkeypatch.setattr(isoframe.frames, "RowReducer", CountingReducer)
+    for field, m, p in ((Field.R, 3, 4), (Field.C, 2, 4), (Field.H, 2, 4)):
+        isoframe.frames._point_set(field, m, p)
+        drawn = random_rational_frame(field, m, p, dim_phi(field, m, p) + 3, seed=94)
+        u = drawn.vectors[0]
+        frame = WeightedFrame(field, m, p, (u, u.scale_real(2)) + drawn.vectors[2:], drawn.weights)
+        del passes[:]
+        CountingReducer.rows = []
+        cert = dependence(frame)
+        assert passes == [] and len(CountingReducer.rows) == 2
+        assert cert == weighted_row_dependence(frame) and cert.pivot == 0
+    CountingReducer.rows = []
 
 
 def test_chain_after_a_tie_finds_its_own_columns():
     # acceptance criterion 4's seed-8 frame: the synthetic frame united with
     # real2-rational-p4, vector 0 split at 1/5.  Its fourth step drops two
-    # vectors at n = 7, which can shrink the span, so the output finds its
-    # own pivot columns and starts afresh; each one-vector drop hands on the
-    # elimination with its columns
+    # vectors at n = 7, which can shrink the span, so the output starts a
+    # fresh elimination; each one-vector drop hands on its elimination
     current = criterion_4_frame(8)
     drops = []
     while True:
@@ -736,8 +717,8 @@ def test_chain_after_a_tie_finds_its_own_columns():
     assert drops == [(10, 1), (9, 1), (8, 1), (7, 2), (5, 1)]
 
 
-# seeded chains of dim Phi + 4 vectors, drawn as in
-# test_chain_hands_on_the_pivot_columns: every step drops one vector
+# seeded chains of dim Phi + 4 vectors, drawn by `dependent_frame` from
+# random.Random(89): every step drops one vector
 CHAIN_KEYS = ((Field.R, 2, 4), (Field.R, 3, 4), (Field.C, 2, 4), (Field.H, 2, 2), (Field.H, 2, 4))
 
 
@@ -758,14 +739,13 @@ def negated(cert):
 
 def test_chain_carries_one_exact_elimination(monkeypatch):
     # along each chain one exact elimination runs: every step after the
-    # first carries it on, each value row enters it at most once (no
-    # candidate fails its exact check, so no full rows run), and every
-    # certificate is that of a fresh frame.  Every other step reduces along
-    # the negated certificate, which dependence did not produce, so steps
-    # drop the dependent row itself (j = k) as well as an earlier row
-    # (j < k), whose later certificates are rewritten through its record.
+    # first carries it on, each full value row on the point set enters it
+    # once, and every certificate is that of a fresh frame.  Every other
+    # step reduces along the negated certificate, which dependence did not
+    # produce, so steps drop the dependent row itself (j = k) as well as an
+    # earlier row (j < k), whose later certificates are rewritten through
+    # its record.
     monkeypatch.setattr(isoframe.frames, "RowReducer", CountingReducer)
-    checks = recording_checks(monkeypatch)
     rng = random.Random(89)
     drops = Counter()
     for field, m, p in CHAIN_KEYS:
@@ -782,60 +762,13 @@ def test_chain_carries_one_exact_elimination(monkeypatch):
                 current = reduce_once(current, cert)
                 assert current._carried is not None
             steps.append((current, None))
-            assert False not in checks
-            cols = steps[0][0]._first_dependence[2][0]
-            value_rows = Counter(tuple((col, row[col]) for col in cols)
-                                 for _, row in steps[0][0]._values)
-            assert Counter(CountingReducer.rows) <= value_rows
+            value_rows = Counter(tuple(enumerate(row)) for _, row in steps[0][0]._values)
+            assert Counter(CountingReducer.rows) == value_rows
             for frame, cert in steps:
                 assert cert == dependence(fresh(frame))
     CountingReducer.rows = []
     # j = k and j < k both occur
     assert drops[True] > 0 and drops[False] > 0
-
-
-def test_carried_candidate_that_fails_its_check_hands_on_the_full_rows(monkeypatch):
-    # modulo 5 the pivot columns lose rank over Q, and a candidate from the
-    # carried elimination can fail its exact check; the full rows settle
-    # it, and that step's output carries their elimination on.  Every later
-    # step of the chain carries it too, with no mod-q pass and no failed
-    # check, and every certificate is still that of a fresh frame.
-    monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", 5)
-    checks = recording_checks(monkeypatch)
-    pivots, passes = isoframe.frames._pivots_mod_q, []
-
-    def counting_pivots(rows):
-        passes.append(None)
-        return pivots(rows)
-
-    monkeypatch.setattr(isoframe.frames, "_pivots_mod_q", counting_pivots)
-    rng = random.Random(89)
-    rejected = 0
-    for field, m, p in CHAIN_KEYS:
-        for _ in range(4):
-            current = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 4)
-            full_rows = range(len(current._values[0][1]))
-            on_full_rows = False
-            steps = []
-            while True:
-                carried = current._carried is not None
-                del checks[:], passes[:]
-                cert = dependence(current)
-                steps.append((current, cert))
-                if on_full_rows:
-                    assert passes == [] and False not in checks
-                if cert is None:
-                    break
-                failed = False in checks
-                rejected += carried and failed
-                assert cert.omega.count(1) == 1
-                current = reduce_once(current, cert)
-                on_full_rows = on_full_rows or failed
-                cols = full_rows if on_full_rows else steps[0][0]._first_dependence[2][0]
-                assert list(current._carried[0]) == list(cols)
-            for frame, cert in steps:
-                assert cert == dependence(fresh(frame))
-    assert rejected > 0
 
 
 def test_parent_frame_keeps_its_own_elimination():
@@ -875,8 +808,9 @@ def test_a_frame_decides_its_dependence_once(monkeypatch):
     calls.clear()
     assert dependence(independent) is None and not calls
     dependent = criterion_4_frame(8)
+    CountingReducer.rows = []
     cert = dependence(dependent)
-    assert cert is not None and calls["_pivots_mod_q"] > 0
+    assert cert is not None and CountingReducer.rows
     calls.clear()
     CountingReducer.rows = []
     assert dependence(dependent) is cert
@@ -1308,18 +1242,19 @@ def per_update_pivots(rows, prime):
 
 
 @pytest.mark.parametrize("prime", [None, 5])
-def test_pivots_mod_q_matches_per_update_reference(monkeypatch, prime):
+def test_pivots_mod_q_matches_per_update_reference(monkeypatch, fresh_point_sets, prime):
     # rows updated unreduced and reduced once give the columns of the
     # per-update reduction, under the proof prime and under 5, where many
-    # factors and entries vanish mod q
-    if prime is not None:
-        monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", prime)
-    q = isoframe.frames._PROOF_PRIME
+    # factors and entries vanish mod q; the value rows are read under the
+    # proof prime
     rng = random.Random(90)
     row_sets = []
     for field, m, p in ((Field.R, 3, 4), (Field.C, 2, 4), (Field.H, 2, 2)):
         frame = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 2)
         row_sets.append([list(values) for _, values in frame._values])
+    if prime is not None:
+        monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", prime)
+    q = isoframe.frames._PROOF_PRIME
     for width, count in ((6, 9), (15, 12)):
         rows = [[rng.randint(-10**6, 10**6) for _ in range(width)] for _ in range(count)]
         rows.insert(3, [a - 2 * b for a, b in zip(rows[0], rows[1])])

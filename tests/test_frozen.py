@@ -86,8 +86,9 @@ def test_verify_residual_smoke():
 
 def test_complex_and_quaternion_chain_smoke():
     # random C^3 p = 4 (54 -> 36) and H^2 p = 4 (40 -> 20) chains: every
-    # certificate and the reduced frame, read from value rows on the lattice
-    # where x_m is real (wider than dim Phi over C and H)
+    # certificate and the reduced frame, read from value rows on dim Phi
+    # points of the lattice where x_m is real, pinned when the rows spanned
+    # the whole lattice
     assert chain(drawn_frame(Field.C, 3, 4, 54)) == (36, [
         '1c019e28ddd4b241c15c98a76b6e92884479c46dc7677a659f96ed187f4b86aa',
         'c6e0c44b0fbd15ecf98b6437221dad0017d19014c7294a3a8072363ccc0cda40',
@@ -185,8 +186,8 @@ def test_chain_timing_script_prints_the_chain_answers():
 
 def test_large_real_chain_smoke():
     # random R^4 p = 6 chain (126 -> 84, 42 steps): one exact elimination of
-    # the value rows on the pivot columns is carried along the chain, each
-    # row entering it once, where solving every step afresh took about 48 s;
+    # the value rows is carried along the chain, each row entering it once,
+    # where solving every step afresh took about 48 s;
     # every certificate and the reduced frame are those of per-step solving
     assert chain(drawn_frame(Field.R, 4, 6, 126)) == (84, [
         '04f9921b0cc01d177127ea18eba7c7cd4e5f56a7465932c04d601319ccad6c16',

@@ -3,11 +3,13 @@
 Each chain is `tests/test_frozen.py::chain` (dependence and reduce_once
 until the forms are independent) on a drawn frame (`drawn_frame` of the
 same file), or on one of acceptance criterion 4's seeded frames
-(`criterion_4_frame` of `tests/conftest.py`).  A line
-holds the wall time of one run in this process, the final size, the sha256
-of every certificate and of the reduced frame, so two checkouts can be
-compared answer for answer.  `early-*` names time one `dependence` on a
-drawn frame whose vector 1 is twice vector 0.
+(`criterion_4_frame` of `tests/conftest.py`).  A line holds
+`point_set_s`, the time to build the key's point set (`frames._point_set`)
+from an empty cache; `seconds`, the median wall time of 3 runs in this
+process, each on a freshly built frame, after that point set is built; and
+the final size, the sha256 of every certificate and of the reduced frame, so
+two checkouts can be compared answer for answer.  `early-*` names time one
+`dependence` on a drawn frame whose vector 1 is twice vector 0.
 
     PYTHONPATH=src python3 tools/chain_timing.py [NAME ...]
 
@@ -16,6 +18,7 @@ prints every name.
 """
 
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -23,7 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from isoframe.frames import WeightedFrame, dependence, verify  # noqa: E402
+from isoframe.frames import WeightedFrame, _point_set, dependence, verify  # noqa: E402
 from isoframe.kscalar import Field  # noqa: E402
 
 from conftest import criterion_4_frame  # noqa: E402
@@ -39,6 +42,7 @@ EARLY = {"early-R4p6-85": (Field.R, 4, 6, 85), "early-C3p4-40": (Field.C, 3, 4, 
          "early-H2p6-51": (Field.H, 2, 6, 51)}
 CRITERION_4 = {"criterion4-seed8": 8, "criterion4-seed12": 12, "criterion4-seed49": 49}
 DEFAULT = ["R3p6-56", "R4p4-70", "C3p4-54", "H2p4-40", *CRITERION_4]
+RUNS = 3
 
 
 def early_frame(field, m, p, n):
@@ -47,24 +51,39 @@ def early_frame(field, m, p, n):
     return WeightedFrame(field, m, p, (u, u.scale_real(2)) + frame.vectors[2:], frame.weights)
 
 
-def run(name):
+def build(name):
     if name in EARLY:
-        frame = early_frame(*EARLY[name])
-        start = time.perf_counter()
-        cert = dependence(frame)
-        seconds = time.perf_counter() - start
-        return {"name": name, "seconds": round(seconds, 4), "pivot": cert.pivot,
-                "certificate": sha(repr((cert.omega, cert.pivot)))}
+        return early_frame(*EARLY[name])
     if name in DRAWN:
-        frame = drawn_frame(*DRAWN[name])
-    else:
-        frame = criterion_4_frame(CRITERION_4[name])
-        assert verify(frame).passed
-    start = time.perf_counter()
+        return drawn_frame(*DRAWN[name])
+    frame = criterion_4_frame(CRITERION_4[name])
+    assert verify(frame).passed
+    return frame
+
+
+def answer(name, frame):
+    if name in EARLY:
+        cert = dependence(frame)
+        return {"pivot": cert.pivot, "certificate": sha(repr((cert.omega, cert.pivot)))}
     n, steps, reduced = chain(frame)
-    seconds = time.perf_counter() - start
-    return {"name": name, "seconds": round(seconds, 4), "n": [frame.n, n],
-            "certificates": steps, "reduced": reduced}
+    return {"n": [frame.n, n], "certificates": steps, "reduced": reduced}
+
+
+def run(name):
+    frame = build(name)
+    _point_set.cache_clear()
+    start = time.perf_counter()
+    _point_set(frame.field, frame.m, frame.p)
+    point_set_s = time.perf_counter() - start
+    seconds, answers = [], []
+    for _ in range(RUNS):
+        frame = build(name)
+        start = time.perf_counter()
+        answers.append(answer(name, frame))
+        seconds.append(time.perf_counter() - start)
+    assert all(a == answers[0] for a in answers), f"{name}: the runs disagree"
+    return {"name": name, "seconds": round(statistics.median(seconds), 4),
+            "point_set_s": round(point_set_s, 4), **answers[0]}
 
 
 def main(argv):
