@@ -622,29 +622,63 @@ def test_degenerate_proof_points_fall_back_to_exact_loop(monkeypatch):
     assert CountingReducer.widths == [dim_phi(Field.R, 4, 8)] * frame.n
 
 
-def test_rows_that_lose_rank_modulo_the_prime_decide_exactly(monkeypatch, fresh_point_sets):
-    # a proof pass that fails modulo the prime proves nothing, and the exact
-    # elimination on the point set decides.  With a denominator divisible by
-    # the prime, (q x_1 + x_2)^4 = x_2^4 mod q; under _PROOF_PRIME = 5 most
-    # value rows look dependent.  Every certificate is the weighted-row one.
-    # The point sets are built under the real prime first.
+def test_denominator_divisible_by_proof_prime_falls_back(monkeypatch):
+    # (q x_1 + x_2)^4 = x_2^4 mod q at the proof points: the proof pass
+    # proves nothing, and the exact elimination on the point set decides,
+    # each value row entering it once at dim Phi = 5 columns
     q = isoframe.frames._PROOF_PRIME
+    monkeypatch.setattr(isoframe.frames, "RowReducer", CountingReducer)
+    CountingReducer.widths = []
     independent = WeightedFrame(Field.R, 2, 4, (rvec(1, 0), rvec(0, 1), rvec(1, Fraction(1, q))),
                                 (Fraction(1),) * 3)
     assert dependence(independent) is None
+    assert CountingReducer.widths == [5, 5, 5]
     dependent = WeightedFrame(Field.R, 2, 4, (rvec(0, 1), rvec(1, 0), rvec(Fraction(2, q), 0)),
                               (Fraction(1, 2), Fraction(1, 3), Fraction(5, 7)))
     cert = dependence(dependent)
     assert cert == weighted_row_dependence(dependent)
     assert cert.pivot == 1 and cert.omega[0] == 0
-    keys = ((Field.R, 2, 4), (Field.C, 2, 4), (Field.H, 2, 2), (Field.R, 3, 4))
+    CountingReducer.widths = []
+
+
+def small_prime_with_passes(monkeypatch, keys):
+    """Build the point sets of `keys` under the real prime, then patch
+    _PROOF_PRIME to 5 and record, for each mod-q pass, whether a row lost
+    its pivot."""
     for key in keys:
         isoframe.frames._point_set(*key)
     monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", 5)
+    pivots, failed = isoframe.frames._pivots_mod_q, []
+
+    def recording_pivots(rows):
+        found = list(pivots(rows))
+        failed.append(None in found)
+        return iter(found)
+
+    monkeypatch.setattr(isoframe.frames, "_pivots_mod_q", recording_pivots)
+    return failed
+
+
+def test_mod_q_only_dependence_falls_back_to_value_rows(monkeypatch, fresh_point_sets):
+    # modulo 5 many value rows look dependent; a proof pass that fails
+    # modulo the prime sends dependence to the full value rows on the point
+    # set, with the weighted-row certificates, also on frames that are
+    # independent over Q
+    keys = ((Field.R, 2, 4), (Field.C, 2, 4), (Field.H, 2, 2), (Field.R, 3, 4))
+    failed = small_prime_with_passes(monkeypatch, keys)
     assert_chains_match_weighted_rows(keys[:3])
     rng = random.Random(83)
     for n in (3, 6):
         assert_chain_matches_weighted_rows(dependent_frame(rng, Field.R, 3, 4, n))
+    mod_q_only = 0
+    for field, m, p in keys[1:]:
+        for seed in range(3):
+            frame = random_rational_frame(field, m, p, dim_phi(field, m, p) - 2, seed=seed)
+            del failed[:]
+            cert = dependence(frame)
+            assert cert == weighted_row_dependence(frame)
+            mod_q_only += failed == [True] and cert is None
+    assert mod_q_only > 0
 
 
 def test_point_set_is_closed_form(monkeypatch, fresh_point_sets):
@@ -769,6 +803,38 @@ def test_chain_carries_one_exact_elimination(monkeypatch):
     CountingReducer.rows = []
     # j = k and j < k both occur
     assert drops[True] > 0 and drops[False] > 0
+
+
+def test_carried_candidate_that_fails_its_check_hands_on_the_full_rows(monkeypatch,
+                                                                      fresh_point_sets):
+    # modulo 5 value rows lose rank that they keep over Q.  The elimination
+    # a chain carries is of the full value rows on the point set, so no
+    # carried step has a candidate to check: under the small prime every
+    # step after the first carries it on, runs no mod-q pass, adds rows at
+    # dim Phi columns alone, and gives the certificate of a fresh frame
+    failed = small_prime_with_passes(monkeypatch, CHAIN_KEYS)
+    monkeypatch.setattr(isoframe.frames, "RowReducer", CountingReducer)
+    rng = random.Random(89)
+    for field, m, p in CHAIN_KEYS:
+        dim = dim_phi(field, m, p)
+        for _ in range(4):
+            current = dependent_frame(rng, field, m, p, dim + 4)
+            steps = []
+            while True:
+                carried = current._carried is not None
+                del failed[:]
+                CountingReducer.widths = []
+                cert = dependence(current)
+                steps.append((current, cert))
+                assert carried is (len(steps) > 1)
+                assert failed == [] and set(CountingReducer.widths) <= {dim}
+                if cert is None:
+                    break
+                assert cert.omega.count(1) == 1
+                current = reduce_once(current, cert)
+            for frame, cert in steps:
+                assert cert == dependence(fresh(frame))
+    CountingReducer.widths = []
 
 
 def test_parent_frame_keeps_its_own_elimination():
