@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -374,10 +375,13 @@ def _proof_points(count: int, num_vars: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(rng.randint(-999, 999) for _ in range(num_vars)) for _ in range(count))
 
 
-def _scaled_values(s: int, linear: List[List[int]], p: int, points) -> Tuple[int, Tuple[int, ...]]:
-    """s and the integers |<s u, x>|^p at the points, from `_scaled_linear_forms(u)`."""
-    return s, tuple(sum(sum(coef * x for coef, x in zip(lin, pt)) ** 2 for lin in linear)
-                    ** (p // 2) for pt in points)
+def _scaled_values(s: int, linear: List[List[int]], p: int,
+                   points: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...]]:
+    """s and the integers |<s u, x>|^p at the points, from `_scaled_linear_forms(u)`:
+    each of the d linear rows is evaluated at every point, then each point's
+    sum of squares is raised to the power p/2."""
+    dots = [[sum(map(operator.mul, lin, pt)) for pt in points] for lin in linear]
+    return s, tuple(sum(x * x for x in column) ** (p // 2) for column in zip(*dots))
 
 
 def _pivots_mod_q(rows):

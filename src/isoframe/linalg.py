@@ -1,14 +1,20 @@
 """Exact rational linear algebra: incremental row reduction with tracking of
-how each reduced row combines the original input rows, and the matrix inverse
-read off its dependence certificates.
+how each reduced row combines the original input rows, and the matrix
+inverse by fraction-free Gauss-Jordan elimination.
 
 A row is a sparse mapping from column key to a rational coefficient (int,
 Fraction or float, read exactly); absent keys are zero.  A form's `terms`
-mapping is a row as it stands, keyed by monomial, and `matrix_inverse` keys
-its rows by column index.  Elimination runs fraction-free over the integers;
-only certificates are built as Fractions.  Each pivot sits at the first key
-of its reduced row.  A dependence certificate has the same sparse shape,
-keyed by the index of an earlier row.
+mapping is a row as it stands, keyed by monomial.  Elimination runs
+fraction-free over the integers; only certificates are built as Fractions.
+Each pivot sits at the first key of its reduced row.  A dependence
+certificate has the same sparse shape, keyed by the index of an earlier row.
+
+The inverse of a dense square int matrix g is `_integer_inverse`: the
+integer-preserving Gauss-Jordan elimination of [g | I] (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968), which gives g^-1 as rows of ints over
+one denominator with exact integer divisions.  `matrix_inverse` is its
+Fraction view.
 """
 
 from __future__ import annotations
@@ -46,8 +52,8 @@ class RowReducer:
     entry.
 
     Pivot rows are always linearly independent input rows, so each
-    certificate, each set of independent rows and each inverse is unique,
-    whichever nonzero column a pivot uses.  A dependent row never becomes a
+    certificate and each set of independent rows is unique, whichever
+    nonzero column a pivot uses.  A dependent row never becomes a
     pivot, so `add_row` never names its index in a later certificate; a
     caller that rewrites certificates through relations of its own (as a
     chain in `frames` does, which may drop a pivot row and keep a dependent
@@ -130,22 +136,67 @@ class RowReducer:
         return None
 
 
-def matrix_inverse(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Exact inverse of a square rational matrix.
+def _integer_inverse(matrix: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:
+    """(d, rows) with matrix^-1 = rows / d, for a square int matrix.
 
-    The n rows are reduced first; each unit row e_i added after them is
-    dependent, and its certificate expresses e_i in the matrix rows, which is
-    row i of the inverse.  The unit rows never become pivots, so no
-    certificate has a key n or above.
+    Step k makes column k a pivot column.  When its entry in row k is zero,
+    row k is swapped with the first later row that has a nonzero entry
+    there; when there is none, column k depends on the columns before it
+    and the matrix is singular (SingularMatrixError).  With p_k the pivot
+    and p_(-1) = 1, every other row i of [matrix | I] becomes
+    (p_k row_i - a_ik row_k) / p_(k-1), an exact division, since every
+    entry is then a minor of [matrix | I] (Sylvester's identity).
+
+    The elimination runs in place, n entries per row.  Once column k is a
+    pivot column it holds p_k in row k and zeros elsewhere, and until then
+    the column of I under the original index of row k holds p_(k-1) in
+    row k and zeros elsewhere; so step k stores that column of I where
+    column k stood and leaves both columns of known entries unstored.  At
+    the end the left block is d I, with d the last pivot (det(matrix) up to
+    sign), every stored column is a column of d matrix^-1, and the columns
+    are put back in the order of I.
     """
     n = len(matrix)
-    reducer = RowReducer()
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        if reducer.add_row(dict(enumerate(row))) is not None:
-            raise SingularMatrixError(
-                f"matrix is singular (row {i} depends on the rows before it)")
-    certs = [reducer.add_row({i: 1}) for i in range(n)]
-    zero = Fraction(0)
-    return [[cert.get(j, zero) for j in range(n)] for cert in certs]
+    rows = [list(row) for row in matrix]
+    order = list(range(n))  # order[k]: the index in matrix of the row now at k
+    prev = 1
+    for k in range(n):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                raise SingularMatrixError(
+                    f"matrix is singular (column {k} depends on the columns before it)")
+            rows[k], rows[swap] = rows[swap], rows[k]
+            order[k], order[swap] = order[swap], order[k]
+        pivot_row = rows[k]
+        pivot, pivot_row[k] = pivot_row[k], prev
+        for i, row in enumerate(rows):
+            if i != k:
+                factor, row[k] = row[k], 0
+                rows[i] = [(pivot * x - factor * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    where = sorted(range(n), key=order.__getitem__)
+    return prev, [[row[j] for j in where] for row in rows]
+
+
+def matrix_inverse(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+    """Exact inverse of a square rational matrix, as lists of Fractions.
+
+    Entries are int, Fraction or float, each float read exactly.  A matrix
+    that is not square raises ValueError before any work, and a singular
+    one SingularMatrixError.  Row i is scaled by sigma_i, the lcm of its
+    denominators, to ints, and with S = diag(sigma_i) the inverse of the
+    matrix S^-1 g is g^-1 S: entry (k, j) is rows_kj sigma_j / d, from
+    `_integer_inverse(g)`.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    scales, scaled = [], []
+    for row in matrix:
+        exact = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in exact))
+        scales.append(scale)
+        scaled.append([x.numerator * (scale // x.denominator) for x in exact])
+    d, rows = _integer_inverse(scaled)
+    return [[Fraction(x * s, d) for x, s in zip(row, scales)] for row in rows]

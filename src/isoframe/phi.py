@@ -10,7 +10,7 @@ x and alpha, and the alpha-monomials integrate to rational sphere moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
@@ -33,7 +33,7 @@ from .forms import (
     monomials,
 )
 from .kscalar import Field, basis_product
-from .linalg import RowReducer, SingularMatrixError, matrix_inverse
+from .linalg import RowReducer, SingularMatrixError, _integer_inverse
 
 __all__ = [
     "DualBasis",
@@ -143,12 +143,46 @@ def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
 
 @dataclass(frozen=True)
 class DualBasis:
-    """Forms theta_k with <<b_j, theta_k>> = delta_{jk} exactly."""
+    """Forms theta_k with <<b_j, theta_k>> = delta_{jk} exactly.
+
+    `gram` and `gram_inverse`, the Fraction matrices G and G^-1, are built
+    on first read from the integer blocks that `dual_basis` kept in
+    `_blocks`, and then cached: one (indices, s, g, rows) per block, with
+    s_a the scale of form indices[a], g the block's integer Gram matrix and
+    rows[a] = (D_k, n_k) its inverse row k = indices[a] over one
+    denominator.  G_ij = g_ab / (s_a s_b den) and
+    G^-1_kj = den s_a s_b n_kb / D_k, with den the moment denominator; the
+    entries outside the blocks are zero.
+    """
 
     forms: Tuple[RealForm, ...]
     duals: Tuple[RealForm, ...]
-    gram: Tuple[Tuple[Fraction, ...], ...]
-    gram_inverse: Tuple[Tuple[Fraction, ...], ...]
+    _blocks: Tuple[tuple, ...] = dc_field(repr=False, compare=False)
+
+    @cached_property
+    def gram(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        den, gram = self._blank()
+        for indices, scales, g, _ in self._blocks:
+            for i, s_i, g_row in zip(indices, scales, g):
+                for j, s_j, x in zip(indices, scales, g_row):
+                    gram[i][j] = Fraction(x, s_i * s_j * den)
+        return tuple(map(tuple, gram))
+
+    @cached_property
+    def gram_inverse(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        den, inverse = self._blank()
+        for indices, scales, _, rows in self._blocks:
+            for k, s_k, (row_den, nums) in zip(indices, scales, rows):
+                for j, s_j, c in zip(indices, scales, nums):
+                    if c:
+                        inverse[k][j] = Fraction(den * s_k * s_j * c, row_den)
+        return tuple(map(tuple, inverse))
+
+    def _blank(self) -> Tuple[int, List[List[Fraction]]]:
+        """The moment denominator of the pairing and a square matrix of zeros."""
+        zero, form = Fraction(0), self.forms[0]
+        return (_moment_denominator(form.num_vars, 2 * form.degree),
+                [[zero] * len(self.forms) for _ in self.forms])
 
 
 def _parity_blocks(buckets: Sequence[Dict[Exponent, list]]) -> List[List[int]]:
@@ -180,13 +214,18 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
     component of the shared classes, and only the blocks are summed and
     inverted.  In a block, g_ij = <<s_i b_i, s_j b_j>> times the moment
     denominator den is an int, G = S^-1 g S^-1 / den with S = diag(s_i),
-    and G^-1 = den S g^-1 S.  With row k of g^-1 written as n_kj / D_k over
-    one denominator, the dual theta_k = (den s_k / D_k) sum_j n_kj s_j b_j
-    is summed in ints over the integer terms of s_j b_j
-    (`forms._combination`), and each of its terms divided once.  Terms
-    are kept and dropped in the order `linear_combination` keeps them, so
-    every Gram entry, inverse entry and dual term is the Fraction that the
-    dense Fraction computation gives, in the same order.
+    and G^-1 = den S g^-1 S.  Fraction-free Gauss-Jordan elimination
+    (`linalg._integer_inverse`) gives g^-1 = rows / d in ints, and row k
+    over one denominator is n_kj / D_k, with c_k = gcd(d, row k),
+    D_k = |d| / c_k and n_kj = sign(d) rows_kj / c_k.  The dual
+    theta_k = (den s_k / D_k) sum_j n_kj s_j b_j is summed in ints over the
+    integer terms of s_j b_j (`forms._combination`), and each of its terms
+    divided once.  Terms are kept and dropped in the order
+    `linear_combination` keeps them, so every dual term is the Fraction
+    that the dense Fraction computation gives, in the same order.  The
+    blocks, with g, s and the rows (D_k, n_k), are kept in the result,
+    whose Fraction `gram` and `gram_inverse` are built from them only when
+    first read, equal to the dense Fraction computation entry by entry.
     """
     forms = tuple(forms)
     if not forms:
@@ -201,40 +240,31 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
     scaled = [_scaled_terms(f) for f in forms]
     buckets = [_parity_buckets(terms) for _, terms in scaled]
     den = _moment_denominator(n_vars, 2 * degree)
-    zero = Fraction(0)
-    n = len(forms)
-    gram = [[zero] * n for _ in forms]
-    inverse = [[zero] * n for _ in forms]
-    duals = [None] * n
+    duals = [None] * len(forms)
+    blocks = []
     for block in _parity_blocks(buckets):
         g = [[0] * len(block) for _ in block]
         for a, i in enumerate(block):
             for b in range(a, len(block)):
-                j = block[b]
-                g[a][b] = g[b][a] = _bucket_inner(buckets[i], buckets[j])
-                gram[i][j] = gram[j][i] = Fraction(g[a][b], scaled[i][0] * scaled[j][0] * den)
+                g[a][b] = g[b][a] = _bucket_inner(buckets[i], buckets[block[b]])
         try:
-            g_inv = matrix_inverse(g)
+            d, rows = _integer_inverse(g)
         except SingularMatrixError as exc:
             raise SingularGramError(
                 "Gram matrix is singular: the forms are linearly dependent; "
                 "run dependence detection instead") from exc
-        for k, row in zip(block, g_inv):
-            row_den = math.lcm(*(x.denominator for x in row))
-            nums = [x.numerator * (row_den // x.denominator) for x in row]
-            factor = den * scaled[k][0]
-            for j, c in zip(block, nums):
-                if c:
-                    inverse[k][j] = Fraction(factor * scaled[j][0] * c, row_den)
+        scales = [scaled[j][0] for j in block]
+        inverse = []
+        for k, s_k, row in zip(block, scales, rows):
+            common = math.gcd(d, *row) * (-1 if d < 0 else 1)
+            row_den, nums = d // common, [x // common for x in row]
+            inverse.append((row_den, nums))
             out = _combination(zip(nums, [scaled[j][1] for j in block]))
+            factor = den * s_k
             duals[k] = RealForm._build(n_vars, degree, {
                 expo: Fraction(factor * total, row_den) for expo, total in out.items()})
-    return DualBasis(
-        forms=forms,
-        duals=tuple(duals),
-        gram=tuple(tuple(row) for row in gram),
-        gram_inverse=tuple(tuple(row) for row in inverse),
-    )
+        blocks.append((block, scales, g, inverse))
+    return DualBasis(forms=forms, duals=tuple(duals), _blocks=tuple(blocks))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from isoframe.linalg import RowReducer, SingularMatrixError, matrix_inverse
+from isoframe.linalg import RowReducer, SingularMatrixError, _integer_inverse, matrix_inverse
 
 
 def random_matrix(rows, cols, rng, span=5):
@@ -86,17 +86,51 @@ def test_matrix_inverse_round_trip():
     zero_lead = [[Fraction(0), Fraction(2), Fraction(1)],
                  [Fraction(3), Fraction(1), Fraction(0)],
                  [Fraction(1), Fraction(0), Fraction(-1, 2)]]
-    for mat in matrices + [permutation, zero_lead]:
+    # int, Fraction and float entries mixed, each float read exactly
+    mixed = [[0.75, 2, Fraction(1, 3)], [-1.5, Fraction(-2, 7), 0], [3, 0.1, 2.0]]
+    for mat in matrices + [permutation, zero_lead, mixed]:
         n = len(mat)
         try:
             inv = matrix_inverse(mat)
         except SingularMatrixError:
-            assert mat not in (permutation, zero_lead)
+            assert mat not in (permutation, zero_lead, mixed)
             continue
+        assert all(type(x) is Fraction for row in inv for x in row)
+        mat = [[Fraction(x) for x in row] for row in mat]
         for i in range(n):
             for j in range(n):
                 acc = sum(mat[i][k] * inv[k][j] for k in range(n))
                 assert acc == (1 if i == j else 0)
+
+
+def test_integer_inverse_scales_to_identity():
+    # seeded int matrices with many zeros: zero pivots force row swaps,
+    # determinants come with both signs, and some matrices are singular;
+    # the kernel raises exactly when a RowReducer finds a dependent row
+    rng = random.Random(35)
+    seen = {"swap": 0, "negative": 0, "singular": 0}
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        g = [[rng.choice((0, 0, rng.randint(-2**34, 2**34), rng.randint(-3, 3)))
+              for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2 and n > 1:
+            g[rng.randrange(n)] = [2 * x for x in g[rng.randrange(n)]]
+        reducer = RowReducer()
+        singular = any(reducer.add_row(as_row(row)) is not None for row in g)
+        try:
+            d, rows = _integer_inverse(g)
+        except SingularMatrixError:
+            assert singular
+            seen["singular"] += 1
+            continue
+        assert not singular
+        assert all(type(x) is int for row in rows for x in row) and type(d) is int
+        for i in range(n):
+            for j in range(n):
+                assert sum(g[i][k] * rows[k][j] for k in range(n)) == (d if i == j else 0)
+        seen["swap"] += g[0][0] == 0
+        seen["negative"] += d < 0
+    assert min(seen.values()) >= 10, seen
 
 
 def test_matrix_inverse_singular_raises():

@@ -21,7 +21,7 @@ from isoframe.forms import (
 )
 from isoframe.frames import WeightedFrame, catalog, save_frame
 from isoframe.kscalar import Field, KElement, KVector, rational_unit_scalars
-from isoframe.linalg import matrix_inverse
+from isoframe.linalg import RowReducer
 from isoframe.phi import (
     SingularGramError,
     dim_phi,
@@ -229,7 +229,8 @@ def test_upper_bound_values():
 
 
 def test_dual_basis_kronecker_pairing():
-    for field, m, p in ((Field.R, 2, 4), (Field.C, 2, 2)):
+    for field, m, p in ((Field.R, 2, 4), (Field.C, 2, 2), (Field.H, 2, 4), (Field.C, 3, 4),
+                        (Field.R, 4, 6)):
         basis = phi_basis(field, m, p)
         duals = basis.duals
         assert len(duals) == basis.dimension
@@ -302,6 +303,15 @@ def parity_class_forms(seed):
     return forms
 
 
+def reference_inverse(matrix):
+    """Row i of the inverse of a nonsingular matrix: the certificate of the
+    unit row e_i added after the matrix rows to a RowReducer."""
+    reducer = RowReducer()
+    assert all(reducer.add_row(dict(enumerate(row))) is None for row in matrix)
+    certs = [reducer.add_row({i: 1}) for i in range(len(matrix))]
+    return [[cert.get(j, Fraction(0)) for j in range(len(matrix))] for cert in certs]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dual_basis_matches_dense_fraction_reference(seed):
     # forms that are no Phi basis, over several parity classes with blocks
@@ -311,7 +321,10 @@ def test_dual_basis_matches_dense_fraction_reference(seed):
     assert len(phi._parity_blocks([phi._parity_buckets(phi._scaled_terms(f)[1])
                                    for f in forms])) == 3
     gram = [[form_inner(fi, fj) for fj in forms] for fi in forms]
-    inverse = matrix_inverse(gram)
+    inverse = reference_inverse(gram)
+    n = len(forms)
+    assert all(sum(gram[i][k] * inverse[k][j] for k in range(n)) == (i == j)
+               for i in range(n) for j in range(n))
     db = dual_basis(forms)
     assert db.gram == tuple(map(tuple, gram))
     assert db.gram_inverse == tuple(map(tuple, inverse))
@@ -322,6 +335,21 @@ def test_dual_basis_matches_dense_fraction_reference(seed):
     for j, b in enumerate(forms):
         assert [form_inner(b, theta) for theta in db.duals] == [int(j == k)
                                                                 for k in range(len(forms))]
+
+
+def test_dual_basis_builds_gram_on_first_read():
+    # the duals need no Fraction Gram: G and G^-1 are built when first
+    # read, then kept, and equal the dense Fraction reference
+    forms = parity_class_forms(1)
+    db = dual_basis(forms)
+    assert "gram" not in vars(db) and "gram_inverse" not in vars(db)
+    assert [f.name for f in dataclasses.fields(db) if not f.name.startswith("_")] == [
+        "forms", "duals"]
+    gram = [[form_inner(fi, fj) for fj in forms] for fi in forms]
+    assert db.gram_inverse == tuple(map(tuple, reference_inverse(gram)))
+    assert "gram" not in vars(db) and "gram_inverse" in vars(db)
+    assert db.gram == tuple(map(tuple, gram))
+    assert db.gram is db.gram and db.gram_inverse is db.gram_inverse
 
 
 def test_dual_basis_rejects_dependence_within_one_block():
