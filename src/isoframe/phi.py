@@ -5,6 +5,13 @@ The projector onto Phi averages f(x alpha) over the unit group, which is the
 sphere S^{d-1} in the d real dimensions of K.  Averaging is exact: the
 substitution x -> x alpha is linear over the joint ring in the coordinates of
 x and alpha, and the alpha-monomials integrate to rational sphere moments.
+
+The unit group acts by isometries of the sphere pairing, so the average A is
+the orthogonal projection onto Phi, and <<A x^beta, g>> = <<x^beta, g>> for
+every g in Phi.  Over R the unit group is {+-1}, which fixes every even-degree
+form: Phi_R holds every form, and its basis is the monomials, with no
+averaging.  Over C and H the basis forms are averages A(x^beta), and the Gram
+entries of their duals pair the monomial x^beta alone.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .forms import (
     Exponent,
@@ -145,6 +152,9 @@ def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
 class DualBasis:
     """Forms theta_k with <<b_j, theta_k>> = delta_{jk} exactly.
 
+    The integer Gram blocks are the same whether `dual_basis` paired two
+    forms per entry or, for a `PhiBasis`, a label monomial against a form.
+
     `gram` and `gram_inverse`, the Fraction matrices G and G^-1, are built
     on first read from the integer blocks that `dual_basis` kept in
     `_blocks`, and then cached: one (indices, s, g, rows) per block, with
@@ -200,7 +210,8 @@ def _parity_blocks(buckets: Sequence[Dict[Exponent, list]]) -> List[List[int]]:
     return [sorted(indices) for _, indices in blocks]
 
 
-def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
+def dual_basis(forms: Sequence[RealForm], *,
+               _labels: Optional[Sequence[Exponent]] = None) -> DualBasis:
     """Dual basis under the sphere-integral pairing: theta_k = sum_j G^{-1}_{kj} b_j.
 
     The forms must be linearly independent and of equal degree; a singular
@@ -213,8 +224,13 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
     class in common pair to zero, so G splits into one block per connected
     component of the shared classes, and only the blocks are summed and
     inverted.  In a block, g_ij = <<s_i b_i, s_j b_j>> times the moment
-    denominator den is an int, G = S^-1 g S^-1 / den with S = diag(s_i),
-    and G^-1 = den S g^-1 S.  Fraction-free Gauss-Jordan elimination
+    denominator den is an int.  `PhiBasis.duals` passes `_labels`, the
+    exponents beta_i with b_i = A(x^beta_i) for the projection A onto Phi.
+    As <<A x^beta_i, g>> = <<x^beta_i, g>> for g in Phi, each entry then
+    pairs the one term s_i x^beta_i with the integer terms c_e x^e of
+    s_j b_j, g_ij = s_i sum_e c_e prod (beta_i + e - 1)!!, the same int.
+    G = S^-1 g S^-1 / den with S = diag(s_i), and G^-1 = den S g^-1 S.
+    Fraction-free Gauss-Jordan elimination
     (`linalg._integer_inverse`) gives g^-1 = rows / d in ints, and row k
     over one denominator is n_kj / D_k, with c_k = gcd(d, row k),
     D_k = |d| / c_k and n_kj = sign(d) rows_kj / c_k.  The dual
@@ -239,6 +255,8 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
         raise ValueError("dual basis requires exact forms")
     scaled = [_scaled_terms(f) for f in forms]
     buckets = [_parity_buckets(terms) for _, terms in scaled]
+    lefts = buckets if _labels is None else [
+        _parity_buckets({beta: s}) for beta, (s, _) in zip(_labels, scaled)]
     den = _moment_denominator(n_vars, 2 * degree)
     duals = [None] * len(forms)
     blocks = []
@@ -246,7 +264,7 @@ def dual_basis(forms: Sequence[RealForm]) -> DualBasis:
         g = [[0] * len(block) for _ in block]
         for a, i in enumerate(block):
             for b in range(a, len(block)):
-                g[a][b] = g[b][a] = _bucket_inner(buckets[i], buckets[block[b]])
+                g[a][b] = g[b][a] = _bucket_inner(lefts[i], buckets[block[b]])
         try:
             d, rows = _integer_inverse(g)
         except SingularMatrixError as exc:
@@ -273,7 +291,8 @@ class PhiBasis:
 
     `labels[i]` is the exponent vector of the monomial whose average is
     `basis[i]`; monomials are scanned in graded-lex order, so the basis choice
-    is deterministic.  The duals are computed on first use and cached.
+    is deterministic.  The duals are computed on first use and cached; each
+    of their Gram entries pairs a label monomial with a basis form.
     """
 
     field: Field
@@ -288,7 +307,7 @@ class PhiBasis:
 
     @cached_property
     def duals(self) -> Tuple[RealForm, ...]:
-        return dual_basis(self.basis).duals
+        return dual_basis(self.basis, _labels=self.labels).duals
 
 
 def _check_arguments(m: int, p: int) -> None:
@@ -302,10 +321,13 @@ def _check_arguments(m: int, p: int) -> None:
 def phi_basis(field: Field, m: int, p: int) -> PhiBasis:
     """Compute a deterministic basis of Phi_K(m,p).
 
-    Every degree-p monomial in the N real coordinates is averaged; a maximal
-    independent subset of the averages is extracted by exact elimination,
-    keeping the earliest generating monomials in graded-lex order.  A rank
-    other than `dim_phi` raises RuntimeError.
+    Over R the unit group {+-1} fixes every even-degree form, so the basis
+    is the monomials themselves in graded-lex order, each its own average,
+    built in closed form with no averaging and no elimination.  Over C and
+    H every degree-p monomial in the N real coordinates is averaged; a
+    maximal independent subset of the averages is extracted by exact
+    elimination, keeping the earliest generating monomials in graded-lex
+    order.  A rank other than `dim_phi` raises RuntimeError on both paths.
 
     The averages share one moment denominator, so the elimination reads
     their int numerators as they stand (`_averager`), and only the dim Phi
@@ -313,21 +335,23 @@ def phi_basis(field: Field, m: int, p: int) -> PhiBasis:
     """
     dim = dim_phi(field, m, p)
     d = field.real_dimension
-    average = _averager(_substitution_table(field, m), d, p)
-    reducer = RowReducer()
-    rows: List[Dict[int, int]] = []
-    labels: List[Exponent] = []
-    for beta in monomials(d * m, p):
-        row = average(beta)
-        if row and reducer.add_row(row) is None:
-            rows.append(row)
-            labels.append(beta)
-    if len(rows) != dim:
+    if field is Field.R:
+        labels = monomials(m, p)
+        basis = [RealForm._build(m, p, {beta: Fraction(1)}) for beta in labels]
+    else:
+        average = _averager(_substitution_table(field, m), d, p)
+        reducer = RowReducer()
+        labels, basis = [], []
+        for beta in monomials(d * m, p):
+            row = average(beta)
+            if row and reducer.add_row(row) is None:
+                labels.append(beta)
+                basis.append(_averaged_form(row, d * m, d, p))
+    if len(basis) != dim:
         raise RuntimeError(
-            f"averaged monomials have rank {len(rows)} but dim Phi = {dim}; "
+            f"averaged monomials have rank {len(basis)} but dim Phi = {dim}; "
             "this contradicts the closed form and indicates a defect")
-    return PhiBasis(field=field, m=m, p=p, labels=tuple(labels),
-                    basis=tuple(_averaged_form(row, d * m, d, p) for row in rows))
+    return PhiBasis(field=field, m=m, p=p, labels=tuple(labels), basis=tuple(basis))
 
 
 def _dim_factors(field: Field, m: int, p: int) -> Tuple[Tuple[Tuple[int, int], ...], int]:

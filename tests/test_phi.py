@@ -143,6 +143,39 @@ def test_phi_basis_rank_guard(monkeypatch):
         phi_basis.__wrapped__(Field.R, 2, 2)
 
 
+@pytest.mark.parametrize("field", [Field.C, Field.H])
+def test_phi_basis_rank_guard_on_the_averaging_path(monkeypatch, field):
+    # C and H average and eliminate; a rank other than dim Phi still raises
+    monkeypatch.setattr(phi, "dim_phi", lambda field, m, p: 100)
+    with pytest.raises(RuntimeError, match="indicates a defect"):
+        phi_basis.__wrapped__(field, 2, 2)
+
+
+@pytest.mark.parametrize("m, p", [(2, 4), (3, 6), (4, 6), (2, 8)])
+def test_real_phi_basis_is_closed_form(monkeypatch, m, p):
+    # {+-1} fixes every even-degree form: the basis is the monomials, with no
+    # averager built and no elimination row added
+    averages = [unit_group_average(RealForm.monomial(m, beta), Field.R, m)
+                for beta in monomials(m, p)]
+    added = []
+    add_row = RowReducer.add_row
+    with monkeypatch.context() as patch:
+        def no_averager(*args):
+            raise AssertionError("the real basis built an averager")
+
+        def counted(self, *args, **kwargs):
+            added.append(1)
+            return add_row(self, *args, **kwargs)
+
+        patch.setattr(phi, "_averager", no_averager)
+        patch.setattr(RowReducer, "add_row", counted)
+        basis = phi_basis.__wrapped__(Field.R, m, p)
+    assert added == []
+    assert basis.labels == tuple(monomials(m, p))
+    assert basis.basis == tuple(averages)
+    assert all(type(c) is Fraction for f in basis.basis for c in f.terms.values())
+
+
 def test_dim_quaternionic_quadratics():
     # invariant quadratics: the m norms plus one full quaternion per pair
     assert dim_phi(Field.H, 2, 2) == 2 + 4 * 1
@@ -426,3 +459,33 @@ def test_average_monomial_matches_sphere_moment_reference(field, m, p):
         averaged = phi._averaged_form(average(beta), d * m, d, p)
         assert averaged == reference_average(beta, table, d)
         assert all(type(c) is Fraction for c in averaged.terms.values())
+
+
+@pytest.mark.parametrize("field, m, p", DUAL_KEYS + [(Field.H, 2, 4), (Field.C, 2, 6)])
+def test_dual_basis_label_pairing_matches_form_pairing(field, m, p):
+    # PhiBasis.duals pairs each label monomial x^beta_a with the forms, since
+    # <<A x^beta, g>> = <<x^beta, g>> on Phi; it must give what pairing two
+    # whole forms gives, term by term and in order
+    basis = phi_basis(field, m, p)
+    by_forms = dual_basis(basis.basis)
+    by_labels = dual_basis(basis.basis, _labels=basis.labels)
+    assert [list(t.terms.items()) for t in by_labels.duals] == \
+        [list(t.terms.items()) for t in by_forms.duals]
+    assert by_labels.gram == by_forms.gram
+    assert by_labels.gram_inverse == by_forms.gram_inverse
+    assert basis.duals == by_forms.duals
+
+
+@pytest.mark.parametrize("field, m, p", [(Field.R, 3, 4), (Field.C, 2, 4), (Field.C, 3, 2),
+                                         (Field.H, 2, 2), (Field.H, 2, 4)])
+def test_average_is_the_orthogonal_projection(field, m, p):
+    # the identity the label pairing rests on: <<A x^beta, b>> = <<x^beta, b>>
+    # for every b in Phi, on seeded monomials beta
+    n = field.real_dimension * m
+    basis = phi_basis(field, m, p).basis
+    rng = random.Random(17)
+    for beta in rng.sample(monomials(n, p), 6):
+        x_beta = RealForm.monomial(n, beta)
+        averaged = unit_group_average(x_beta, field, m)
+        for b in rng.sample(basis, min(4, len(basis))):
+            assert form_inner(averaged, b) == form_inner(x_beta, b)
