@@ -52,6 +52,18 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     print("\n".join(lines))
 
 
+def _save_out(frame, args: argparse.Namespace, report: dict) -> None:
+    """Write the frame to --out, if given, and name that path in the report.
+    A path that cannot be written is a usage error, as an unreadable input
+    path is."""
+    if args.out:
+        try:
+            save_frame(frame, args.out)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc}") from None
+        report["out"] = args.out
+
+
 def _bound_entry(field: Field, m: int, p: int):
     if m < 2:
         return "refused (m=1)"
@@ -106,9 +118,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     report = {"n_initial": frame.n, "steps": steps, "n_final": current.n}
     if not steps:
         report["note"] = "no dependence"
-    if args.out:
-        save_frame(current, args.out)
-        report["out"] = args.out
+    _save_out(current, args, report)
     _emit(report, args)
     return EXIT_PASS
 
@@ -126,9 +136,7 @@ def cmd_scale_reduce(args: argparse.Namespace) -> int:
         "exact": reduced.is_exact,
         "residual_max": verify(reduced).max_residual,
     }
-    if args.out:
-        save_frame(reduced, args.out)
-        report["out"] = args.out
+    _save_out(reduced, args, report)
     _emit(report, args)
     return EXIT_PASS
 
@@ -144,8 +152,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         "n": frame.n,
     }
     if args.out:
-        save_frame(frame, args.out)
-        report["out"] = args.out
+        _save_out(frame, args, report)
         _emit(report, args)
     else:
         print(serialize_frame(frame), end="")

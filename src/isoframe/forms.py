@@ -9,6 +9,13 @@ coordinates are the components of xi_1, the next d those of xi_2, and so on.
 Canonical term order is graded lexicographic: lower degree first, then
 descending lexicographic on the exponent vector (so x1^p comes before
 x1^{p-1}x2 within a degree).
+
+Exact forms are built fraction-free.  The way in is
+`linalg._over_one_denominator`, which puts a vector's or a form's rationals
+over one denominator as ints; products and sums then run on int
+coefficients keyed by the packed ints of `_pack`.  The way out is `_unpack`
+given that denominator, which rebuilds each exponent tuple and divides its
+int coefficient once, in the same pass.
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .kscalar import Field, KVector, Scalar, basis_product
+from .linalg import _over_one_denominator
 
 Exponent = Tuple[int, ...]
 
@@ -196,10 +204,15 @@ def _pack(terms: Mapping[Exponent, Scalar], num_vars: int, degree: int) -> Dict[
     return {sum(map(operator.mul, expo, units)): c for expo, c in terms.items()}
 
 
-def _unpack(packed: Mapping[int, Scalar], num_vars: int, degree: int) -> Dict[Exponent, Scalar]:
-    """The inverse of `_pack`, in the same term order."""
+def _unpack(packed: Mapping[int, Scalar], num_vars: int, degree: int,
+            den: Optional[int] = None) -> Dict[Exponent, Scalar]:
+    """The inverse of `_pack`, in the same term order.  With den, the packed
+    coefficients are ints and each int c comes back as Fraction(c, den) in
+    the same pass: the one way packed int terms become a Fraction form."""
     shifts, mask = _key_digits(num_vars, degree)
-    return {tuple([key >> s & mask for s in shifts]): c for key, c in packed.items()}
+    if den is None:
+        return {tuple([key >> s & mask for s in shifts]): c for key, c in packed.items()}
+    return {tuple([key >> s & mask for s in shifts]): Fraction(c, den) for key, c in packed.items()}
 
 
 def _packed_product(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Dict[int, Scalar]:
@@ -344,8 +357,8 @@ def _moment_denominator(num_vars: int, degree: int) -> int:
 def _scaled_terms(form: RealForm) -> Tuple[int, Dict[Exponent, int]]:
     """s, the lcm of an exact form's denominators, and the integer terms of
     s * form in the form's term order."""
-    s = math.lcm(*(c.denominator for c in form.terms.values()))
-    return s, {e: c.numerator * (s // c.denominator) for e, c in form.terms.items()}
+    s, nums = _over_one_denominator(list(form.terms.values()))
+    return s, dict(zip(form.terms, nums))
 
 
 def _parity_buckets(terms: Mapping[Exponent, int]) -> Dict[Exponent, List[Tuple[Exponent, int]]]:
@@ -388,15 +401,13 @@ def _scaled_linear_forms(u: KVector) -> Tuple[int, List[List[Scalar]]]:
     is sign * conj(u_i)_a for e_a e_c = sign * e_t.
     """
     d = u.field.real_dimension
-    exact = u.is_exact
-    s = math.lcm(*(c.denominator for e in u.entries for c in e.components)) if exact else 1
+    s, comps = _over_one_denominator(u.real_coords()) if u.is_exact else (1, u.real_coords())
     linear = [[0] * (d * u.m) for _ in range(d)]
-    for i, entry in enumerate(u.entries):
-        for a, comp in enumerate(entry.components):
-            bar = comp.numerator * (s // comp.denominator) if exact else comp
-            for c in range(d):
-                t, sign = basis_product(u.field, a, c)
-                linear[t][i * d + c] += sign * (-bar if a else bar)
+    for j, bar in enumerate(comps):
+        i, a = divmod(j, d)
+        for c in range(d):
+            t, sign = basis_product(u.field, a, c)
+            linear[t][i * d + c] += sign * (-bar if a else bar)
     return s, linear
 
 
@@ -427,11 +438,7 @@ def frame_form(u: KVector, p: int) -> RealForm:
         raise ValueError("zero vector has no frame form")
     s, packed = _packed_frame_form(*_scaled_linear_forms(u), p)
     n = u.field.real_dimension * u.m
-    terms = _unpack(packed, n, p)
-    if u.is_exact:
-        scale = s**p
-        terms = {e: Fraction(c, scale) for e, c in terms.items()}
-    return RealForm._build(n, p, terms)
+    return RealForm._build(n, p, _unpack(packed, n, p, s**p if u.is_exact else None))
 
 
 @lru_cache(maxsize=None)
@@ -447,5 +454,4 @@ def norm_power_form(fld: Field, m: int, p: int) -> RealForm:
     if p < 2 or p % 2:
         raise ValueError(f"exponent p must be a positive even integer, got {p}")
     n = fld.real_dimension * m
-    return RealForm._build(n, p, {e: Fraction(c) for e, c in
-                                  _unpack(_packed_norm_power(n, p), n, p).items()})
+    return RealForm._build(n, p, _unpack(_packed_norm_power(n, p), n, p, 1))

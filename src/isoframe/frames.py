@@ -54,7 +54,7 @@ from .kscalar import (
     scalar_from_str,
     scalar_to_str,
 )
-from .linalg import RowReducer
+from .linalg import RowReducer, _over_one_denominator
 from .phi import dim_phi
 
 __all__ = [
@@ -201,8 +201,7 @@ class WeightedFrame:
             common, numerators = self._weight_numerators
             out = _combination([(c, power) for c, (_, power) in zip(numerators, self._expansions)]
                                + [(-common, _packed_norm_power(num_vars, p))])
-            return RealForm._build(num_vars, p, {expo: Fraction(v, common) for expo, v in
-                                                 _unpack(out, num_vars, p).items()})
+            return RealForm._build(num_vars, p, _unpack(out, num_vars, p, common))
         # Fraction(-1) keeps the norm power's terms Fractions (norm_power_form)
         pairs = [(w, {key: Fraction(c, s**p) for key, c in power.items()} if u.is_exact else power)
                  for w, u, (s, power) in zip(self.weights, self.vectors, self._expansions)]
@@ -350,12 +349,6 @@ def _refuted_at_one_point(frame: WeightedFrame) -> bool:
     total = sum(c * _scaled_values(s, linear, frame.p, (x0,))[1][0]
                 for c, (s, linear) in zip(numerators, frame._linear_forms))
     return total != common * sum(x * x for x in x0) ** (frame.p // 2)
-
-
-def _over_one_denominator(coeffs: Sequence[Scalar]) -> Tuple[int, List[int]]:
-    """L, the lcm of the denominators of the rationals coeffs, and the ints L c."""
-    common = math.lcm(*(c.denominator for c in coeffs))
-    return common, [c.numerator * (common // c.denominator) for c in coeffs]
 
 
 @dataclass(frozen=True)
@@ -586,10 +579,12 @@ class ScalingForms:
     def _integer_rows(self) -> Tuple[int, Tuple[Exponent, ...], Tuple[tuple, ...]]:
         """S, the exponents nu that occur, and per form the pairs (index of
         nu, S a_{k,nu}) in ints."""
-        scale = math.lcm(*(c.denominator for a in self.coefficients for c in a.terms.values()))
+        scale, nums = _over_one_denominator([c for a in self.coefficients
+                                             for c in a.terms.values()])
+        nums = iter(nums)
         index: Dict[Exponent, int] = {}
-        rows = tuple(tuple((index.setdefault(nu, len(index)), c.numerator * (scale // c.denominator))
-                           for nu, c in a.terms.items()) for a in self.coefficients)
+        rows = tuple(tuple((index.setdefault(nu, len(index)), next(nums)) for nu in a.terms)
+                     for a in self.coefficients)
         return scale, tuple(index), rows
 
     def _numerators(self, lam: Sequence[Scalar]) -> Tuple[List[int], int]:
@@ -601,8 +596,7 @@ class ScalingForms:
             # the integer vectors of the scaling search: D = 1
             n, den = lam, 1
         elif all(isinstance(x, (int, Fraction)) for x in lam):
-            den = math.lcm(*(x.denominator for x in lam))
-            n = [x.numerator * (den // x.denominator) for x in lam]
+            den, n = _over_one_denominator(lam)
         else:
             raise ValueError("scaling forms are evaluated at exact points only")
         scale, nus, rows = self._integer_rows
@@ -897,12 +891,29 @@ def to_unweighted(frame: WeightedFrame, mode: str = "exact") -> WeightedFrame:
                     f"weight {k} = {w} is not a p-th power of a rational; use float mode")
             vectors.append(u.scale_real(root))
     elif mode == "float":
-        vectors = [u.scale_real(float(w) ** (1.0 / frame.p))
-                   for u, w in zip(frame.vectors, frame.weights)]
+        vectors = [_float_fold(k, u, w, frame.p)
+                   for k, (u, w) in enumerate(zip(frame.vectors, frame.weights))]
     else:
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     return WeightedFrame(frame.field, frame.m, frame.p, tuple(vectors),
                          (Fraction(1),) * frame.n)
+
+
+def _float_fold(k: int, u: KVector, w: Scalar, p: int) -> KVector:
+    """u w^(1/p) in binary64; FrameError naming weight k when that root is
+    not finite and positive, or when the product overflows an entry of u or
+    underflows u to zero."""
+    root = folded = None
+    try:
+        root = float(w) ** (1.0 / p)
+        folded = u.scale_real(root)
+    except OverflowError:
+        pass
+    if root is None or not 0 < root < math.inf:
+        raise FrameError(f"weight {k} has no finite positive binary64 {p}-th root")
+    if folded is None or folded.is_zero or not all(map(math.isfinite, folded.real_coords())):
+        raise FrameError(f"weight {k} folded into vector {k} leaves the binary64 range")
+    return folded
 
 
 def _frame_to_obj(frame: WeightedFrame) -> dict:

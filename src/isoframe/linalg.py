@@ -15,6 +15,12 @@ integer-preserving Gauss-Jordan elimination of [g | I] (Bareiss,
 elimination", Math. Comp. 22, 1968), which gives g^-1 as rows of ints over
 one denominator with exact integer divisions.  `matrix_inverse` is its
 Fraction view.
+
+`_over_one_denominator` is the one way exact data goes into ints: it puts
+rationals over their lcm denominator L as the ints L v.  The elimination
+here, the form pairing and the frame expansions of `forms`, and the
+certificates and scaling forms of `frames` all call it; the way back from
+packed int terms to a Fraction form is `forms._unpack`.
 """
 
 from __future__ import annotations
@@ -26,6 +32,14 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 __all__ = ["RowReducer", "SingularMatrixError", "matrix_inverse"]
 
 Row = Mapping[Hashable, Fraction]
+
+
+def _over_one_denominator(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """L, the lcm of the denominators of the rationals values (ints and
+    Fractions), and the ints L v, in order: the one way exact data is put
+    over one denominator."""
+    common = math.lcm(*(v.denominator for v in values))
+    return common, [v.numerator * (common // v.denominator) for v in values]
 
 
 class SingularMatrixError(ValueError):
@@ -96,8 +110,8 @@ class RowReducer:
         else:
             exact = {key: x if isinstance(x, (int, Fraction)) else Fraction(x)
                      for key, x in row.items() if x}
-            scale = math.lcm(*(x.denominator for x in exact.values()))
-            work = {key: x.numerator * (scale // x.denominator) for key, x in exact.items()}
+            scale, nums = _over_one_denominator(list(exact.values()))
+            work = dict(zip(exact, nums))
         new = len(self._scales)
         self._scales.append(scale)
         combo = {new: 1}
@@ -192,11 +206,7 @@ def matrix_inverse(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    scales, scaled = [], []
-    for row in matrix:
-        exact = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-        scale = math.lcm(*(x.denominator for x in exact))
-        scales.append(scale)
-        scaled.append([x.numerator * (scale // x.denominator) for x in exact])
-    d, rows = _integer_inverse(scaled)
-    return [[Fraction(x * s, d) for x, s in zip(row, scales)] for row in rows]
+    scaled = [_over_one_denominator([x if isinstance(x, (int, Fraction)) else Fraction(x)
+                                     for x in row]) for row in matrix]
+    d, rows = _integer_inverse([ints for _, ints in scaled])
+    return [[Fraction(x * s, d) for x, (s, _) in zip(row, scaled)] for row in rows]

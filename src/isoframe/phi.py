@@ -122,14 +122,6 @@ def _averager(table: List[RealForm], d: int, degree: int) -> Callable[[Exponent]
     return average
 
 
-def _averaged_form(numerators: Dict[int, int], num_vars: int, d: int, degree: int) -> RealForm:
-    """The form in num_vars variables of an `_averager` row: each numerator
-    over the moment denominator, in the row's term order."""
-    den = _moment_denominator(d, degree)
-    return RealForm._build(num_vars, degree, {expo: Fraction(total, den) for expo, total in
-                                              _unpack(numerators, num_vars, 2 * degree).items()})
-
-
 def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
     """Project a form onto Phi_K(m,p) by exact unit-group averaging.
 
@@ -143,8 +135,11 @@ def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
             f"form has {phi.num_vars} variables, expected {d * m} for {field.name}^{m}")
     if phi.is_zero or phi.degree == 0:
         return phi
-    average = _averager(_substitution_table(field, m), d, phi.degree)
-    averages = [_averaged_form(average(beta), d * m, d, phi.degree) for beta in phi.terms]
+    n, degree = d * m, phi.degree
+    average = _averager(_substitution_table(field, m), d, degree)
+    den = _moment_denominator(d, degree)
+    averages = [RealForm._build(n, degree, _unpack(average(beta), n, 2 * degree, den))
+                for beta in phi.terms]
     return linear_combination(list(phi.terms.values()), averages)
 
 
@@ -340,13 +335,14 @@ def phi_basis(field: Field, m: int, p: int) -> PhiBasis:
         basis = [RealForm._build(m, p, {beta: Fraction(1)}) for beta in labels]
     else:
         average = _averager(_substitution_table(field, m), d, p)
+        den = _moment_denominator(d, p)
         reducer = RowReducer()
         labels, basis = [], []
         for beta in monomials(d * m, p):
             row = average(beta)
             if row and reducer.add_row(row) is None:
                 labels.append(beta)
-                basis.append(_averaged_form(row, d * m, d, p))
+                basis.append(RealForm._build(d * m, p, _unpack(row, d * m, 2 * p, den)))
     if len(basis) != dim:
         raise RuntimeError(
             f"averaged monomials have rank {len(basis)} but dim Phi = {dim}; "

@@ -47,6 +47,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_unwritable_out(capsys, tmp_path, *argv):
+    # an --out path that cannot be written is a usage error: one error line
+    # naming the path, nothing on stdout
+    for path in (tmp_path / "no-such-dir" / "f.json", tmp_path):
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == EXIT_MALFORMED
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_verify_pass(capsys, catalog_path):
     code, out, err = run(capsys, "verify", catalog_path)
     assert code == EXIT_PASS
@@ -169,6 +179,7 @@ def test_reduce_writes_steps_and_file(capsys, tmp_path, synthetic_frame):
     reduced = load_frame(out_path)
     assert reduced.n == 5
     assert verify(reduced).passed
+    assert_unwritable_out(capsys, tmp_path, "reduce", str(src))
 
 
 def test_reduce_independent_notes_no_dependence(capsys, catalog_path, tmp_path):
@@ -213,6 +224,7 @@ def test_scale_reduce_full_run(capsys, synthetic_path, tmp_path):
     reduced = load_frame(out_path)
     assert reduced.n == 4
     assert verify(reduced, tolerance=1e-8).passed
+    assert_unwritable_out(capsys, tmp_path, "scale-reduce", synthetic_path)
 
 
 def test_scale_reduce_none(capsys, tmp_path):
@@ -276,6 +288,7 @@ def test_catalog_out_file(capsys, tmp_path):
                        "--out", str(path))
     assert code == EXIT_PASS
     assert load_frame(path).n == 4
+    assert_unwritable_out(capsys, tmp_path, "catalog", "R", "2", "2", "orthonormal-p2")
 
 
 def test_catalog_bad_kind(capsys):

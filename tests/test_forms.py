@@ -13,6 +13,7 @@ from isoframe.forms import (
     _pack,
     _packed_product,
     _packed_square,
+    _unpack,
     form_inner,
     frame_form,
     linear_combination,
@@ -545,3 +546,23 @@ def test_exact_form_inner_matches_term_pairs():
             value = form_inner(f, g)
             assert value == expected and type(value) is Fraction
     assert form_inner(RealForm.zero(2, 2), RealForm.monomial(2, (2, 0))) == 0
+
+
+def test_unpack_with_a_denominator_divides_each_term_in_order():
+    # _unpack(packed, n, d, den) is the plain unpack with each int c read as
+    # Fraction(c, den), term for term and in order, for keys packed for the
+    # form's degree or for twice it (as the unit-group averages are)
+    rng = random.Random(47)
+    for num_vars, degree in [(1, 2), (2, 4), (3, 6), (4, 3), (6, 8)]:
+        expos = monomials(num_vars, degree)
+        for _ in range(6):
+            chosen = rng.sample(expos, min(len(expos), rng.randint(1, 12)))
+            terms = {e: rng.choice([-1, 1]) * rng.randint(1, 10**30) for e in chosen}
+            key_degree = rng.choice([degree, 2 * degree])
+            packed = _pack(terms, num_vars, key_degree)
+            den = rng.choice([1, 7, rng.randint(2, 10**20)])
+            plain = _unpack(packed, num_vars, key_degree)
+            divided = _unpack(packed, num_vars, key_degree, den)
+            assert list(plain.items()) == list(terms.items())
+            assert list(divided.items()) == [(e, Fraction(c, den)) for e, c in plain.items()]
+            assert all(type(c) is Fraction for c in divided.values())

@@ -1066,6 +1066,19 @@ def test_to_unweighted_float():
     assert uw.n == f.n
     assert all(w == 1 for w in uw.weights)
     assert verify(uw, tolerance=1e-12).passed
+    # a weight whose binary64 root is not finite and positive, or whose root
+    # overflows an entry it is folded into or underflows the vector to zero,
+    # is named
+    no_root, leaves = "has no finite positive binary64 4-th root", "folded into vector 1 leaves"
+    for weight, vector, message in [(Fraction(10**400), rvec(1, 0), no_root),
+                                    (Fraction(1, 10**400), rvec(1, 0), no_root),
+                                    (math.inf, rvec(1, 0), no_root),
+                                    (Fraction(10**300), rvec(10**300, 0), leaves),
+                                    (Fraction(1), rvec(10**400, 1), leaves),
+                                    (Fraction(1, 10**300), rvec(Fraction(1, 10**300), 0), leaves)]:
+        g = WeightedFrame(Field.R, 2, 4, (f.vectors[0], vector), (f.weights[0], weight))
+        with pytest.raises(FrameError, match=f"^weight 1 {message}"):
+            to_unweighted(g, mode="float")
 
 
 def test_to_unweighted_exact_requires_pth_powers():

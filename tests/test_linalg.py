@@ -1,11 +1,18 @@
 """Exact rank tracking, dependence certificates, and inversion over Q."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from isoframe.linalg import RowReducer, SingularMatrixError, _integer_inverse, matrix_inverse
+from isoframe.linalg import (
+    RowReducer,
+    SingularMatrixError,
+    _integer_inverse,
+    _over_one_denominator,
+    matrix_inverse,
+)
 
 
 def random_matrix(rows, cols, rng, span=5):
@@ -224,3 +231,29 @@ def test_matrix_inverse_block_diagonal_round_trip():
             for j in range(n):
                 assert sum(mat[i][k] * inv[k][j] for k in range(n)) == (i == j)
         assert matrix_inverse(inv) == mat
+
+
+def test_over_one_denominator_matches_written_out_reference():
+    # L is the lcm of the reduced denominators, found here by a gcd fold, and
+    # the L v are ints in the order of the values
+    rng = random.Random(43)
+    cases = [[], [0], [7], [Fraction(-3, 4)], [1, -2, 3], [0, 0],
+             [Fraction(6, 4), -2, Fraction(0, 5), Fraction(-10, 15)]]
+    for _ in range(200):
+        cases.append([rng.randint(-50, 50) if rng.random() < 0.4
+                      else Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+                      for _ in range(rng.randint(1, 8))])
+    for values in cases:
+        common = 1
+        for v in values:
+            q = Fraction(v).denominator
+            common = common * q // math.gcd(common, q)
+        scaled = [Fraction(v) * common for v in values]
+        assert all(x.denominator == 1 for x in scaled)
+        got_common, ints = _over_one_denominator(values)
+        assert got_common == common
+        assert ints == [x.numerator for x in scaled]
+        assert all(type(x) is int for x in ints)
+    # all-int values are their own numerators over L = 1
+    ints = [rng.randint(-10**30, 10**30) for _ in range(20)]
+    assert _over_one_denominator(ints) == (1, ints)

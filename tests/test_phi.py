@@ -456,7 +456,8 @@ def test_average_monomial_matches_sphere_moment_reference(field, m, p):
     table = phi._substitution_table(field, m)
     average = phi._averager(table, d, p)
     for beta in monomials(d * m, p):
-        averaged = phi._averaged_form(average(beta), d * m, d, p)
+        averaged = RealForm._build(d * m, p, phi._unpack(average(beta), d * m, 2 * p,
+                                                         phi._moment_denominator(d, p)))
         assert averaged == reference_average(beta, table, d)
         assert all(type(c) is Fraction for c in averaged.terms.values())
 
