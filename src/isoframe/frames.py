@@ -11,10 +11,18 @@ of x, so verification is an exact polynomial zero test.  The weighted
 representation keeps everything rational: folding a weight into its vector
 needs a p-th root, which is a separate lossy export (`to_unweighted`).
 
+An exact frame decides on one representation: the integers
+V_k = |<s_k u_k, x>|^p (s_k the lcm of u_k's denominators) at the dim Phi
+points Y of `_point_set`, on which evaluation is injective on Phi_K(m,p).
+Every frame form, <x, x>^{p/2}, the residual and the norm slices of the
+scaling reduction lie in Phi, so an identity among them holds exactly when
+it holds on Y.  The expanded forms are built only for a residual that is
+read, and for float frames.
+
 Reductions:
   * dependence/reduce_once drops vectors along an exact linear dependence of
-    the weighted frame forms, read from their values at a point set unisolvent
-    for Phi_K(m,p), rescaling the surviving weights by 1 - omega_k.
+    the weighted frame forms, read from their values on Y, rescaling the
+    surviving weights by 1 - omega_k.
   * scaling_reduce searches the coordinate cone for a parameter point mu where
     the smallest expansion coefficient a_k(mu) vanishes, then rescales the
     coordinates by diag(mu_i^{1/2}) and drops the vanishing vector.
@@ -37,7 +45,6 @@ from .forms import (
     Exponent,
     RealForm,
     _combination,
-    _pack,
     _packed_frame_form,
     _packed_norm_power,
     _scaled_linear_forms,
@@ -164,22 +171,23 @@ class WeightedFrame:
     @cached_property
     def _linear_forms(self) -> Tuple[Tuple[int, List[List[Scalar]]], ...]:
         """`_scaled_linear_forms` of each u_k, built on first use: s_k and the
-        d coefficient rows of <s_k u_k, x>, which the expansions, the values
-        and the proof pass of `_first_dependence` all read."""
+        d coefficient rows of <s_k u_k, x>, which the values, the refutation
+        at x0, the proof pass of `_first_dependence` and the expansions all
+        read."""
         return tuple(_scaled_linear_forms(u) for u in self.vectors)
 
     @cached_property
     def _expansions(self) -> Tuple[Tuple[int, Mapping[int, Scalar]], ...]:
         """`_packed_frame_form` of each u_k, expanded on first use: s_k and
         the terms of |<s_k u_k, x>|^p, keyed by the packed ints of
-        `RealForm.__pow__` and read-only.  Readers that need exponent
-        tuples unpack them."""
+        `RealForm.__pow__` and read-only.  Only `_residual` reads them; no
+        exact decision does."""
         return tuple(_packed_frame_form(s, linear, self.p) for s, linear in self._linear_forms)
 
     @cached_property
     def _weight_numerators(self) -> Tuple[int, List[int]]:
         """L, the lcm of the denominators of the w_k / s_k^p of an exact
-        frame, and the ints L w_k / s_k^p, which the refutation at x0 and the
+        frame, and the ints L w_k / s_k^p, which the exact verdict and the
         residual sum both read."""
         return _over_one_denominator([w / s**self.p for w, (s, _) in
                                       zip(self.weights, self._linear_forms)])
@@ -210,7 +218,8 @@ class WeightedFrame:
 
     @cached_property
     def _values(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-        """`_scaled_values` of each exact u_k at the points of `_point_set`."""
+        """`_scaled_values` of each exact u_k at the points Y of `_point_set`:
+        the one input of every exact decision on this frame."""
         points = _point_set(self.field, self.m, self.p)
         return tuple(_scaled_values(s, linear, self.p, points) for s, linear in self._linear_forms)
 
@@ -221,9 +230,11 @@ class WeightedFrame:
         row k of `_values` that depends on the rows before it, k, and the
         elimination that settled it, which `reduce_once` hands on.
 
-        The proof pass: for n <= dim Phi and no `_values` yet, V_k at n + 4
-        fixed points (`_proof_points`) that keep a pivot in every row modulo
-        _PROOF_PRIME give a minor nonzero over Z: None.
+        The proof pass: for n <= dim Phi and no carried elimination, V_k at
+        n + 4 fixed points (`_proof_points`) that keep a pivot in every row
+        modulo _PROOF_PRIME give a minor nonzero over Z: None.  It runs even
+        when `_values` are already built, as a passing `verify` leaves them:
+        it is far cheaper than a full elimination on them.
 
         The elimination: an elimination is (reducer, ids, records): a
         `RowReducer` over full rows of `_values`, each row under the index it
@@ -246,7 +257,7 @@ class WeightedFrame:
         the rank bound n <= dim Phi (RuntimeError); the proof pass already
         implies it."""
         dim = dim_phi(self.field, self.m, self.p)
-        if self.n <= dim and "_values" not in vars(self):
+        if self.n <= dim and self._carried is None:
             points = _proof_points(self.n + 4, self.field.real_dimension * self.m)
             values = (_scaled_values(s, linear, self.p, points)[1]
                       for s, linear in self._linear_forms)
@@ -322,33 +333,38 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     compares with no tolerance and raises FrameError.  A tolerance that is
     negative, nan or infinite raises ValueError before any work.
 
-    The exact test of an exact frame first tries to refute it at one integer
-    point x0, the first of `_proof_points`: with V_k(x0) = |<s_k u_k, x0>|^p,
-    sum_k (L w_k / s_k^p) V_k(x0) != L |x0|^p in ints proves the residual
-    nonzero, so the frame fails with nothing expanded.  Equality proves
-    nothing, and the residual decides, as it does every other test.  The
-    result reads the frame's residual, built at most once per frame, only
-    when asked for it.
+    The exact test of an exact frame expands no form.  It compares
+    sum_k (L w_k / s_k^p) V_k(y) with L |y|^p in ints, V_k(y) =
+    |<s_k u_k, y>|^p, first at one integer point x0, the first of
+    `_proof_points`, which refutes most failing frames at once, then at
+    every point y of Y (`WeightedFrame._values`).  The residual lies in
+    Phi and Y is unisolvent for Phi, so it is the zero form exactly when
+    it vanishes on Y.  Any other test reads the residual.  The result
+    reads the frame's residual, built at most once per frame, only when
+    asked for it.
     """
     if tolerance is not None and not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     if tolerance is not None:
         passed = _residual_max(frame._residual) <= tolerance
-    elif frame.is_exact and _refuted_at_one_point(frame):
-        passed = False
+    elif frame.is_exact:
+        x0 = _proof_points(1, frame.field.real_dimension * frame.m)
+        at_x0 = [_scaled_values(s, linear, frame.p, x0)[1] for s, linear in frame._linear_forms]
+        passed = not (_refuted_at(frame, x0, at_x0) or _refuted_at(
+            frame, _point_set(frame.field, frame.m, frame.p), [v for _, v in frame._values]))
     else:
         passed = frame._residual.is_zero
     return VerifyResult(passed=passed, frame=frame)
 
 
-def _refuted_at_one_point(frame: WeightedFrame) -> bool:
-    """Whether sum_k (L w_k / s_k^p) V_k(x0) != L |x0|^p, summed in ints: a
-    proof that the exact frame's residual is not the zero form."""
-    x0 = _proof_points(1, frame.field.real_dimension * frame.m)[0]
+def _refuted_at(frame: WeightedFrame, points: Sequence[Sequence[int]],
+                rows: Sequence[Sequence[int]]) -> bool:
+    """Whether sum_k (L w_k / s_k^p) rows[k][i] != L |y_i|^p at some point
+    y_i, summed in ints, rows[k] holding V_k at the points: a proof that
+    the exact frame's residual is not the zero form."""
     common, numerators = frame._weight_numerators
-    total = sum(c * _scaled_values(s, linear, frame.p, (x0,))[1][0]
-                for c, (s, linear) in zip(numerators, frame._linear_forms))
-    return total != common * sum(x * x for x in x0) ** (frame.p // 2)
+    return any(sum(c * row[i] for c, row in zip(numerators, rows))
+               != common * sum(x * x for x in y) ** (frame.p // 2) for i, y in enumerate(points))
 
 
 @dataclass(frozen=True)
@@ -494,12 +510,13 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     This is the weighted, fully rational form of replacing u_k with
     u_k (1-omega_k)^{1/p}: the output verifies exactly when the input does,
     and is strictly smaller.  Checked on values: sum_k a_k V_k = 0 with
-    a_k = w_k omega_k / s_k^p.
+    a_k = w_k omega_k / s_k^p; an omega entry that is not an int or a
+    Fraction raises CertificateError.
 
-    The output keeps the input's linear forms, values and expansions.  When
-    omega drops exactly one vector j and the elimination that settled the
-    input's dependence stopped at k = max{i : omega_i != 0}, the output
-    carries that elimination (reducer, ids, records) on: omega_j != 0, so
+    The output keeps the input's linear forms and values.  When omega
+    drops exactly one vector j and the elimination that settled the input's
+    dependence stopped at k = max{i : omega_i != 0}, the output carries
+    that elimination (reducer, ids, records) on: omega_j != 0, so
     rows {0..k} minus j span what rows 0..k-1 span, the pivots span the
     output's rows 0..k-1, and its next dependent row is its first.  For
     j != k the elimination keeps the record
@@ -509,6 +526,8 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     if len(cert.omega) != frame.n:
         raise CertificateError(
             f"certificate has {len(cert.omega)} entries for a frame of size {frame.n}")
+    if not all(isinstance(om, (int, Fraction)) for om in cert.omega):
+        raise CertificateError("certificate entries must be ints or Fractions")
     if max(cert.omega) != 1:
         raise CertificateError("certificate must be normalized to max omega = 1")
     if not frame.is_exact:
@@ -523,12 +542,10 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     reduced = WeightedFrame(frame.field, frame.m, frame.p,
                             tuple(frame.vectors[k] for k in keep),
                             tuple(frame.weights[k] * (1 - cert.omega[k]) for k in keep))
-    # The kept vectors are the same objects, so their linear forms, values
-    # and expansions are too.
+    # The kept vectors are the same objects, so their linear forms and
+    # values are too.
     object.__setattr__(reduced, "_linear_forms", tuple(frame._linear_forms[k] for k in keep))
     object.__setattr__(reduced, "_values", tuple(values[k] for k in keep))
-    if "_expansions" in vars(frame):
-        object.__setattr__(reduced, "_expansions", tuple(frame._expansions[k] for k in keep))
     found = vars(frame).get("_first_dependence")
     if len(keep) == frame.n - 1 and found and max(i for i, x in enumerate(a) if x) == found[1]:
         _, k, (reducer, ids, records) = found
@@ -621,12 +638,13 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
     F_lambda = sum_nu lambda^nu C_nu(x) with C_nu = (p/2; nu) prod_i
     |xi_i|^{2 nu_i}; each slice C_nu is reduced against the frame forms, and
     its dependence certificate gives the coefficients of lambda^nu in the
-    a_k.  The rows are the integer expansions P_k = s_k^p f_k, so a
-    certificate c' with C_nu = sum_k c'_k P_k gives a_{k,nu} = c'_k s_k^p,
-    unique since the P_k are independent.  The identity is re-checked
-    symbolically slice by slice, sum_k c'_k P_k = C_nu summed in ints over
-    one common denominator, which holds for every nu exactly when it holds
-    in (lambda, x); frames whose span misses a slice are rejected.
+    a_k.  Every form is read as its values on Y (`_point_set`): the rows
+    are V_k = s_k^p f_k on Y, and C_nu's row is its ints on Y.  A
+    certificate c' with C_nu = sum_k c'_k V_k on Y gives
+    a_{k,nu} = c'_k s_k^p.  C_nu and the f_k lie in Phi, on which
+    evaluation on Y is injective, so the certificate is one among the
+    forms, unique since the f_k are independent, and the identity holds in
+    (lambda, x); frames whose span misses a slice are rejected.
 
     The result is kept with the frame, so a later call on the same frame
     object, such as the one inside `scaling_reduce`, returns it at once.
@@ -636,37 +654,35 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
 
 
 def _expand_scaling(frame: WeightedFrame) -> ScalingForms:
-    """The work of `scaling_coefficients`, run once per frame object."""
+    """The work of `scaling_coefficients`, run once per frame object: the
+    checks run in order (exact, verified, independent, in the span), each
+    on the frame's values on Y."""
     if not frame.is_exact:
         raise FrameError("scaling coefficients require exact rational entries")
     if not verify(frame).passed:
         raise UnverifiedFrameError(
             "scaling coefficients are defined for verified frames only")
     m, p, d = frame.m, frame.p, frame.field.real_dimension
-    num_vars = d * m
     reducer = RowReducer()
-    powers = [power for _, power in frame._expansions]
-    for power in powers:
-        if reducer.add_row(power) is not None:
+    for _, values in frame._values:
+        if reducer.add_row(dict(enumerate(values))) is not None:
             raise DependentFormsError(
                 "frame forms are linearly dependent; run reduce_to_independent first")
     half = p // 2
-    # |xi_i|^2, the sum of the squares of xi_i's d real coordinates
-    squares = [RealForm._build(num_vars, 2, {(0,) * j + (2,) + (0,) * (num_vars - j - 1): 1
-                                             for j in range(d * i, d * i + d)}) for i in range(m)]
+    # |xi_i(y)|^2, the sum of the squares of xi_i's d real coordinates, at each y of Y
+    squares = [[sum(x * x for x in y[d * i:d * i + d]) for i in range(m)]
+               for y in _point_set(frame.field, m, p)]
     terms: List[Dict[Exponent, Fraction]] = [{} for _ in range(frame.n)]
     for nu in monomials(m, half):
         weight = math.factorial(half) // math.prod(math.factorial(e) for e in nu)
-        c_nu = _pack(math.prod((q ** e for q, e in zip(squares, nu) if e), start=weight).terms,
-                     num_vars, p)
-        cert = reducer.add_row(c_nu)
-        if cert is None or _combination(zip(_over_one_denominator(
-                [cert.get(k, 0) for k in range(frame.n)] + [-1])[1], powers + [c_nu])):
+        cert = reducer.add_row({j: weight * math.prod(map(pow, row, nu))
+                                for j, row in enumerate(squares)})
+        if cert is None:
             raise ScalingExpansionError(
                 "diagonal target is not in the span of the frame forms; "
                 "the expansion identity has no solution for this frame")
         for k, c in cert.items():
-            terms[k][nu] = c * frame._expansions[k][0] ** p
+            terms[k][nu] = c * frame._values[k][0] ** p
     coefficients = [RealForm(m, half, t) for t in terms]
     return ScalingForms(coefficients=tuple(coefficients))
 

@@ -44,6 +44,7 @@ from isoframe.kscalar import (
     KElement,
     KVector,
     inner_product,
+    k_norm_sq,
     rational_unit_scalars,
 )
 from isoframe.linalg import RowReducer
@@ -284,6 +285,10 @@ def test_reduce_once_rejects_bad_certificates():
     # max omega = 1 but not an actual dependence of these forms
     with pytest.raises(CertificateError):
         reduce_once(red, DependenceCertificate((1, Fraction(-1, 7), 0, 0, 0), 0))
+    # entries that are neither ints nor Fractions: a float and a string
+    for omega in ((0.5, 1.0, 0.0, 0.0), ("1", 1, 0, 0)):
+        with pytest.raises(CertificateError, match="ints or Fractions"):
+            reduce_once(f, DependenceCertificate(omega, 1))
 
 
 def test_reduce_once_drops_pivot_and_reweights():
@@ -301,16 +306,10 @@ def test_reduce_once_drops_pivot_and_reweights():
 
 
 def test_forms_expanded_once_across_reductions(monkeypatch):
-    # verify, the dependence/reduce_once loop and the final verify share one
-    # integer expansion per input vector: reduced frames inherit the kept ones.
-    calls = []
-    expand = isoframe.frames._packed_frame_form
-
-    def counting_expansion(s, linear, p):
-        calls.append(linear)
-        return expand(s, linear, p)
-
-    monkeypatch.setattr(isoframe.frames, "_packed_frame_form", counting_expansion)
+    # verify, the dependence/reduce_once loop and the final verify decide on
+    # values and expand nothing; a residual read expands each vector of its
+    # frame once, and is the left fold's term for term
+    calls = count_expansions(monkeypatch)
     base = catalog(Field.R, 2, 4, "real2-rational-p4")
     frame = union(split_vector(split_vector(base, 1, Fraction(1, 3)), 2, Fraction(3, 4)), base)
     assert verify(frame).passed
@@ -319,7 +318,13 @@ def test_forms_expanded_once_across_reductions(monkeypatch):
         current = reduce_once(current, cert)
     assert current.n < frame.n
     assert verify(current).passed
-    assert len(calls) == frame.n
+    assert calls == [] and all("_expansions" not in vars(f) for f in (frame, current))
+    for f in (frame, current):
+        calls.clear()
+        residual = verify(f).residual
+        assert residual.is_zero and len(calls) == f.n
+        assert typed_terms(residual.terms) == typed_terms(fold_residual(f))
+        assert verify(f).residual is residual and len(calls) == f.n
 
 
 def test_linear_forms_built_once_per_vector(monkeypatch):
@@ -355,8 +360,8 @@ def test_linear_forms_built_once_per_vector(monkeypatch):
 
 
 def test_library_paths_read_expansions_not_forms():
-    # exact frames are read as their integer expansions, float frames as the
-    # float expansions, which are their forms
+    # exact frames are read as their integer values on the unisolvent points,
+    # float frames as the float expansions, which are their forms
     base = catalog(Field.R, 2, 4, "real2-rational-p4")
     redundant = union(split_vector(base, 1, Fraction(1, 3)), base)
     synthetic = build_synthetic_frame()
@@ -1276,8 +1281,8 @@ def seeded_design(field, p, rng):
 @pytest.mark.parametrize("p", [2, 4, 6])
 @pytest.mark.parametrize("field", [Field.R, Field.C, Field.H])
 def test_integer_verify_matches_reference_combination(field, p):
-    # verify sums the cached integer expansions in ints; the reference is the
-    # Fraction left fold over freshly expanded forms, term for term
+    # the residual sums the cached integer expansions in ints; the reference
+    # is the Fraction left fold over freshly expanded forms, term for term
     rng = random.Random(88 + p)
     for _ in range(2):
         frame = seeded_design(field, p, rng)
@@ -1381,14 +1386,36 @@ def count_expansions(monkeypatch):
     return calls
 
 
+def refuted_at_x0(frame):
+    """Whether the point x0 of `verify` refutes the exact frame."""
+    x0 = isoframe.frames._proof_points(1, frame.field.real_dimension * frame.m)
+    return isoframe.frames._refuted_at(frame, x0, [
+        isoframe.frames._scaled_values(s, linear, frame.p, x0)[1]
+        for s, linear in frame._linear_forms])
+
+
+def plus_vector_orthogonal_to_x0(frame):
+    """frame plus u = (|b|^2 a, -|a|^2 b), x0 = (a, b), with weight 1/3:
+    <u, x0> = |b|^2 |a|^2 - |a|^2 |b|^2 = 0 over R, C and H, so the new
+    term vanishes at x0 and x0 refutes the frame only if it refutes the
+    input."""
+    d = frame.field.real_dimension
+    x0 = isoframe.frames._proof_points(1, 2 * d)[0]
+    a, b = KElement(frame.field, x0[:d]), KElement(frame.field, x0[d:])
+    u = KVector(frame.field, (a.scale(k_norm_sq(b)), b.scale(-k_norm_sq(a))))
+    return WeightedFrame(frame.field, 2, frame.p, frame.vectors + (u,),
+                         frame.weights + (Fraction(1, 3),))
+
+
 @pytest.mark.parametrize("p", [2, 4, 6, 8])
 @pytest.mark.parametrize("field", [Field.R, Field.C, Field.H])
 def test_exact_verdict_is_the_zero_test_of_the_residual(field, p):
-    # whether it comes from the point x0 or from the expansion, the verdict
-    # is that of the left-fold residual: on seeded designs, which pass for
-    # p <= 6 (at p = 8, where they fail, the perturbed one stands for both),
-    # the designs with one weight perturbed, random frames, and the frames
-    # reduce_once returns
+    # whether x0 or Y refutes the frame, the verdict is that of the
+    # left-fold residual: on seeded designs, which pass for p <= 6 (at
+    # p = 8, where they fail, the perturbed one stands for both), the
+    # designs with one weight perturbed, random frames, the frames
+    # reduce_once returns, and for p <= 6 the design plus a vector
+    # orthogonal to x0, which x0 does not refute and Y does
     rng = random.Random(92 + p)
     design = seeded_design(field, p, rng)
     weights = list(design.weights)
@@ -1398,30 +1425,33 @@ def test_exact_verdict_is_the_zero_test_of_the_residual(field, p):
               random_rational_frame(field, 2, p, 4, seed=p),
               reduce_once(dependent, dependence(dependent))]
     if p <= 6:
-        frames.append(design)
+        frames += [plus_vector_orthogonal_to_x0(design), design]
+        assert not refuted_at_x0(frames[-2])
     verdicts = [verify(frame).passed for frame in frames]
     assert verdicts == [not fold_residual(frame) for frame in frames]
-    assert verdicts == [False, False, False] + [True] * (p <= 6)
+    assert verdicts == [False, False, False] + [False, True] * (p <= 6)
 
 
 def test_failing_frame_that_vanishes_at_x0_fails_on_its_residual(monkeypatch):
     # an R^2 p = 2 orthonormal frame plus u orthogonal to x0 has the same
-    # value at x0 as <x, x>, so the point proves nothing and the residual
-    # w <u, x>^2 decides
+    # value at x0 as <x, x>, so the point proves nothing and the values on Y
+    # decide, expanding nothing; the residual w <u, x>^2, built on first
+    # read, is the left fold's term for term
     calls = count_expansions(monkeypatch)
     a, b = isoframe.frames._proof_points(1, 2)[0]
     frame = WeightedFrame(Field.R, 2, 2, (rvec(1, 0), rvec(0, 1), rvec(-b, a)),
                           (1, 1, Fraction(1, 3)))
-    assert not isoframe.frames._refuted_at_one_point(frame)
+    assert not refuted_at_x0(frame)
     result = verify(frame)
-    assert not result.passed and len(calls) == frame.n
+    assert not result.passed and calls == []
     assert typed_terms(result.residual.terms) == typed_terms(fold_residual(frame))
     assert len(calls) == frame.n
 
 
 def test_failing_verdict_expands_nothing_until_the_residual_is_read(monkeypatch):
-    # x0 refutes each failing frame with no expansion; its residual is built
-    # on first read, once per frame, and is the left fold's term for term
+    # x0 refutes each failing frame with no expansion, and the values on Y
+    # pass each design with none; a residual is built on first read, once
+    # per frame, and is the left fold's term for term
     calls = count_expansions(monkeypatch)
     rng = random.Random(93)
     for field, p in ((Field.R, 4), (Field.C, 4), (Field.H, 2), (Field.C, 6)):
@@ -1442,18 +1472,46 @@ def test_failing_verdict_expands_nothing_until_the_residual_is_read(monkeypatch)
             assert len(calls) == frame.n
         calls.clear()
         result = verify(design)
-        assert result.passed and len(calls) == design.n
+        assert result.passed and calls == []
+        assert typed_terms(result.residual.terms) == typed_terms(fold_residual(design))
+        assert result.residual.is_zero and len(calls) == design.n
         assert verify(design).residual is result.residual and len(calls) == design.n
 
 
 def test_e8_roots_verify_up_to_their_design_strength(monkeypatch):
     # an independent oracle: the E8 roots form a spherical 7-design and not
-    # an 8-design, so the frame verifies at p = 2, 4 and 6 and fails at
-    # p = 8, where x0 refutes it with no expansion
+    # an 8-design, so the frame verifies at p = 2, 4 and 6, on the values at
+    # the unisolvent points, and fails at p = 8, where x0 refutes it; no
+    # verdict expands a form
     calls = count_expansions(monkeypatch)
     for p in (2, 4, 6):
         assert verify(e8_root_frame(p)).passed
-    calls.clear()
+    assert calls == []
     frame = e8_root_frame(8)
     assert frame.n == 120 and not verify(frame).passed
     assert calls == [] and "_expansions" not in vars(frame)
+
+
+@pytest.mark.parametrize("make", [build_synthetic_frame, mub_c2_p4, design_h2_p4,
+                                  lambda: e8_root_frame(4)],
+                         ids=["quick-start", "C2-mub", "H2-design", "E8-p4"])
+def test_verified_independent_frame_decides_by_the_proof_pass(monkeypatch, make):
+    # a passing verify leaves the values on Y built; dependence still runs
+    # the proof pass on a frame that carries no elimination, and adds no
+    # row to an exact elimination over R, C and H
+    monkeypatch.setattr(isoframe.frames, "RowReducer", CountingReducer)
+    frame = make()
+    assert verify(frame).passed and "_values" in vars(frame)
+    CountingReducer.rows = []
+    assert dependence(frame) is None
+    assert CountingReducer.rows == []
+
+
+def test_scaling_coefficients_expand_nothing(monkeypatch):
+    # the coefficient forms come from the values on Y, so no form is
+    # expanded over R, C and H
+    calls = count_expansions(monkeypatch)
+    for frame in (build_synthetic_frame(), mub_c2_p4(), design_h2_p4(),
+                  catalog(Field.H, 2, 2, "orthonormal-p2")):
+        assert scaling_coefficients(frame).coefficients
+        assert calls == [] and "_expansions" not in vars(frame)

@@ -257,9 +257,9 @@ def rvec(a, b):
 
 def test_scaling_coefficients_smoke():
     # the README quick-start frame and the C^2 MUB design: the exact
-    # coefficient forms a_k, read from certificates over the integer
-    # expansions, and the reduced frames keep the digests they had when the
-    # certificates were taken over the Fraction forms
+    # coefficient forms a_k, read from certificates over the values at the
+    # unisolvent points, and the reduced frames keep the digests they had
+    # when the certificates were taken over the Fraction forms
     got = [(sha(repr([list(a.terms.items()) for a in scaling_coefficients(f).coefficients])),
             sha(serialize_frame(scaling_reduce(f))))
            for f in (build_synthetic_frame(), mub_c2_p4())]

@@ -21,6 +21,7 @@ import json
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,7 +58,8 @@ def build(name):
     if name in DRAWN:
         return drawn_frame(*DRAWN[name])
     frame = criterion_4_frame(CRITERION_4[name])
-    assert verify(frame).passed
+    # a copy is verified, so the timed frame starts with nothing cached
+    assert verify(replace(frame)).passed
     return frame
 
 
