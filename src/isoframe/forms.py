@@ -412,17 +412,18 @@ def _scaled_linear_forms(u: KVector) -> Tuple[int, List[List[Scalar]]]:
 
 
 def _packed_frame_form(s: int, linear: List[List[Scalar]],
-                       p: int) -> Tuple[int, Mapping[int, Scalar]]:
+                       p: int) -> Tuple[int, Dict[int, Scalar]]:
     """s and the terms of |<s u, x>|^p keyed by `_pack` for degree p, in a
-    read-only mapping, from `_scaled_linear_forms(u)`: s the lcm of an exact
-    u's denominators and int coefficients, or s = 1 and float coefficients
-    for a float u."""
+    dict of the caller's own, from `_scaled_linear_forms(u)`: s the lcm of
+    an exact u's denominators and int coefficients, or s = 1 and float
+    coefficients for a float u.  No cache keeps it: `frame_form` unpacks it
+    and a residual sums it in, each as it is built."""
     n = len(linear[0])
     squares = [lin * lin for lin in (RealForm._build(n, 1, {
         (0,) * j + (1,) + (0,) * (n - j - 1): c for j, c in enumerate(row) if c})
         for row in linear)]
     base = linear_combination((1,) * len(linear), squares)
-    return s, MappingProxyType(_packed_power(_pack(base.terms, n, p), p // 2))
+    return s, _packed_power(_pack(base.terms, n, p), p // 2)
 
 
 def frame_form(u: KVector, p: int) -> RealForm:

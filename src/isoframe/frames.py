@@ -16,8 +16,9 @@ V_k = |<s_k u_k, x>|^p (s_k the lcm of u_k's denominators) at the dim Phi
 points Y of `_point_set`, on which evaluation is injective on Phi_K(m,p).
 Every frame form, <x, x>^{p/2}, the residual and the norm slices of the
 scaling reduction lie in Phi, so an identity among them holds exactly when
-it holds on Y.  The expanded forms are built only for a residual that is
-read, and for float frames.
+it holds on Y.  No frame keeps its expansions |<s_k u_k, x>|^p: only a
+residual that is read, and the float checks that read it, build them, one
+vector at a time, each summed into the residual as it is built.
 
 Reductions:
   * dependence/reduce_once drops vectors along an exact linear dependence of
@@ -37,7 +38,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import chain, combinations, combinations_with_replacement, permutations
 from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -177,14 +178,6 @@ class WeightedFrame:
         return tuple(_scaled_linear_forms(u) for u in self.vectors)
 
     @cached_property
-    def _expansions(self) -> Tuple[Tuple[int, Mapping[int, Scalar]], ...]:
-        """`_packed_frame_form` of each u_k, expanded on first use: s_k and
-        the terms of |<s_k u_k, x>|^p, keyed by the packed ints of
-        `RealForm.__pow__` and read-only.  Only `_residual` reads them; no
-        exact decision does."""
-        return tuple(_packed_frame_form(s, linear, self.p) for s, linear in self._linear_forms)
-
-    @cached_property
     def _weight_numerators(self) -> Tuple[int, List[int]]:
         """L, the lcm of the denominators of the w_k / s_k^p of an exact
         frame, and the ints L w_k / s_k^p, which the exact verdict and the
@@ -194,26 +187,36 @@ class WeightedFrame:
 
     @cached_property
     def _residual(self) -> RealForm:
-        """sum_k w_k |<u_k, x>|^p - <x, x>^{p/2}, built on first use.
+        """sum_k w_k |<u_k, x>|^p - <x, x>^{p/2}, built on first use, one
+        vector's expansion at a time: each `_packed_frame_form` (s_k and the
+        terms of |<s_k u_k, x>|^p on packed keys) is summed in as it is
+        built and then dropped, so no frame keeps its expansions, and the
+        memory of the sum does not grow with n.
 
-        An exact frame sums its packed int expansions with the ints
-        L w_k / s_k^p of `_weight_numerators`, and the packed norm power
-        with -L, on the packed keys; only the terms that survive are
-        unpacked, each divided by L once.  `forms._combination` keeps and
-        drops the int terms where it would keep and drop the Fraction terms,
-        so the result equals the Fraction combination of the unpacked forms
-        term for term.  A float frame sums its packed expansions, an exact
-        u's divided by s^p as `frame_form` divides it, and unpacks once."""
+        An exact frame sums them with the ints L w_k / s_k^p of
+        `_weight_numerators`, and the packed norm power with -L, on the
+        packed keys; only the terms that survive are unpacked, each divided
+        by L once.  `forms._combination` keeps and drops the int terms where
+        it would keep and drop the Fraction terms, so the result equals the
+        Fraction combination of the unpacked forms term for term.  A float
+        frame sums them with the w_k, an exact u's divided by s^p as
+        `frame_form` divides it, and unpacks once; a sum with no binary64
+        value, an exact term too large for a float added to a float one,
+        raises the FrameError of `_residual_max`."""
         p, num_vars = self.p, self.field.real_dimension * self.m
+        expansions = (_packed_frame_form(s, linear, p) for s, linear in self._linear_forms)
         if self.is_exact:
             common, numerators = self._weight_numerators
-            out = _combination([(c, power) for c, (_, power) in zip(numerators, self._expansions)]
-                               + [(-common, _packed_norm_power(num_vars, p))])
+            out = _combination(chain(((c, power) for c, (_, power) in zip(numerators, expansions)),
+                                     [(-common, _packed_norm_power(num_vars, p))]))
             return RealForm._build(num_vars, p, _unpack(out, num_vars, p, common))
-        # Fraction(-1) keeps the norm power's terms Fractions (norm_power_form)
-        pairs = [(w, {key: Fraction(c, s**p) for key, c in power.items()} if u.is_exact else power)
-                 for w, u, (s, power) in zip(self.weights, self.vectors, self._expansions)]
-        out = _combination(pairs + [(Fraction(-1), _packed_norm_power(num_vars, p))])
+        pairs = ((w, {key: Fraction(c, s**p) for key, c in power.items()} if u.is_exact else power)
+                 for w, u, (s, power) in zip(self.weights, self.vectors, expansions))
+        try:
+            # Fraction(-1) keeps the norm power's terms Fractions (norm_power_form)
+            out = _combination(chain(pairs, [(Fraction(-1), _packed_norm_power(num_vars, p))]))
+        except OverflowError:
+            raise FrameError(_OVERFLOW) from None
         return RealForm._build(num_vars, p, _unpack(out, num_vars, p))
 
     @cached_property
@@ -308,6 +311,10 @@ class VerifyResult:
         return _residual_max(self.residual)
 
 
+_OVERFLOW = ("the residual overflows binary64: a frame entry is too large "
+             "for a floating-point check at this p")
+
+
 def _residual_max(residual: RealForm) -> float:
     # A float coefficient that overflowed to inf or nan, or an exact one too
     # large to convert, leaves no binary64 maximum to report or compare.
@@ -318,8 +325,7 @@ def _residual_max(residual: RealForm) -> float:
     floats = [c for c in residual.terms.values() if isinstance(c, float)]
     if math.isfinite(peak) and all(math.isfinite(c) for c in floats):
         return peak
-    raise FrameError("the residual overflows binary64: a frame entry is too large "
-                     "for a floating-point check at this p")
+    raise FrameError(_OVERFLOW)
 
 
 def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyResult:

@@ -36,7 +36,6 @@ from .forms import (
     _parity_buckets,
     _scaled_terms,
     _unpack,
-    linear_combination,
     monomials,
 )
 from .kscalar import Field, basis_product
@@ -138,9 +137,8 @@ def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
     n, degree = d * m, phi.degree
     average = _averager(_substitution_table(field, m), d, degree)
     den = _moment_denominator(d, degree)
-    averages = [RealForm._build(n, degree, _unpack(average(beta), n, 2 * degree, den))
-                for beta in phi.terms]
-    return linear_combination(list(phi.terms.values()), averages)
+    return RealForm._build(n, degree, _combination(
+        (c, _unpack(average(beta), n, 2 * degree, den)) for beta, c in phi.terms.items()))
 
 
 @dataclass(frozen=True)

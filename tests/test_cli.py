@@ -14,6 +14,7 @@ import pytest
 from isoframe import cli
 from isoframe.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_MALFORMED, EXIT_PASS, entry
 from isoframe.frames import (
+    FrameError,
     WeightedFrame,
     catalog,
     load_frame,
@@ -106,16 +107,24 @@ def test_verify_overflowing_float_entry(capsys, tmp_path):
 
 def test_verify_overflowing_exact_entry(capsys, tmp_path):
     # 10^100 is exact, but at p = 4 the residual holds 10^400, which has no
-    # binary64 value to report as residual_max.
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"field": "R", "m": 2, "p": 4,
-                                "vectors": [[[str(10**100)], ["0"]], [["0"], ["1"]]],
-                                "weights": ["1", "1"]}))
-    for mode in ((), ("--mode", "float")):
-        code, out, err = run(capsys, "verify", str(path), "--output", "json", *mode)
-        assert code == EXIT_FAIL
-        assert out == ""
-        assert err.startswith("error:")
+    # binary64 value to report as residual_max.  Beside the float vector
+    # (0.5, 1), the exact (1, 10^120) makes the float residual add its exact
+    # 4 * 10^360 on x y^3 to a float term, which has no binary64 value
+    # either: the library raises FrameError with or without a tolerance.
+    for vectors in ([[[str(10**100)], ["0"]], [["0"], ["1"]]],
+                    [[["0.5"], ["1"]], [["1"], [str(10**120)]]]):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"field": "R", "m": 2, "p": 4,
+                                    "vectors": vectors, "weights": ["1", "1"]}))
+        for mode in ((), ("--mode", "float")):
+            code, out, err = run(capsys, "verify", str(path), "--output", "json", *mode)
+            assert code == EXIT_FAIL
+            assert out == ""
+            assert err.startswith("error:")
+    frame = load_frame(path)
+    for tolerance in (None, 1e-9):
+        with pytest.raises(FrameError, match="overflows binary64"):
+            verify(frame, tolerance=tolerance)
 
 
 def test_verify_missing_file(capsys, tmp_path):

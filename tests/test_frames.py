@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -143,13 +144,12 @@ def test_catalog_p4_verifies_exactly():
 
 
 def test_shared_forms_are_read_only():
-    # a frame's packed integer expansions, the cached packed norm power and
-    # the cached phi basis are shared by every reader, so none of them may
-    # change a verdict or a basis after the fact
+    # the cached packed norm power and the cached phi basis are shared by
+    # every reader, so neither may change a verdict or a basis after the fact
     frame = catalog(Field.R, 2, 4, "real2-rational-p4")
     basis_form = phi_basis(Field.R, 2, 4).basis[0]
     basis_terms = dict(basis_form.terms)
-    for terms in (frame._expansions[0][1], _packed_norm_power(2, 4), basis_form.terms):
+    for terms in (_packed_norm_power(2, 4), basis_form.terms):
         before = dict(terms)
         with pytest.raises(AttributeError):
             terms.clear()
@@ -219,7 +219,7 @@ def test_verify_tolerance_validation():
         f = catalog(Field.R, 2, 4, "real2-rational-p4")
         with pytest.raises(ValueError, match="finite and nonnegative"):
             verify(f, tolerance=tolerance)
-        assert "_expansions" not in vars(f)
+        assert "_residual" not in vars(f)
     assert verify(catalog(Field.R, 2, 4, "real2-rational-p4"), tolerance=0.0).passed
 
 
@@ -318,13 +318,35 @@ def test_forms_expanded_once_across_reductions(monkeypatch):
         current = reduce_once(current, cert)
     assert current.n < frame.n
     assert verify(current).passed
-    assert calls == [] and all("_expansions" not in vars(f) for f in (frame, current))
+    assert calls == [] and all("_residual" not in vars(f) for f in (frame, current))
     for f in (frame, current):
         calls.clear()
         residual = verify(f).residual
         assert residual.is_zero and len(calls) == f.n
         assert typed_terms(residual.terms) == typed_terms(fold_residual(f))
         assert verify(f).residual is residual and len(calls) == f.n
+
+
+def test_residual_memory_does_not_grow_with_the_vectors():
+    # the residual sums each vector's expansion in as it is built and keeps
+    # none, so e8_root_frame(4) with every vector listed twice at half the
+    # weight gives the same residual at about the same peak memory, not
+    # twice it; what the residual reads and keeps is built before tracing
+    single = e8_root_frame(4)
+    doubled = WeightedFrame(single.field, single.m, single.p, single.vectors * 2,
+                            tuple(w / 2 for w in single.weights) * 2)
+    peaks = []
+    for frame in (single, doubled):
+        assert frame._linear_forms and frame._weight_numerators
+        _packed_norm_power(frame.field.real_dimension * frame.m, frame.p)
+        tracemalloc.start()
+        try:
+            assert frame._residual is not None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert typed_terms(doubled._residual.terms) == typed_terms(single._residual.terms)
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def test_linear_forms_built_once_per_vector(monkeypatch):
@@ -608,7 +630,7 @@ def test_full_rank_frame_runs_no_exact_elimination(monkeypatch, field, m, p, n):
     monkeypatch.setattr(isoframe.frames, "RowReducer", NoElimination)
     frame = random_rational_frame(field, m, p, n)
     assert dependence(frame) is None
-    assert "_expansions" not in vars(frame)
+    assert "_residual" not in vars(frame)
 
 
 def test_degenerate_proof_points_fall_back_to_exact_loop(monkeypatch):
@@ -897,7 +919,7 @@ def test_dependence_chain_expands_no_form():
             current = reduce_once(current, cert)
             chain.append(current)
         assert len(chain) >= 3
-        assert all("_expansions" not in vars(frame) for frame in chain)
+        assert all("_residual" not in vars(frame) for frame in chain)
 
 
 def test_reduce_once_requires_exact_frames():
@@ -1374,7 +1396,8 @@ def test_int_rows_reduce_as_their_fractions():
 
 
 def count_expansions(monkeypatch):
-    """Record each `_packed_frame_form` call that a frame's `_expansions` makes."""
+    """Record each `_packed_frame_form` call that a frame's `_residual` makes
+    as it sums the expansions in, one vector at a time."""
     calls = []
     expand = isoframe.frames._packed_frame_form
 
@@ -1489,7 +1512,7 @@ def test_e8_roots_verify_up_to_their_design_strength(monkeypatch):
     assert calls == []
     frame = e8_root_frame(8)
     assert frame.n == 120 and not verify(frame).passed
-    assert calls == [] and "_expansions" not in vars(frame)
+    assert calls == [] and "_residual" not in vars(frame)
 
 
 @pytest.mark.parametrize("make", [build_synthetic_frame, mub_c2_p4, design_h2_p4,
@@ -1514,4 +1537,4 @@ def test_scaling_coefficients_expand_nothing(monkeypatch):
     for frame in (build_synthetic_frame(), mub_c2_p4(), design_h2_p4(),
                   catalog(Field.H, 2, 2, "orthonormal-p2")):
         assert scaling_coefficients(frame).coefficients
-        assert calls == [] and "_expansions" not in vars(frame)
+        assert calls == [] and "_residual" not in vars(frame)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import types
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -278,6 +279,17 @@ def test_scaling_reduce_nonfinite_bound():
         assert verify(frame).passed
         with pytest.raises(FrameError, match="not finite"):
             scaling_reduce(frame)
+
+
+def test_scaling_reduce_refuses_a_rebuild_beyond_its_slack(monkeypatch):
+    # the float rebuild is re-verified within 1e-8 plus the dropped
+    # vectors' bound; square roots skewed by a relative 1e-7 leave a
+    # residual beyond that, which must end in the defect error, not in a
+    # returned frame that fails
+    skewed = types.SimpleNamespace(**dict(vars(math), sqrt=lambda x: math.sqrt(x) * (1 + 1e-7)))
+    monkeypatch.setattr(isoframe.frames, "math", skewed)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        scaling_reduce(build_synthetic_frame())
 
 
 def test_scaling_reduce_deterministic(synthetic_frame):
