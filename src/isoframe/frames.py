@@ -59,6 +59,7 @@ from .kscalar import (
     KVector,
     Scalar,
     _coerce,
+    basis_product,
     scalar_from_str,
     scalar_to_str,
 )
@@ -441,16 +442,25 @@ def _point_set(field: Field, m: int, p: int) -> Tuple[Tuple[int, ...], ...]:
     theorem, Weyl, The Classical Groups), so dim Phi pivots give a
     dim Phi x dim Phi minor nonzero modulo the prime, hence over Z, and a
     form in Phi that vanishes on Y is zero.  Any other rank is a defect
-    (RuntimeError)."""
+    (RuntimeError).  The pivot columns are the leading columns of the rows'
+    span modulo the prime, the greedy first independent points of X, so Y
+    does not depend on which rows span that space or on their order.
+
+    The invariant values are ints at each point of X: |xi_i|^2 and
+    |xi_i + conj(eps_c) xi_j|^2 = |<e_i + e_j eps_c, x>|^2, whose
+    component t adds +-xi_{j,s} to xi_{i,t} for eps_c eps_s = sign eps_t
+    (`kscalar.basis_product`), the sign flipped when c > 0."""
     d = field.real_dimension
     lattice = tuple(e[1:] + (1,) + (0,) * (d - 1) for e in monomials(d * (m - 1) + 1, p))
     if d == 1:
         return lattice
-    units = [KElement(field, tuple(int(t == c) for t in range(d))) for c in range(d)]
-    basis = [KVector.canonical(field, m, i) for i in range(m)]
-    directions = basis + [basis[i] + basis[j].scale_right(unit)
-                          for i, j in combinations(range(m), 2) for unit in units]
-    squares = [_scaled_values(*_scaled_linear_forms(v), 2, lattice)[1] for v in directions]
+    squares = [[sum(a * a for a in x[i * d:i * d + d]) for x in lattice] for i in range(m)]
+    for i, j in combinations(range(m), 2):
+        for c in range(d):
+            products = [basis_product(field, c, s) for s in range(d)]
+            twist = [(i * d + t, j * d + s, sign if c == 0 else -sign)
+                     for s, (t, sign) in enumerate(products)]
+            squares.append([sum((x[a] + g * x[b]) ** 2 for a, b, g in twist) for x in lattice])
     rows = ([math.prod(column) for column in zip(*chosen)]
             for chosen in combinations_with_replacement(squares, p // 2))
     cols = sorted(col for col in _pivots_mod_q(rows) if col is not None)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import isoframe.forms
+import isoframe.frames
 from isoframe import cli
 from isoframe.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_MALFORMED, EXIT_PASS, entry
 from isoframe.frames import (
@@ -22,10 +24,10 @@ from isoframe.frames import (
     serialize_frame,
     verify,
 )
-from isoframe.kscalar import Field
+from isoframe.kscalar import Field, KVector
 from isoframe.phi import dim_phi
 
-from conftest import build_rescaled_synthetic_frame
+from conftest import build_rescaled_synthetic_frame, design_h2_p4, e8_root_frame, mub_c2_p4
 
 
 @pytest.fixture
@@ -449,4 +451,67 @@ def test_float_scale_reduce_output_frozen(capsys, synthetic_path):
         '  "n_final": 4,\n'
         '  "exact": false,\n'
         '  "residual_max": 2.054388437144894e-09\n'
+        "}\n")
+
+
+def refuse_expansion(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a passing exact verdict expands no form")
+    monkeypatch.setattr(isoframe.frames, "_packed_frame_form", refuse)
+    monkeypatch.setattr(isoframe.forms, "_packed_frame_form", refuse)
+
+
+# n, dim Phi and the bound of passing exact frames; the zero residual's
+# 0.0 and 0 are the bytes its full expansion gave
+FROZEN_EXACT_VERIFY = {
+    "real2-rational-p4": (lambda: catalog(Field.R, 2, 4, "real2-rational-p4"), 4, 5, 4),
+    "C2 MUB p4": (mub_c2_p4, 6, 9, 8),
+    "H2 design p4": (design_h2_p4, 10, 20, 19),
+    "E8 roots p6": (lambda: e8_root_frame(6), 120, 1716, 1715),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_EXACT_VERIFY))
+def test_exact_verify_pass_reads_the_verdict(capsys, tmp_path, monkeypatch, name):
+    build, n, dim, bound = FROZEN_EXACT_VERIFY[name]
+    path = tmp_path / "frame.json"
+    save_frame(build(), path)
+    refuse_expansion(monkeypatch)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (EXIT_PASS, "")
+    assert out == (f"verdict: pass\nmode: exact\nn: {n}\ndim: {dim}\nbound: {bound}\n"
+                   "residual_max: 0.0\nresidual_terms: 0\n")
+    code, out, err = run(capsys, "verify", str(path), "--output", "json")
+    assert (code, err) == (EXIT_PASS, "")
+    assert out == (
+        "{\n"
+        '  "verdict": "pass",\n'
+        '  "mode": "exact",\n'
+        f'  "n": {n},\n'
+        f'  "dim": {dim},\n'
+        f'  "bound": {bound},\n'
+        '  "residual_max": 0.0,\n'
+        '  "residual_terms": 0\n'
+        "}\n")
+
+
+def test_exact_scale_reduce_reads_the_verdict(capsys, tmp_path, monkeypatch):
+    # the exact-branch frame of the scaling search smoke at grid 2049
+    vectors = tuple(KVector.from_reals(Field.R, [Fraction(1), Fraction(b)]) for b in (0, 7, -7))
+    path = tmp_path / "exact.json"
+    save_frame(WeightedFrame(Field.R, 2, 2, vectors,
+                             (Fraction(48, 49), Fraction(1, 98), Fraction(1, 98))), path)
+    refuse_expansion(monkeypatch)
+    code, out, err = run(capsys, "scale-reduce", str(path), "--grid", "2049")
+    assert (code, err) == (EXIT_PASS, "")
+    assert out == "result: reduced\nn_initial: 3\nn_final: 2\nexact: True\nresidual_max: 0.0\n"
+    code, out, err = run(capsys, "scale-reduce", str(path), "--grid", "2049", "--output", "json")
+    assert (code, err) == (EXIT_PASS, "")
+    assert out == (
+        "{\n"
+        '  "result": "reduced",\n'
+        '  "n_initial": 3,\n'
+        '  "n_final": 2,\n'
+        '  "exact": true,\n'
+        '  "residual_max": 0.0\n'
         "}\n")

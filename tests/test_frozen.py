@@ -1,9 +1,10 @@
 """Frozen answers: the independence proof, the dense dependence, the verify
 residual and the dependence chains of seeded random frames, the scaling
-coefficients and searches of known frames, and the Phi bases with their
-duals, pinned by sha256.  Each digest was taken when the answer was first
-computed and must stay byte for byte; CI runs each test as its own step
-under a 20 s timeout (30 s for the large real chain)."""
+coefficients and searches of known frames, the Phi bases with their
+duals, and the unisolvent point sets, pinned by sha256.  Each digest was
+taken when the answer was first computed and must stay byte for byte; CI
+runs each test as its own step under a 20 s timeout (30 s for the large
+real chain)."""
 
 import hashlib
 import itertools
@@ -16,6 +17,7 @@ from pathlib import Path
 
 from isoframe.frames import (
     WeightedFrame,
+    _point_set,
     catalog,
     dependence,
     reduce_once,
@@ -249,6 +251,20 @@ def test_dual_basis_digest_smoke():
                             [t.terms for t in dual.duals], dual.gram_inverse)).encode())
     assert digest.hexdigest() == (
         '52e7954d22a10f3d559491239a3b04a9181772bba3e2f68abf18927936d194dd')
+
+
+def test_point_set_digest_smoke():
+    # the point sets Y over C and H at m = 1-4, p = 2, 4, 6, built afresh,
+    # then H^3 p = 4; C^4 p = 6, H^3 p = 6 and H^4 p = 4, 6 are left out,
+    # each taking seconds or more.  Y is the set of leading columns of the
+    # invariant products' values, so any spanning rows give the same points
+    keys = [(tag, m, p) for tag in ('C', 'H') for m in (1, 2, 3, 4) for p in (2, 4, 6)
+            if (tag, m, p) not in (('C', 4, 6), ('H', 3, 4), ('H', 3, 6), ('H', 4, 4), ('H', 4, 6))]
+    digest = hashlib.sha256()
+    for tag, m, p in keys + [('H', 3, 4)]:
+        digest.update(repr(_point_set.__wrapped__(Field[tag], m, p)).encode())
+    assert digest.hexdigest() == (
+        'ea57d514f6d5c4380c7860260d44a9dd5c6ca8cbf97fa73b1c243a7fe1eed9fb')
 
 
 def rvec(a, b):
