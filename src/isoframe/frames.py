@@ -284,6 +284,21 @@ class WeightedFrame:
         return (DependenceCertificate(omega=omega, pivot=omega.index(Fraction(1))), k,
                 (reducer, tuple(ids), records))
 
+    def _kept(self, keep: Sequence[int], weights: Tuple[Fraction, ...],
+              carried) -> WeightedFrame:
+        """The exact frame of this exact frame's vectors at the indices keep,
+        with the given positive Fraction weights and carried elimination,
+        built with no `__post_init__` pass: the vectors are this frame's
+        validated objects, so their field, length and nonzero checks hold,
+        and their linear forms and values are this frame's too."""
+        out = object.__new__(WeightedFrame)
+        vars(out).update(field=self.field, m=self.m, p=self.p,
+                         vectors=tuple(self.vectors[k] for k in keep), weights=weights,
+                         is_exact=True,
+                         _linear_forms=tuple(self._linear_forms[k] for k in keep),
+                         _values=tuple(self._values[k] for k in keep), _carried=carried)
+        return out
+
     @cached_property
     def _scaling_forms(self) -> ScalingForms:
         """`scaling_coefficients` of this frame, computed on first use; a
@@ -526,10 +541,15 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     This is the weighted, fully rational form of replacing u_k with
     u_k (1-omega_k)^{1/p}: the output verifies exactly when the input does,
     and is strictly smaller.  Checked on values: sum_k a_k V_k = 0 with
-    a_k = w_k omega_k / s_k^p; an omega entry that is not an int or a
-    Fraction raises CertificateError.
+    a_k = w_k omega_k / s_k^p, put over one denominator on the support of
+    omega; an omega entry that is not an int or a Fraction raises
+    CertificateError, and so does one that would drop every vector.
 
-    The output keeps the input's linear forms and values.  When omega
+    The output is built from the input's validated parts, with no
+    re-validation (`WeightedFrame._kept`): the kept vectors are the same
+    objects, with their linear forms and values, and a kept weight is
+    w_k (1 - omega_k), or w_k itself where omega_k = 0.  It stays positive:
+    a kept omega_k is not 1 and max omega = 1, so omega_k < 1.  When omega
     drops exactly one vector j and the elimination that settled the input's
     dependence stopped at k = max{i : omega_i != 0}, the output carries
     that elimination (reducer, ids, records) on: omega_j != 0, so
@@ -539,39 +559,38 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     row_j = -sum_{i!=j} a_i / a_j row_i; row k keeps its id.  A step that
     drops several vectors can shrink the span, so its output starts afresh.
     """
-    if len(cert.omega) != frame.n:
+    omega = cert.omega
+    if len(omega) != frame.n:
         raise CertificateError(
-            f"certificate has {len(cert.omega)} entries for a frame of size {frame.n}")
-    if not all(isinstance(om, (int, Fraction)) for om in cert.omega):
+            f"certificate has {len(omega)} entries for a frame of size {frame.n}")
+    if not all(isinstance(om, (int, Fraction)) for om in omega):
         raise CertificateError("certificate entries must be ints or Fractions")
-    if max(cert.omega) != 1:
+    if max(omega) != 1:
         raise CertificateError("certificate must be normalized to max omega = 1")
     if not frame.is_exact:
         raise FrameError("reduce_once requires exact rational entries")
-    values = frame._values
-    # the ints L a_k of a_k = w_k omega_k / s_k^p
-    a = _over_one_denominator([w * om / s**frame.p for (s, _), w, om in
-                               zip(values, frame.weights, cert.omega)])[1]
-    if not _vanishes(a, [v for _, v in values]):
+    values, weights = frame._values, frame.weights
+    support = [k for k, om in enumerate(omega) if om]
+    # {k: L a_k}, the ints of a_k = w_k omega_k / s_k^p on the support
+    a = dict(zip(support, _over_one_denominator(
+        [weights[k] * omega[k] / values[k][0] ** frame.p for k in support])[1]))
+    if not _vanishes(list(a.values()), [values[k][1] for k in a]):
         raise CertificateError("certificate residual identity fails for this frame")
-    keep = [k for k, om in enumerate(cert.omega) if om != 1]
-    reduced = WeightedFrame(frame.field, frame.m, frame.p,
-                            tuple(frame.vectors[k] for k in keep),
-                            tuple(frame.weights[k] * (1 - cert.omega[k]) for k in keep))
-    # The kept vectors are the same objects, so their linear forms and
-    # values are too.
-    object.__setattr__(reduced, "_linear_forms", tuple(frame._linear_forms[k] for k in keep))
-    object.__setattr__(reduced, "_values", tuple(values[k] for k in keep))
+    keep = [k for k, om in enumerate(omega) if om != 1]
+    rescaled = tuple(weights[k] * (1 - omega[k]) if omega[k] else weights[k] for k in keep)
+    # a Fraction carries its sign in its numerator
+    if not keep or not all(w.numerator > 0 for w in rescaled):
+        raise CertificateError("certificate must keep a vector, each with a positive weight")
+    carried = None
     found = vars(frame).get("_first_dependence")
-    if len(keep) == frame.n - 1 and found and max(i for i, x in enumerate(a) if x) == found[1]:
+    if len(keep) == frame.n - 1 and found and support[-1] == found[1]:
         _, k, (reducer, ids, records) = found
-        j = cert.omega.index(1)
+        j = omega.index(1)
         if j != k:
-            g = math.gcd(*a)
-            records += ((ids[j], a[j] // g, {
-                ids[i]: -a[i] // g for i in range(k + 1) if a[i] and i != j}),)
-        object.__setattr__(reduced, "_carried", (reducer, ids[:j] + ids[j + 1:], records))
-    return reduced
+            g = math.gcd(*a.values())
+            records += ((ids[j], a[j] // g, {ids[i]: -x // g for i, x in a.items() if i != j}),)
+        carried = (reducer, ids[:j] + ids[j + 1:], records)
+    return frame._kept(keep, rescaled, carried)
 
 
 def reduce_to_independent(frame: WeightedFrame) -> WeightedFrame:

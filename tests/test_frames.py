@@ -289,6 +289,10 @@ def test_reduce_once_rejects_bad_certificates():
     for omega in ((0.5, 1.0, 0.0, 0.0), ("1", 1, 0, 0)):
         with pytest.raises(CertificateError, match="ints or Fractions"):
             reduce_once(f, DependenceCertificate(omega, 1))
+    # an all-ones omega would drop every vector: no empty frame comes back
+    for frame in (f, red):
+        with pytest.raises(CertificateError):
+            reduce_once(frame, DependenceCertificate((Fraction(1),) * frame.n, 0))
 
 
 def test_reduce_once_drops_pivot_and_reweights():
@@ -831,6 +835,39 @@ def test_chain_carries_one_exact_elimination(monkeypatch):
     CountingReducer.rows = []
     # j = k and j < k both occur
     assert drops[True] > 0 and drops[False] > 0
+
+
+@pytest.mark.parametrize("field, m, p", [(Field.R, 2, 4), (Field.C, 2, 4), (Field.H, 2, 4)])
+def test_chain_outputs_match_revalidated_frames(field, m, p):
+    # reduce_once builds each output from its input's validated parts with
+    # no __post_init__ pass.  The output must equal the frame the
+    # constructor validates from its vectors and weights, with positive
+    # Fraction weights, is_exact True, and the linear forms and values that
+    # frame builds; a kept vector whose omega_k is 0 keeps the input's
+    # weight object.  Over R, criterion 4's seed-8 frame adds a step that
+    # drops two vectors
+    rng = random.Random(93)
+    chains = [dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 6) for _ in range(2)]
+    if field is Field.R:
+        chains.append(criterion_4_frame(8))
+    shared = 0
+    for current in chains:
+        while (cert := dependence(current)) is not None:
+            out = reduce_once(current, cert)
+            again = fresh(out)
+            assert out == again and out.n < current.n
+            assert all(type(w) is Fraction and w > 0 for w in out.weights)
+            assert out.is_exact is True and again.is_exact is True
+            assert out._linear_forms == again._linear_forms and out._values == again._values
+            keep = [k for k, om in enumerate(cert.omega) if om != 1]
+            assert out.n == len(keep)
+            assert all(u is current.vectors[k] for u, k in zip(out.vectors, keep))
+            for w, k in zip(out.weights, keep):
+                if cert.omega[k] == 0:
+                    assert w is current.weights[k]
+                    shared += 1
+            current = out
+    assert shared > 0
 
 
 def test_carried_candidate_that_fails_its_check_hands_on_the_full_rows(monkeypatch,
