@@ -11,14 +11,17 @@ of x, so verification is an exact polynomial zero test.  The weighted
 representation keeps everything rational: folding a weight into its vector
 needs a p-th root, which is a separate lossy export (`to_unweighted`).
 
-An exact frame decides on one representation: the integers
+An exact frame decides on one representation: the value rows, the integers
 V_k = |<s_k u_k, x>|^p (s_k the lcm of u_k's denominators) at the dim Phi
 points Y of `_point_set`, on which evaluation is injective on Phi_K(m,p).
 Every frame form, <x, x>^{p/2}, the residual and the norm slices of the
 scaling reduction lie in Phi, so an identity among them holds exactly when
-it holds on Y.  No frame keeps its expansions |<s_k u_k, x>|^p: only a
-residual that is read, and the float checks that read it, build them, one
-vector at a time, each summed into the residual as it is built.
+it holds on Y.  The frame identity and a dependence are both one integer
+certificate over the value rows, checked by `_vanishes`: `verify` puts the
+norm row |y|^p beside them, `reduce_once` reads them alone.  No frame
+keeps its expansions |<s_k u_k, x>|^p: only a residual that is read, and
+the float checks that read it, build them, one vector at a time, each
+summed into the residual as it is built.
 
 Reductions:
   * dependence/reduce_once drops vectors along an exact linear dependence of
@@ -64,7 +67,7 @@ from .kscalar import (
     scalar_to_str,
 )
 from .linalg import RowReducer, _over_one_denominator
-from .phi import dim_phi
+from .phi import _check_arguments, dim_phi
 
 __all__ = [
     "BudgetExhaustedError",
@@ -141,10 +144,10 @@ class WeightedFrame:
     def __post_init__(self):
         object.__setattr__(self, "vectors", tuple(self.vectors))
         object.__setattr__(self, "weights", tuple(_coerce(w) for w in self.weights))
-        if self.m < 1:
-            raise FrameError(f"m must be >= 1, got {self.m}")
-        if self.p < 2 or self.p % 2:
-            raise FrameError(f"p must be a positive even integer, got {self.p}")
+        try:
+            _check_arguments(self.m, self.p)
+        except ValueError as exc:
+            raise FrameError(str(exc)) from None
         if not self.vectors:
             raise FrameError("a frame needs at least one vector")
         if len(self.weights) != len(self.vectors):
@@ -173,9 +176,9 @@ class WeightedFrame:
     @cached_property
     def _linear_forms(self) -> Tuple[Tuple[int, List[List[Scalar]]], ...]:
         """`_scaled_linear_forms` of each u_k, built on first use: s_k and the
-        d coefficient rows of <s_k u_k, x>, which the values, the refutation
-        at x0, the proof pass of `_first_dependence` and the expansions all
-        read."""
+        d coefficient rows of <s_k u_k, x>, which the values, the check at
+        x0, the proof pass of `_first_dependence` and the expansions all
+        read; s_k is read from here only."""
         return tuple(_scaled_linear_forms(u) for u in self.vectors)
 
     @cached_property
@@ -221,18 +224,20 @@ class WeightedFrame:
         return RealForm._build(num_vars, p, _unpack(out, num_vars, p))
 
     @cached_property
-    def _values(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-        """`_scaled_values` of each exact u_k at the points Y of `_point_set`:
-        the one input of every exact decision on this frame."""
+    def _values(self) -> Tuple[Tuple[int, ...], ...]:
+        """The value rows: V_k on the points Y of `_point_set`
+        (`_scaled_values`) for each exact u_k, the one input of every exact
+        decision on this frame."""
         points = _point_set(self.field, self.m, self.p)
-        return tuple(_scaled_values(s, linear, self.p, points) for s, linear in self._linear_forms)
+        return tuple(_scaled_values(linear, self.p, points) for _, linear in self._linear_forms)
 
     @cached_property
-    def _first_dependence(self) -> Optional[Tuple[DependenceCertificate, int, tuple]]:
+    def _first_dependence(self) -> Optional[Tuple[DependenceCertificate, tuple]]:
         """The dependence decision of `dependence`, made once per frame: None
         when the forms are independent, else the certificate of the first
-        row k of `_values` that depends on the rows before it, k, and the
-        elimination that settled it, which `reduce_once` hands on.
+        row k of `_values` that depends on the rows before it and the
+        elimination that settled it, which `reduce_once` hands on; k is
+        len(ids) - 1 of that elimination.
 
         The proof pass: for n <= dim Phi and no carried elimination, V_k at
         n + 4 fixed points (`_proof_points`) that keep a pivot in every row
@@ -263,25 +268,24 @@ class WeightedFrame:
         dim = dim_phi(self.field, self.m, self.p)
         if self.n <= dim and self._carried is None:
             points = _proof_points(self.n + 4, self.field.real_dimension * self.m)
-            values = (_scaled_values(s, linear, self.p, points)[1]
-                      for s, linear in self._linear_forms)
+            values = (_scaled_values(linear, self.p, points) for _, linear in self._linear_forms)
             if None not in _pivots_mod_q([v % _PROOF_PRIME for v in row] for row in values):
                 return None
         reducer, ids, records = self._carried or (RowReducer(), (), ())
         reducer, ids = reducer.copy(), list(ids)
         for k in range(len(ids), self.n):
             ids.append(reducer.added)
-            if (cert := reducer.add_row(dict(enumerate(self._values[k][1])))) is not None:
+            if (cert := reducer.add_row(dict(enumerate(self._values[k])))) is not None:
                 break
         else:
             if self.n > dim:
                 raise RuntimeError(f"{self.n} independent forms exceed dim Phi = {dim}: a defect")
             return None
         combo = [c * s**self.p / w for c, (s, _), w in
-                 zip(_rewritten(cert, records, ids), self._values, self.weights)]
+                 zip(_rewritten(cert, records, ids), self._linear_forms, self.weights)]
         peak = max(combo)
         omega = tuple(c / peak for c in combo) + (Fraction(0),) * (self.n - k - 1)
-        return (DependenceCertificate(omega=omega, pivot=omega.index(Fraction(1))), k,
+        return (DependenceCertificate(omega=omega, pivot=omega.index(Fraction(1))),
                 (reducer, tuple(ids), records))
 
     def _kept(self, keep: Sequence[int], weights: Tuple[Fraction, ...],
@@ -355,38 +359,35 @@ def verify(frame: WeightedFrame, tolerance: Optional[float] = None) -> VerifyRes
     compares with no tolerance and raises FrameError.  A tolerance that is
     negative, nan or infinite raises ValueError before any work.
 
-    The exact test of an exact frame expands no form.  It compares
-    sum_k (L w_k / s_k^p) V_k(y) with L |y|^p in ints, V_k(y) =
-    |<s_k u_k, y>|^p, first at one integer point x0, the first of
-    `_proof_points`, which refutes most failing frames at once, then at
-    every point y of Y (`WeightedFrame._values`).  The residual lies in
-    Phi and Y is unisolvent for Phi, so it is the zero form exactly when
-    it vanishes on Y.  Any other test reads the residual.  The result
-    reads the frame's residual, built at most once per frame, only when
-    asked for it.
+    The exact test of an exact frame expands no form.  The frame identity
+    is one integer certificate, the one `reduce_once` checks for a
+    dependence: L w_k / s_k^p for each k, then -L, over the value rows
+    V_k(y) = |<s_k u_k, y>|^p and the norm row |y|^p.  `_vanishes` checks
+    it first at one integer point x0, the first of `_proof_points`, which
+    refutes most failing frames at once, then at every point y of Y
+    (`WeightedFrame._values`).  The residual lies in Phi and Y is
+    unisolvent for Phi, so it is the zero form exactly when it vanishes on
+    Y.  Any other test reads the residual.  The result reads the frame's
+    residual, built at most once per frame, only when asked for it.
     """
     if tolerance is not None and not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     if tolerance is not None:
         passed = _residual_max(frame._residual) <= tolerance
     elif frame.is_exact:
+        common, numerators = frame._weight_numerators
+        cert, half = [*numerators, -common], frame.p // 2
+
+        def vanishes_at(points, rows):
+            return _vanishes(cert, [*rows, [sum(x * x for x in y) ** half for y in points]])
+
         x0 = _proof_points(1, frame.field.real_dimension * frame.m)
-        at_x0 = [_scaled_values(s, linear, frame.p, x0)[1] for s, linear in frame._linear_forms]
-        passed = not (_refuted_at(frame, x0, at_x0) or _refuted_at(
-            frame, _point_set(frame.field, frame.m, frame.p), [v for _, v in frame._values]))
+        passed = (vanishes_at(x0, [_scaled_values(linear, frame.p, x0)
+                                   for _, linear in frame._linear_forms])
+                  and vanishes_at(_point_set(frame.field, frame.m, frame.p), frame._values))
     else:
         passed = frame._residual.is_zero
     return VerifyResult(passed=passed, frame=frame)
-
-
-def _refuted_at(frame: WeightedFrame, points: Sequence[Sequence[int]],
-                rows: Sequence[Sequence[int]]) -> bool:
-    """Whether sum_k (L w_k / s_k^p) rows[k][i] != L |y_i|^p at some point
-    y_i, summed in ints, rows[k] holding V_k at the points: a proof that
-    the exact frame's residual is not the zero form."""
-    common, numerators = frame._weight_numerators
-    return any(sum(c * row[i] for c, row in zip(numerators, rows))
-               != common * sum(x * x for x in y) ** (frame.p // 2) for i, y in enumerate(points))
 
 
 @dataclass(frozen=True)
@@ -406,13 +407,13 @@ def _proof_points(count: int, num_vars: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(rng.randint(-999, 999) for _ in range(num_vars)) for _ in range(count))
 
 
-def _scaled_values(s: int, linear: List[List[int]], p: int,
-                   points: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...]]:
-    """s and the integers |<s u, x>|^p at the points, from `_scaled_linear_forms(u)`:
-    each of the d linear rows is evaluated at every point, then each point's
-    sum of squares is raised to the power p/2."""
+def _scaled_values(linear: List[List[int]], p: int,
+                   points: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """The integers |<s u, x>|^p at the points, from the linear rows of
+    `_scaled_linear_forms(u)`: each of the d rows is evaluated at every
+    point, then each point's sum of squares is raised to the power p/2."""
     dots = [[sum(map(operator.mul, lin, pt)) for pt in points] for lin in linear]
-    return s, tuple(sum(x * x for x in column) ** (p // 2) for column in zip(*dots))
+    return tuple(sum(x * x for x in column) ** (p // 2) for column in zip(*dots))
 
 
 def _pivots_mod_q(rows):
@@ -486,7 +487,9 @@ def _point_set(field: Field, m: int, p: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _vanishes(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:
-    """Whether sum_k coeffs[k] * rows[k] = 0, for ints coeffs and rows."""
+    """Whether sum_k coeffs[k] * rows[k] = 0, for ints coeffs and rows: the
+    one integer identity check of this module, of the frame identity in
+    `verify` and of a dependence in `reduce_once`."""
     pairs = [(c, row) for c, row in zip(coeffs, rows) if c]
     return not any(sum(c * row[i] for c, row in pairs) for i in range(len(rows[0])))
 
@@ -551,11 +554,11 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
     w_k (1 - omega_k), or w_k itself where omega_k = 0.  It stays positive:
     a kept omega_k is not 1 and max omega = 1, so omega_k < 1.  When omega
     drops exactly one vector j and the elimination that settled the input's
-    dependence stopped at k = max{i : omega_i != 0}, the output carries
-    that elimination (reducer, ids, records) on: omega_j != 0, so
-    rows {0..k} minus j span what rows 0..k-1 span, the pivots span the
-    output's rows 0..k-1, and its next dependent row is its first.  For
-    j != k the elimination keeps the record
+    dependence stopped at k = max{i : omega_i != 0}, its ids those of rows
+    0..k, the output carries that elimination (reducer, ids, records) on:
+    omega_j != 0, so rows {0..k} minus j span what rows 0..k-1 span, the
+    pivots span the output's rows 0..k-1, and its next dependent row is its
+    first.  For j != k the elimination keeps the record
     row_j = -sum_{i!=j} a_i / a_j row_i; row k keeps its id.  A step that
     drops several vectors can shrink the span, so its output starts afresh.
     """
@@ -569,12 +572,12 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
         raise CertificateError("certificate must be normalized to max omega = 1")
     if not frame.is_exact:
         raise FrameError("reduce_once requires exact rational entries")
-    values, weights = frame._values, frame.weights
+    weights = frame.weights
     support = [k for k, om in enumerate(omega) if om]
     # {k: L a_k}, the ints of a_k = w_k omega_k / s_k^p on the support
     a = dict(zip(support, _over_one_denominator(
-        [weights[k] * omega[k] / values[k][0] ** frame.p for k in support])[1]))
-    if not _vanishes(list(a.values()), [values[k][1] for k in a]):
+        [weights[k] * omega[k] / frame._linear_forms[k][0] ** frame.p for k in support])[1]))
+    if not _vanishes(list(a.values()), [frame._values[k] for k in a]):
         raise CertificateError("certificate residual identity fails for this frame")
     keep = [k for k, om in enumerate(omega) if om != 1]
     rescaled = tuple(weights[k] * (1 - omega[k]) if omega[k] else weights[k] for k in keep)
@@ -583,10 +586,10 @@ def reduce_once(frame: WeightedFrame, cert: DependenceCertificate) -> WeightedFr
         raise CertificateError("certificate must keep a vector, each with a positive weight")
     carried = None
     found = vars(frame).get("_first_dependence")
-    if len(keep) == frame.n - 1 and found and support[-1] == found[1]:
-        _, k, (reducer, ids, records) = found
+    if len(keep) == frame.n - 1 and found and len(found[1][1]) == support[-1] + 1:
+        reducer, ids, records = found[1]
         j = omega.index(1)
-        if j != k:
+        if j != support[-1]:
             g = math.gcd(*a.values())
             records += ((ids[j], a[j] // g, {ids[i]: -x // g for i, x in a.items() if i != j}),)
         carried = (reducer, ids[:j] + ids[j + 1:], records)
@@ -699,7 +702,7 @@ def _expand_scaling(frame: WeightedFrame) -> ScalingForms:
             "scaling coefficients are defined for verified frames only")
     m, p, d = frame.m, frame.p, frame.field.real_dimension
     reducer = RowReducer()
-    for _, values in frame._values:
+    for values in frame._values:
         if reducer.add_row(dict(enumerate(values))) is not None:
             raise DependentFormsError(
                 "frame forms are linearly dependent; run reduce_to_independent first")
@@ -717,7 +720,7 @@ def _expand_scaling(frame: WeightedFrame) -> ScalingForms:
                 "diagonal target is not in the span of the frame forms; "
                 "the expansion identity has no solution for this frame")
         for k, c in cert.items():
-            terms[k][nu] = c * frame._values[k][0] ** p
+            terms[k][nu] = c * frame._linear_forms[k][0] ** p
     coefficients = [RealForm(m, half, t) for t in terms]
     return ScalingForms(coefficients=tuple(coefficients))
 
@@ -824,6 +827,7 @@ def scaling_reduce(
 
     coeffs = sf.evaluate(mu)
     keep = [k for k, a in enumerate(coeffs) if a > tol]
+    dropped = [k for k, a in enumerate(coeffs) if a <= tol]
     if not keep:
         raise FrameError("all scaling coefficients vanished; frame is degenerate")
     roots = [_rational_root(v, 2) for v in mu]
@@ -831,30 +835,25 @@ def scaling_reduce(
         inv = [Fraction(1) / r for r in roots]
     else:
         inv = [1.0 / math.sqrt(float(v)) for v in mu]
-    vectors = []
-    for k in keep:
-        u = frame.vectors[k]
-        vectors.append(KVector(frame.field, tuple(
-            entry.scale(inv[i]) for i, entry in enumerate(u.entries))))
-    reduced = WeightedFrame(frame.field, m, frame.p, tuple(vectors),
-                            tuple(coeffs[k] for k in keep))
 
-    dropped_clean = all(coeffs[k] == 0 for k in range(len(coeffs)) if k not in keep)
+    def rescaled(k, factors):
+        # D^{-1} u_k: entry i of u_k scaled by factors[i]
+        return KVector(frame.field, tuple(
+            entry.scale(factors[i]) for i, entry in enumerate(frame.vectors[k].entries)))
+
+    reduced = WeightedFrame(frame.field, m, frame.p, tuple(rescaled(k, inv) for k in keep),
+                            tuple(coeffs[k] for k in keep))
     bound = None
-    if not (reduced.is_exact and dropped_clean):
+    if not (reduced.is_exact and all(coeffs[k] == 0 for k in dropped)):
         # Dropped coefficients bound the residual: the identity is exact
         # before dropping, so the leftover is sum of a_k * max coeff of the
         # dropped rescaled forms, plus binary64 noise.  An entry beyond
         # binary64 overflows on the way: the same as a non-finite bound.
         bound = 1e-8
         try:
-            for k, a in enumerate(coeffs):
-                if k in keep:
-                    continue
-                u = frame.vectors[k]
-                dropped = KVector(frame.field, tuple(
-                    entry.scale(float(inv[i])) for i, entry in enumerate(u.entries)))
-                bound += float(a) * frame_form(dropped, frame.p).max_abs_coeff()
+            floats = [float(x) for x in inv]
+            for k in dropped:
+                bound += float(coeffs[k]) * frame_form(rescaled(k, floats), frame.p).max_abs_coeff()
         except OverflowError:
             bound = math.inf
         if not math.isfinite(bound):

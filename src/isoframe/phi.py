@@ -80,11 +80,12 @@ def _substitution_table(field: Field, m: int) -> List[RealForm]:
     return [RealForm(n_joint, 2, terms) for terms in table]
 
 
-def _averager(table: List[RealForm], d: int, degree: int) -> Callable[[Exponent], Dict[int, int]]:
-    """The unit-group average of a monomial x^beta of the given degree, as
-    int numerators over `_moment_denominator(d, degree)`, keyed by the x
-    exponents packed by `forms._pack` for twice the degree; zero sums are
-    dropped.
+def _averager(field: Field, m: int,
+              degree: int) -> Tuple[Callable[[Exponent], Dict[int, int]], int]:
+    """The unit-group average over K^m of a monomial x^beta of the given
+    degree, and den = `_moment_denominator(d, degree)`: the average is int
+    numerators over den, keyed by the x exponents packed by `forms._pack`
+    for twice the degree; zero sums are dropped.
 
     x^beta becomes the product of the substituted coordinates; integrating
     alpha over the unit sphere turns each alpha monomial into its moment.
@@ -94,6 +95,7 @@ def _averager(table: List[RealForm], d: int, degree: int) -> Callable[[Exponent]
     terms in the order of the tuple-keyed `RealForm.__mul__`.  Each power
     table[v] ** b and each alpha moment is built once per averager.
     """
+    d, table = field.real_dimension, _substitution_table(field, m)
     n_joint = table[0].num_vars
     shifts, mask = _key_digits(n_joint, 2 * degree)
     low = shifts[d]
@@ -118,7 +120,7 @@ def _averager(table: List[RealForm], d: int, degree: int) -> Callable[[Exponent]
                 sums[x] = sums.get(x, 0) + coeff * num
         return {x: total for x, total in sums.items() if total}
 
-    return average
+    return average, _moment_denominator(d, degree)
 
 
 def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
@@ -135,8 +137,7 @@ def unit_group_average(phi: RealForm, field: Field, m: int) -> RealForm:
     if phi.is_zero or phi.degree == 0:
         return phi
     n, degree = d * m, phi.degree
-    average = _averager(_substitution_table(field, m), d, degree)
-    den = _moment_denominator(d, degree)
+    average, den = _averager(field, m, degree)
     return RealForm._build(n, degree, _combination(
         (c, _unpack(average(beta), n, 2 * degree, den)) for beta, c in phi.terms.items()))
 
@@ -332,8 +333,7 @@ def phi_basis(field: Field, m: int, p: int) -> PhiBasis:
         labels = monomials(m, p)
         basis = [RealForm._build(m, p, {beta: Fraction(1)}) for beta in labels]
     else:
-        average = _averager(_substitution_table(field, m), d, p)
-        den = _moment_denominator(d, p)
+        average, den = _averager(field, m, p)
         reducer = RowReducer()
         labels, basis = [], []
         for beta in monomials(d * m, p):

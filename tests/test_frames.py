@@ -305,7 +305,7 @@ def test_reduce_once_drops_pivot_and_reweights():
     assert sum(out.weights) < sum(red.weights) or sum(out.weights) == sum(red.weights)
     # the values handed on with the kept vectors are their own
     points = isoframe.frames._point_set(out.field, out.m, out.p)
-    assert out._values == tuple(isoframe.frames._scaled_values(*_scaled_linear_forms(u), out.p,
+    assert out._values == tuple(isoframe.frames._scaled_values(_scaled_linear_forms(u)[1], out.p,
                                                                points) for u in out.vectors)
 
 
@@ -828,7 +828,7 @@ def test_chain_carries_one_exact_elimination(monkeypatch):
                 current = reduce_once(current, cert)
                 assert current._carried is not None
             steps.append((current, None))
-            value_rows = Counter(tuple(enumerate(row)) for _, row in steps[0][0]._values)
+            value_rows = Counter(tuple(enumerate(row)) for row in steps[0][0]._values)
             assert Counter(CountingReducer.rows) == value_rows
             for frame, cert in steps:
                 assert cert == dependence(fresh(frame))
@@ -976,7 +976,8 @@ def test_proof_row_is_scaled_form_value():
         for u in frame.vectors:
             s = math.lcm(*(c.denominator for e in u.entries for c in e.components))
             expected = [int(s**p * frame_form(u, p).evaluate(x)) % q for x in points]
-            scale, values = isoframe.frames._scaled_values(*_scaled_linear_forms(u), p, points)
+            scale, rows = _scaled_linear_forms(u)
+            values = isoframe.frames._scaled_values(rows, p, points)
             assert scale == s and [v % q for v in values] == expected
 
 
@@ -997,7 +998,7 @@ def test_proof_row_and_frame_form_read_one_integer_expansion():
             assert all(type(c) is int for c in integer_form.terms.values())
             assert integer_form.scale(Fraction(1, s**p)) == frame_form(u, p)
             x = tuple(rng.randint(-999, 999) for _ in range(n))
-            values = isoframe.frames._scaled_values(s, rows, p, [x])[1]
+            values = isoframe.frames._scaled_values(rows, p, [x])
             assert [v % q for v in values] == [integer_form.evaluate(x) % q]
 
 
@@ -1395,7 +1396,7 @@ def test_pivots_mod_q_matches_per_update_reference(monkeypatch, fresh_point_sets
     row_sets = []
     for field, m, p in ((Field.R, 3, 4), (Field.C, 2, 4), (Field.H, 2, 2)):
         frame = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 2)
-        row_sets.append([list(values) for _, values in frame._values])
+        row_sets.append([list(values) for values in frame._values])
     if prime is not None:
         monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", prime)
     q = isoframe.frames._PROOF_PRIME
@@ -1420,8 +1421,8 @@ def test_int_rows_reduce_as_their_fractions():
     row_sets = []
     for field, m, p in ((Field.R, 3, 4), (Field.C, 2, 4), (Field.H, 2, 2)):
         frame = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 2)
-        row_sets.append([dict(enumerate(values)) for _, values in frame._values])
-    average = isoframe.phi._averager(isoframe.phi._substitution_table(Field.C, 2), 2, 4)
+        row_sets.append([dict(enumerate(values)) for values in frame._values])
+    average, _ = isoframe.phi._averager(Field.C, 2, 4)
     row_sets.append([average(beta) for beta in monomials(4, 4)])
     row_sets.append([{0: 1, 1: 0, 2: 3}, {0: True, 2: True}, {1: 2, 2: -5}, {0: 2, 2: 4}])
     for rows in row_sets:
@@ -1450,9 +1451,10 @@ def count_expansions(monkeypatch):
 def refuted_at_x0(frame):
     """Whether the point x0 of `verify` refutes the exact frame."""
     x0 = isoframe.frames._proof_points(1, frame.field.real_dimension * frame.m)
-    return isoframe.frames._refuted_at(frame, x0, [
-        isoframe.frames._scaled_values(s, linear, frame.p, x0)[1]
-        for s, linear in frame._linear_forms])
+    common, numerators = frame._weight_numerators
+    return not isoframe.frames._vanishes([*numerators, -common], [
+        *(isoframe.frames._scaled_values(linear, frame.p, x0) for _, linear in frame._linear_forms),
+        [sum(x * x for x in y) ** (frame.p // 2) for y in x0]])
 
 
 def plus_vector_orthogonal_to_x0(frame):

@@ -454,10 +454,10 @@ def reference_average(beta, table, d):
 def test_average_monomial_matches_sphere_moment_reference(field, m, p):
     d = field.real_dimension
     table = phi._substitution_table(field, m)
-    average = phi._averager(table, d, p)
+    average, den = phi._averager(field, m, p)
+    assert den == phi._moment_denominator(d, p)
     for beta in monomials(d * m, p):
-        averaged = RealForm._build(d * m, p, phi._unpack(average(beta), d * m, 2 * p,
-                                                         phi._moment_denominator(d, p)))
+        averaged = RealForm._build(d * m, p, phi._unpack(average(beta), d * m, 2 * p, den))
         assert averaged == reference_average(beta, table, d)
         assert all(type(c) is Fraction for c in averaged.terms.values())
 

@@ -281,6 +281,21 @@ def test_scaling_reduce_nonfinite_bound():
             scaling_reduce(frame)
 
 
+@pytest.mark.parametrize("exponent", [
+    pytest.param(e, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 14"))
+    for e in (3, 20)])
+def test_exact_scaling_result_verifies_exactly(exponent):
+    # the same frame as the quick-start one, vector 0 scaled up and its
+    # weight down: an exact result of scaling_reduce must verify exactly.
+    # The drop test reads a_0 = w_0 below the tolerance, so it drops
+    # vector 0 at mu = (1, 1) and returns an exact frame that fails
+    frame = build_rescaled_synthetic_frame(exponent)
+    assert verify(frame).passed
+    out = scaling_reduce(frame)
+    assert out is not None and out.is_exact
+    assert verify(out).passed
+
+
 def test_scaling_reduce_refuses_a_rebuild_beyond_its_slack(monkeypatch):
     # the float rebuild is re-verified within 1e-8 plus the dropped
     # vectors' bound; square roots skewed by a relative 1e-7 leave a
