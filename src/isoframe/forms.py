@@ -16,6 +16,11 @@ over one denominator as ints; products and sums then run on int
 coefficients keyed by the packed ints of `_pack`.  The way out is `_unpack`
 given that denominator, which rebuilds each exponent tuple and divides its
 int coefficient once, in the same pass.
+
+The rule for the indices (m, p) of every object of the package, m and p
+ints with m >= 1 and p a positive even integer, is stated once here, in
+`_check_arguments`; `frame_form`, `norm_power_form`, the dimension and
+basis functions of `phi` and every frame entry point of `frames` call it.
 """
 
 from __future__ import annotations
@@ -411,35 +416,45 @@ def _scaled_linear_forms(u: KVector) -> Tuple[int, List[List[Scalar]]]:
     return s, linear
 
 
-def _packed_frame_form(s: int, linear: List[List[Scalar]],
-                       p: int) -> Tuple[int, Dict[int, Scalar]]:
-    """s and the terms of |<s u, x>|^p keyed by `_pack` for degree p, in a
-    dict of the caller's own, from `_scaled_linear_forms(u)`: s the lcm of
-    an exact u's denominators and int coefficients, or s = 1 and float
-    coefficients for a float u.  No cache keeps it: `frame_form` unpacks it
-    and a residual sums it in, each as it is built."""
+def _packed_frame_form(linear: List[List[Scalar]], p: int) -> Dict[int, Scalar]:
+    """The terms of |<s u, x>|^p keyed by `_pack` for degree p, in a dict of
+    the caller's own, from the rows of `_scaled_linear_forms(u)`: int
+    coefficients for an exact u, floats for a float u; s stays with the
+    rows.  No cache keeps it: `frame_form` unpacks it and a residual sums it
+    in, each as it is built."""
     n = len(linear[0])
     squares = [lin * lin for lin in (RealForm._build(n, 1, {
         (0,) * j + (1,) + (0,) * (n - j - 1): c for j, c in enumerate(row) if c})
         for row in linear)]
     base = linear_combination((1,) * len(linear), squares)
-    return s, _packed_power(_pack(base.terms, n, p), p // 2)
+    return _packed_power(_pack(base.terms, n, p), p // 2)
+
+
+def _check_arguments(m: int, p: int) -> None:
+    """The one rule for (m, p) in every entry point: m and p are ints (not
+    bools), m >= 1, and p is a positive even integer; ValueError otherwise."""
+    if type(m) is not int or type(p) is not int:
+        raise ValueError("m and p must be integers")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if p < 2 or p % 2:
+        raise ValueError(f"p must be a positive even integer, got {p}")
 
 
 def frame_form(u: KVector, p: int) -> RealForm:
-    """|<u, x>|^p as a degree-p form; p must be a positive even integer.
+    """|<u, x>|^p as a degree-p form, for (u.m, p) under `_check_arguments`.
 
     An exact u is expanded over the integers as |<s u, x>|^p, s the lcm of
     its denominators, and each coefficient is divided by s^p once.  Rejects
     u = 0, which contributes nothing to a frame and never appears in one.
     """
-    if p < 2 or p % 2:
-        raise ValueError(f"exponent p must be a positive even integer, got {p}")
+    _check_arguments(u.m, p)
     if u.is_zero:
         raise ValueError("zero vector has no frame form")
-    s, packed = _packed_frame_form(*_scaled_linear_forms(u), p)
+    s, linear = _scaled_linear_forms(u)
     n = u.field.real_dimension * u.m
-    return RealForm._build(n, p, _unpack(packed, n, p, s**p if u.is_exact else None))
+    return RealForm._build(n, p, _unpack(_packed_frame_form(linear, p), n, p,
+                                         s**p if u.is_exact else None))
 
 
 @lru_cache(maxsize=None)
@@ -451,8 +466,8 @@ def _packed_norm_power(num_vars: int, p: int) -> Mapping[int, int]:
 
 
 def norm_power_form(fld: Field, m: int, p: int) -> RealForm:
-    """<x, x>^{p/2} = (sum of all d*m squared real coordinates)^{p/2}."""
-    if p < 2 or p % 2:
-        raise ValueError(f"exponent p must be a positive even integer, got {p}")
+    """<x, x>^{p/2} = (sum of all d*m squared real coordinates)^{p/2}, for
+    (m, p) under `_check_arguments`."""
+    _check_arguments(m, p)
     n = fld.real_dimension * m
     return RealForm._build(n, p, _unpack(_packed_norm_power(n, p), n, p, 1))

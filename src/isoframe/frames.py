@@ -48,6 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .forms import (
     Exponent,
     RealForm,
+    _check_arguments,
     _combination,
     _packed_frame_form,
     _packed_norm_power,
@@ -67,7 +68,7 @@ from .kscalar import (
     scalar_to_str,
 )
 from .linalg import RowReducer, _over_one_denominator
-from .phi import _check_arguments, dim_phi
+from .phi import dim_phi
 
 __all__ = [
     "BudgetExhaustedError",
@@ -192,9 +193,9 @@ class WeightedFrame:
     @cached_property
     def _residual(self) -> RealForm:
         """sum_k w_k |<u_k, x>|^p - <x, x>^{p/2}, built on first use, one
-        vector's expansion at a time: each `_packed_frame_form` (s_k and the
-        terms of |<s_k u_k, x>|^p on packed keys) is summed in as it is
-        built and then dropped, so no frame keeps its expansions, and the
+        vector's expansion at a time: each `_packed_frame_form` (the terms of
+        |<s_k u_k, x>|^p on packed keys) is summed in as it is built and
+        then dropped, so no frame keeps its expansions, and the
         memory of the sum does not grow with n.
 
         An exact frame sums them with the ints L w_k / s_k^p of
@@ -208,14 +209,15 @@ class WeightedFrame:
         value, an exact term too large for a float added to a float one,
         raises the FrameError of `_residual_max`."""
         p, num_vars = self.p, self.field.real_dimension * self.m
-        expansions = (_packed_frame_form(s, linear, p) for s, linear in self._linear_forms)
+        expansions = (_packed_frame_form(linear, p) for _, linear in self._linear_forms)
         if self.is_exact:
             common, numerators = self._weight_numerators
-            out = _combination(chain(((c, power) for c, (_, power) in zip(numerators, expansions)),
+            out = _combination(chain(zip(numerators, expansions),
                                      [(-common, _packed_norm_power(num_vars, p))]))
             return RealForm._build(num_vars, p, _unpack(out, num_vars, p, common))
         pairs = ((w, {key: Fraction(c, s**p) for key, c in power.items()} if u.is_exact else power)
-                 for w, u, (s, power) in zip(self.weights, self.vectors, expansions))
+                 for w, u, (s, _), power in zip(self.weights, self.vectors,
+                                                self._linear_forms, expansions))
         try:
             # Fraction(-1) keeps the norm power's terms Fractions (norm_power_form)
             out = _combination(chain(pairs, [(Fraction(-1), _packed_norm_power(num_vars, p))]))
@@ -871,9 +873,10 @@ def catalog(field: Field, m: int, p: int, kind: str) -> WeightedFrame:
         k*pi/(p/2+1) with equal weights 2^p / ((p/2+1) binom(p, p/2));
         floating-point entries.
     real2-rational-p4: the exact rational 4-vector frame over R^2 at p = 4.
+
+    (m, p) is checked first, by the rule of `forms._check_arguments`.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_arguments(m, p)
     if kind == "orthonormal-p2":
         if p != 2:
             raise ValueError(f"orthonormal-p2 requires p = 2, got p = {p}")
@@ -882,8 +885,6 @@ def catalog(field: Field, m: int, p: int, kind: str) -> WeightedFrame:
     if kind == "real2-equiangular":
         if field is not Field.R or m != 2:
             raise ValueError("real2-equiangular requires field R and m = 2")
-        if p < 2 or p % 2:
-            raise ValueError(f"real2-equiangular requires even p, got {p}")
         count = p // 2 + 1
         vectors = tuple(
             KVector.from_reals(Field.R, (math.cos(k * math.pi / count),
@@ -1004,8 +1005,10 @@ def parse_frame(text: str) -> WeightedFrame:
     except (ValueError, TypeError) as exc:
         raise FrameParseError(str(exc)) from None
     m, p = obj["m"], obj["p"]
-    if type(m) is not int or type(p) is not int:
-        raise FrameParseError("m and p must be integers")
+    try:
+        _check_arguments(m, p)
+    except ValueError as exc:
+        raise FrameParseError(str(exc)) from None
     d = field.real_dimension
     raw_vectors = obj["vectors"]
     raw_weights = obj["weights"]

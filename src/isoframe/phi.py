@@ -26,11 +26,11 @@ from .forms import (
     Exponent,
     RealForm,
     _bucket_inner,
+    _check_arguments,
     _combination,
     _key_digits,
     _moment_denominator,
     _moment_numerator,
-    _pack,
     _packed_power,
     _packed_product,
     _parity_buckets,
@@ -61,25 +61,6 @@ class SingularGramError(ValueError):
     """
 
 
-def _substitution_table(field: Field, m: int) -> List[RealForm]:
-    # Under x -> x alpha the real coordinate x_{i,t} becomes a bilinear form in
-    # the joint variables (alpha_1..alpha_d, x_1..x_{d*m}): the sum over basis
-    # units c, s with e_c e_s = +-e_t of sign * alpha_s * x_{i,c}.  The signs
-    # stay ints, so products of these forms run in integer arithmetic.
-    d = field.real_dimension
-    n_joint = d + d * m
-    table: List[Dict[Exponent, int]] = [{} for _ in range(d * m)]
-    for i in range(m):
-        for c in range(d):
-            for s in range(d):
-                t, sign = basis_product(field, c, s)
-                expo = [0] * n_joint
-                expo[s] = 1
-                expo[d + i * d + c] = 1
-                table[i * d + t][tuple(expo)] = sign
-    return [RealForm(n_joint, 2, terms) for terms in table]
-
-
 def _averager(field: Field, m: int,
               degree: int) -> Tuple[Callable[[Exponent], Dict[int, int]], int]:
     """The unit-group average over K^m of a monomial x^beta of the given
@@ -87,17 +68,25 @@ def _averager(field: Field, m: int,
     numerators over den, keyed by the x exponents packed by `forms._pack`
     for twice the degree; zero sums are dropped.
 
-    x^beta becomes the product of the substituted coordinates; integrating
-    alpha over the unit sphere turns each alpha monomial into its moment.
-    Every alpha monomial has degree |beta|, so the moments share one
-    denominator and only their int numerators are summed.  The products run
-    on packed joint keys, alpha's d digits below those of x, and meet their
-    terms in the order of the tuple-keyed `RealForm.__mul__`.  Each power
-    table[v] ** b and each alpha moment is built once per averager.
+    Under x -> x alpha the real coordinate x_{i,t} becomes a bilinear form
+    in the joint variables (alpha_1..alpha_d, x_1..x_{d*m}): the sum over
+    basis units c, s with e_c e_s = +-e_t of sign * alpha_s * x_{i,c}.
+    The table holds these forms as int terms on packed joint keys for twice
+    the degree, alpha's d digits below those of x, and x^beta becomes the
+    product of the substituted coordinates.  Integrating alpha over the
+    unit sphere turns each alpha monomial into its moment.  Every alpha
+    monomial has degree |beta|, so the moments share one denominator and
+    only their int numerators are summed.  Each power table[v] ** b and
+    each alpha moment is built once per averager.
     """
-    d, table = field.real_dimension, _substitution_table(field, m)
-    n_joint = table[0].num_vars
-    shifts, mask = _key_digits(n_joint, 2 * degree)
+    d = field.real_dimension
+    shifts, mask = _key_digits(d + d * m, 2 * degree)
+    table: List[Dict[int, int]] = [{} for _ in range(d * m)]
+    for i in range(m):
+        for c in range(d):
+            for s in range(d):
+                t, sign = basis_product(field, c, s)
+                table[i * d + t][(1 << shifts[s]) + (1 << shifts[d + i * d + c])] = sign
     low = shifts[d]
     alpha_mask = (1 << low) - 1
     powers: Dict[Tuple[int, int], Mapping[int, int]] = {}
@@ -108,7 +97,7 @@ def _averager(field: Field, m: int,
         for v, b in enumerate(beta):
             if b:
                 if (v, b) not in powers:
-                    powers[v, b] = _packed_power(_pack(table[v].terms, n_joint, 2 * degree), b)
+                    powers[v, b] = _packed_power(table[v], b)
                 factors.append(powers[v, b])
         sums: Dict[int, int] = {}
         for key, coeff in reduce(_packed_product, factors).items():
@@ -304,14 +293,8 @@ class PhiBasis:
         return dual_basis(self.basis, _labels=self.labels).duals
 
 
-def _check_arguments(m: int, p: int) -> None:
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if p < 2 or p % 2:
-        raise ValueError(f"p must be a positive even integer, got {p}")
-
-
-@lru_cache(maxsize=None)
+# typed: p = 4.0 must miss the cached key p = 4 and meet the rule of dim_phi
+@lru_cache(maxsize=None, typed=True)
 def phi_basis(field: Field, m: int, p: int) -> PhiBasis:
     """Compute a deterministic basis of Phi_K(m,p).
 
@@ -388,8 +371,10 @@ def _dim_too_long_to_print(field: Field, m: int, p: int) -> bool:
 
 
 def upper_bound(field: Field, m: int, p: int) -> int:
-    """Upper bound dim Phi_K(m,p) - 1 on the minimal frame size for m >= 2."""
+    """Upper bound dim Phi_K(m,p) - 1 on the minimal frame size for m >= 2;
+    (m, p) is checked first, by the rule of `dim_phi`."""
+    dim = dim_phi(field, m, p)
     if m < 2:
         raise ValueError(
             "upper_bound requires m >= 2: for m = 1 the minimal frame size is 1")
-    return dim_phi(field, m, p) - 1
+    return dim - 1

@@ -309,6 +309,11 @@ def test_catalog_bad_kind(capsys):
     code, out, err = run(capsys, "catalog", "R", "0", "2", "orthonormal-p2")
     assert code == EXIT_MALFORMED
     assert out == "" and err == "error: m must be >= 1, got 0\n"
+    # an odd p breaks the (m, p) rule before any kind reads it
+    for kind in ("real2-equiangular", "orthonormal-p2"):
+        code, out, err = run(capsys, "catalog", "R", "2", "3", kind)
+        assert code == EXIT_MALFORMED
+        assert out == "" and err == "error: p must be a positive even integer, got 3\n"
 
 
 def test_byte_determinism(capsys, synthetic_path):

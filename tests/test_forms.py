@@ -23,7 +23,7 @@ from isoframe.forms import (
 )
 from isoframe.frames import catalog
 from isoframe.kscalar import Field, KElement, KVector, inner_product, k_norm_sq
-from isoframe.phi import _substitution_table, unit_group_average
+from isoframe.phi import unit_group_average
 
 
 def gamma_half_int(twice: int):
@@ -449,6 +449,20 @@ def test_frame_form_rejects_zero_vector():
             norm_power_form(Field.R, 2, p)
 
 
+def test_frame_and_norm_forms_refuse_bad_m_and_p():
+    # frame_form once raised AttributeError on a float p, and norm_power_form
+    # built forms over 0 and -3 variables
+    u = KVector.from_reals(Field.R, [Fraction(1), Fraction(0)])
+    for p in (4.0, True):
+        with pytest.raises(ValueError, match="m and p must be integers"):
+            frame_form(u, p)
+        with pytest.raises(ValueError, match="m and p must be integers"):
+            norm_power_form(Field.R, 2, p)
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            norm_power_form(Field.R, m, 4)
+
+
 def test_frame_form_power():
     u = KVector.from_reals(Field.R, [Fraction(1), Fraction(-2)])
     f4 = frame_form(u, 4)
@@ -509,7 +523,13 @@ def test_int_forms_stay_int():
     for form in (f * g, f ** 3, linear_combination((2, -1), (f, g)), f - g, 3 * f):
         assert form.terms and all(type(c) is int for c in form.terms.values())
         assert form.is_exact
-    square = _substitution_table(Field.H, 2)[0] ** 2
+    # the real part of x_1 alpha over H^2, in the 4 + 8 joint variables
+    # (alpha, x): alpha_0 x_0 - alpha_1 x_1 - alpha_2 x_2 - alpha_3 x_3
+    joint = RealForm(12, 2, {(1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0): 1,
+                             (0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0): -1,
+                             (0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0): -1,
+                             (0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0): -1})
+    square = joint ** 2
     assert square.terms and all(type(c) is int for c in square.terms.values())
 
 

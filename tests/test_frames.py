@@ -112,6 +112,11 @@ def test_frame_validation_errors():
         WeightedFrame(Field.C, 2, 4, (v,), (Fraction(1),))
     with pytest.raises(FrameError, match="m must be"):
         WeightedFrame(Field.R, 0, 4, (v,), (Fraction(1),))
+    # a float m or p once built a frame that failed deep inside verify with
+    # AttributeError or TypeError; a bool is no integer of the rule either
+    for m, p in ((2, 4.0), (2.0, 4), (2, True), (True, 2)):
+        with pytest.raises(FrameError, match="m and p must be integers"):
+            WeightedFrame(Field.R, m, p, (v,), (Fraction(1),))
 
 
 def test_frame_basic_properties():
@@ -1277,6 +1282,9 @@ def test_parse_frame_diagnostics():
         parse_frame(corrupt(m=True))
     with pytest.raises(FrameParseError, match="integers"):
         parse_frame(corrupt(p=True))
+    # the (m, p) rule is checked before the vectors are read
+    with pytest.raises(FrameParseError, match="m must be >= 1"):
+        parse_frame(corrupt(m=0))
 
 
 def test_exact_verify_residual_is_the_linear_combination():
@@ -1440,9 +1448,9 @@ def count_expansions(monkeypatch):
     calls = []
     expand = isoframe.frames._packed_frame_form
 
-    def counting_expansion(s, linear, p):
+    def counting_expansion(linear, p):
         calls.append(linear)
-        return expand(s, linear, p)
+        return expand(linear, p)
 
     monkeypatch.setattr(isoframe.frames, "_packed_frame_form", counting_expansion)
     return calls

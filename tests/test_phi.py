@@ -20,7 +20,7 @@ from isoframe.forms import (
     sphere_moment,
 )
 from isoframe.frames import WeightedFrame, catalog, save_frame
-from isoframe.kscalar import Field, KElement, KVector, rational_unit_scalars
+from isoframe.kscalar import Field, KElement, KVector, k_mul, rational_unit_scalars
 from isoframe.linalg import RowReducer
 from isoframe.phi import (
     SingularGramError,
@@ -261,6 +261,16 @@ def test_upper_bound_values():
         upper_bound(Field.R, 1, 4)
 
 
+@pytest.mark.parametrize("call", [dim_phi, upper_bound, phi_basis])
+@pytest.mark.parametrize("m, p", [(2, 4.0), (2.0, 4), (2, True), (True, 2)])
+def test_dimension_entry_points_refuse_non_int_m_and_p(call, m, p):
+    # a float p once reached math.comb and raised TypeError; phi_basis must
+    # refuse it even when the cache holds the int key it equals
+    phi_basis(Field.R, 2, 4)
+    with pytest.raises(ValueError, match="m and p must be integers"):
+        call(Field.R, m, p)
+
+
 def test_dual_basis_kronecker_pairing():
     for field, m, p in ((Field.R, 2, 4), (Field.C, 2, 2), (Field.H, 2, 4), (Field.C, 3, 4),
                         (Field.R, 4, 6)):
@@ -439,6 +449,25 @@ def test_dual_basis_gram_is_pairwise_form_inner(field, m, p):
         assert gram == tuple(tuple(reference_inner(fi, fj) for fj in basis) for fi in basis)
 
 
+def substitution_table(field, m):
+    """x -> x alpha on the d*m real coordinates of x, as bilinear forms in the
+    joint variables (alpha_1..alpha_d, x_1..x_{d*m}), read off k_mul on the
+    d unit scalars: e_c e_s = sum_t sign_t e_t puts sign_t alpha_s x_{i,c}
+    into coordinate (i, t)."""
+    d = field.real_dimension
+    units = [KElement(field, tuple(int(a == b) for b in range(d))) for a in range(d)]
+    table = [{} for _ in range(d * m)]
+    for i in range(m):
+        for c in range(d):
+            for s in range(d):
+                for t, sign in enumerate(k_mul(units[c], units[s]).components):
+                    if sign:
+                        expo = [0] * (d + d * m)
+                        expo[s] = expo[d + i * d + c] = 1
+                        table[i * d + t][tuple(expo)] = sign
+    return [RealForm(d + d * m, 2, terms) for terms in table]
+
+
 def reference_average(beta, table, d):
     """Average of x^beta with a Fraction sphere moment per joint term."""
     joint = math.prod((table[v] ** b for v, b in enumerate(beta) if b),
@@ -453,7 +482,7 @@ def reference_average(beta, table, d):
                                          (Field.H, 2, 2), (Field.H, 1, 4)])
 def test_average_monomial_matches_sphere_moment_reference(field, m, p):
     d = field.real_dimension
-    table = phi._substitution_table(field, m)
+    table = substitution_table(field, m)
     average, den = phi._averager(field, m, p)
     assert den == phi._moment_denominator(d, p)
     for beta in monomials(d * m, p):
