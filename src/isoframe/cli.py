@@ -37,6 +37,11 @@ EXIT_BUDGET = 3
 
 __all__ = ["entry", "main"]
 
+# The exit code of an error is that of the first class here that it is an
+# instance of; every FrameError is a ValueError.
+_ERROR_EXITS = ((FrameParseError, EXIT_MALFORMED), (BudgetExhaustedError, EXIT_BUDGET),
+                (FrameError, EXIT_FAIL), (ValueError, EXIT_MALFORMED))
+
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
     if args.output == "json":
@@ -65,9 +70,11 @@ def _save_out(frame, args: argparse.Namespace, report: dict) -> None:
 
 
 def _bound_entry(field: Field, m: int, p: int):
-    if m < 2:
+    # both callers have checked (m, p), so upper_bound refuses only m = 1
+    try:
+        return upper_bound(field, m, p)
+    except ValueError:
         return "refused (m=1)"
-    return upper_bound(field, m, p)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -230,18 +237,9 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
         if "tolerance" in args and not 0 < args.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and positive, got {args.tolerance}")
         return args.run(args)
-    except FrameParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except FrameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))
 
 
 def main() -> None:

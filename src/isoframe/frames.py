@@ -13,7 +13,10 @@ needs a p-th root, which is a separate lossy export (`to_unweighted`).
 
 An exact frame decides on one representation: the value rows, the integers
 V_k = |<s_k u_k, x>|^p (s_k the lcm of u_k's denominators) at the dim Phi
-points Y of `_point_set`, on which evaluation is injective on Phi_K(m,p).
+points Y of `phi._point_set`, on which evaluation is injective on
+Phi_K(m,p).  Y is a fact about Phi, so `phi` chooses it; the mod-q rank
+kernel that chooses it, `linalg._pivots_mod_q`, also runs the proof pass of
+`dependence`, and this module holds no elimination loop of its own.
 Every frame form, <x, x>^{p/2}, the residual and the norm slices of the
 scaling reduction lie in Phi, so an identity among them holds exactly when
 it holds on Y.  The frame identity and a dependence are both one integer
@@ -41,7 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, combinations_with_replacement, permutations
+from itertools import chain, combinations, islice, permutations
 from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -63,12 +66,11 @@ from .kscalar import (
     KVector,
     Scalar,
     _coerce,
-    basis_product,
     scalar_from_str,
     scalar_to_str,
 )
-from .linalg import RowReducer, _over_one_denominator
-from .phi import dim_phi
+from .linalg import RowReducer, _over_one_denominator, _pivots_mod_q
+from .phi import _invariant_values, _point_set, dim_phi
 
 __all__ = [
     "BudgetExhaustedError",
@@ -95,9 +97,6 @@ __all__ = [
     "to_unweighted",
     "verify",
 ]
-
-_PROOF_PRIME = (1 << 62) - 57  # the modulus of the proof pass and of `_point_set`'s pivots
-
 
 class FrameError(ValueError):
     """Base class for frame-level failures."""
@@ -243,7 +242,8 @@ class WeightedFrame:
 
         The proof pass: for n <= dim Phi and no carried elimination, V_k at
         n + 4 fixed points (`_proof_points`) that keep a pivot in every row
-        modulo _PROOF_PRIME give a minor nonzero over Z: None.  It runs even
+        modulo the prime of `linalg._pivots_mod_q`, which reads the value
+        rows as they stand, give a minor nonzero over Z: None.  It runs even
         when `_values` are already built, as a passing `verify` leaves them:
         it is far cheaper than a full elimination on them.
 
@@ -271,7 +271,7 @@ class WeightedFrame:
         if self.n <= dim and self._carried is None:
             points = _proof_points(self.n + 4, self.field.real_dimension * self.m)
             values = (_scaled_values(linear, self.p, points) for _, linear in self._linear_forms)
-            if None not in _pivots_mod_q([v % _PROOF_PRIME for v in row] for row in values):
+            if None not in _pivots_mod_q(values):
                 return None
         reducer, ids, records = self._carried or (RowReducer(), (), ())
         reducer, ids = reducer.copy(), list(ids)
@@ -308,8 +308,37 @@ class WeightedFrame:
     @cached_property
     def _scaling_forms(self) -> ScalingForms:
         """`scaling_coefficients` of this frame, computed on first use; a
-        call that raises stores nothing."""
-        return _expand_scaling(self)
+        call that raises stores nothing.  The checks run in order (exact,
+        verified, independent, in the span), each on the frame's values on
+        Y."""
+        if not self.is_exact:
+            raise FrameError("scaling coefficients require exact rational entries")
+        if not verify(self).passed:
+            raise UnverifiedFrameError(
+                "scaling coefficients are defined for verified frames only")
+        m, p = self.m, self.p
+        reducer = RowReducer()
+        for values in self._values:
+            if reducer.add_row(dict(enumerate(values))) is not None:
+                raise DependentFormsError(
+                    "frame forms are linearly dependent; run reduce_to_independent first")
+        half = p // 2
+        # |xi_i(y)|^2 at each y of Y: the first m invariant value rows, by point
+        points = _point_set(self.field, m, p)
+        squares = list(zip(*islice(_invariant_values(self.field, m, points), m)))
+        terms: List[Dict[Exponent, Fraction]] = [{} for _ in range(self.n)]
+        for nu in monomials(m, half):
+            weight = math.factorial(half) // math.prod(math.factorial(e) for e in nu)
+            cert = reducer.add_row({j: weight * math.prod(map(pow, row, nu))
+                                    for j, row in enumerate(squares)})
+            if cert is None:
+                raise ScalingExpansionError(
+                    "diagonal target is not in the span of the frame forms; "
+                    "the expansion identity has no solution for this frame")
+            for k, c in cert.items():
+                terms[k][nu] = c * self._linear_forms[k][0] ** p
+        coefficients = [RealForm(m, half, t) for t in terms]
+        return ScalingForms(coefficients=tuple(coefficients))
 
 
 @dataclass(frozen=True)
@@ -416,76 +445,6 @@ def _scaled_values(linear: List[List[int]], p: int,
     point, then each point's sum of squares is raised to the power p/2."""
     dots = [[sum(map(operator.mul, lin, pt)) for pt in points] for lin in linear]
     return tuple(sum(x * x for x in column) ** (p // 2) for column in zip(*dots))
-
-
-def _pivots_mod_q(rows):
-    """Reduce rows mod _PROOF_PRIME in turn, yielding each pivot column or
-    None.  The echelon holds (column, inverse of the pivot, row reduced mod
-    the prime) per pivot.  A row is updated unreduced, each factor read mod
-    the prime from its unreduced entry, and reduced once at the end; rows
-    are read only as far as the caller pulls."""
-    reduced = []
-    for row in rows:
-        for col, inv, prow in reduced:
-            if f := row[col] * inv % _PROOF_PRIME:
-                row = [a - f * b for a, b in zip(row, prow)]
-        row = [a % _PROOF_PRIME for a in row]
-        col = next((j for j, v in enumerate(row) if v), None)
-        if col is not None:
-            reduced.append((col, pow(row[col], -1, _PROOF_PRIME), row))
-        yield col
-
-
-@lru_cache(maxsize=None)
-def _point_set(field: Field, m: int, p: int) -> Tuple[Tuple[int, ...], ...]:
-    """Y, dim Phi integer points on which evaluation is injective on
-    Phi_K(m,p), the same in every process: a subset, in order, of the
-    lattice X of points (alpha, 1, 0^{d-1}), |alpha| <= p, on the slice
-    where the last entry x_m is real, comb(d(m-1)+p, p) points.
-
-    X is unisolvent: if f in Phi vanishes on X, its restriction to the slice
-    is a degree-p form in d(m-1)+1 real variables; dehomogenised at
-    Re x_m = 1 it vanishes on the principal lattice, which is unisolvent for
-    degree <= p, so f is zero on the slice; x g lies on the slice for the
-    unit g = conj(x_m)/|x_m| when x_m != 0, and f(x) = f(x g) = 0; so f
-    vanishes on a dense set, hence f = 0.  Over R, X has dim Phi points and
-    is Y.
-
-    Over C and H, Y is the points of X whose columns keep a pivot modulo
-    _PROOF_PRIME in the rows of values on X of the products of p/2
-    quadratic invariants |<v, x>|^2, v in {e_i} and
-    {e_i + e_j eps_c : i < j, c < d} (discrete Leja points, Bos, De Marchi,
-    Sommariva and Vianello, SIAM J. Numer. Anal. 48, 2010, chosen
-    exactly).  The products lie in Phi and span it (first fundamental
-    theorem, Weyl, The Classical Groups), so dim Phi pivots give a
-    dim Phi x dim Phi minor nonzero modulo the prime, hence over Z, and a
-    form in Phi that vanishes on Y is zero.  Any other rank is a defect
-    (RuntimeError).  The pivot columns are the leading columns of the rows'
-    span modulo the prime, the greedy first independent points of X, so Y
-    does not depend on which rows span that space or on their order.
-
-    The invariant values are ints at each point of X: |xi_i|^2 and
-    |xi_i + conj(eps_c) xi_j|^2 = |<e_i + e_j eps_c, x>|^2, whose
-    component t adds +-xi_{j,s} to xi_{i,t} for eps_c eps_s = sign eps_t
-    (`kscalar.basis_product`), the sign flipped when c > 0."""
-    d = field.real_dimension
-    lattice = tuple(e[1:] + (1,) + (0,) * (d - 1) for e in monomials(d * (m - 1) + 1, p))
-    if d == 1:
-        return lattice
-    squares = [[sum(a * a for a in x[i * d:i * d + d]) for x in lattice] for i in range(m)]
-    for i, j in combinations(range(m), 2):
-        for c in range(d):
-            products = [basis_product(field, c, s) for s in range(d)]
-            twist = [(i * d + t, j * d + s, sign if c == 0 else -sign)
-                     for s, (t, sign) in enumerate(products)]
-            squares.append([sum((x[a] + g * x[b]) ** 2 for a, b, g in twist) for x in lattice])
-    rows = ([math.prod(column) for column in zip(*chosen)]
-            for chosen in combinations_with_replacement(squares, p // 2))
-    cols = sorted(col for col in _pivots_mod_q(rows) if col is not None)
-    if len(cols) != (dim := dim_phi(field, m, p)):
-        raise RuntimeError(f"the invariant products keep {len(cols)} pivots modulo the "
-                           f"prime, not dim Phi = {dim}: a defect")
-    return tuple(lattice[col] for col in cols)
 
 
 def _vanishes(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:
@@ -679,7 +638,8 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
     |xi_i|^{2 nu_i}; each slice C_nu is reduced against the frame forms, and
     its dependence certificate gives the coefficients of lambda^nu in the
     a_k.  Every form is read as its values on Y (`_point_set`): the rows
-    are V_k = s_k^p f_k on Y, and C_nu's row is its ints on Y.  A
+    are V_k = s_k^p f_k on Y, and C_nu's row is its ints on Y, read from the
+    |xi_i|^2 rows of `phi._invariant_values`.  A
     certificate c' with C_nu = sum_k c'_k V_k on Y gives
     a_{k,nu} = c'_k s_k^p.  C_nu and the f_k lie in Phi, on which
     evaluation on Y is injective, so the certificate is one among the
@@ -691,40 +651,6 @@ def scaling_coefficients(frame: WeightedFrame) -> ScalingForms:
     Errors are raised afresh on every call.
     """
     return frame._scaling_forms
-
-
-def _expand_scaling(frame: WeightedFrame) -> ScalingForms:
-    """The work of `scaling_coefficients`, run once per frame object: the
-    checks run in order (exact, verified, independent, in the span), each
-    on the frame's values on Y."""
-    if not frame.is_exact:
-        raise FrameError("scaling coefficients require exact rational entries")
-    if not verify(frame).passed:
-        raise UnverifiedFrameError(
-            "scaling coefficients are defined for verified frames only")
-    m, p, d = frame.m, frame.p, frame.field.real_dimension
-    reducer = RowReducer()
-    for values in frame._values:
-        if reducer.add_row(dict(enumerate(values))) is not None:
-            raise DependentFormsError(
-                "frame forms are linearly dependent; run reduce_to_independent first")
-    half = p // 2
-    # |xi_i(y)|^2, the sum of the squares of xi_i's d real coordinates, at each y of Y
-    squares = [[sum(x * x for x in y[d * i:d * i + d]) for i in range(m)]
-               for y in _point_set(frame.field, m, p)]
-    terms: List[Dict[Exponent, Fraction]] = [{} for _ in range(frame.n)]
-    for nu in monomials(m, half):
-        weight = math.factorial(half) // math.prod(math.factorial(e) for e in nu)
-        cert = reducer.add_row({j: weight * math.prod(map(pow, row, nu))
-                                for j, row in enumerate(squares)})
-        if cert is None:
-            raise ScalingExpansionError(
-                "diagonal target is not in the span of the frame forms; "
-                "the expansion identity has no solution for this frame")
-        for k, c in cert.items():
-            terms[k][nu] = c * frame._linear_forms[k][0] ** p
-    coefficients = [RealForm(m, half, t) for t in terms]
-    return ScalingForms(coefficients=tuple(coefficients))
 
 
 MAX_GRID_NODES = 100_000  # cap on comb(grid, m - 1), the simplex nodes scaling_reduce evaluates

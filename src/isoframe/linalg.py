@@ -1,6 +1,7 @@
 """Exact rational linear algebra: incremental row reduction with tracking of
-how each reduced row combines the original input rows, and the matrix
-inverse by fraction-free Gauss-Jordan elimination.
+how each reduced row combines the original input rows, the pivot columns
+of int rows modulo a prime, and the matrix inverse by fraction-free
+Gauss-Jordan elimination.
 
 A row is a sparse mapping from column key to a rational coefficient (int,
 Fraction or float, read exactly); absent keys are zero.  A form's `terms`
@@ -8,6 +9,11 @@ mapping is a row as it stands, keyed by monomial.  Elimination runs
 fraction-free over the integers; only certificates are built as Fractions.
 Each pivot sits at the first key of its reduced row.  A dependence
 certificate has the same sparse shape, keyed by the index of an earlier row.
+
+`_pivots_mod_q` reduces dense int rows modulo _PROOF_PRIME and yields the
+pivot column of each row, or None: a rank modulo the prime, which bounds
+the rank over Q from below.  It chooses the point set Y of `phi._point_set`
+and runs the proof pass of `frames.dependence`.
 
 The inverse of a dense square int matrix g is `_integer_inverse`: the
 integer-preserving Gauss-Jordan elimination of [g | I] (Bareiss,
@@ -27,11 +33,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["RowReducer", "SingularMatrixError", "matrix_inverse"]
 
 Row = Mapping[Hashable, Fraction]
+
+_PROOF_PRIME = (1 << 62) - 57  # the modulus of `_pivots_mod_q`
 
 
 def _over_one_denominator(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
@@ -148,6 +156,26 @@ class RowReducer:
         self._pivots.append((lead, {key: sign * x for key, x in work.items()},
                              {j: sign * c for j, c in combo.items() if c}))
         return None
+
+
+def _pivots_mod_q(rows: Iterable[Sequence[int]]) -> Iterator[Optional[int]]:
+    """Reduce int rows mod _PROOF_PRIME in turn, yielding each pivot column
+    or None.  The echelon holds (column, inverse of the pivot, row reduced
+    mod the prime) per pivot.  A row is reduced mod the prime when it
+    enters, updated unreduced, each factor read mod the prime from its
+    unreduced entry, and reduced once more at the end; rows are read only
+    as far as the caller pulls."""
+    reduced = []
+    for row in rows:
+        row = [a % _PROOF_PRIME for a in row]
+        for col, inv, prow in reduced:
+            if f := row[col] * inv % _PROOF_PRIME:
+                row = [a - f * b for a, b in zip(row, prow)]
+        row = [a % _PROOF_PRIME for a in row]
+        col = next((j for j, v in enumerate(row) if v), None)
+        if col is not None:
+            reduced.append((col, pow(row[col], -1, _PROOF_PRIME), row))
+        yield col
 
 
 def _integer_inverse(matrix: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:

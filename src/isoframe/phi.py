@@ -12,6 +12,11 @@ every g in Phi.  Over R the unit group is {+-1}, which fixes every even-degree
 form: Phi_R holds every form, and its basis is the monomials, with no
 averaging.  Over C and H the basis forms are averages A(x^beta), and the Gram
 entries of their duals pair the monomial x^beta alone.
+
+Phi also has a point set Y (`_point_set`): dim Phi integer points on which
+evaluation is injective on Phi, chosen from the values of the products of
+quadratic invariants |<v, x>|^2 (`_invariant_values`).  Every exact
+decision of `frames` is made on the values of forms at Y.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import combinations, combinations_with_replacement
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .forms import (
     Exponent,
@@ -39,7 +45,7 @@ from .forms import (
     monomials,
 )
 from .kscalar import Field, basis_product
-from .linalg import RowReducer, SingularMatrixError, _integer_inverse
+from .linalg import RowReducer, SingularMatrixError, _integer_inverse, _pivots_mod_q
 
 __all__ = [
     "DualBasis",
@@ -353,6 +359,66 @@ def dim_phi(field: Field, m: int, p: int) -> int:
     """
     factors, divisor = _dim_factors(field, m, p)
     return math.prod(math.comb(a, b) for a, b in factors) // divisor
+
+
+def _invariant_values(field: Field, m: int,
+                      points: Sequence[Sequence[int]]) -> Iterator[List[int]]:
+    """The int value rows at the points of the quadratic invariants
+    |<v, x>|^2, first for v in {e_i}, the |xi_i|^2, then for v in
+    {e_i + e_j eps_c : i < j, c < d}, the |xi_i + conj(eps_c) xi_j|^2, whose
+    component t adds +-xi_{j,s} to xi_{i,t} for eps_c eps_s = sign eps_t
+    (`kscalar.basis_product`), the sign flipped when c > 0.  A point holds
+    the d*m real coordinates of x; rows are built only as far as the caller
+    pulls."""
+    d = field.real_dimension
+    for i in range(m):
+        yield [sum(a * a for a in x[i * d:i * d + d]) for x in points]
+    for i, j in combinations(range(m), 2):
+        for c in range(d):
+            products = [basis_product(field, c, s) for s in range(d)]
+            twist = [(i * d + t, j * d + s, sign if c == 0 else -sign)
+                     for s, (t, sign) in enumerate(products)]
+            yield [sum((x[a] + g * x[b]) ** 2 for a, b, g in twist) for x in points]
+
+
+@lru_cache(maxsize=None)
+def _point_set(field: Field, m: int, p: int) -> Tuple[Tuple[int, ...], ...]:
+    """Y, dim Phi integer points on which evaluation is injective on
+    Phi_K(m,p), the same in every process: a subset, in order, of the
+    lattice X of points (alpha, 1, 0^{d-1}), |alpha| <= p, on the slice
+    where the last entry x_m is real, comb(d(m-1)+p, p) points.
+
+    X is unisolvent: if f in Phi vanishes on X, its restriction to the slice
+    is a degree-p form in d(m-1)+1 real variables; dehomogenised at
+    Re x_m = 1 it vanishes on the principal lattice, which is unisolvent for
+    degree <= p, so f is zero on the slice; x g lies on the slice for the
+    unit g = conj(x_m)/|x_m| when x_m != 0, and f(x) = f(x g) = 0; so f
+    vanishes on a dense set, hence f = 0.  Over R, X has dim Phi points and
+    is Y.
+
+    Over C and H, Y is the points of X whose columns keep a pivot modulo
+    the prime of `linalg._pivots_mod_q` in the rows of values on X of the
+    products of p/2 quadratic invariants of `_invariant_values` (discrete
+    Leja points, Bos, De Marchi, Sommariva and Vianello, SIAM J. Numer.
+    Anal. 48, 2010, chosen exactly).  The products lie in Phi and span it
+    (first fundamental theorem, Weyl, The Classical Groups), so dim Phi
+    pivots give a dim Phi x dim Phi minor nonzero modulo the prime, hence
+    over Z, and a form in Phi that vanishes on Y is zero.  Any other rank is
+    a defect (RuntimeError).  The pivot columns are the leading columns of
+    the rows' span modulo the prime, the greedy first independent points of
+    X, so Y does not depend on which rows span that space or on their
+    order."""
+    d = field.real_dimension
+    lattice = tuple(e[1:] + (1,) + (0,) * (d - 1) for e in monomials(d * (m - 1) + 1, p))
+    if d == 1:
+        return lattice
+    rows = ([math.prod(column) for column in zip(*chosen)] for chosen in
+            combinations_with_replacement(_invariant_values(field, m, lattice), p // 2))
+    cols = sorted(col for col in _pivots_mod_q(rows) if col is not None)
+    if len(cols) != (dim := dim_phi(field, m, p)):
+        raise RuntimeError(f"the invariant products keep {len(cols)} pivots modulo the "
+                           f"prime, not dim Phi = {dim}: a defect")
+    return tuple(lattice[col] for col in cols)
 
 
 def _dim_too_long_to_print(field: Field, m: int, p: int) -> bool:

@@ -152,7 +152,7 @@ def test_verify_json_output(capsys, catalog_path):
     assert payload["n"] == 4 and payload["dim"] == 5 and payload["bound"] == 4
 
 
-def test_dim_command(capsys):
+def test_dim_command(capsys, tmp_path):
     code, out, _ = run(capsys, "dim", "R", "2", "4")
     assert code == EXIT_PASS
     assert "dim: 5" in out and "bound: 4" in out
@@ -161,6 +161,17 @@ def test_dim_command(capsys):
     code, out, _ = run(capsys, "dim", "H", "1", "6")
     assert code == EXIT_PASS
     assert "dim: 1" in out and "refused" in out
+    # m = 1 has no frame-size bound: the exact text line, the JSON field of
+    # dim, and the same field in verify's report on an exact m = 1 frame
+    assert "bound: refused (m=1)" in out.splitlines()
+    code, out, _ = run(capsys, "dim", "H", "1", "6", "--output", "json")
+    assert code == EXIT_PASS
+    assert json.loads(out) == {"field": "H", "m": 1, "p": 6, "dim": 1, "bound": "refused (m=1)"}
+    path = tmp_path / "line.json"
+    save_frame(WeightedFrame(Field.C, 1, 4, (KVector.canonical(Field.C, 1, 0),), (Fraction(1),)),
+               path)
+    code, out, _ = run(capsys, "verify", str(path), "--output", "json")
+    assert code == EXIT_PASS and json.loads(out)["bound"] == "refused (m=1)"
 
 
 @pytest.mark.parametrize("argv, message", [

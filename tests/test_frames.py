@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import isoframe.frames
+import isoframe.linalg
+import isoframe.phi
 from isoframe.forms import (
     RealForm,
     _packed_norm_power,
@@ -309,7 +311,7 @@ def test_reduce_once_drops_pivot_and_reweights():
     assert verify(out).passed
     assert sum(out.weights) < sum(red.weights) or sum(out.weights) == sum(red.weights)
     # the values handed on with the kept vectors are their own
-    points = isoframe.frames._point_set(out.field, out.m, out.p)
+    points = isoframe.phi._point_set(out.field, out.m, out.p)
     assert out._values == tuple(isoframe.frames._scaled_values(_scaled_linear_forms(u)[1], out.p,
                                                                points) for u in out.vectors)
 
@@ -366,7 +368,7 @@ def test_linear_forms_built_once_per_vector(monkeypatch):
     # are built before counting.
     keys = ((Field.R, 2, 4), (Field.C, 2, 4), (Field.H, 2, 2))
     for key in keys:
-        isoframe.frames._point_set(*key)
+        isoframe.phi._point_set(*key)
     calls = []
     build = isoframe.frames._scaled_linear_forms
 
@@ -587,7 +589,7 @@ def test_point_set_is_unisolvent_for_phi_basis(field, m, p):
     # the point set Y, has full rank dim Phi.  Y is dim Phi points of the
     # lattice X where the last entry x_m is real, in X's order, and all of X
     # over R.
-    points = isoframe.frames._point_set(field, m, p)
+    points = isoframe.phi._point_set(field, m, p)
     d = field.real_dimension
     dim = dim_phi(field, m, p)
     lattice = tuple(e[1:] + (1,) + (0,) * (d - 1) for e in monomials(d * (m - 1) + 1, p))
@@ -625,9 +627,9 @@ class CountingReducer(RowReducer):
 @pytest.fixture
 def fresh_point_sets():
     """Point sets built under a monkeypatch must not outlive the test."""
-    isoframe.frames._point_set.cache_clear()
+    isoframe.phi._point_set.cache_clear()
     yield
-    isoframe.frames._point_set.cache_clear()
+    isoframe.phi._point_set.cache_clear()
 
 
 @pytest.mark.parametrize("field, m, p, n", [
@@ -662,7 +664,7 @@ def test_denominator_divisible_by_proof_prime_falls_back(monkeypatch):
     # (q x_1 + x_2)^4 = x_2^4 mod q at the proof points: the proof pass
     # proves nothing, and the exact elimination on the point set decides,
     # each value row entering it once at dim Phi = 5 columns
-    q = isoframe.frames._PROOF_PRIME
+    q = isoframe.linalg._PROOF_PRIME
     monkeypatch.setattr(isoframe.frames, "RowReducer", CountingReducer)
     CountingReducer.widths = []
     independent = WeightedFrame(Field.R, 2, 4, (rvec(1, 0), rvec(0, 1), rvec(1, Fraction(1, q))),
@@ -679,11 +681,11 @@ def test_denominator_divisible_by_proof_prime_falls_back(monkeypatch):
 
 def small_prime_with_passes(monkeypatch, keys):
     """Build the point sets of `keys` under the real prime, then patch
-    _PROOF_PRIME to 5 and record, for each mod-q pass, whether a row lost
-    its pivot."""
+    linalg._PROOF_PRIME to 5 and record, for each mod-q pass of the proof
+    pass, whether a row lost its pivot."""
     for key in keys:
-        isoframe.frames._point_set(*key)
-    monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", 5)
+        isoframe.phi._point_set(*key)
+    monkeypatch.setattr(isoframe.linalg, "_PROOF_PRIME", 5)
     pivots, failed = isoframe.frames._pivots_mod_q, []
 
     def recording_pivots(rows):
@@ -724,15 +726,19 @@ def test_point_set_is_closed_form(monkeypatch, fresh_point_sets):
         raise AssertionError("the point set drew at random or ran a mod-q pass")
 
     monkeypatch.setattr(isoframe.frames, "_proof_points", forbidden)
-    monkeypatch.setattr(isoframe.frames, "random", None)
-    first = {field: isoframe.frames._point_set(field, 2, 4) for field in (Field.C, Field.H)}
-    isoframe.frames._point_set.cache_clear()
-    assert {field: isoframe.frames._point_set(field, 2, 4) for field in first} == first
+    # phi, which builds the point set, imports no random module, and no
+    # draw from the random module anywhere may build it
+    assert "random" not in vars(isoframe.phi)
+    for name in ("Random", "random", "randint", "randrange", "choice", "sample", "shuffle"):
+        monkeypatch.setattr(random, name, forbidden)
+    first = {field: isoframe.phi._point_set(field, 2, 4) for field in (Field.C, Field.H)}
+    isoframe.phi._point_set.cache_clear()
+    assert {field: isoframe.phi._point_set(field, 2, 4) for field in first} == first
     for name in ("_pivots_mod_q", "dim_phi"):
-        monkeypatch.setattr(isoframe.frames, name, forbidden)
-    assert len(isoframe.frames._point_set(Field.R, 3, 4)) == math.comb(3 + 4 - 1, 4)
+        monkeypatch.setattr(isoframe.phi, name, forbidden)
+    assert len(isoframe.phi._point_set(Field.R, 3, 4)) == math.comb(3 + 4 - 1, 4)
     # over R it is the lattice (alpha, 1), |alpha| <= p, in every coordinate
-    assert isoframe.frames._point_set(Field.R, 2, 2) == ((0, 1), (1, 1), (2, 1))
+    assert isoframe.phi._point_set(Field.R, 2, 2) == ((0, 1), (1, 1), (2, 1))
 
 
 def test_point_set_guards_its_rank(monkeypatch, fresh_point_sets):
@@ -742,9 +748,9 @@ def test_point_set_guards_its_rank(monkeypatch, fresh_point_sets):
     for field, m, p in ((Field.C, 2, 4), (Field.H, 2, 4), (Field.C, 4, 2), (Field.H, 3, 2)):
         dim = dim_phi(field, m, p)
         for claimed in (dim - 1, dim + 1):
-            monkeypatch.setattr(isoframe.frames, "dim_phi", lambda field, m, p: claimed)
+            monkeypatch.setattr(isoframe.phi, "dim_phi", lambda field, m, p: claimed)
             with pytest.raises(RuntimeError, match=f"not dim Phi = {claimed}: a defect"):
-                isoframe.frames._point_set(field, m, p)
+                isoframe.phi._point_set(field, m, p)
 
 
 def test_early_dependence_adds_two_rows(monkeypatch):
@@ -757,7 +763,7 @@ def test_early_dependence_adds_two_rows(monkeypatch):
                         lambda rows: passes.append(None) or pivots(rows))
     monkeypatch.setattr(isoframe.frames, "RowReducer", CountingReducer)
     for field, m, p in ((Field.R, 3, 4), (Field.C, 2, 4), (Field.H, 2, 4)):
-        isoframe.frames._point_set(field, m, p)
+        isoframe.phi._point_set(field, m, p)
         drawn = random_rational_frame(field, m, p, dim_phi(field, m, p) + 3, seed=94)
         u = drawn.vectors[0]
         frame = WeightedFrame(field, m, p, (u, u.scale_real(2)) + drawn.vectors[2:], drawn.weights)
@@ -972,7 +978,7 @@ def test_reduce_once_requires_exact_frames():
 
 
 def test_proof_row_is_scaled_form_value():
-    q = isoframe.frames._PROOF_PRIME
+    q = isoframe.linalg._PROOF_PRIME
     rng = random.Random(7)
     for field, m, p in ((Field.R, 3, 4), (Field.C, 2, 6), (Field.H, 2, 4)):
         frame = WeightedFrame(field, m, p, tuple(
@@ -987,7 +993,7 @@ def test_proof_row_is_scaled_form_value():
 
 
 def test_proof_row_and_frame_form_read_one_integer_expansion():
-    q = isoframe.frames._PROOF_PRIME
+    q = isoframe.linalg._PROOF_PRIME
     rng = random.Random(8)
     for field, m, p in ((Field.R, 3, 4), (Field.C, 2, 6), (Field.H, 2, 4)):
         n = field.real_dimension * m
@@ -1056,7 +1062,7 @@ def is_prime(n):
 
 
 def test_proof_prime_is_prime_and_not_the_oracles():
-    q = isoframe.frames._PROOF_PRIME
+    q = isoframe.linalg._PROOF_PRIME
     assert q < 3.3e24 and is_prime(q)
     # the largest prime below 2^62
     assert not any(is_prime(n) for n in range(q + 1, 1 << 62))
@@ -1399,25 +1405,31 @@ def test_pivots_mod_q_matches_per_update_reference(monkeypatch, fresh_point_sets
     # rows updated unreduced and reduced once give the columns of the
     # per-update reduction, under the proof prime and under 5, where many
     # factors and entries vanish mod q; the value rows are read under the
-    # proof prime
+    # proof prime.  The kernel reduces a row as it enters, so the raw rows,
+    # and the reduced rows lifted by multiples of q, with negative entries and
+    # entries >= q, give the columns of the rows reduced beforehand
     rng = random.Random(90)
     row_sets = []
     for field, m, p in ((Field.R, 3, 4), (Field.C, 2, 4), (Field.H, 2, 2)):
         frame = dependent_frame(rng, field, m, p, dim_phi(field, m, p) + 2)
         row_sets.append([list(values) for values in frame._values])
     if prime is not None:
-        monkeypatch.setattr(isoframe.frames, "_PROOF_PRIME", prime)
-    q = isoframe.frames._PROOF_PRIME
+        monkeypatch.setattr(isoframe.linalg, "_PROOF_PRIME", prime)
+    q = isoframe.linalg._PROOF_PRIME
     for width, count in ((6, 9), (15, 12)):
         rows = [[rng.randint(-10**6, 10**6) for _ in range(width)] for _ in range(count)]
         rows.insert(3, [a - 2 * b for a, b in zip(rows[0], rows[1])])
         rows.insert(5, [0] * width)
         row_sets.append(rows)
     for rows in row_sets:
-        rows = [[v % q for v in row] for row in rows]
-        expected = list(per_update_pivots(rows, q))
+        reduced = [[v % q for v in row] for row in rows]
+        expected = list(per_update_pivots(reduced, q))
         assert None in expected
-        assert list(isoframe.frames._pivots_mod_q(rows)) == expected
+        assert list(isoframe.linalg._pivots_mod_q(reduced)) == expected
+        lifted = [[v + rng.randint(-2, 2) * q for v in row] for row in reduced]
+        assert min(map(min, lifted)) < 0 and max(map(max, lifted)) >= q
+        for raw in (rows, lifted):
+            assert list(isoframe.linalg._pivots_mod_q(raw)) == expected
 
 
 def test_int_rows_reduce_as_their_fractions():

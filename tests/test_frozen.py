@@ -17,7 +17,6 @@ from pathlib import Path
 
 from isoframe.frames import (
     WeightedFrame,
-    _point_set,
     catalog,
     dependence,
     reduce_once,
@@ -27,7 +26,7 @@ from isoframe.frames import (
     verify,
 )
 from isoframe.kscalar import Field, KElement, KVector, k_mul, rational_unit_scalars
-from isoframe.phi import dual_basis, phi_basis
+from isoframe.phi import _point_set, dual_basis, phi_basis
 
 from conftest import build_synthetic_frame, criterion_4_frame, mub_c2_p4
 

@@ -20,7 +20,15 @@ from isoframe.forms import (
     sphere_moment,
 )
 from isoframe.frames import WeightedFrame, catalog, save_frame
-from isoframe.kscalar import Field, KElement, KVector, k_mul, rational_unit_scalars
+from isoframe.kscalar import (
+    Field,
+    KElement,
+    KVector,
+    inner_product,
+    k_mul,
+    k_norm_sq,
+    rational_unit_scalars,
+)
 from isoframe.linalg import RowReducer
 from isoframe.phi import (
     SingularGramError,
@@ -519,3 +527,25 @@ def test_average_is_the_orthogonal_projection(field, m, p):
         averaged = unit_group_average(x_beta, field, m)
         for b in rng.sample(basis, min(4, len(basis))):
             assert form_inner(averaged, b) == form_inner(x_beta, b)
+
+
+@pytest.mark.parametrize("field, m", [(Field.C, 2), (Field.C, 3), (Field.H, 2), (Field.H, 3)])
+def test_invariant_values_match_kscalar_products(field, m):
+    # independent oracle: each row of _invariant_values is |<v, x>|^2 at
+    # the points, with <v, x> built by kscalar's own multiplication, first
+    # for v = e_i, then for v = e_i + e_j eps_c (i < j, c < d) in that order
+    d = field.real_dimension
+    rng = random.Random(46)
+    points = [tuple(rng.randint(-9, 9) for _ in range(d * m)) for _ in range(7)]
+    units = [KElement(field, tuple(int(t == c) for t in range(d))) for c in range(d)]
+    directions = [KVector.canonical(field, m, i) for i in range(m)]
+    directions += [KVector.canonical(field, m, i) + KVector.canonical(field, m, j).scale_right(eps)
+                   for i in range(m) for j in range(i + 1, m) for eps in units]
+    rows = list(phi._invariant_values(field, m, points))
+    assert len(rows) == m + math.comb(m, 2) * d
+    for v, row in zip(directions, rows):
+        expected = []
+        for x in points:
+            xk = KVector(field, tuple(KElement(field, x[i * d:i * d + d]) for i in range(m)))
+            expected.append(k_norm_sq(inner_product(v, xk)))
+        assert all(type(value) is int for value in row) and row == expected

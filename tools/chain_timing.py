@@ -4,7 +4,7 @@ Each chain is `tests/test_frozen.py::chain` (dependence and reduce_once
 until the forms are independent) on a drawn frame (`drawn_frame` of the
 same file), or on one of acceptance criterion 4's seeded frames
 (`criterion_4_frame` of `tests/conftest.py`).  A line holds
-`point_set_s`, the time to build the key's point set (`frames._point_set`)
+`point_set_s`, the time to build the key's point set (`phi._point_set`)
 from an empty cache; `seconds`, the median wall time of 3 runs in this
 process, each on a freshly built frame, after that point set is built; and
 the final size, the sha256 of every certificate and of the reduced frame, so
@@ -27,8 +27,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from isoframe.frames import WeightedFrame, _point_set, dependence, verify  # noqa: E402
+from isoframe.frames import WeightedFrame, dependence, verify  # noqa: E402
 from isoframe.kscalar import Field  # noqa: E402
+from isoframe.phi import _point_set  # noqa: E402
 
 from conftest import criterion_4_frame  # noqa: E402
 from test_frozen import chain, drawn_frame, sha  # noqa: E402
