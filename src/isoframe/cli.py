@@ -179,14 +179,29 @@ _FLAGS = {
     "--out": dict(default=None, help="path for the emitted frame file"),
 }
 
+# Every positional a command may take; the field tags are those of `Field`.
+_POSITIONALS = {
+    "path": {},
+    "field": dict(choices=[field.name for field in Field]),
+    "m": dict(type=int),
+    "p": dict(type=int),
+    "kind": {},
+}
 
-def _add_command(sub, name: str, run, summary: str, flags: Sequence[str]):
-    # Flags match by full name only, so an abbreviation is a usage error.
-    command = sub.add_parser(name, help=summary, allow_abbrev=False)
-    for flag in flags:
-        command.add_argument(flag, **_FLAGS[flag])
-    command.set_defaults(run=run)
-    return command
+# Each command: its name, what runs it, its summary, its flags, and its
+# positionals in the order they are given.
+_COMMANDS = (
+    ("verify", cmd_verify, "check the frame identity of a frame file",
+     ("--mode", "--tolerance", "--output"), ("path",)),
+    ("dim", cmd_dim, "dimension of Phi_K(m,p) and the frame-size bound",
+     ("--output",), ("field", "m", "p")),
+    ("reduce", cmd_reduce, "remove linear dependences among the frame forms",
+     ("--output", "--out"), ("path",)),
+    ("scale-reduce", cmd_scale_reduce, "diagonal-scaling reduction via the cone search",
+     ("--tolerance", "--grid", "--output", "--out"), ("path",)),
+    ("catalog", cmd_catalog, "emit a known frame",
+     ("--output", "--out"), ("field", "m", "p", "kind")),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -195,35 +210,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verify, analyze and reduce weighted frames of isometric "
                     "embeddings into l_p spaces over R, C or H.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = _add_command(sub, "verify", cmd_verify,
-                            "check the frame identity of a frame file",
-                            ("--mode", "--tolerance", "--output"))
-    p_verify.add_argument("path")
-
-    p_dim = _add_command(sub, "dim", cmd_dim,
-                         "dimension of Phi_K(m,p) and the frame-size bound", ("--output",))
-    p_dim.add_argument("field", choices=("R", "C", "H"))
-    p_dim.add_argument("m", type=int)
-    p_dim.add_argument("p", type=int)
-
-    p_reduce = _add_command(sub, "reduce", cmd_reduce,
-                            "remove linear dependences among the frame forms",
-                            ("--output", "--out"))
-    p_reduce.add_argument("path")
-
-    p_scale = _add_command(sub, "scale-reduce", cmd_scale_reduce,
-                           "diagonal-scaling reduction via the cone search",
-                           ("--tolerance", "--grid", "--output", "--out"))
-    p_scale.add_argument("path")
-
-    p_catalog = _add_command(sub, "catalog", cmd_catalog, "emit a known frame",
-                             ("--output", "--out"))
-    p_catalog.add_argument("field", choices=("R", "C", "H"))
-    p_catalog.add_argument("m", type=int)
-    p_catalog.add_argument("p", type=int)
-    p_catalog.add_argument("kind")
-
+    for name, run, summary, flags, positionals in _COMMANDS:
+        # Flags match by full name only, so an abbreviation is a usage error.
+        command = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for arg in flags + positionals:
+            command.add_argument(arg, **(_FLAGS | _POSITIONALS)[arg])
+        command.set_defaults(run=run)
     return parser
 
 

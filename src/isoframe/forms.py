@@ -83,10 +83,7 @@ class RealForm:
                 raise ValueError(f"exponent {expo} has {len(expo)} entries, expected {self.num_vars}")
             if sum(expo) != self.degree:
                 raise ValueError(f"exponent {expo} has degree {sum(expo)}, expected {self.degree}")
-            if min(expo, default=0) < 0:
-                raise ValueError(f"exponent {expo} has a negative entry")
-            if not all(isinstance(e, int) for e in expo):
-                raise ValueError(f"exponent {expo} has a non-integer entry")
+            _check_exponent(expo)
             if coeff != 0:
                 clean[expo] = coeff
         self.terms = MappingProxyType(clean)
@@ -187,6 +184,15 @@ class RealForm:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
 
+def _check_exponent(expo: Exponent) -> None:
+    """The one rule for the entries of an exponent vector: ints, none
+    negative; ValueError otherwise."""
+    if min(expo, default=0) < 0:
+        raise ValueError(f"exponent {expo} has a negative entry")
+    if not all(isinstance(e, int) for e in expo):
+        raise ValueError(f"exponent {expo} has a non-integer entry")
+
+
 def _nonzero(terms: dict) -> dict:
     """terms without its zero coefficients, in order; terms itself when none
     cancelled, which is the common case."""
@@ -215,9 +221,8 @@ def _unpack(packed: Mapping[int, Scalar], num_vars: int, degree: int,
     coefficients are ints and each int c comes back as Fraction(c, den) in
     the same pass: the one way packed int terms become a Fraction form."""
     shifts, mask = _key_digits(num_vars, degree)
-    if den is None:
-        return {tuple([key >> s & mask for s in shifts]): c for key, c in packed.items()}
-    return {tuple([key >> s & mask for s in shifts]): Fraction(c, den) for key, c in packed.items()}
+    return {tuple([key >> s & mask for s in shifts]): c if den is None else Fraction(c, den)
+            for key, c in packed.items()}
 
 
 def _packed_product(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Dict[int, Scalar]:
@@ -309,14 +314,6 @@ def _combination(pairs: Iterable[Tuple[Scalar, Mapping]]) -> Dict:
     return out
 
 
-def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
 def sphere_moment(beta: Sequence[int], num_vars: int) -> Fraction:
     """Normalized moment of x^beta over the unit sphere S^{num_vars - 1}.
 
@@ -330,10 +327,7 @@ def sphere_moment(beta: Sequence[int], num_vars: int) -> Fraction:
     beta = tuple(beta)
     if len(beta) != num_vars:
         raise ValueError(f"exponent length {len(beta)} does not match N={num_vars}")
-    if min(beta, default=0) < 0:
-        raise ValueError(f"exponent {beta} has a negative entry")
-    if not all(isinstance(b, int) for b in beta):
-        raise ValueError(f"exponent {beta} has a non-integer entry")
+    _check_exponent(beta)
     return Fraction(_moment_numerator(beta), _moment_denominator(num_vars, sum(beta)))
 
 
@@ -350,7 +344,7 @@ def _moment_numerator(beta: Exponent) -> int:
     for b in beta:
         if b % 2:
             return 0
-        num *= _double_factorial(b - 1)
+        num *= math.prod(range(b - 1, 0, -2))
     return num
 
 
@@ -390,8 +384,7 @@ def form_inner(f1: RealForm, f2: RealForm) -> Fraction:
     """<<f1, f2>>: exact sphere integral of f1*f2, paired in ints over s1 s2
     times the moment denominator; only equal-parity term pairs count.  The
     forms must be exact: a float coefficient raises ValueError."""
-    if f1.num_vars != f2.num_vars:
-        raise ValueError(f"variable count mismatch: {f1.num_vars} vs {f2.num_vars}")
+    f1._check_compatible(f2, same_degree=False)
     if not (f1.is_exact and f2.is_exact):
         raise ValueError("form_inner pairs exact forms only")
     (s1, t1), (s2, t2) = _scaled_terms(f1), _scaled_terms(f2)

@@ -675,8 +675,9 @@ def scaling_reduce(
     exactly when all mu_i are squares of rationals and in floating point
     otherwise, and re-verified either way.  Returns None when the sampled
     cone shows no negative a_hat: no reduction found (which certifies
-    nothing).  The tolerance must be finite and positive; it and the grid
-    are checked before the frame is verified or expanded.
+    nothing).  The tolerance must be finite and positive and the grid an
+    int (not a bool); both are checked before the frame is verified or
+    expanded.
 
     The search runs on integer vectors.  a_hat is homogeneous of degree
     p/2, so scaling every point by one positive factor scales every value
@@ -693,6 +694,8 @@ def scaling_reduce(
     m, half = frame.m, frame.p // 2
     if grid is None:
         grid = 33 if m == 2 else 9 if m == 3 else max(5, m - 1)
+    elif type(grid) is not int:
+        raise ValueError(f"grid must be an int, got {grid!r}")
     if grid < max(1, m - 1):
         raise ValueError(f"grid must be >= {max(1, m - 1)} for m = {m}, got {grid}")
     if comb(grid, m - 1) > MAX_GRID_NODES:

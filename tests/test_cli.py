@@ -359,6 +359,31 @@ def test_flag_validation(capsys, catalog_path):
     assert run(capsys, "verify", catalog_path, "--tolerance=1e-3")[0] == EXIT_PASS
 
 
+@pytest.mark.parametrize("argv, expected, run_name", [
+    (["verify", "f.json"],
+     dict(command="verify", mode="exact", tolerance=1e-9, output="text", path="f.json"),
+     "cmd_verify"),
+    (["dim", "C", "3", "4"],
+     dict(command="dim", output="text", field="C", m=3, p=4), "cmd_dim"),
+    (["reduce", "f.json"],
+     dict(command="reduce", output="text", out=None, path="f.json"), "cmd_reduce"),
+    (["scale-reduce", "f.json"],
+     dict(command="scale-reduce", tolerance=1e-9, grid=None, output="text", out=None,
+          path="f.json"), "cmd_scale_reduce"),
+    (["catalog", "H", "2", "6", "kind-x"],
+     dict(command="catalog", output="text", out=None, field="H", m=2, p=6, kind="kind-x"),
+     "cmd_catalog"),
+])
+def test_parser_namespace_per_command(argv, expected, run_name):
+    # the whole namespace of each command's minimal argv: every dest and
+    # default, the positionals last and in argv's order, and what runs
+    args = vars(cli._build_parser().parse_args(argv))
+    assert args.pop("run").__name__ == run_name
+    assert args == expected
+    positionals = list(args)[-(len(argv) - 1):]
+    assert [str(args[dest]) for dest in positionals] == argv[1:]
+
+
 def test_reduce_refuses_float_frame(capsys, tmp_path):
     path = tmp_path / "equi.json"
     save_frame(catalog(Field.R, 2, 4, "real2-equiangular"), path)

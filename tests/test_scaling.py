@@ -262,6 +262,9 @@ def test_scaling_reduce_parameter_validation(synthetic_frame):
     # the grid needs m - 1 cuts, and at most MAX_GRID_NODES nodes
     refused(catalog(Field.R, 7, 2, "orthonormal-p2"), "grid", grid=5)
     refused(build_synthetic_frame(), "nodes", grid=100_001)
+    # the grid is an int, as m and p are: not a bool, a float or a string
+    for grid in (True, False, 20.0, "20"):
+        refused(build_synthetic_frame(), "grid must be an int", grid=grid)
     # a tolerance at or above every weight drops every vector at once
     with pytest.raises(FrameError, match="vanished"):
         scaling_reduce(synthetic_frame, tolerance=1)
